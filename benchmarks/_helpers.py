@@ -17,6 +17,8 @@ production code path, not a parallel harness.
 from __future__ import annotations
 
 import json
+import os
+import platform
 from pathlib import Path
 
 import numpy as np
@@ -118,6 +120,36 @@ def bench_evaluate_spec(fps: float = 120.0, seed: int = 0) -> dict:
 def once(benchmark, fn):
     """Run an expensive experiment exactly once under pytest-benchmark."""
     return benchmark.pedantic(fn, rounds=1, iterations=1)
+
+
+def host_fingerprint() -> dict:
+    """The host facts a wall-clock record is only comparable under."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "nproc": os.cpu_count(),
+        "machine": platform.machine(),
+        "numpy": np.__version__,
+        "blas": " ".join(str(blas.get("openblas configuration", "")).split()),
+        "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+    }
+
+
+def same_host_baseline(path: str | Path) -> dict | None:
+    """Newest trajectory entry of ``path`` recorded on this host, if any.
+
+    Wall-clock gates compare against it: a record from another host (a
+    CI runner, a different BLAS build) says nothing about this one, so
+    without a same-host entry there is no baseline.
+    """
+    try:
+        trajectory = json.loads(Path(path).read_text()).get("trajectory", [])
+    except (OSError, json.JSONDecodeError):
+        return None
+    host = host_fingerprint()
+    for entry in reversed(trajectory):
+        if entry.get("host") == host:
+            return entry
+    return None
 
 
 def record_bench(path: str | Path, record: dict) -> dict:

@@ -29,7 +29,14 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from _helpers import BENCH_EPOCHS, BENCH_EYE_SCALE, once, record_bench
+from _helpers import (
+    BENCH_EPOCHS,
+    BENCH_EYE_SCALE,
+    host_fingerprint,
+    once,
+    record_bench,
+    same_host_baseline,
+)
 from repro.api import ExperimentSpec, Session
 from repro.core.throughput import throughput_tables
 
@@ -40,8 +47,17 @@ FRAMES = 12
 TRAIN_INDICES = [0, 1]
 EVAL_INDICES = list(range(2, SEQUENCES))
 
-#: The PR acceptance bar for the batched mode at CI scale.
-TARGET_SPEEDUP = 1.5
+#: The acceptance bar for the batched mode at CI scale.  Both modes run
+#: the same stage kernels (sequential = ranks of width 1), so this is the
+#: gain from rank width alone; it was 1.5 while the sequential mode ran
+#: separate per-frame kernels with a slower token-level RLE readout.
+TARGET_SPEEDUP = 1.3
+#: The width ratio no longer bounds the batched mode by itself (its
+#: baseline got faster), so batched seconds are also gated against the
+#: newest ``BENCH_engine.json`` entry recorded on the same host: at most
+#: this much slower.  Ten runs of unchanged code on a 2-vCPU x86 VM
+#: spread 0.39-0.50 s (max/min 1.29) on a quiet host.
+BATCHED_REGRESSION_BOUND = 0.35
 #: Worker processes for the sharded modes.  Their *speedups* are recorded
 #: but not gated: they track available cores (this container may have
 #: one), while bitwise identity to the sequential loop is always enforced.
@@ -75,11 +91,14 @@ def run_engine_throughput() -> dict:
     spec = ExperimentSpec.from_dict(BENCH_SPEC)
     with Session() as session:
         result = session.run(spec)
-        record_bench(_RESULT_PATH, result.to_dict())
+        record_bench(
+            _RESULT_PATH, {**result.to_dict(), "host": host_fingerprint()}
+        )
     return result.metrics
 
 
 def test_engine_throughput(benchmark):
+    baseline = same_host_baseline(_RESULT_PATH)
     record = once(benchmark, run_engine_throughput)
 
     print()
@@ -93,6 +112,13 @@ def test_engine_throughput(benchmark):
         f"batched mode only {record['speedup']:.2f}x over sequential "
         f"(target {TARGET_SPEEDUP}x)"
     )
+    if baseline is not None:
+        limit = baseline["metrics"]["batched_s"] * (1 + BATCHED_REGRESSION_BOUND)
+        assert record["batched_s"] <= limit, (
+            f"batched mode took {record['batched_s']:.3f}s, over {limit:.3f}s "
+            f"(newest same-host record {baseline['git']} "
+            f"+{BATCHED_REGRESSION_BOUND:.0%})"
+        )
     # The sharded trajectories: with batched kernels in the workers and
     # the zero-copy transport, `workers=N` must actually win — both over
     # the sequential loop (fresh pool, fork cost included) and over

@@ -5,12 +5,11 @@ the serving runtime (``repro.serve``).  It trains one CI-scale tracker
 through ``repro.api`` (session-memoized), materializes a fleet of
 synthetic client eye-streams, and serves the *same* frames twice:
 
-* **per-client sequential** — every queued frame dispatched alone
-  through the scalar stage kernels (the naive one-loop-per-stream
-  server);
+* **per-client sequential** — every queued frame dispatched alone as a
+  width-1 rank (the naive one-loop-per-stream server);
 * **micro-batched** — each tick's due frames dispatched as one
-  cross-client rank through the engine's batched ``process_batch``
-  kernels (vectorized eventification, grouped packed-ViT inference).
+  cross-client rank through the same ``process_batch`` kernels
+  (vectorized eventification, grouped packed-ViT inference).
 
 Both modes produce bitwise-identical per-client gaze streams (asserted
 here and pinned by ``tests/serve/``); the wall-clock ratio is the
@@ -24,7 +23,14 @@ from __future__ import annotations
 import time
 from pathlib import Path
 
-from _helpers import BENCH_EPOCHS, BENCH_EYE_SCALE, once, record_bench
+from _helpers import (
+    BENCH_EPOCHS,
+    BENCH_EYE_SCALE,
+    host_fingerprint,
+    once,
+    record_bench,
+    same_host_baseline,
+)
 from repro.api import ExperimentSpec, Session
 from repro.serve import ClientSensorFactory, ServeScenario, simulate_serving
 
@@ -32,8 +38,17 @@ from repro.serve import ClientSensorFactory, ServeScenario, simulate_serving
 #: per tick (the production multi-user story), so the bench serves 24.
 CLIENTS = 24
 TICKS = 10
-#: The PR acceptance bar for micro-batched serving at CI scale.
-TARGET_SPEEDUP = 1.5
+#: The acceptance bar for micro-batched serving at CI scale.  Both modes
+#: run the same stage kernels (per-client = ranks of width 1), so this is
+#: the gain from rank width alone; it was 1.5 while per-client dispatch
+#: ran separate per-frame kernels with a slower token-level RLE readout.
+TARGET_SPEEDUP = 1.3
+#: The width ratio no longer bounds micro-batched serving by itself (its
+#: baseline got faster), so batched seconds are also gated against the
+#: newest ``BENCH_serve.json`` entry recorded on the same host: at most
+#: this much slower.  Ten runs of unchanged code on a 2-vCPU x86 VM
+#: spread 0.256-0.345 s (max/min 1.35).
+BATCHED_REGRESSION_BOUND = 0.35
 #: Best-of repeats per mode (the served frames are identical each time).
 REPEATS = 3
 
@@ -90,12 +105,14 @@ def run_serve_bench() -> dict:
         "speedup": sequential.wall_seconds / batched.wall_seconds,
         "bitwise_identical": batched.gaze_log == sequential.gaze_log,
         "telemetry": batched.summary,
+        "host": host_fingerprint(),
     }
     record_bench(_RESULT_PATH, record)
     return record
 
 
 def test_serve_throughput(benchmark):
+    baseline = same_host_baseline(_RESULT_PATH)
     record = once(benchmark, run_serve_bench)
 
     print()
@@ -113,3 +130,10 @@ def test_serve_throughput(benchmark):
         f"cross-client micro-batching only {record['speedup']:.2f}x over "
         f"per-client sequential dispatch (target {TARGET_SPEEDUP}x)"
     )
+    if baseline is not None:
+        limit = baseline["batched_s"] * (1 + BATCHED_REGRESSION_BOUND)
+        assert record["batched_s"] <= limit, (
+            f"micro-batched serving took {record['batched_s']:.3f}s, over "
+            f"{limit:.3f}s (newest same-host record {baseline['git']} "
+            f"+{BATCHED_REGRESSION_BOUND:.0%})"
+        )

@@ -1,15 +1,16 @@
-"""Strategy-sweep throughput: batched strategy-graph kernels vs per-row.
+"""Strategy-sweep throughput: full-rank lockstep vs ranks of width 1.
 
 Not a paper figure — this benchmark seeds the performance trajectory of
 the Fig. 15 strategy harness (``repro.core.variants.evaluate_strategy``
-over the eventify/sample/segment/regress strategy graph).  It evaluates
-the same (strategy, segmenter) pair three ways:
+over the eventify/sample/segment/regress strategy graph).  Every stage
+has one kernel, ``process_batch``; the benchmark evaluates the same
+(strategy, segmenter) pair three ways:
 
 * **per-row** — the sequential reference: each sequence stepped frame by
-  frame through scalar ``Stage.process`` kernels;
-* **batched** — full-rank lockstep through the stages' ``process_batch``
-  kernels (stacked eventification, batched sampling draws, one dense
-  segmenter forward per rank, vectorized centroid regression);
+  frame as ranks of width 1;
+* **batched** — full-rank lockstep (stacked eventification, batched
+  sampling draws, one dense segmenter forward per rank, vectorized
+  centroid regression);
 * **sharded** — ``workers=2`` over the zero-copy shard fabric (reported
   for the trajectory; at this scale process spin-up dominates, so no
   speedup bar is placed on it).
@@ -158,5 +159,5 @@ def test_strategy_throughput(benchmark):
     assert record["bitwise_identical"]
     assert record["speedup"] >= TARGET_SPEEDUP, (
         f"batched strategy sweep only {record['speedup']:.2f}x over the "
-        f"per-row loop (target {TARGET_SPEEDUP}x)"
+        f"width-1 sweep (target {TARGET_SPEEDUP}x)"
     )

@@ -111,7 +111,7 @@ def measure_throughput(
     if workers is not None and workers >= 2:
         # The production sharded configuration: batched kernels inside
         # each worker (vectorized lockstep within a shard, shards over
-        # processes).  Sharding sequential kernels would measure pure
+        # processes).  Sharding width-1 ranks would measure pure
         # dispatch overhead on single-core hosts instead of the mode
         # anything actually runs.
         shard_s, shard_result = _best_of(

@@ -146,8 +146,8 @@ def build_strategy_graph(
             SegmentOrReuseStage(segmenter),
             # Per-sequence fallback state, like the tracking graph: the
             # estimator's last-gaze fallback must not cross sequence
-            # boundaries or batched/sharded runs would diverge from the
-            # sequential reference.
+            # boundaries or results would depend on the rank width and
+            # the sharding.
             GazeRegressStage(gaze_estimator, per_sequence_state=True),
         ]
     )

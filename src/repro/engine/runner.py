@@ -1,28 +1,27 @@
 """The sequence runner: executes a stage graph over batches of sequences.
 
-Three execution modes share one stage graph and one set of numeric
-kernels:
+Every mode runs the same loop over the same kernels: sequences advance
+in *lockstep* ranks, and at each timestep every stage's
+``process_batch`` handles the frames of the rank at once.  The modes
+differ only in the rank width:
 
-* **sequential** — the reference mode: sequences one after another, frames
-  in order, each stage's ``process`` per frame.  This is the staged
-  transcription of the original monolithic evaluation loops.
-* **batched** — runs up to ``batch_size`` sequences in *lockstep*: at each
-  timestep every live sequence contributes one frame and each stage's
-  ``process_batch`` handles the whole rank at once (vectorized
-  eventification, grouped packed ViT inference, vectorized RLE
-  accounting).  Because every sequence owns its own sensor spawn (and all
-  cross-frame state lives in its ``SequenceState``), the two modes draw
-  identical random streams and produce bitwise-identical contexts — the
-  engine test suite asserts this end-to-end.
-* **sharded** — ``workers >= 2`` partitions the sequence rank into
-  contiguous shards and executes each shard in a worker *process* using
-  the sequential or batched kernels above.  Sequences share no mutable
-  state (per-sequence random streams are keyed by sequence index, never
-  by execution order), so a shard's results do not depend on which
-  process runs it: merged ``EngineRun``s are bitwise-identical to the
-  single-process modes.  Requires the graph, the state factory and the
-  sequences to be picklable — the canonical graphs keep their callables
-  as plain classes for exactly this reason.
+* **sequential** — ``batched=False``: ranks of width 1, i.e. sequences
+  one after another, frames in order.
+* **batched** — up to ``batch_size`` sequences per rank (all of them by
+  default): vectorized eventification, grouped packed ViT inference,
+  vectorized RLE accounting.  Because every sequence owns its own sensor
+  spawn (and all cross-frame state lives in its ``SequenceState``), every
+  width draws identical random streams and produces bitwise-identical
+  contexts — the engine test suite asserts this end-to-end.
+* **sharded** — ``workers >= 2`` partitions the sequences into
+  contiguous shards and executes each shard in a worker *process* at the
+  width above.  Sequences share no mutable state (per-sequence random
+  streams are keyed by sequence index, never by execution order), so a
+  shard's results do not depend on which process runs it: merged
+  ``EngineRun``s are bitwise-identical to the single-process modes.
+  Requires the graph, the state factory and the sequences to be
+  picklable — the canonical graphs keep their callables as plain classes
+  for exactly this reason.
 
 Results come back as an :class:`EngineRun`: the completed frame contexts
 in *sequence-major* order (identical ordering in all modes, so
@@ -35,7 +34,7 @@ from __future__ import annotations
 import multiprocessing
 import time
 from concurrent.futures import Executor, ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -109,17 +108,13 @@ def _execute_shard(
     shard: list[tuple[int, Any]],
     batched: bool,
 ) -> tuple[list[FrameContext], dict[str, StageTiming]]:
-    """Run one shard with the in-process kernels (worker-side entry point).
+    """Run one shard in-process (worker-side entry point).
 
     Module-level so :class:`~concurrent.futures.ProcessPoolExecutor` can
     pickle it; the runner (graph + state factory) travels with the task.
     """
     timings = {name: StageTiming() for name in runner.graph.stage_names}
-    if batched:
-        contexts = runner._run_batched(shard, timings)
-    else:
-        contexts = runner._run_sequential(shard, timings)
-    return contexts, timings
+    return runner._run_ranks(shard, timings, batched), timings
 
 
 def _execute_shard_handles(
@@ -193,8 +188,8 @@ class SequenceRunner:
         ``seq_index -> SequenceState``; builds the per-sequence state
         (e.g. spawning a per-sequence sensor from a calibrated template).
     batch_size:
-        Lockstep width in batched mode; ``None`` runs all sequences in
-        one rank.
+        Rank width in batched mode; ``None`` runs all sequences in one
+        rank.  Sequential mode always runs ranks of width 1.
     """
 
     def __init__(
@@ -254,10 +249,11 @@ class SequenceRunner:
     ) -> EngineRun:
         """Run the graph over ``[(seq_index, sequence), ...]``.
 
-        ``workers >= 2`` shards the sequence rank across that many worker
-        processes; each shard runs the sequential or batched kernels
-        (per ``batched``) and the merged result is bitwise-identical to
-        the single-process modes.  ``None``/``1`` runs in-process.
+        ``batched`` picks the rank width (``batch_size``, or every
+        sequence, instead of 1).  ``workers >= 2`` shards the sequences
+        across that many worker processes; each shard runs at the same
+        width and the merged result is bitwise-identical to the
+        single-process modes.  ``None``/``1`` runs in-process.
 
         ``executor`` injects an existing pool for the sharded mode instead
         of forking a fresh one per call (the historical per-call cost):
@@ -302,10 +298,7 @@ class SequenceRunner:
         else:
             n_workers = 1
             timings = {name: StageTiming() for name in self.graph.stage_names}
-            if batched:
-                contexts = self._run_batched(sequences, timings)
-            else:
-                contexts = self._run_sequential(sequences, timings)
+            contexts = self._run_ranks(sequences, timings, batched)
         wall = time.perf_counter() - start  # repro: allow[REP102] run wall-time metric
         tracer = current_tracer()
         if tracer is not None:
@@ -436,37 +429,13 @@ class SequenceRunner:
                 total.calls += timing.calls
         return contexts, timings, transport_info
 
-    def _run_sequential(self, sequences, timings) -> list[FrameContext]:
-        contexts: list[FrameContext] = []
-        for seq_index, seq in sequences:
-            state = self.state_factory(seq_index)
-            for stage in self.graph:
-                stage.start_sequence(state)
-            for ctx in self._contexts_for(seq_index, seq):
-                for stage in self.graph:
-                    if ctx.skipped:
-                        break
-                    t0 = time.perf_counter()  # repro: allow[REP102] stage timing attribution
-                    stage.process(ctx, state)
-                    dt = time.perf_counter() - t0  # repro: allow[REP102] stage timing attribution
-                    timing = timings[stage.name]
-                    timing.seconds += dt
-                    timing.frames += 1
-                    timing.calls += 1
-                    ctx.stage_times[stage.name] = dt
-                if not self.retain_intermediates:
-                    ctx.release_intermediates()
-                contexts.append(ctx)
-        return contexts
-
-    def _run_batched(self, sequences, timings) -> list[FrameContext]:
+    def _run_ranks(self, sequences, timings, batched) -> list[FrameContext]:
         # Lanes are keyed by *position* in ``sequences``, not by sequence
-        # index — a repeated index is two independent lanes (exactly as
-        # the sequential mode treats it).
+        # index — a repeated index is two independent lanes.
         if not sequences:
             return []
         lanes: dict[int, list[FrameContext]] = {}
-        width = self.batch_size or len(sequences)
+        width = (self.batch_size or len(sequences)) if batched else 1
         for chunk_start in range(0, len(sequences), width):
             positions = range(
                 chunk_start, min(chunk_start + width, len(sequences))
@@ -481,17 +450,17 @@ class SequenceRunner:
                 lanes[pos] = self._contexts_for(seq_index, seq)
             horizon = max(len(lanes[pos]) for pos in positions)
             for t in range(horizon):
-                rank = [
-                    (lanes[pos][t], states[pos])
-                    for pos in positions
-                    if t < len(lanes[pos])
-                ]
+                live = [pos for pos in positions if t < len(lanes[pos])]
+                rank = ctxs = [lanes[pos][t] for pos in live]
+                seqs = [states[pos] for pos in live]
                 for stage in self.graph:
-                    live = [(c, s) for c, s in rank if not c.skipped]
-                    if not live:
-                        break
-                    ctxs = [c for c, _ in live]
-                    seqs = [s for _, s in live]
+                    # Frames only ever become skipped, so the live rank
+                    # shrinks monotonically through the graph.
+                    if any(c.skipped for c in ctxs):
+                        seqs = [s for c, s in zip(ctxs, seqs) if not c.skipped]
+                        ctxs = [c for c in ctxs if not c.skipped]
+                        if not ctxs:
+                            break
                     t0 = time.perf_counter()  # repro: allow[REP102] stage timing attribution
                     stage.process_batch(ctxs, seqs)
                     dt = time.perf_counter() - t0  # repro: allow[REP102] stage timing attribution
@@ -503,7 +472,7 @@ class SequenceRunner:
                     for c in ctxs:
                         c.stage_times[stage.name] = share
                 if not self.retain_intermediates:
-                    for ctx, _ in rank:
+                    for ctx in rank:
                         ctx.release_intermediates()
-        # Sequence-major order, exactly as the sequential mode emits.
+        # Sequence-major order at every width.
         return [ctx for pos in range(len(sequences)) for ctx in lanes[pos]]

@@ -6,11 +6,12 @@ Stages are *shared* across sequences: all cross-frame state lives in the
 :class:`~repro.engine.context.SequenceState` handed to every call, so a
 single stage instance can serve many sequences in lockstep.
 
-``process`` handles one frame; ``process_batch`` handles the frames of
-several sequences at the same timestep and defaults to a per-frame loop —
-stages override it only when they have a genuinely vectorized
-implementation (which must stay *bitwise identical* to the scalar path;
-the engine test suite enforces this end-to-end).
+``process_batch`` is a stage's one kernel: it handles the frames of
+several sequences at the same timestep (a *rank*).  There is no per-frame
+variant — a single frame is a rank of width 1 — so every execution mode
+runs the same code, and a kernel's output rows must not depend on the
+rank's width or on their neighbours (the engine test suite pins widths
+1, 3 and full rank against each other and against checked-in digests).
 """
 
 from __future__ import annotations
@@ -31,10 +32,6 @@ class Stage:
     def start_sequence(self, seq: SequenceState) -> None:
         """Reset/initialize per-sequence state before frame 0."""
 
-    def process(self, ctx: FrameContext, seq: SequenceState) -> None:
-        """Process one frame.  Never called with ``ctx.skipped`` set."""
-        raise NotImplementedError
-
     def process_batch(
         self,
         ctxs: Sequence[FrameContext],
@@ -42,11 +39,10 @@ class Stage:
     ) -> None:
         """Process one lockstep timestep across several sequences.
 
-        The default simply loops; override with a vectorized
-        implementation that produces bitwise-identical contexts.
+        ``ctxs[i]`` is the current frame of the sequence whose state is
+        ``seqs[i]``; never called with a skipped context or an empty rank.
         """
-        for ctx, seq in zip(ctxs, seqs):
-            self.process(ctx, seq)
+        raise NotImplementedError
 
 
 class StageGraph:

@@ -23,9 +23,12 @@ Strategy graph (Fig. 12/15 harness, extracted from
 ``SegmentOrReuseStage`` segmentation with SKIP-style reuse of the
                         previous map
 
-Scalar ``process`` paths are faithful transcriptions of the original
-loops; vectorized ``process_batch`` overrides must stay bitwise identical
-(enforced by the engine equivalence tests).
+Each stage has exactly one kernel, ``process_batch``, over a lockstep
+rank of frames; a single frame is a rank of width 1.  Per-sequence random
+streams are drawn row by row in rank order, and everything else stacks,
+so every row is bitwise-independent of the rank's width (pinned by the
+engine equivalence tests against the original monolithic loops and by
+checked-in output digests).
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ import numpy as np
 from repro.engine.context import FrameContext, SequenceState
 from repro.engine.stage import Stage
 from repro.gaze.estimation import pupil_centroid_batch
-from repro.sampling import random_sampling as rs
+from repro.nn.functional import stack_rows
 from repro.sampling.eventification import eventify
 from repro.sampling.roi import ROIReusePolicy, box_iou, box_to_pixels, order_box
 
@@ -64,28 +67,21 @@ class EventifyStage(Stage):
 
     name = "eventify"
 
-    def process(self, ctx: FrameContext, seq: SequenceState) -> None:
-        event_map = seq.sensor.eventify_step(ctx.frame)
-        if event_map is None:
-            ctx.skipped = True  # bootstrap frame: nothing to difference yet
-        else:
-            ctx.event_map = event_map
-
     def process_batch(self, ctxs, seqs) -> None:
         # Per-sensor noise streams must be drawn from each sequence's own
-        # generator (that's what makes lockstep == sequential bitwise);
+        # generator (that's what makes every rank width bitwise-equal);
         # the pure comparator decision vectorizes across the rank.
         live: list[tuple[FrameContext, np.ndarray, np.ndarray, float]] = []
         for ctx, seq in zip(ctxs, seqs):
             inputs = seq.sensor.eventify_inputs(ctx.frame)
             if inputs is None:
-                ctx.skipped = True
+                ctx.skipped = True  # bootstrap frame: nothing to difference yet
                 continue
             live.append((ctx, *inputs, seq.sensor.sigma))
         if not live:
             return
-        diffs = np.stack([d for _, d, _, _ in live])
-        noises = np.stack([n for _, _, n, _ in live])
+        diffs = stack_rows([d for _, d, _, _ in live])
+        noises = stack_rows([n for _, _, n, _ in live])
         sigmas = np.array([s for _, _, _, s in live])[:, None, None]
         events = type(seqs[0].sensor).comparator_decide(diffs, noises, sigmas)
         for i, (ctx, _, _, _) in enumerate(live):
@@ -107,27 +103,18 @@ class ROIPredictStage(Stage):
         self.height = height
         self.width = width
 
-    def process(self, ctx: FrameContext, seq: SequenceState) -> None:
-        box_norm = order_box(
-            np.asarray(self.predictor(ctx.event_map, seq.prev_seg_pred))
-        )
-        ctx.roi_box_norm = box_norm
-        ctx.roi_box = box_to_pixels(box_norm, self.height, self.width)
-
     def process_batch(self, ctxs, seqs) -> None:
         # Predictors exposing ``predict_batch`` guarantee row-independent
         # forwards (the conv is a per-sample GEMM, the FC tail runs
-        # per-row), so stacking the rank is bitwise-identical to the
-        # per-frame loop.  Plain callables fall back to that loop.
+        # per-row), so stacking the rank cannot change any row.  Plain
+        # ``(event_map, prev_seg) -> box`` callables are called per row.
+        event_maps = [ctx.event_map for ctx in ctxs]
+        prev_segs = [seq.prev_seg_pred for seq in seqs]
         batch = getattr(self.predictor, "predict_batch", None)
         if batch is None:
-            for ctx, seq in zip(ctxs, seqs):
-                self.process(ctx, seq)
-            return
-        boxes = batch(
-            [ctx.event_map for ctx in ctxs],
-            [seq.prev_seg_pred for seq in seqs],
-        )
+            boxes = [self.predictor(e, p) for e, p in zip(event_maps, prev_segs)]
+        else:
+            boxes = batch(event_maps, prev_segs)
         for ctx, box in zip(ctxs, boxes):
             box_norm = order_box(np.asarray(box))
             ctx.roi_box_norm = box_norm
@@ -155,30 +142,28 @@ class ROIReuseStage(Stage):
         self.inner.start_sequence(seq)
         seq.slots[self.name] = ROIReusePolicy(window=self.window)
 
-    def process(self, ctx: FrameContext, seq: SequenceState) -> None:
-        policy: ROIReusePolicy = seq.slots[self.name]
-        if self.window > 1 and not policy.should_predict():
-            box_norm = order_box(np.asarray(policy.current()))
-            ctx.roi_box_norm = box_norm
-            ctx.roi_box = box_to_pixels(box_norm, *ctx.frame.shape)
-            ctx.roi_reused = True
-            policy.tick()
-        else:
-            self.inner.process(ctx, seq)
-            policy.update(ctx.roi_box_norm)
-
     def process_batch(self, ctxs, seqs) -> None:
-        if self.window == 1:
-            # Every lane predicts every frame, so the whole rank can go to
-            # the inner stage's batched path in one call.
-            self.inner.process_batch(ctxs, seqs)
-            for ctx, seq in zip(ctxs, seqs):
-                seq.slots[self.name].update(ctx.roi_box_norm)
-        else:
-            # Lanes disagree on predict-vs-reuse; the per-frame state
-            # machine is cheap, so fall back to the scalar loop.
-            for ctx, seq in zip(ctxs, seqs):
-                self.process(ctx, seq)
+        # Split the rank: lanes whose policy holds a cached box reuse it,
+        # the rest go to the inner stage as one sub-rank (its rows are
+        # independent, so the split cannot change them).
+        predict: list[tuple[FrameContext, SequenceState]] = []
+        for ctx, seq in zip(ctxs, seqs):
+            policy: ROIReusePolicy = seq.slots[self.name]
+            if self.window > 1 and not policy.should_predict():
+                box_norm = order_box(np.asarray(policy.current()))
+                ctx.roi_box_norm = box_norm
+                ctx.roi_box = box_to_pixels(box_norm, *ctx.frame.shape)
+                ctx.roi_reused = True
+                policy.tick()
+            else:
+                predict.append((ctx, seq))
+        if not predict:
+            return
+        self.inner.process_batch(
+            [ctx for ctx, _ in predict], [seq for _, seq in predict]
+        )
+        for ctx, seq in predict:
+            seq.slots[self.name].update(ctx.roi_box_norm)
 
 
 class SampleStage(Stage):
@@ -186,14 +171,11 @@ class SampleStage(Stage):
 
     name = "sample"
 
-    def process(self, ctx: FrameContext, seq: SequenceState) -> None:
-        ctx.sample_mask = seq.sensor.sampling_step(ctx.roi_box)
-
     def process_batch(self, ctxs, seqs) -> None:
         # Power-up bits must come from each sequence's own stream, but the
         # popcount reduction and threshold compare stack across the rank
         # (integer/boolean ops: exact under any batching).
-        bits = np.stack([seq.sensor.sram_rng.power_up_bits() for seq in seqs])
+        bits = stack_rows([seq.sensor.sram_rng.power_up_bits() for seq in seqs])
         pops = bits.sum(axis=-1)  # (B, num_pixels)
         for i, (ctx, seq) in enumerate(zip(ctxs, seqs)):
             ctx.sample_mask = seq.sensor.mask_from_popcounts(
@@ -206,42 +188,28 @@ class ReadoutStage(Stage):
 
     name = "readout"
 
-    def process(self, ctx: FrameContext, seq: SequenceState) -> None:
-        sensor = seq.sensor
-        codes, readout, tokens, stats = sensor.readout_step(
-            ctx.frame, ctx.sample_mask, ctx.roi_box
-        )
-        ctx.readout = readout
-        ctx.rle_stats = stats
-        # Host side: the faithful transmission round-trip, via the
-        # sensor's one decode implementation.
-        ctx.sparse_frame, ctx.mask = sensor.host_decode_tokens(
-            tokens, ctx.roi_box
-        )
-
     def process_batch(self, ctxs, seqs) -> None:
         # The RLE round-trip is lossless by construction (tested), so the
-        # batched host skips the per-token python scan: the sensor's
-        # direct readout provides vectorized run-length accounting and
-        # the sparse frame is rebuilt from the codes it already holds —
-        # bitwise identical to decoding the token stream.  The readout
-        # itself stays per-row (held frame, noise and SRAM streams are
-        # per-sequence sensor state); the host-side rebuild stacks: the
-        # int64->float64 cast is exact and the divide/multiply are
-        # elementwise, so each row matches the scalar rebuild.
+        # host skips the per-token python scan: the sensor's readout step
+        # provides vectorized run-length accounting and the sparse frame
+        # is rebuilt from the codes it already holds — bitwise identical
+        # to decoding the token stream (``BlissCamSensor.host_decode``).
+        # The readout itself stays per-row (ADC state machine, per-sensor
+        # levels); the host-side rebuild stacks: the int64->float64 cast
+        # is exact and the divide/multiply are elementwise.
         code_rows = []
         for ctx, seq in zip(ctxs, seqs):
-            codes, readout, stats = seq.sensor.readout_step_direct(
+            codes, readout, stats = seq.sensor.readout_step(
                 ctx.frame, ctx.sample_mask, ctx.roi_box
             )
             ctx.readout = readout
             ctx.rle_stats = stats
             code_rows.append(codes)
-        codes = np.stack(code_rows).astype(np.float64)
+        codes = np.array(code_rows, dtype=np.float64)
         levels = np.array(
             [float(seq.sensor.adc.levels - 1) for seq in seqs]
         )[:, None, None]
-        masks = np.stack([ctx.sample_mask for ctx in ctxs])
+        masks = stack_rows([ctx.sample_mask for ctx in ctxs])
         sparse_frames = (codes / levels) * masks
         for i, ctx in enumerate(ctxs):
             ctx.sparse_frame = sparse_frames[i]
@@ -256,14 +224,9 @@ class SegmentStage(Stage):
     def __init__(self, segmenter):
         self.segmenter = segmenter
 
-    def process(self, ctx: FrameContext, seq: SequenceState) -> None:
-        seg = self.segmenter.predict_packed(ctx.sparse_frame, ctx.mask)
-        ctx.seg_pred = seg
-        seq.prev_seg_pred = seg
-
     def process_batch(self, ctxs, seqs) -> None:
-        frames = np.stack([c.sparse_frame for c in ctxs])
-        masks = np.stack([c.mask for c in ctxs])
+        frames = stack_rows([c.sparse_frame for c in ctxs])
+        masks = stack_rows([c.mask for c in ctxs])
         segs = self.segmenter.predict_packed_batch(frames, masks)
         for i, (ctx, seq) in enumerate(zip(ctxs, seqs)):
             ctx.seg_pred = segs[i]
@@ -273,11 +236,10 @@ class SegmentStage(Stage):
 class GazeRegressStage(Stage):
     """Calibrated gaze regression on the predicted segmentation map.
 
-    The fitted estimator keeps a last-prediction fallback for frames where
-    the pupil is occluded; with ``per_sequence_state`` the fallback is
-    tracked per sequence (required for lockstep == sequential equality),
-    otherwise the estimator's own cross-sequence state is used (the
-    historical behaviour of the strategy harness).
+    The estimator keeps a last-prediction fallback for frames where the
+    pupil is occluded; with ``per_sequence_state`` the fallback is tracked
+    per sequence (required for width invariance), otherwise the
+    estimator's own cross-sequence state is used.
     """
 
     name = "gaze"
@@ -290,37 +252,23 @@ class GazeRegressStage(Stage):
         if self.per_sequence_state:
             seq.slots[self.name] = self.estimator.INITIAL_FALLBACK
 
-    def process(self, ctx: FrameContext, seq: SequenceState) -> None:
-        est = self.estimator
-        if self.per_sequence_state:
-            est.fallback_state = seq.slots[self.name]
-            ctx.gaze_pred = est.predict(ctx.seg_pred)
-            seq.slots[self.name] = est.fallback_state
-        else:
-            ctx.gaze_pred = est.predict(ctx.seg_pred)
-
     def process_batch(self, ctxs, seqs) -> None:
         # The O(B*H*W) centroid extraction stacks across the rank
         # (integer index sums — exact, see pupil_centroid_batch); the
         # tiny per-row regression tail runs in rank order, which also
-        # threads the fallback state exactly as the scalar loop does —
-        # both per-sequence slots and the shared-estimator regime.
+        # threads the fallback state — both per-sequence slots and the
+        # shared-estimator regime.
         est = self.estimator
-        from_centroid = getattr(est, "predict_from_centroid", None)
-        if from_centroid is None:
-            for ctx, seq in zip(ctxs, seqs):
-                self.process(ctx, seq)
-            return
         centroids = pupil_centroid_batch(
-            np.stack([ctx.seg_pred for ctx in ctxs])
+            stack_rows([ctx.seg_pred for ctx in ctxs])
         )
         for ctx, seq, centroid in zip(ctxs, seqs, centroids):
             if self.per_sequence_state:
                 est.fallback_state = seq.slots[self.name]
-                ctx.gaze_pred = from_centroid(centroid)
+                ctx.gaze_pred = est.predict_from_centroid(centroid)
                 seq.slots[self.name] = est.fallback_state
             else:
-                ctx.gaze_pred = from_centroid(centroid)
+                ctx.gaze_pred = est.predict_from_centroid(centroid)
 
 
 class StatsCollectorStage(Stage):
@@ -332,36 +280,26 @@ class StatsCollectorStage(Stage):
         self.tokens_total = tokens_total
         self.patch = patch
 
-    def _record(self, ctx: FrameContext, token_count: int) -> None:
-        n = ctx.sparse_frame.size
-        r0, c0, r1, c1 = ctx.roi_box
-        ctx.stats = {
-            "roi_fraction": (r1 - r0) * (c1 - c0) / n,
-            "sampled_fraction": ctx.readout.converted_pixels / n,
-            "token_fraction": token_count / self.tokens_total,
-            "tx_bytes": ctx.rle_stats.encoded_bytes,
-            "rle_ratio": ctx.rle_stats.compression_ratio,
-            "roi_iou": (
-                box_iou(ctx.roi_box, ctx.gt_box)
-                if ctx.gt_box is not None
-                else None
-            ),
-        }
-
-    def _token_counts(self, masks: np.ndarray) -> np.ndarray:
+    def process_batch(self, ctxs, seqs) -> None:
         p = self.patch
+        masks = stack_rows([c.mask for c in ctxs])
         b, h, w = masks.shape
         token_mask = masks.reshape(b, h // p, p, w // p, p).any(axis=(2, 4))
-        return token_mask.sum(axis=(1, 2))
-
-    def process(self, ctx: FrameContext, seq: SequenceState) -> None:
-        counts = self._token_counts(ctx.mask[None])
-        self._record(ctx, int(counts[0]))
-
-    def process_batch(self, ctxs, seqs) -> None:
-        counts = self._token_counts(np.stack([c.mask for c in ctxs]))
-        for ctx, count in zip(ctxs, counts):
-            self._record(ctx, int(count))
+        for ctx, count in zip(ctxs, token_mask.sum(axis=(1, 2))):
+            n = ctx.sparse_frame.size
+            r0, c0, r1, c1 = ctx.roi_box
+            ctx.stats = {
+                "roi_fraction": (r1 - r0) * (c1 - c0) / n,
+                "sampled_fraction": ctx.readout.converted_pixels / n,
+                "token_fraction": int(count) / self.tokens_total,
+                "tx_bytes": ctx.rle_stats.encoded_bytes,
+                "rle_ratio": ctx.rle_stats.compression_ratio,
+                "roi_iou": (
+                    box_iou(ctx.roi_box, ctx.gt_box)
+                    if ctx.gt_box is not None
+                    else None
+                ),
+            }
 
 
 # -- strategy-harness stages -------------------------------------------------
@@ -375,19 +313,10 @@ class EventifyPairStage(Stage):
     def __init__(self, sigma: float | None = None):
         self.sigma = sigma
 
-    def process(self, ctx: FrameContext, seq: SequenceState) -> None:
-        if ctx.prev_frame is None:
-            ctx.skipped = True  # no pair at t = 0
-            return
-        if self.sigma is None:
-            ctx.event_map = eventify(ctx.prev_frame, ctx.frame)
-        else:
-            ctx.event_map = eventify(ctx.prev_frame, ctx.frame, sigma=self.sigma)
-
     def process_batch(self, ctxs, seqs) -> None:
         # eventify is purely elementwise, so one stacked call over the
         # rows that have a frame pair is bitwise row-equal; rows at
-        # t = 0 mark themselves skipped exactly like the scalar path.
+        # t = 0 mark themselves skipped.
         live: list[FrameContext] = []
         for ctx in ctxs:
             if ctx.prev_frame is None:
@@ -396,8 +325,8 @@ class EventifyPairStage(Stage):
                 live.append(ctx)
         if not live:
             return
-        prevs = np.stack([ctx.prev_frame for ctx in live])
-        frames = np.stack([ctx.frame for ctx in live])
+        prevs = stack_rows([ctx.prev_frame for ctx in live])
+        frames = stack_rows([ctx.frame for ctx in live])
         if self.sigma is None:
             events = eventify(prevs, frames)
         else:
@@ -413,8 +342,8 @@ class StrategySampleStage(Stage):
     sequence gets its own ``strategy.spawn([seed, seq_index])`` — a clone
     with fresh per-sequence adaptive state and an RNG stream keyed by
     sequence index (mirroring the sensor's spawn design).  Keying by
-    index rather than execution order is what makes sequential, lockstep
-    and sharded runs draw identical randomness.
+    index rather than execution order is what makes every rank width and
+    sharded runs draw identical randomness.
     """
 
     name = "strategy_sample"
@@ -427,39 +356,23 @@ class StrategySampleStage(Stage):
     def start_sequence(self, seq: SequenceState) -> None:
         seq.slots[self.name] = self.strategy.spawn([self.seed, seq.seq_index])
 
-    def process(self, ctx: FrameContext, seq: SequenceState) -> None:
-        strategy = seq.slots[self.name]
-        roi_box = ctx.gt_box if self.use_gt_roi else None
-        decision = strategy.sample(
-            ctx.frame, ctx.event_map, roi_box, strategy.rng
-        )
-        ctx.mask = decision.mask
-        ctx.sparse_frame = decision.sparse_frame
-        ctx.roi_box = decision.roi_box
-        ctx.reuse_previous = decision.reuse_previous
-        ctx.stats["compression"] = decision.compression
-
     def process_batch(self, ctxs, seqs) -> None:
         # One template-level sample_batch call: the per-strategy kernels
         # vectorize the mask/sparse-frame math while drawing per-row
-        # from each spawn's own stream in rank order, and the
-        # compression accounting stacks into one popcount.
+        # from each spawn's own stream in rank order.
         strategies = [seq.slots[self.name] for seq in seqs]
         frames = [ctx.frame for ctx in ctxs]
         event_maps = [ctx.event_map for ctx in ctxs]
         roi_boxes = [ctx.gt_box if self.use_gt_roi else None for ctx in ctxs]
         decisions = self.strategy.sample_batch(
-            strategies, frames, event_maps, roi_boxes
+            strategies, frames, event_maps, roi_boxes, [s.rng for s in strategies]
         )
-        compressions = rs.effective_compression_batch(
-            np.stack([decision.mask for decision in decisions])
-        )
-        for ctx, decision, compression in zip(ctxs, decisions, compressions):
+        for ctx, decision in zip(ctxs, decisions):
             ctx.mask = decision.mask
             ctx.sparse_frame = decision.sparse_frame
             ctx.roi_box = decision.roi_box
             ctx.reuse_previous = decision.reuse_previous
-            ctx.stats["compression"] = compression
+            ctx.stats["compression"] = decision.compression
 
 
 class SegmentOrReuseStage(Stage):
@@ -470,23 +383,14 @@ class SegmentOrReuseStage(Stage):
     def __init__(self, segmenter):
         self.segmenter = segmenter
 
-    def process(self, ctx: FrameContext, seq: SequenceState) -> None:
-        if ctx.reuse_previous and seq.prev_seg_pred is not None:
-            ctx.seg_pred = seq.prev_seg_pred
-            ctx.seg_reused = True
-        else:
-            ctx.seg_pred = self.segmenter.predict(ctx.sparse_frame, ctx.mask)
-        seq.prev_seg_pred = ctx.seg_pred
-
     def process_batch(self, ctxs, seqs) -> None:
         # Split the rank: reuse rows copy their sequence's previous map,
-        # compute rows run one stacked dense forward.  The scalar
-        # reference is the *dense* predict (not the packed ViT path), so
-        # the batched side goes through each backend's dense
-        # predict_batch — row-independent for the ViT (fixed token
-        # grid) and for the conv nets in eval mode.  Segmenters without
-        # a batched forward, or still in training mode (where batch norm
-        # couples rows through batch statistics), take the scalar loop.
+        # compute rows run one stacked *dense* forward (the harness
+        # measures the dense segmenter, not the packed ViT path) —
+        # row-independent for the ViT (fixed token grid) and for the
+        # conv nets in eval mode.  A conv net still in training mode
+        # (batch norm couples rows through batch statistics) runs its
+        # compute rows as ranks of width 1.
         compute: list[tuple[FrameContext, SequenceState]] = []
         for ctx, seq in zip(ctxs, seqs):
             if ctx.reuse_previous and seq.prev_seg_pred is not None:
@@ -497,18 +401,13 @@ class SegmentOrReuseStage(Stage):
                 compute.append((ctx, seq))
         if not compute:
             return
-        batch = getattr(self.segmenter, "predict_batch", None)
-        requires_eval = getattr(self.segmenter, "predict_batch_requires_eval", True)
-        if batch is None or (
-            requires_eval and getattr(self.segmenter, "training", False)
-        ):
-            for ctx, seq in compute:
-                ctx.seg_pred = self.segmenter.predict(ctx.sparse_frame, ctx.mask)
-                seq.prev_seg_pred = ctx.seg_pred
-            return
-        frames = np.stack([ctx.sparse_frame for ctx, _ in compute])
-        masks = np.stack([ctx.mask for ctx, _ in compute])
-        segs = batch(frames, masks)
+        frames = stack_rows([ctx.sparse_frame for ctx, _ in compute])
+        masks = stack_rows([ctx.mask for ctx, _ in compute])
+        seg = self.segmenter
+        if seg.predict_batch_requires_eval and seg.training:
+            segs = [seg.predict(f, m) for f, m in zip(frames, masks)]
+        else:
+            segs = seg.predict_batch(frames, masks)
         for i, (ctx, seq) in enumerate(compute):
             ctx.seg_pred = segs[i]
             seq.prev_seg_pred = segs[i]

@@ -18,6 +18,8 @@ estimate.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro.synth.eye_model import SEG_CLASSES, EyeGeometry
@@ -39,15 +41,7 @@ def pupil_centroid(
     (e.g. during a blink).  Coordinates are normalized by the image
     *height*, matching :class:`~repro.synth.eye_model.EyeGeometry`.
     """
-    height = segmentation.shape[0]
-    for cls in (SEG_CLASSES["pupil"], SEG_CLASSES["iris"]):
-        rows, cols = np.nonzero(segmentation == cls)
-        if rows.size >= min_pixels:
-            return (
-                float((rows.mean() + 0.5) / height),
-                float((cols.mean() + 0.5) / height),
-            )
-    return None
+    return pupil_centroid_batch(segmentation[None], min_pixels)[0]
 
 
 def pupil_centroid_batch(
@@ -55,32 +49,40 @@ def pupil_centroid_batch(
 ) -> list[tuple[float, float] | None]:
     """Per-row :func:`pupil_centroid` over a stacked ``(B, H, W)`` rank.
 
-    Bitwise-equal to the scalar helper: the scalar path reduces int64
-    index vectors with ``ndarray.mean``, whose float64 partial sums are
-    all integers far below 2**53 and therefore exact regardless of
-    summation order — so the batched integer index-weighted sums divide
-    to the identical float64 value.
+    One matmul of each class's pixel mask against the per-pixel
+    ``(row, col, 1)`` weights gives every row's index sums and pixel
+    count.  Every product and partial sum is an integer far below 2**53,
+    so the float64 GEMM is exact in any summation order: each mean is
+    bitwise independent of the rank, and equal to ``ndarray.mean`` over
+    the pixel indices.
     """
     if segmentations.ndim != 3:
         raise ValueError(f"expected (B, H, W) maps, got {segmentations.shape}")
     b, height, width = segmentations.shape
-    row_idx = np.arange(height, dtype=np.int64)[None, :, None]
-    col_idx = np.arange(width, dtype=np.int64)[None, None, :]
+    weights = _pixel_weights(height, width)
+    flat = segmentations.reshape(b, height * width)
     out: list[tuple[float, float] | None] = [None] * b
     for cls in (SEG_CLASSES["pupil"], SEG_CLASSES["iris"]):
-        eq = segmentations == cls
-        counts = eq.sum(axis=(1, 2), dtype=np.int64)
-        row_sums = (eq * row_idx).sum(axis=(1, 2), dtype=np.int64)
-        col_sums = (eq * col_idx).sum(axis=(1, 2), dtype=np.int64)
-        for i in range(b):
-            if out[i] is None and counts[i] >= min_pixels:
-                mean_r = row_sums[i] / counts[i]  # int64/int64 -> float64
-                mean_c = col_sums[i] / counts[i]
+        pending = [i for i in range(b) if out[i] is None]
+        if not pending:
+            break
+        sums = (flat[pending] == cls) @ weights  # (P, 3), exact integers
+        for i, (row_sum, col_sum, count) in zip(pending, sums):
+            if count >= min_pixels:
                 out[i] = (
-                    float((mean_r + 0.5) / height),
-                    float((mean_c + 0.5) / height),
+                    float((row_sum / count + 0.5) / height),
+                    float((col_sum / count + 0.5) / height),
                 )
     return out
+
+
+@functools.lru_cache(maxsize=8)
+def _pixel_weights(height: int, width: int) -> np.ndarray:
+    """``(H*W, 3)`` float64 rows of (row index, col index, 1) per pixel."""
+    rows, cols = np.indices((height, width), dtype=np.float64).reshape(2, -1)
+    weights = np.stack([rows, cols, np.ones_like(rows)], axis=1)
+    weights.flags.writeable = False
+    return weights
 
 
 class GeometricGazeEstimator:
@@ -111,9 +113,9 @@ class GeometricGazeEstimator:
     ) -> tuple[float, float]:
         """Gaze from a precomputed centroid; None means occlusion fallback.
 
-        The seam the batched gaze stage uses: centroid extraction
-        vectorizes across the rank, while this per-row tail keeps the
-        fallback threading identical to :meth:`predict`.
+        The seam the gaze stage uses: centroid extraction vectorizes
+        across the rank, while this per-row tail threads the fallback
+        exactly as :meth:`predict` does.
         """
         if centroid is None:
             return self._last
@@ -153,8 +155,7 @@ class FittedGazeEstimator:
     def fit(self, segmentations: np.ndarray, gazes: np.ndarray) -> None:
         """Calibrate from (N, H, W) ground-truth maps and (N, 2) gazes."""
         features, targets = [], []
-        for seg, gaze in zip(segmentations, gazes):
-            centroid = pupil_centroid(seg)
+        for centroid, gaze in zip(pupil_centroid_batch(segmentations), gazes):
             if centroid is None:
                 continue
             features.append([centroid[0], centroid[1], 1.0])
@@ -177,8 +178,8 @@ class FittedGazeEstimator:
         """Gaze from a precomputed centroid; None means occlusion fallback.
 
         The ``(3,) @ (3, 2)`` regression stays per-row on purpose: a
-        stacked BLAS call is not provably row-invariant, and the batched
-        gaze stage only needs the O(B*H*W) centroid extraction
+        stacked BLAS call is not provably row-invariant, and the gaze
+        stage only needs the O(B*H*W) centroid extraction
         (:func:`pupil_centroid_batch`) vectorized.
         """
         if self._coef is None:

@@ -114,8 +114,7 @@ class BlissCamSensor:
         (an int or a sequence of ints).  The staged execution engine uses
         one spawn per evaluated sequence so that sequences draw from
         independent, order-insensitive noise streams — the property that
-        makes batched lockstep execution bitwise-identical to the
-        sequential loop.
+        makes every lockstep rank width bitwise-identical.
         """
         import copy
 
@@ -139,8 +138,8 @@ class BlissCamSensor:
         Returns None on the bootstrap frame.  Replaces the held
         AZ-capacitor frame with ``frame`` either way and draws this
         frame's comparator noise — i.e. it advances all per-frame sensor
-        state, so callers (the batched engine) can vectorize the pure
-        comparison ``|diff + noise| > sigma`` across sensors without
+        state, so callers (the engine's eventify stage) can vectorize the
+        pure comparison ``|diff + noise| > sigma`` across sensors without
         touching sensor internals.
         """
         if frame.shape != (self.height, self.width):
@@ -162,7 +161,7 @@ class BlissCamSensor:
         """Comparator-based |diff| > sigma with offset noise.
 
         Two sequential decisions through Vth1/Vth2 (Fig. 9).  Pure and
-        elementwise, so the batched engine can apply it to stacked
+        elementwise, so the engine can apply it to stacked
         ``eventify_inputs`` of many sensors with bitwise-identical
         results.
         """
@@ -170,46 +169,20 @@ class BlissCamSensor:
         below = diff + noise[..., 1, :, :] < -sigma
         return above | below
 
-    # -- per-frame stage steps ---------------------------------------------------
-    # ``capture`` is the monolithic convenience wrapper; the staged engine
-    # calls the three steps below directly (eventify -> [ROI predict] ->
-    # sample -> readout) so ROI prediction can be intercepted (reuse
-    # policies) without touching sensor internals.  RNG draw order per
-    # frame is: comparator noise first, then SRAM power-up bits.
-
-    def eventify_step(self, frame: np.ndarray) -> np.ndarray | None:
-        """Eventify against the held frame; None on the bootstrap frame.
-
-        Replaces the held AZ-capacitor frame with ``frame`` either way.
-        """
-        inputs = self.eventify_inputs(frame)
-        if inputs is None:
-            return None
-        diff, noise = inputs
-        return self.comparator_decide(diff, noise, self.sigma)
-
     def mask_from_popcounts(
         self, popcounts: np.ndarray, pixel_box: tuple[int, int, int, int]
     ) -> np.ndarray:
         """Threshold per-pixel popcounts and restrict to the ROI.
 
-        The deterministic half of the sampling decision, shared by
-        :meth:`sampling_step` and the batched engine (which stacks the
-        power-up draws of many sensors before thresholding).
+        The deterministic half of the sampling decision: the engine's
+        sample stage stacks the power-up draws of many sensors before
+        thresholding each row here.
         """
         rng_mask = (popcounts >= self.theta).reshape((self.height, self.width))
         sample_mask = np.zeros_like(rng_mask)
         r0, c0, r1, c1 = pixel_box
         sample_mask[r0:r1, c0:c1] = rng_mask[r0:r1, c0:c1]
         return sample_mask
-
-    def sampling_step(
-        self, pixel_box: tuple[int, int, int, int]
-    ) -> np.ndarray:
-        """SRAM power-up RNG sampling decisions, restricted to the ROI."""
-        return self.mask_from_popcounts(
-            self.sram_rng.power_up_popcounts(), pixel_box
-        )
 
     def _convert_and_read(
         self,
@@ -230,28 +203,14 @@ class BlissCamSensor:
         frame: np.ndarray,
         sample_mask: np.ndarray,
         pixel_box: tuple[int, int, int, int],
-    ) -> tuple[np.ndarray, ReadoutResult, list[tuple[str, int]], RleStats]:
-        """ADC conversion + sparse readout + RLE for one frame.
-
-        Returns ``(codes, readout, rle_tokens, rle_stats)``.
-        """
-        codes, readout = self._convert_and_read(frame, sample_mask, pixel_box)
-        tokens, stats = self.codec.encode(readout.stream)
-        return codes, readout, tokens, stats
-
-    def readout_step_direct(
-        self,
-        frame: np.ndarray,
-        sample_mask: np.ndarray,
-        pixel_box: tuple[int, int, int, int],
     ) -> tuple[np.ndarray, ReadoutResult, RleStats]:
-        """Like :meth:`readout_step`, skipping token materialization.
+        """ADC conversion + sparse readout + RLE accounting for one frame.
 
-        The RLE round-trip is lossless, so transmission-size accounting
-        can come from the vectorized :meth:`RunLengthCodec.stream_stats`
-        and the host can rebuild the sparse frame directly from ``codes``
-        — bitwise identical to decoding the token stream, without the
-        per-pixel python scan.  This is the batched engine's hot path.
+        Returns ``(codes, readout, rle_stats)``.  The RLE round-trip is
+        lossless, so transmission-size accounting comes from the
+        vectorized :meth:`RunLengthCodec.stream_stats` and the host can
+        rebuild the sparse frame directly from ``codes`` — bitwise
+        identical to decoding the token stream, without materializing it.
         """
         codes, readout = self._convert_and_read(frame, sample_mask, pixel_box)
         return codes, readout, self.codec.stream_stats(readout.stream)
@@ -260,6 +219,11 @@ class BlissCamSensor:
         self, frame: np.ndarray, prev_segmentation: np.ndarray | None
     ) -> SensorFrameOutput | None:
         """Process one exposure; returns None for the very first frame.
+
+        The standalone chip model: the same per-sensor steps the engine's
+        tracking stages run (eventify -> ROI predict -> sample -> readout,
+        drawing comparator noise before the SRAM power-up bits), plus the
+        RLE token stream a real chip puts on the MIPI link.
 
         Parameters
         ----------
@@ -271,9 +235,10 @@ class BlissCamSensor:
             over MIPI (the Fig. 8 cross-frame dependency); None when not
             yet available.
         """
-        event_map = self.eventify_step(frame)
-        if event_map is None:
+        inputs = self.eventify_inputs(frame)
+        if inputs is None:
             return None
+        event_map = self.comparator_decide(*inputs, self.sigma)
 
         box_norm = order_box(
             np.asarray(self.roi_predictor(event_map, prev_segmentation))
@@ -282,10 +247,11 @@ class BlissCamSensor:
 
         # SRAM power-up RNG decides sampling for every pixel; only those
         # inside the ROI are read out.
-        sample_mask = self.sampling_step(pixel_box)
-        _, readout, tokens, stats = self.readout_step(
-            frame, sample_mask, pixel_box
+        sample_mask = self.mask_from_popcounts(
+            self.sram_rng.power_up_popcounts(), pixel_box
         )
+        _, readout = self._convert_and_read(frame, sample_mask, pixel_box)
+        tokens, stats = self.codec.encode(readout.stream)
         return SensorFrameOutput(
             event_map=event_map,
             roi_box_norm=box_norm,
@@ -297,23 +263,13 @@ class BlissCamSensor:
         )
 
     # -- host side ---------------------------------------------------------------
-    def host_decode_tokens(
-        self, tokens: list[tuple[str, int]], roi_box: tuple[int, int, int, int]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """RLE-decode a token stream into ``(sparse_frame [0,1], mask)``.
-
-        The one implementation of the host-side decode contract, shared by
-        :meth:`host_decode` and the engine's readout stage.
-        """
-        stream = self.codec.decode(tokens)
-        codes, mask = SparseReadout.reconstruct(
-            stream, roi_box, (self.height, self.width)
-        )
-        sparse = codes.astype(np.float64) / (self.adc.levels - 1)
-        return sparse * mask, mask
-
     def host_decode(
         self, output: SensorFrameOutput
     ) -> tuple[np.ndarray, np.ndarray]:
         """RLE-decode and reconstruct ``(sparse_frame [0,1], mask)``."""
-        return self.host_decode_tokens(output.rle_tokens, output.roi_box)
+        stream = self.codec.decode(output.rle_tokens)
+        codes, mask = SparseReadout.reconstruct(
+            stream, output.roi_box, (self.height, self.width)
+        )
+        sparse = codes.astype(np.float64) / (self.adc.levels - 1)
+        return sparse * mask, mask

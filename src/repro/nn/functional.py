@@ -23,7 +23,22 @@ __all__ = [
     "unpatchify",
     "grey_dilation",
     "grey_erosion",
+    "stack_rows",
 ]
+
+
+def stack_rows(rows) -> np.ndarray:
+    """Stack same-shaped arrays into one ``(B, ...)`` rank array.
+
+    A rank of width 1 is a ``[None]`` view of its row — no copy, so a
+    single frame costs what a per-frame kernel would.  Wider ranks are
+    one ``np.array`` copy (cheaper per call than ``np.stack`` on the
+    narrow ranks the engine runs).  Either way the result is for
+    reading: kernels never write into a stacked rank.
+    """
+    if len(rows) == 1:
+        return rows[0][None]
+    return np.array(rows)
 
 
 def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:

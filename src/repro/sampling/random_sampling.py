@@ -18,7 +18,6 @@ __all__ = [
     "uniform_mask_in_box",
     "apply_mask",
     "effective_compression",
-    "effective_compression_batch",
 ]
 
 
@@ -102,19 +101,3 @@ def effective_compression(mask: np.ndarray) -> float:
     if sampled == 0:
         return float("inf")
     return mask.size / sampled
-
-
-def effective_compression_batch(masks: np.ndarray) -> list[float]:
-    """Per-row :func:`effective_compression` over a stacked ``(B, H, W)`` rank.
-
-    The popcount vectorizes across the rank; the final ratio stays a
-    python int division so every row is bitwise-identical to the scalar
-    helper.
-    """
-    if masks.ndim != 3:
-        raise ValueError(f"expected (B, H, W) masks, got {masks.shape}")
-    counts = np.count_nonzero(masks, axis=(1, 2))
-    size = int(masks.shape[1] * masks.shape[2])
-    return [
-        float("inf") if count == 0 else size / int(count) for count in counts
-    ]

@@ -181,15 +181,14 @@ class ROIPredictor(nn.Module):
         self, event_map: np.ndarray, prev_segmentation: np.ndarray | None
     ) -> np.ndarray:
         """Convenience: event map (+ prev seg) -> ordered normalized box."""
-        out = self.forward(self.make_input(event_map, prev_segmentation))
-        return order_box(out[0])
+        return self.predict_box_batch([event_map], [prev_segmentation])[0]
 
     def predict_box_batch(
         self,
         event_maps: list[np.ndarray],
         prev_segmentations: list[np.ndarray | None],
     ) -> list[np.ndarray]:
-        """Batched :meth:`predict_box`, bitwise-equal to the per-frame loop.
+        """Ordered normalized boxes of a rank, each row independent of the rest.
 
         The conv trunk is safe to stack: im2col is a pure gather and the
         conv GEMM is row-independent by construction (one fixed-shape

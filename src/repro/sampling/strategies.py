@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.nn.functional import stack_rows
 from repro.sampling import random_sampling as rs
-from repro.sampling.eventification import event_density
 
 __all__ = [
     "SamplingDecision",
@@ -79,10 +79,14 @@ def _in_roi_rate(
 
 
 class SamplingStrategy:
-    """Base interface: produce a :class:`SamplingDecision` per frame."""
+    """Base interface: produce a :class:`SamplingDecision` per frame.
+
+    A strategy has one kernel, :meth:`sample_batch`, over a lockstep rank
+    of frames; :meth:`sample` is that kernel at width 1.
+    """
 
     name = "base"
-    #: True when :meth:`sample` draws from the per-frame RNG stream —
+    #: True when sampling draws from the per-frame RNG stream —
     #: stochastic strategies produce a fresh mask on every call, while
     #: deterministic ones (Full+DS, Skip, ROI+DS, ROI+Fixed) are a pure
     #: function of the frame inputs and their own per-sequence state.
@@ -106,8 +110,8 @@ class SamplingStrategy:
         state (:meth:`_reset_state`) and the random stream keyed by
         ``seed_key`` — are independent.  The staged engine spawns one
         clone per evaluated sequence, keyed by sequence index, which is
-        what lets strategy graphs run batched and sharded bitwise-equal
-        to the sequential loop.
+        what lets strategy graphs run at any rank width and sharded with
+        bitwise-identical results.
         """
         key = list(seed_key) if np.iterable(seed_key) else [int(seed_key)]
         clone = copy.copy(self)
@@ -125,7 +129,8 @@ class SamplingStrategy:
         roi_box: tuple[int, int, int, int] | None,
         rng: np.random.Generator,
     ) -> SamplingDecision:
-        raise NotImplementedError
+        """One frame: a width-1 :meth:`sample_batch` rank drawing from ``rng``."""
+        return self.sample_batch([self], [frame], [event_map], [roi_box], [rng])[0]
 
     def sample_batch(
         self,
@@ -133,24 +138,20 @@ class SamplingStrategy:
         frames: list[np.ndarray],
         event_maps: list[np.ndarray],
         roi_boxes: list[tuple[int, int, int, int] | None],
+        rngs: list[np.random.Generator],
     ) -> list[SamplingDecision]:
-        """Batched :meth:`sample` over one lockstep rank, bitwise row-equal.
+        """Decisions for one lockstep rank, each row independent of the rest.
 
-        ``strategies`` are per-sequence :meth:`spawn` clones of this
-        template, in rank order.  Overrides vectorize the mask and
-        sparse-frame math across the rank but must draw any randomness
-        per-row from each spawn's *own* generator, in rank order, so
-        every sequence's stream consumes exactly what the scalar path
-        would — that invariant is what keeps sequential, lockstep and
-        sharded execution bitwise identical.  The base implementation is
-        the per-row reference the overrides are pinned against.
+        ``strategies`` are the per-row strategy states in rank order —
+        per-sequence :meth:`spawn` clones of this template — and ``rngs``
+        the per-row streams (normally each clone's own ``rng``).  Kernels
+        vectorize the mask and sparse-frame math across the rank but
+        draw any randomness row by row from ``rngs[i]``, in rank order,
+        so every sequence's stream consumes the same draws at any rank
+        width — the invariant that keeps width-1, lockstep and sharded
+        execution bitwise identical.
         """
-        return [
-            s.sample(frame, event_map, roi_box, s.rng)
-            for s, frame, event_map, roi_box in zip(
-                strategies, frames, event_maps, roi_boxes
-            )
-        ]
+        raise NotImplementedError
 
     def _full_frame_box(self, frame: np.ndarray) -> tuple[int, int, int, int]:
         return (0, 0, frame.shape[0], frame.shape[1])
@@ -161,20 +162,14 @@ class FullRandom(SamplingStrategy):
 
     name = "Full+Random"
 
-    def sample(self, frame, event_map, roi_box, rng):
-        mask = rs.random_mask(frame.shape, 1.0 / self.compression, rng)
-        return SamplingDecision(mask, rs.apply_mask(frame, mask), None)
-
-    def sample_batch(self, strategies, frames, event_maps, roi_boxes):
+    def sample_batch(self, strategies, frames, event_maps, roi_boxes, rngs):
         rate = 1.0 / self.compression
-        # Per-row draws from each spawn's own stream, rank order — same
-        # values the scalar path would consume; the compare and the
-        # sparse multiply are elementwise, so stacking is exact.
-        draws = np.stack(
-            [s.rng.random(f.shape) for s, f in zip(strategies, frames)]
-        )
+        # Per-row draws from each row's own stream, rank order; the
+        # compare and the sparse multiply are elementwise, so stacking
+        # is exact.
+        draws = stack_rows([rng.random(f.shape) for rng, f in zip(rngs, frames)])
         masks = draws < rate
-        sparse = np.stack(frames) * masks
+        sparse = stack_rows(frames) * masks
         return [
             SamplingDecision(masks[i], sparse[i], None)
             for i in range(len(strategies))
@@ -187,16 +182,12 @@ class FullDownsample(SamplingStrategy):
     name = "Full+DS"
     stochastic = False
 
-    def sample(self, frame, event_map, roi_box, rng):
-        mask = rs.uniform_grid_mask(frame.shape, 1.0 / self.compression)
-        return SamplingDecision(mask, rs.apply_mask(frame, mask), None)
-
-    def sample_batch(self, strategies, frames, event_maps, roi_boxes):
+    def sample_batch(self, strategies, frames, event_maps, roi_boxes, rngs):
         # The grid is a pure function of shape and compression: one
         # construction serves the whole rank, one stacked multiply
         # builds every sparse frame.
         mask = rs.uniform_grid_mask(frames[0].shape, 1.0 / self.compression)
-        sparse = np.stack(frames) * mask
+        sparse = stack_rows(frames) * mask
         return [
             SamplingDecision(mask.copy(), sparse[i], None)
             for i in range(len(strategies))
@@ -230,30 +221,13 @@ class SkipStrategy(SamplingStrategy):
         self._frames_seen = 0
         self._frames_sent = 0
 
-    def sample(self, frame, event_map, roi_box, rng):
-        self._frames_seen += 1
-        target_send_rate = 1.0 / self.compression
-        sent_rate = self._frames_sent / max(1, self._frames_seen)
-        # Adaptive gate: lean toward sending when under budget.
-        threshold = self.density_threshold * (
-            2.0 if sent_rate > target_send_rate else 0.5
-        )
-        if event_density(event_map) < threshold:
-            mask = np.zeros(frame.shape, dtype=bool)
-            return SamplingDecision(
-                mask, np.zeros_like(frame), None, reuse_previous=True
-            )
-        self._frames_sent += 1
-        mask = np.ones(frame.shape, dtype=bool)
-        return SamplingDecision(mask, frame.copy(), self._full_frame_box(frame))
-
-    def sample_batch(self, strategies, frames, event_maps, roi_boxes):
+    def sample_batch(self, strategies, frames, event_maps, roi_boxes, rngs):
         # The densities vectorize (integer popcount over the rank, then
         # the same int/int division event_density performs); the
         # adaptive send-rate gate is per-sequence state and stays a
         # cheap per-row scan in rank order.  Skip draws nothing from the
         # RNG, so stream order is not at stake.
-        events = np.stack(event_maps)
+        events = stack_rows(event_maps)
         if events[0].size == 0:
             raise ValueError("empty event map")
         counts = np.count_nonzero(events, axis=(1, 2))
@@ -263,6 +237,7 @@ class SkipStrategy(SamplingStrategy):
             s._frames_seen += 1
             target_send_rate = 1.0 / s.compression
             sent_rate = s._frames_sent / max(1, s._frames_seen)
+            # Adaptive gate: lean toward sending when under budget.
             threshold = s.density_threshold * (
                 2.0 if sent_rate > target_send_rate else 0.5
             )
@@ -288,13 +263,7 @@ class ROIDownsample(SamplingStrategy):
     name = "ROI+DS"
     stochastic = False
 
-    def sample(self, frame, event_map, roi_box, rng):
-        box = roi_box or self._full_frame_box(frame)
-        rate = _in_roi_rate(frame.shape, box, self.compression)
-        mask = rs.uniform_mask_in_box(frame.shape, box, rate)
-        return SamplingDecision(mask, rs.apply_mask(frame, mask), box)
-
-    def sample_batch(self, strategies, frames, event_maps, roi_boxes):
+    def sample_batch(self, strategies, frames, event_maps, roi_boxes, rngs):
         # Box shapes differ per row, so the grid construction stays
         # per-row; the sparse-frame multiply stacks across the rank.
         boxes, masks = [], []
@@ -303,8 +272,8 @@ class ROIDownsample(SamplingStrategy):
             boxes.append(box)
             rate = _in_roi_rate(frame.shape, box, self.compression)
             masks.append(rs.uniform_mask_in_box(frame.shape, box, rate))
-        stacked = np.stack(masks)
-        sparse = np.stack(frames) * stacked
+        stacked = stack_rows(masks)
+        sparse = stack_rows(frames) * stacked
         return [
             SamplingDecision(stacked[i], sparse[i], boxes[i])
             for i in range(len(strategies))
@@ -345,16 +314,12 @@ class ROIFixed(SamplingStrategy):
         mask[top] = True
         return mask.reshape(frame_shape)
 
-    def sample(self, frame, event_map, roi_box, rng):
-        mask = self._fixed_mask(frame.shape, frame.size)
-        return SamplingDecision(mask, rs.apply_mask(frame, mask), None)
-
-    def sample_batch(self, strategies, frames, event_maps, roi_boxes):
+    def sample_batch(self, strategies, frames, event_maps, roi_boxes, rngs):
         # The mask is a pure function of fit-time state shared by every
         # spawn: one top-K serves the rank, one stacked multiply builds
         # all the sparse frames.
         mask = self._fixed_mask(frames[0].shape, frames[0].size)
-        sparse = np.stack(frames) * mask
+        sparse = stack_rows(frames) * mask
         return [
             SamplingDecision(mask.copy(), sparse[i], None)
             for i in range(len(strategies))
@@ -380,25 +345,11 @@ class ROILearned(SamplingStrategy):
         self.scorer = scorer
 
     @staticmethod
-    def _default_score(frame: np.ndarray, event_map: np.ndarray) -> np.ndarray:
-        # Box-blurred event density: a cheap learned-importance surrogate.
-        kernel = 5
-        padded = np.pad(event_map.astype(np.float64), kernel // 2, mode="edge")
-        out = np.zeros_like(event_map, dtype=np.float64)
-        for dr in range(kernel):
-            for dc in range(kernel):
-                out += padded[
-                    dr : dr + event_map.shape[0], dc : dc + event_map.shape[1]
-                ]
-        return out
+    def _default_scores(event_maps: np.ndarray) -> np.ndarray:
+        """Box-blurred event density over a stacked ``(B, H, W)`` rank.
 
-    @staticmethod
-    def _default_score_batch(event_maps: np.ndarray) -> np.ndarray:
-        """:meth:`_default_score` over a stacked ``(B, H, W)`` rank.
-
-        The dr/dc shift-accumulate runs in the identical order as the
-        scalar blur, so every float64 partial sum matches per pixel —
-        each row is bitwise-equal to the per-frame score map.
+        A cheap learned-importance surrogate.  The dr/dc shift-accumulate
+        is elementwise per pixel, so every row is independent of the rank.
         """
         kernel = 5
         pad = kernel // 2
@@ -431,16 +382,7 @@ class ROILearned(SamplingStrategy):
         mask &= np.isfinite(flat)
         return mask.reshape(frame.shape)
 
-    def sample(self, frame, event_map, roi_box, rng):
-        box = roi_box or self._full_frame_box(frame)
-        if self.scorer is not None:
-            scores = self.scorer(frame, event_map)
-        else:
-            scores = self._default_score(frame, event_map)
-        mask = self._select(scores, box, frame, rng)
-        return SamplingDecision(mask, rs.apply_mask(frame, mask), box)
-
-    def sample_batch(self, strategies, frames, event_maps, roi_boxes):
+    def sample_batch(self, strategies, frames, event_maps, roi_boxes, rngs):
         # The default box-blur scorer vectorizes over the rank; custom
         # scorers keep their per-frame contract.  Tie-break draws and the
         # box-restricted top-K stay per-row (own stream, varying boxes).
@@ -449,17 +391,16 @@ class ROILearned(SamplingStrategy):
                 self.scorer(f, e) for f, e in zip(frames, event_maps)
             ]
         else:
-            stacked_scores = self._default_score_batch(np.stack(event_maps))
-            score_rows = list(stacked_scores)
+            score_rows = list(self._default_scores(stack_rows(event_maps)))
         boxes, masks = [], []
-        for s, frame, scores, roi_box in zip(
-            strategies, frames, score_rows, roi_boxes
+        for rng, frame, scores, roi_box in zip(
+            rngs, frames, score_rows, roi_boxes
         ):
             box = roi_box or self._full_frame_box(frame)
             boxes.append(box)
-            masks.append(self._select(scores, box, frame, s.rng))
-        stacked = np.stack(masks)
-        sparse = np.stack(frames) * stacked
+            masks.append(self._select(scores, box, frame, rng))
+        stacked = stack_rows(masks)
+        sparse = stack_rows(frames) * stacked
         return [
             SamplingDecision(stacked[i], sparse[i], boxes[i])
             for i in range(len(strategies))
@@ -471,24 +412,18 @@ class ROIRandom(SamplingStrategy):
 
     name = "Ours (ROI+Random)"
 
-    def sample(self, frame, event_map, roi_box, rng):
-        box = roi_box or self._full_frame_box(frame)
-        rate = _in_roi_rate(frame.shape, box, self.compression)
-        mask = rs.random_mask_in_box(frame.shape, box, rate, rng)
-        return SamplingDecision(mask, rs.apply_mask(frame, mask), box)
-
-    def sample_batch(self, strategies, frames, event_maps, roi_boxes):
-        # Box-shaped draws stay per-row from each spawn's own stream
-        # (box sizes differ per sequence, and the draw shape must match
-        # the scalar path exactly); the sparse multiply stacks.
+    def sample_batch(self, strategies, frames, event_maps, roi_boxes, rngs):
+        # Box-shaped draws stay per-row from each row's own stream (box
+        # sizes differ per sequence, so the draw shapes do too); the
+        # sparse multiply stacks.
         boxes, masks = [], []
-        for s, frame, roi_box in zip(strategies, frames, roi_boxes):
+        for rng, frame, roi_box in zip(rngs, frames, roi_boxes):
             box = roi_box or self._full_frame_box(frame)
             boxes.append(box)
             rate = _in_roi_rate(frame.shape, box, self.compression)
-            masks.append(rs.random_mask_in_box(frame.shape, box, rate, s.rng))
-        stacked = np.stack(masks)
-        sparse = np.stack(frames) * stacked
+            masks.append(rs.random_mask_in_box(frame.shape, box, rate, rng))
+        stacked = stack_rows(masks)
+        sparse = stack_rows(frames) * stacked
         return [
             SamplingDecision(stacked[i], sparse[i], boxes[i])
             for i in range(len(strategies))

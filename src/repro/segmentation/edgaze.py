@@ -92,11 +92,11 @@ class EdGazeNet(nn.Module):
         return self.stem.backward(self.stem_act.backward(grad))
 
     def predict(self, frame: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        logits = self.forward(frame[None], mask[None])
-        return np.argmax(logits[0], axis=-1)
+        """Single frame -> integer segmentation map (a width-1 rank)."""
+        return self.predict_batch(frame[None], mask[None])[0]
 
     def predict_batch(self, frames: np.ndarray, masks: np.ndarray) -> np.ndarray:
-        """Batched :meth:`predict` over ``(B, H, W)`` stacks, bitwise row-equal.
+        """Segmentation maps of a ``(B, H, W)`` rank, row-independent.
 
         The trunk is row-independent in eval mode: convolutions run as
         per-sample GEMMs, batch norm applies frozen running statistics

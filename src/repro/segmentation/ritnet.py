@@ -105,16 +105,15 @@ class RITNet(nn.Module):
         return self.enc1.backward(grad_s1)
 
     def predict(self, frame: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        """Single frame -> integer segmentation map."""
-        logits = self.forward(frame[None], mask[None])
-        return np.argmax(logits[0], axis=-1)
+        """Single frame -> integer segmentation map (a width-1 rank)."""
+        return self.predict_batch(frame[None], mask[None])[0]
 
     def predict_batch(self, frames: np.ndarray, masks: np.ndarray) -> np.ndarray:
-        """Batched :meth:`predict` over ``(B, H, W)`` stacks, bitwise row-equal.
+        """Segmentation maps of a ``(B, H, W)`` rank, row-independent.
 
         Same contract as ``EdGazeNet.predict_batch``: the U-Net trunk is
         row-independent in eval mode (per-sample conv GEMMs, frozen batch
-        norm, per-pixel argmax), so each row matches the per-frame call.
+        norm, per-pixel argmax), so each row matches a width-1 call.
         Only valid on eval-mode networks.
         """
         return np.argmax(self.forward(frames, masks), axis=-1)

@@ -201,19 +201,17 @@ class ViTSegmenter(nn.Module):
     # -- inference -----------------------------------------------------------
     def predict(self, frame: np.ndarray, mask: np.ndarray) -> np.ndarray:
         """Single sparse frame -> integer segmentation map (argmax layer)."""
-        logits = self.forward(frame[None], mask[None])
-        return np.argmax(logits[0], axis=-1)
+        return self.predict_batch(frame[None], mask[None])[0]
 
     def predict_batch(self, frames: np.ndarray, masks: np.ndarray) -> np.ndarray:
-        """Dense :meth:`predict` over a ``(B, H, W)`` rank, bitwise row-equal.
+        """Dense segmentation maps of a ``(B, H, W)`` rank, row-independent.
 
         One stacked dense forward: every row keeps the full token grid,
         so the rank is a single fixed-shape group — the same
         row-independence property :meth:`predict_packed_batch` exploits
         per valid-token-count group (see its caveat on BLAS behaviour).
-        The strategy graph's segment-or-reuse stage batches through this
-        because its scalar reference is the dense :meth:`predict`, not
-        the packed path.
+        The strategy graph's segment-or-reuse stage runs through this
+        dense path, not the packed one.
         """
         return np.argmax(self.forward(frames, masks), axis=-1)
 
@@ -257,8 +255,7 @@ class ViTSegmenter(nn.Module):
 
     def predict_packed(self, frame: np.ndarray, mask: np.ndarray) -> np.ndarray:
         """Like :meth:`predict` but with dropped-token (fast) inference."""
-        logits, _ = self.forward_packed(frame, mask)
-        return np.argmax(logits, axis=-1)
+        return self.predict_packed_batch(frame[None], mask[None])[0]
 
     def predict_packed_batch(
         self, frames: np.ndarray, masks: np.ndarray
@@ -267,12 +264,12 @@ class ViTSegmenter(nn.Module):
 
         Frames are grouped by valid-token count so each group runs one
         stacked packed forward with the same per-frame matmul shapes as
-        :meth:`predict_packed`; numpy's batched GEMM/einsum paths are
-        row-independent for a fixed inner shape, so every frame's logits
-        (and hence seg map) are bitwise identical to the per-frame call.
-        The batched engine relies on this for its sequential-equivalence
-        guarantee while amortizing python/numpy dispatch overhead across
-        the lockstep batch.
+        a width-1 call (and as :meth:`forward_packed`); numpy's batched
+        GEMM/einsum paths are row-independent for a fixed inner shape,
+        so every frame's seg map is bitwise identical at any batch width.
+        The engine relies on this for its width-invariance guarantee
+        while amortizing python/numpy dispatch overhead across the
+        lockstep batch.
 
         Caveat: per-row identity of stacked GEMMs is a property of the
         installed BLAS, not an IEEE guarantee — it holds for the builds

@@ -266,8 +266,12 @@ class Scheduler:
             for job in jobs
         ]
         states = [self._state_for(job.client_id) for job in jobs]
-        if self.micro_batch:
-            rank = list(zip(ctxs, states))
+        pairs = list(zip(ctxs, states))
+        # One rank for the whole micro-batch, or — the per-client
+        # sequential baseline a naive per-stream loop would be — one
+        # width-1 rank per frame.  Same kernels either way.
+        ranks = [pairs] if self.micro_batch else [[pair] for pair in pairs]
+        for rank in ranks:
             for stage in self.graph:
                 live = [(c, s) for c, s in rank if not c.skipped]
                 if not live:
@@ -275,14 +279,6 @@ class Scheduler:
                 stage.process_batch(
                     [c for c, _ in live], [s for _, s in live]
                 )
-        else:
-            # The per-client-sequential baseline: same kernels, one frame
-            # at a time (what a naive per-stream serving loop would do).
-            for ctx, state in zip(ctxs, states):
-                for stage in self.graph:
-                    if ctx.skipped:
-                        break
-                    stage.process(ctx, state)
         for job, ctx in zip(jobs, ctxs):
             wait = tick - job.tick
             if ctx.skipped:

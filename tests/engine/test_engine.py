@@ -82,6 +82,45 @@ class TestStageGraph:
             SequenceRunner([EventifyStage()], batch_size=0)
 
 
+class TestROIReuseRank:
+    def test_lanes_out_of_phase_match_width_one(self):
+        """A rank whose lanes disagree on predict-vs-reuse (clients joining
+        a served micro-batch at different times) splits into reuse lanes
+        and one predicting sub-rank, and equals running each lane alone."""
+        from repro.engine import ROIPredictStage, ROIReuseStage
+
+        def predictor(event_map, prev_seg):
+            return np.array([0.1, 0.2, 0.5, 0.6]) + event_map.mean()
+
+        def run(ranks):
+            stage = ROIReuseStage(ROIPredictStage(predictor, 8, 8), window=3)
+            states = [SequenceState(seq_index=i) for i in range(2)]
+            for state in states:
+                stage.start_sequence(state)
+            out = []
+            for rank in ranks:
+                ctxs = [
+                    FrameContext(
+                        seq_index=i, t=t, frame=np.zeros((8, 8)),
+                        event_map=np.full((8, 8), 0.01 * (i + t)),
+                    )
+                    for i, t in rank
+                ]
+                stage.process_batch(ctxs, [states[i] for i, _ in rank])
+                out += [(c.seq_index, c.t, c.roi_box, c.roi_reused) for c in ctxs]
+            return sorted(out)
+
+        # Lane 1 starts two frames after lane 0, so their reuse windows
+        # interleave inside shared ranks.
+        shared = [[(0, 0)], [(0, 1)], [(0, 2), (1, 0)], [(0, 3), (1, 1)],
+                  [(0, 4), (1, 2)], [(0, 5), (1, 3)]]
+        alone = [[pair] for rank in shared for pair in rank]
+        mixed = run(shared)
+        assert mixed == run(alone)
+        assert any(reused for *_, reused in mixed)
+        assert any(not reused for *_, reused in mixed)
+
+
 class TestFrameContextInvariants:
     def test_all_contexts_validate_after_run(self, trained_pipeline):
         # Run the real tracking graph and check every emitted context.
@@ -143,7 +182,7 @@ class TestRunnerExecution:
         class Boom(Stage):
             name = "boom"
 
-            def process(self, ctx, seq):
+            def process_batch(self, ctxs, seqs):
                 raise RuntimeError("stage failure")
 
         class Seq:
@@ -153,14 +192,25 @@ class TestRunnerExecution:
         with pytest.raises(RuntimeError, match="stage failure"):
             runner.run([(0, Seq())])
 
+    def test_stage_without_kernel_fails_loudly(self):
+        class NoKernel(Stage):
+            name = "no_kernel"
+
+        class Seq:
+            frames = np.zeros((2, 4, 4))
+
+        with pytest.raises(NotImplementedError):
+            SequenceRunner([NoKernel()]).run([(0, Seq())])
+
     def test_state_factory_called_per_sequence(self):
         seen = []
 
         class Probe(Stage):
             name = "probe"
 
-            def process(self, ctx, seq):
-                seen.append((seq.seq_index, ctx.t))
+            def process_batch(self, ctxs, seqs):
+                assert len(ctxs) == 1  # sequential = width-1 ranks
+                seen.append((seqs[0].seq_index, ctxs[0].t))
 
         class Seq:
             frames = np.zeros((3, 4, 4))
@@ -179,9 +229,6 @@ class TestRunnerExecution:
 
             def process_batch(self, ctxs, seqs):
                 order.append([(c.seq_index, c.t) for c in ctxs])
-
-            def process(self, ctx, seq):  # pragma: no cover
-                raise AssertionError("batched run must use process_batch")
 
         class Short:
             frames = np.zeros((2, 4, 4))
@@ -237,10 +284,11 @@ class TestRunnerExecution:
         class Mark(Stage):
             name = "mark"
 
-            def process(self, ctx, seq):
-                ctx.event_map = np.ones(ctx.frame.shape, dtype=bool)
-                ctx.gaze_pred = (1.0, 2.0)
-                ctx.stats = {"x": 1}
+            def process_batch(self, ctxs, seqs):
+                for ctx in ctxs:
+                    ctx.event_map = np.ones(ctx.frame.shape, dtype=bool)
+                    ctx.gaze_pred = (1.0, 2.0)
+                    ctx.stats = {"x": 1}
 
         class Seq:
             frames = np.zeros((2, 4, 4))

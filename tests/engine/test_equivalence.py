@@ -2,16 +2,18 @@
 
 Three independent properties are pinned down, each exactly:
 
-1. **batched == sequential** — the vectorized lockstep mode must produce
-   bitwise-identical ``EvaluationResult`` contents to the sequential
-   reference mode (the PR acceptance bar).
+1. **batched == sequential** — full-rank lockstep must produce
+   bitwise-identical ``EvaluationResult`` contents to the sequential mode
+   (ranks of width 1): every stage has one kernel, whose rows must not
+   depend on the rank's width.
 2. **staged == pre-refactor loop** — the stage decomposition must
    reproduce the original monolithic ``evaluate`` loop (including the
    deleted ``sensor.roi_predictor`` monkeypatch mechanism for ROI reuse)
    frame for frame; the reference transcriptions live in this file.
-3. **vectorized kernels == scalar kernels** — the batched-only fast paths
-   (grouped packed ViT, run-length accounting) match their scalar
-   counterparts on randomized inputs.
+3. **fast paths == reference paths** — the grouped packed ViT matches
+   the single-frame ``forward_packed`` reference, and run-length
+   accounting matches the materialized token stream, on randomized
+   inputs.
 """
 
 import numpy as np
@@ -160,6 +162,7 @@ class TestStagedEqualsPreRefactor:
         """
         from repro.gaze.estimation import FittedGazeEstimator
         from repro.sampling.eventification import eventify
+        from repro.synth import SEG_CLASSES
 
         dataset = SyntheticEyeDataset(
             DatasetConfig(
@@ -176,9 +179,44 @@ class TestStagedEqualsPreRefactor:
         segs = np.concatenate([dataset[i].segmentations for i in eval_idx])
         gazes = np.concatenate([dataset[i].gazes for i in eval_idx])
 
+        def ref_sample(strategy, frame, event_map, roi_box, state):
+            """Per-frame (mask, reuse) of the seed's ROI+Random and Skip."""
+            height, width = frame.shape
+            if strategy.name == "Skip":
+                state["seen"] += 1
+                sent_rate = state["sent"] / max(1, state["seen"])
+                threshold = strategy.density_threshold * (
+                    2.0 if sent_rate > 1.0 / strategy.compression else 0.5
+                )
+                if np.count_nonzero(event_map) / event_map.size < threshold:
+                    return np.zeros(frame.shape, dtype=bool), True
+                state["sent"] += 1
+                return np.ones(frame.shape, dtype=bool), False
+            r0, c0, r1, c1 = roi_box or (0, 0, height, width)
+            area = max(1, (r1 - r0) * (c1 - c0))
+            rate = float(np.clip(
+                height * width / (strategy.compression * area), 1e-6, 1.0
+            ))
+            mask = np.zeros(frame.shape, dtype=bool)
+            mask[r0:r1, c0:c1] = strategy.rng.random((r1 - r0, c1 - c0)) < rate
+            return mask, False
+
+        def ref_centroid(seg):
+            """Pupil (else iris) centroid via per-frame index means."""
+            for cls in (SEG_CLASSES["pupil"], SEG_CLASSES["iris"]):
+                rows, cols = np.nonzero(seg == cls)
+                if rows.size >= 3:
+                    return (
+                        float((rows.mean() + 0.5) / seg.shape[0]),
+                        float((cols.mean() + 0.5) / seg.shape[0]),
+                    )
+            return None
+
         for name in ("Ours (ROI+Random)", "Skip"):
-            # Pre-refactor loop under per-sequence stream semantics.  The
-            # seed derivation mirrors build_strategy_graph exactly.
+            # Pre-refactor loop under per-sequence stream semantics, with
+            # sampling, segmentation and centroid written out per frame
+            # instead of calling the engine's kernels.  The seed
+            # derivation mirrors build_strategy_graph exactly.
             est_ref = FittedGazeEstimator()
             est_ref.fit(segs, gazes)
             template = make_strategy(name, 4.0, dataset=dataset)
@@ -187,22 +225,28 @@ class TestStagedEqualsPreRefactor:
             for seq_index in eval_idx:
                 seq = dataset[seq_index]
                 strategy = template.spawn([seed, seq_index])
+                state = {"seen": 0, "sent": 0}
                 est_ref.fallback_state = est_ref.INITIAL_FALLBACK
                 prev_seg = None
                 for t in range(1, len(seq)):
-                    event_map = eventify(seq.frames[t - 1], seq.frames[t])
-                    decision = strategy.sample(
-                        seq.frames[t], event_map, seq.roi_boxes[t], strategy.rng
+                    frame = seq.frames[t]
+                    event_map = eventify(seq.frames[t - 1], frame)
+                    mask, reuse = ref_sample(
+                        strategy, frame, event_map, seq.roi_boxes[t], state
                     )
-                    if decision.reuse_previous and prev_seg is not None:
+                    if reuse and prev_seg is not None:
                         seg_pred = prev_seg
                     else:
-                        seg_pred = vit.predict(
-                            decision.sparse_frame, decision.mask
+                        logits = vit.forward((frame * mask)[None], mask[None])
+                        seg_pred = np.argmax(logits[0], axis=-1)
+                        sampled = np.count_nonzero(mask)
+                        comps_ref.append(
+                            min(mask.size / sampled, 1e6) if sampled else 1e6
                         )
-                        comps_ref.append(min(decision.compression, 1e6))
                     prev_seg = seg_pred
-                    preds_ref.append(est_ref.predict(seg_pred))
+                    preds_ref.append(
+                        est_ref.predict_from_centroid(ref_centroid(seg_pred))
+                    )
                     truths_ref.append(seq.gazes[t])
 
             # Engine-backed harness with identically seeded inputs, in
@@ -265,6 +309,7 @@ class TestVectorizedKernels:
         masks[4] = masks[1]  # force a token-count collision group
         batched = vit.predict_packed_batch(frames, masks)
         for i in range(6):
+            logits, _ = vit.forward_packed(frames[i], masks[i])
             assert np.array_equal(
-                batched[i], vit.predict_packed(frames[i], masks[i])
+                batched[i], np.argmax(logits, axis=-1)
             ), f"frame {i} diverged"

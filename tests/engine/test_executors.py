@@ -35,8 +35,9 @@ def _boom():
 class Probe(Stage):
     name = "probe"
 
-    def process(self, ctx, seq):
-        ctx.gaze_pred = (float(ctx.seq_index), float(ctx.t))
+    def process_batch(self, ctxs, seqs):
+        for ctx in ctxs:
+            ctx.gaze_pred = (float(ctx.seq_index), float(ctx.t))
 
 
 class Seq:

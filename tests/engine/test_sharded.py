@@ -26,8 +26,9 @@ def trained_pipeline():
 class Probe(Stage):
     name = "probe"
 
-    def process(self, ctx, seq):
-        ctx.gaze_pred = (float(ctx.seq_index), float(ctx.t))
+    def process_batch(self, ctxs, seqs):
+        for ctx in ctxs:
+            ctx.gaze_pred = (float(ctx.seq_index), float(ctx.t))
 
 
 class Seq:
@@ -46,9 +47,10 @@ class FatProbe(Stage):
 
     name = "fat"
 
-    def process(self, ctx, seq):
-        ctx.gaze_pred = (float(ctx.seq_index), float(ctx.t))
-        ctx.readout = np.full((64, 64), float(ctx.t))
+    def process_batch(self, ctxs, seqs):
+        for ctx in ctxs:
+            ctx.gaze_pred = (float(ctx.seq_index), float(ctx.t))
+            ctx.readout = np.full((64, 64), float(ctx.t))
 
 
 class TestContiguousShards:

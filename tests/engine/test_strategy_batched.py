@@ -1,11 +1,12 @@
 """Bitwise parity of the batched strategy-graph kernels (Fig. 15 harness).
 
 The strategy graph's stages (eventify-pair, strategy-sample,
-segment-or-reuse, gaze-regress) grew true ``process_batch`` kernels; this
-module pins batched == sequential == sharded for **every** registered
-strategy — including the stochastic ones (Full+Random, ROI+Learned
-tie-breaks, ROI+Random) and the stateful SKIP gate — across batch widths
-{1, partial, full-rank}, and for all three segmentation backends.
+segment-or-reuse, gaze-regress) each have one ``process_batch`` kernel;
+this module pins batched == sequential (width 1) == sharded for **every**
+registered strategy — including the stochastic ones (Full+Random,
+ROI+Learned tie-breaks, ROI+Random) and the stateful SKIP gate — across
+batch widths {1, partial, full-rank}, and for all three segmentation
+backends.
 """
 
 import numpy as np
@@ -65,7 +66,7 @@ def _assert_same(a, b, label):
 
 class TestBatchedStagesRegistered:
     def test_strategy_stages_override_process_batch(self):
-        """The strategy graph must not fall back to the per-row base loop."""
+        """Every strategy-graph stage implements the one stage kernel."""
         for stage_cls in (
             EventifyPairStage,
             StrategySampleStage,
@@ -106,8 +107,8 @@ class TestDenseBackendParity:
     @pytest.mark.parametrize("net_cls", [EdGazeNet, RITNet])
     def test_training_mode_falls_back_per_row(self, net_cls, dataset):
         """A net still in training mode must not be batch-stacked (batch
-        norm would couple rows) — the stage's per-row fallback keeps the
-        run bitwise-equal to sequential even then."""
+        norm would couple rows) — the stage runs its rows as width-1
+        ranks, keeping the run bitwise-equal to sequential even then."""
         def fresh():
             return net_cls(np.random.default_rng(3), base_channels=4)
 

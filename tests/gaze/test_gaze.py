@@ -12,6 +12,7 @@ from repro.gaze import (
     angular_errors,
     gaze_vector,
     pupil_centroid,
+    pupil_centroid_batch,
     vector_angle_deg,
 )
 from repro.synth import EyeGeometry, EyeRenderer, EyeState, SEG_CLASSES
@@ -40,6 +41,33 @@ class TestPupilCentroid:
 
     def test_none_when_occluded(self):
         assert pupil_centroid(np.zeros((32, 32), dtype=int)) is None
+
+    def test_batch_rows_equal_float_mean_reference(self):
+        """Every row of a mixed rank (pupil, iris fallback, blink, a
+        below-threshold pupil) is bitwise the float64 mean of the pixel
+        indices — the exactness claim behind batching the centroid."""
+        rng = np.random.default_rng(4)
+        segs = rng.integers(0, 4, size=(5, 24, 32))
+        segs[1][segs[1] == SEG_CLASSES["pupil"]] = 0  # iris fallback
+        segs[2] = 0  # blink
+        segs[3] = 0
+        segs[3, 5, 6:8] = SEG_CLASSES["pupil"]  # 2 px < min_pixels
+        segs[3, 10:14, 10:14] = SEG_CLASSES["iris"]
+
+        def reference(seg, min_pixels=3):
+            for cls in (SEG_CLASSES["pupil"], SEG_CLASSES["iris"]):
+                rows, cols = np.nonzero(seg == cls)
+                if rows.size >= min_pixels:
+                    return (
+                        float((rows.mean() + 0.5) / seg.shape[0]),
+                        float((cols.mean() + 0.5) / seg.shape[0]),
+                    )
+            return None
+
+        batch = pupil_centroid_batch(segs)
+        assert batch[2] is None
+        assert batch == [reference(seg) for seg in segs]
+        assert batch == [pupil_centroid(seg) for seg in segs]
 
 
 class TestGeometricEstimator:

@@ -154,8 +154,8 @@ class TestBatchInvariance:
     The conv layers are row-independent GEMMs (one fixed-shape matmul per
     sample, see ``Conv2d.forward``) and the batched box predictor runs
     its FC tail per-row, so stacking frames into one forward must produce
-    bit-identical boxes to the per-frame loop — the contract the staged
-    engine's batched ROI-predict path is built on.
+    bit-identical boxes to width-1 calls — the contract the staged
+    engine's ROI-predict stage is built on.
     """
 
     def test_conv_forward_batch_invariant(self):

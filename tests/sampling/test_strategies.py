@@ -12,6 +12,8 @@ from repro.sampling import (
     ROIFixed,
     ROILearned,
     ROIRandom,
+    SamplingDecision,
+    SamplingStrategy,
     SkipStrategy,
     apply_mask,
     effective_compression,
@@ -261,12 +263,13 @@ _ALL_STRATEGY_CLASSES = [
 
 
 class TestSampleBatch:
-    """``sample_batch`` == a per-row ``sample`` loop, bitwise, per strategy.
+    """``sample_batch`` over a rank == a loop of width-1 ``sample`` calls,
+    bitwise, per strategy — the kernel's width invariance.
 
     Two independent spawn sets with identical keys play the roles of the
-    sequential and the lockstep run; several steps per rank verify that
-    both RNG stream positions and adaptive state (SKIP's gate) advance
-    identically.
+    sequential (width-1) and the lockstep run; several steps per rank
+    verify that both RNG stream positions and adaptive state (SKIP's
+    gate) advance identically.
     """
 
     B = 5
@@ -296,7 +299,9 @@ class TestSampleBatch:
                 s.sample(f, e, b, s.rng)
                 for s, f, e, b in zip(scalar, frames, events, boxes)
             ]
-            got = template.sample_batch(batched, frames, events, boxes)
+            got = template.sample_batch(
+                batched, frames, events, boxes, [s.rng for s in batched]
+            )
             for r, g in zip(ref, got):
                 assert np.array_equal(r.mask, g.mask)
                 assert np.array_equal(r.sparse_frame, g.sparse_frame)
@@ -306,7 +311,7 @@ class TestSampleBatch:
 
     def test_skip_batch_threads_adaptive_state(self):
         """A mixed quiet/busy rank must advance every spawn's gate the
-        way the scalar loop would."""
+        way width-1 calls would."""
         frames, _, boxes = self._rank()
         quiet = np.zeros(SHAPE, dtype=bool)
         busy = np.ones(SHAPE, dtype=bool)
@@ -319,7 +324,9 @@ class TestSampleBatch:
                 s.sample(f, e, b, s.rng)
                 for s, f, e, b in zip(scalar, frames, events, boxes)
             ]
-            got = template.sample_batch(batched, frames, events, boxes)
+            got = template.sample_batch(
+                batched, frames, events, boxes, [s.rng for s in batched]
+            )
             for r, g, a, b in zip(ref, got, scalar, batched):
                 assert r.reuse_previous == g.reuse_previous
                 assert a._frames_seen == b._frames_seen
@@ -327,7 +334,7 @@ class TestSampleBatch:
 
     def test_custom_scorer_stays_per_row(self):
         """ROI+Learned with a plugged scorer keeps the per-frame scorer
-        contract (one call per row) and still matches the scalar loop."""
+        contract (one call per row) and still matches width-1 calls."""
         frames, events, boxes = self._rank()
         calls = []
 
@@ -343,7 +350,63 @@ class TestSampleBatch:
             for s, f, e, b in zip(scalar, frames, events, boxes)
         ]
         calls.clear()
-        got = template.sample_batch(batched, frames, events, boxes)
+        got = template.sample_batch(
+            batched, frames, events, boxes, [s.rng for s in batched]
+        )
         assert len(calls) == self.B
         for r, g in zip(ref, got):
             assert np.array_equal(r.mask, g.mask)
+
+
+class _RowLoopStrategy(SamplingStrategy):
+    """The per-row extension kernel ``docs/api.md`` documents."""
+
+    name = "RowLoop"
+
+    def sample_batch(self, strategies, frames, event_maps, roi_boxes, rngs):
+        decisions = []
+        for frame, rng in zip(frames, rngs):
+            mask = random_mask(frame.shape, 1.0 / self.compression, rng)
+            decisions.append(
+                SamplingDecision(mask, apply_mask(frame, mask), None)
+            )
+        return decisions
+
+
+class TestExtensionContract:
+    """A third-party strategy implements ``sample_batch`` only."""
+
+    def test_row_loop_kernel_runs_at_every_width(self):
+        from repro.core import evaluate_strategy
+        from repro.segmentation import ViTConfig, ViTSegmenter
+        from repro.synth import DatasetConfig, SyntheticEyeDataset
+
+        dataset = SyntheticEyeDataset(
+            DatasetConfig(height=32, width=32, frames_per_sequence=4,
+                          num_sequences=3)
+        )
+        vit = ViTSegmenter(
+            ViTConfig(height=32, width=32, patch=8, dim=24, heads=3,
+                      depth=1, decoder_depth=1),
+            np.random.default_rng(0),
+        )
+        results = [
+            evaluate_strategy(
+                _RowLoopStrategy(4.0), vit, dataset, [0, 1, 2],
+                np.random.default_rng(7), **mode,
+            )
+            for mode in ({}, {"batched": True})
+        ]
+        assert results[0] == results[1]
+        assert 3.0 < results[0].mean_compression < 5.5
+
+    def test_sample_alone_is_not_a_kernel(self):
+        class SampleOnly(SamplingStrategy):
+            def sample(self, frame, event_map, roi_box, rng):
+                raise AssertionError("unreachable")
+
+        frame, event, box = _fixture_frame()
+        with pytest.raises(NotImplementedError):
+            SampleOnly(4.0).sample_batch(
+                [SampleOnly(4.0)], [frame], [event], [box], [RNG]
+            )

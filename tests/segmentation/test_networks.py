@@ -136,7 +136,7 @@ class TestCNNBaselines:
 
 
 class TestPredictBatchInvariance:
-    """``predict_batch`` rows == per-frame ``predict``, bitwise.
+    """``predict_batch`` rows == width-1 ``predict`` calls, bitwise.
 
     Mirrors the ROI predictor's ``TestBatchInvariance``: the batched
     dense forwards must be row-independent so the strategy graph's

@@ -21,13 +21,10 @@ class EchoStage(Stage):
     def __init__(self):
         self.batch_sizes: list[int] = []
 
-    def process(self, ctx, seq):
-        ctx.gaze_pred = (float(ctx.seq_index), float(ctx.t))
-
     def process_batch(self, ctxs, seqs):
         self.batch_sizes.append(len(ctxs))
-        for ctx, seq in zip(ctxs, seqs):
-            self.process(ctx, seq)
+        for ctx in ctxs:
+            ctx.gaze_pred = (float(ctx.seq_index), float(ctx.t))
 
 
 def arrival(client_id: int, tick: int, frame_index: int = 0) -> FrameArrival:
@@ -113,12 +110,14 @@ class TestDispatch:
         batched = Scheduler(
             StageGraph([EchoStage()]), SequenceState, slo()
         )
+        stage = EchoStage()
         scalar = Scheduler(
-            StageGraph([EchoStage()]), SequenceState, slo(), micro_batch=False
+            StageGraph([stage]), SequenceState, slo(), micro_batch=False
         )
         _, log_b = run(batched, ticks())
         _, log_s = run(scalar, ticks())
         assert log_b == log_s
+        assert stage.batch_sizes == [1] * 6  # one width-1 rank per frame
 
     def test_queue_capacity_drops_admissions(self):
         scheduler = Scheduler(
@@ -173,9 +172,10 @@ class TestDispatch:
         class Accumulate(Stage):
             name = "acc"
 
-            def process(self, ctx, seq):
-                seq.slots["n"] = seq.slots.get("n", 0) + 1
-                ctx.gaze_pred = (float(ctx.seq_index), float(seq.slots["n"]))
+            def process_batch(self, ctxs, seqs):
+                for ctx, seq in zip(ctxs, seqs):
+                    seq.slots["n"] = seq.slots.get("n", 0) + 1
+                    ctx.gaze_pred = (float(ctx.seq_index), float(seq.slots["n"]))
 
         scheduler = Scheduler(StageGraph([Accumulate()]), SequenceState, slo())
         ticks = [[arrival(c, t, t) for c in range(2)] for t in range(3)]

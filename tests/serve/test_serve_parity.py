@@ -72,10 +72,9 @@ def test_micro_batched_equals_scalar_dispatch(serving):
 
 
 def test_micro_batch_dispatch_has_no_per_row_stage(serving):
-    """Every stage of the served tracking graph — the gaze regression
-    included, historically the last per-row holdout — must expose a real
-    batched kernel, so the scheduler's micro-batch dispatch never falls
-    back to the base-class loop."""
+    """Every stage of the served tracking graph implements the one stage
+    kernel, ``process_batch``, which micro-batch and per-client dispatch
+    both call."""
     from repro.engine.stage import Stage
 
     graph, _, _ = serving
