@@ -4,10 +4,9 @@ A :class:`Session` owns the expensive, reusable state that the ad-hoc
 entry points used to rebuild per call:
 
 * **persistent executor backends** (one live backend per
-  ``execution.backend`` kind — see :mod:`repro.engine.executors`),
-  created on first sharded run and reused by every subsequent run — with
-  shard work stealing for unequal sequence lengths — instead of the
-  historical fork-a-pool-per-``run()`` in ``engine/runner.py``;
+  ``execution.backend`` kind — see :mod:`repro.engine.executors`) and
+  one **transport channel**, created on first sharded run and reused by
+  every subsequent run — the only way the sharded paths dispatch;
 * **memoized trained pipelines** keyed by the spec's training-relevant
   section hash, so two specs that differ only in execution mode share
   one joint training (and the sensor templates cached inside it);

@@ -224,11 +224,11 @@ class ExecutionSection:
     workers: int = 1
     #: Executor backend the sharded paths dispatch through (a
     #: :data:`repro.engine.executors.EXECUTOR_BACKENDS` name):
-    #: ``process_pool`` (the production fork pool + shm transport),
-    #: ``thread``, ``file_queue`` (spooled-file job queue — the external
-    #: cluster stand-in), or ``in_process`` (serial reference; forces
-    #: the unsharded path regardless of ``workers``).  All backends are
-    #: bitwise-identical for any job set.
+    #: ``process_pool`` (the production fork pool + shm transport) or
+    #: ``file_queue`` (spooled-file job queue — the external cluster
+    #: stand-in); or ``in_process`` (no executor: forces the unsharded
+    #: path regardless of ``workers``).  All are bitwise-identical for
+    #: any job set.
     backend: str = "process_pool"
     #: Vectorized lockstep mode (bitwise-identical to sequential).
     batched: bool = False
@@ -469,11 +469,12 @@ class ExperimentSpec:
         # place and the spec surface follows.
         from repro.engine.executors import EXECUTOR_BACKENDS
 
-        if e.backend not in EXECUTOR_BACKENDS:
+        backends = sorted({"in_process", *EXECUTOR_BACKENDS})
+        if e.backend not in backends:
             raise SpecError(
                 "execution.backend",
                 f"unknown executor backend {e.backend!r}; "
-                f"choose from {sorted(EXECUTOR_BACKENDS)}",
+                f"choose from {backends}",
             )
         if e.batch_size is not None:
             _require("execution.batch_size", e.batch_size >= 1, ">= 1")

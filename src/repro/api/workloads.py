@@ -406,10 +406,8 @@ def run_throughput(session: Session, spec: ExperimentSpec) -> RunResult:
     )
     if executor is not None:
         # Session backends are grow-only: a previous run may have left
-        # this one larger than the spec's `workers`, in which case the
-        # persistent-mode timing had more parallelism than the per-call
-        # baseline.  Record the actual backend size so
-        # pool_reuse_speedup is interpretable.
+        # this one larger than the spec's `workers`.  Record the actual
+        # backend size so the sharded timing is interpretable.
         record["pool_workers"] = executor.max_workers
     return RunResult(
         workload="throughput",

@@ -164,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "--backend",
                 default=None,
                 help="override the spec's execution.backend "
-                "(process_pool / thread / file_queue / in_process)",
+                "(process_pool / file_queue / in_process)",
             )
             cmd.add_argument(
                 "--store",

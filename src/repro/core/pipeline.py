@@ -205,9 +205,9 @@ class BlissCamPipeline:
         ``config.joint.batch_size`` sets the rank width / step
         granularity and ``config.joint.grad_accum`` selects the
         data-parallel epoch schedule, which ``workers >= 2`` shards over
-        worker processes (``executor`` reuses an existing pool, e.g. a
-        ``repro.api.Session``'s) with bitwise-identical results for any
-        worker count.
+        ``executor`` with payloads on the ``transport`` channel (a
+        ``repro.api.Session``'s ``executor(n)`` and ``transport()``)
+        with bitwise-identical results for any worker count.
         """
         if train_indices is None:
             train_indices, _ = self.dataset.split()
@@ -323,10 +323,10 @@ class BlissCamPipeline:
         ``reuse_window`` > 1 enables the Table-I ROI-reuse policy (a
         first-class engine stage).  ``batched`` runs the sequences in
         vectorized lockstep; ``batch_size`` bounds the lockstep width.
-        ``workers >= 2`` shards the sequence rank over that many worker
-        processes (composable with ``batched``); ``executor`` reuses an
-        existing pool (e.g. a persistent ``repro.api.Session`` pool)
-        instead of forking one per call.  All modes produce
+        ``workers >= 2`` shards the sequence rank over ``executor``
+        with payloads on the ``transport`` channel (a
+        ``repro.api.Session``'s ``executor(n)`` and ``transport()``),
+        composable with ``batched``.  All modes produce
         bitwise-identical results; see ``docs/architecture.md``.
         """
         if eval_indices is None:

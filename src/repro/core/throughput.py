@@ -54,23 +54,19 @@ def measure_throughput(
     """Time the engine modes over ``eval_indices`` on a trained pipeline.
 
     Warms the dataset cache (every lane), the calibrated sensor template
-    and both execution paths' allocations first, so the timed section
-    measures the engine rather than one-time setup.  Each mode is timed
-    best-of-``repeats`` — the comparison is of the code paths, not of the
-    allocator/scheduler noise a loaded machine adds on top — and the
-    result reported for a mode is the one produced by its best repeat.
+    and every timed path's allocations (and pool workers) first, so the
+    timed section measures the engine rather than one-time setup.  Each
+    mode is timed best-of-``repeats`` — the comparison is of the code
+    paths, not of the allocator/scheduler noise a loaded machine adds on
+    top — and the result reported for a mode is the one produced by its
+    best repeat.
 
-    ``workers >= 2`` additionally times the sharded mode — the
-    *production* sharded configuration: batched kernels inside each
-    worker process (``sharded_kernels`` records this) — and cross-checks
-    it bitwise against the in-process runs.  ``executor`` (a persistent
-    pool, e.g.  ``repro.api.Session``'s) adds the persistent-pool mode —
-    sharded over the *reused* pool with shard work stealing and the
-    shared-memory ``transport`` channel — plus a ``transport=False``
-    plain-pickle timing of the same configuration, so the record
-    captures per-call-fork vs persistent-pool (``pool_reuse_speedup``)
-    and pickle vs shared-memory dispatch (``transport_speedup``, with
-    per-dispatch payload bytes for both paths) side by side.
+    ``workers >= 2`` additionally times the sharded mode on the
+    ``executor`` and ``transport`` channel it is handed (a
+    ``repro.api.Session``'s persistent pool and channel) — the
+    *production* sharded configuration: work-stealing shards with
+    batched kernels inside each worker (``sharded_kernels`` records
+    this) — and cross-checks it bitwise against the in-process runs.
     """
     if not eval_indices:
         raise ValueError(
@@ -114,11 +110,17 @@ def measure_throughput(
         # processes).  Sharding width-1 ranks would measure pure
         # dispatch overhead on single-core hosts instead of the mode
         # anything actually runs.
+        sharding = {
+            "batched": True,
+            "workers": workers,
+            "executor": executor,
+            "transport": transport,
+        }
+        # Warm the pool's workers once so the timed section measures
+        # steady-state dispatch, not the first fork.
+        pipeline.evaluate(warm, **sharding)
         shard_s, shard_result = _best_of(
-            lambda: pipeline.evaluate(
-                eval_indices, batched=True, workers=workers
-            ),
-            repeats,
+            lambda: pipeline.evaluate(eval_indices, **sharding), repeats
         )
         identical = identical and _same_results(seq_result, shard_result)
         record.update(
@@ -138,70 +140,6 @@ def measure_throughput(
                 },
             }
         )
-        if executor is not None:
-            # Warm the pool's workers once so the timed section compares
-            # steady-state dispatch, not the first fork (exactly the cost
-            # the persistent pool exists to amortize across run() calls).
-            pipeline.evaluate(
-                warm, batched=True, workers=workers, executor=executor,
-                transport=transport,
-            )
-            pers_s, pers_result = _best_of(
-                lambda: pipeline.evaluate(
-                    eval_indices, batched=True, workers=workers,
-                    executor=executor, transport=transport,
-                ),
-                repeats,
-            )
-            identical = identical and _same_results(seq_result, pers_result)
-            # The same configuration over plain-pickle dispatch: the
-            # pre-transport baseline, so the record shows what the bytes
-            # cost (and the handle path's payload shrink) directly.
-            pickle_s, pickle_result = _best_of(
-                lambda: pipeline.evaluate(
-                    eval_indices, batched=True, workers=workers,
-                    executor=executor, transport=False,
-                ),
-                repeats,
-            )
-            identical = identical and _same_results(seq_result, pickle_result)
-            record.update(
-                {
-                    "sharded_persistent_s": pers_s,
-                    "sharded_persistent_fps": _rate(frames, pers_s),
-                    # Per-call-fork sharded time over persistent-pool
-                    # sharded time: the payoff of reusing one pool.
-                    "pool_reuse_speedup": (
-                        shard_s / pers_s if pers_s > 0 else float("inf")
-                    ),
-                    "sharded_pickle_s": pickle_s,
-                    # Plain-pickle dispatch over shared-memory dispatch
-                    # on the same persistent pool: the payoff of the
-                    # transport layer alone.
-                    "transport_speedup": (
-                        pickle_s / pers_s if pers_s > 0 else float("inf")
-                    ),
-                    "transport": {
-                        mode: {
-                            key: res.transport[key]
-                            for key in (
-                                "mode",
-                                "dispatches",
-                                "payload_bytes",
-                                "payload_bytes_per_dispatch",
-                                "segment_bytes_written",
-                                "segments_created",
-                                "publish_reuses",
-                            )
-                        }
-                        for mode, res in (
-                            ("channel", pers_result),
-                            ("pickle", pickle_result),
-                        )
-                        if res.transport is not None
-                    },
-                }
-            )
     record["bitwise_identical"] = identical
     return record
 
@@ -240,29 +178,6 @@ def throughput_tables(record: dict) -> list[Table]:
             _fmt(record["sharded_s"] * 1e3),
         )
         fps.add_row("sharded speedup", f"{record['sharded_speedup']:.2f}x", "")
-    if "sharded_persistent_s" in record:
-        fps.add_row(
-            f"sharded x{record['workers']} (persistent pool)",
-            _fmt(record["sharded_persistent_fps"]),
-            _fmt(record["sharded_persistent_s"] * 1e3),
-        )
-        fps.add_row(
-            "pool reuse speedup", f"{record['pool_reuse_speedup']:.2f}x", ""
-        )
-    if "transport_speedup" in record:
-        fps.add_row(
-            "transport speedup (vs pickle dispatch)",
-            f"{record['transport_speedup']:.2f}x",
-            "",
-        )
-    paths = record.get("transport") or {}
-    if "channel" in paths and "pickle" in paths:
-        fps.add_row(
-            "payload bytes/dispatch (channel vs pickle)",
-            f"{paths['channel']['payload_bytes_per_dispatch']:.0f}"
-            f" vs {paths['pickle']['payload_bytes_per_dispatch']:.0f}",
-            "",
-        )
 
     # Sequential/batched columns are serial wall time; the sharded column
     # is CPU time *summed over concurrent workers* (shard timings add),

@@ -161,8 +161,9 @@ def evaluate_strategy(
     runner the end-to-end tracker uses.  Each sequence samples from its
     own ``strategy.spawn`` stream keyed by sequence index (derived from
     ``rng``), so all three execution modes — sequential, ``batched``
-    lockstep, and sharded (``workers >= 2``) — produce bitwise-identical
-    results; Fig. 15 sweeps can fan out freely.
+    lockstep, and sharded (``workers >= 2`` on ``executor`` and the
+    ``transport`` channel, e.g. a ``repro.api.Session``'s) — produce
+    bitwise-identical results; Fig. 15 sweeps can fan out freely.
     """
     from repro.engine import build_strategy_graph, strategy_runner
 

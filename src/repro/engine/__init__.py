@@ -27,15 +27,13 @@ from repro.engine.runner import (
     SequenceRunner,
     StageTiming,
     contiguous_shards,
-    shard_executor,
 )
 from repro.engine.executors import (
     EXECUTOR_BACKENDS,
     ExecutorBackend,
     FileQueueBackend,
-    InProcessExecutor,
     ProcessPoolBackend,
-    ThreadBackend,
+    check_dispatch,
     make_executor,
 )
 from repro.engine.stage import Stage, StageGraph
@@ -70,11 +68,9 @@ __all__ = [
     "EngineRun",
     "StageTiming",
     "contiguous_shards",
-    "shard_executor",
+    "check_dispatch",
     "ExecutorBackend",
-    "InProcessExecutor",
     "ProcessPoolBackend",
-    "ThreadBackend",
     "FileQueueBackend",
     "EXECUTOR_BACKENDS",
     "make_executor",

@@ -1,25 +1,18 @@
-"""Pluggable executor backends behind one ``submit``-shaped protocol.
+"""Executor backends behind one ``submit``-shaped protocol.
 
 Every sharded path in the repository (engine sequence-rank sharding,
 strategy-sweep fan-out, data-parallel training epochs, serve scheduler
 replicas) dispatches module-level jobs through a single seam:
 ``executor.submit(job, *args)`` with results collected in fixed futures
-order.  This module formalizes the seam the runtime has used implicitly
-since PR 2 into an explicit :class:`ExecutorBackend` protocol —
-``submit`` / ``map`` / ``shutdown`` / ``max_workers`` — with four
-interchangeable backends:
+order, the payloads travelling as handles on a caller-owned
+:class:`~repro.engine.transport.TransportChannel`.  There is one way to
+get both: ``repro.api.Session.executor(n)`` and ``Session.transport()``;
+:func:`check_dispatch` is the precondition every sharded entry point
+runs.  The :class:`ExecutorBackend` protocol — ``submit`` / ``map`` /
+``shutdown`` / ``max_workers`` — has two backends:
 
-* :class:`InProcessExecutor` — runs every job synchronously at submit
-  time.  The *deterministic reference*: zero concurrency, zero
-  processes, exactly the semantics every other backend is pinned
-  bitwise against.
-* :class:`ProcessPoolBackend` — today's production backend: a
-  :func:`~repro.engine.runner.shard_executor` process pool (fork
-  context), composed with the shared-memory transport channel by the
-  callers that own one.
-* :class:`ThreadBackend` — a thread pool, for the GIL-light BLAS-heavy
-  kernels (the attention matmuls, vectorized eventification): no
-  process boundary, no pickling, shared address space.
+* :class:`ProcessPoolBackend` — the production backend: a
+  :func:`shard_executor` process pool (fork context).
 * :class:`FileQueueBackend` — jobs round-trip through *spooled files*:
   ``submit`` pickles ``(fn, args, kwargs, traced)`` to a job file in a
   spool directory, detached worker processes claim job files by atomic
@@ -35,44 +28,89 @@ on the same payloads and results are consumed in submission order, so
 any job set whose jobs are independent (the repository's invariant —
 per-sequence RNG streams, no cross-shard state) produces bitwise
 identical merged results on every backend.  ``tests/engine/
-test_executors.py`` pins all four against the in-process reference.
+test_executors.py`` pins both against the serial run.
 
 Backends are selected declaratively via the spec field
-``execution.backend`` (see ``docs/api.md``); ``repro.api.Session``
-caches one live backend per kind with the same grow-only contract the
-historical process pool had.
+``execution.backend`` (see ``docs/api.md``); ``backend: "in_process"``
+names no backend — the session hands out no executor and the caller
+runs its unsharded loop.  ``repro.api.Session`` caches one live backend
+per kind, grow-only.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import pickle
 import shutil
 import tempfile
 import time
 import traceback
-from concurrent.futures import Future, ThreadPoolExecutor
-from contextlib import nullcontext
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Any, Callable, Iterable, Protocol, runtime_checkable
 
+from repro.engine.transport import TransportChannel
 from repro.obs.tracer import SpanRecord, current_tracer, finish_wall
 
 __all__ = [
     "ExecutorBackend",
-    "InProcessExecutor",
     "ProcessPoolBackend",
-    "ThreadBackend",
     "FileQueueBackend",
     "FileQueueJobError",
     "EXECUTOR_BACKENDS",
     "make_executor",
+    "check_dispatch",
     "SPOOL_PREFIX",
 ]
 
 #: File-queue spool directories carry this prefix (leak checks mirror
 #: the transport layer's ``/dev/shm`` convention).
 SPOOL_PREFIX = "reproq_"
+
+
+def check_dispatch(workers: int | None, executor: Any, transport: Any) -> int:
+    """The precondition of every sharded entry point; returns the
+    requested worker count (``None`` -> 1).
+
+    ``workers >= 2`` shards, which needs both a caller-owned executor
+    and a :class:`~repro.engine.transport.TransportChannel` —
+    ``repro.api.Session.executor(n)`` and ``Session.transport()``.  An
+    executor with ``workers < 2`` would be silently ignored by the
+    in-process loop, so it is refused too.
+    """
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be >= 1: {workers}")
+    n_workers = workers or 1
+    if n_workers >= 2 and (
+        executor is None or not isinstance(transport, TransportChannel)
+    ):
+        raise ValueError(
+            f"workers={n_workers} shards, which needs an executor and a "
+            "transport channel: pass executor=Session.executor(n) and "
+            "transport=Session.transport()"
+        )
+    if executor is not None and n_workers < 2:
+        raise ValueError(
+            "executor was injected but workers < 2 would run in-process "
+            "and silently ignore it; pass workers >= 2 to shard"
+        )
+    return n_workers
+
+
+def _pool_context():
+    """Prefer fork (inherits the warm interpreter; cheap at CI scale)."""
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:  # pragma: no cover - non-posix platforms
+        return multiprocessing.get_context()
+
+
+def shard_executor(max_workers: int) -> ProcessPoolExecutor:
+    """The fork-context process pool behind :class:`ProcessPoolBackend`."""
+    return ProcessPoolExecutor(
+        max_workers=max_workers, mp_context=_pool_context()
+    )
 
 
 def _job_name(fn: Callable) -> str:
@@ -121,74 +159,17 @@ class ExecutorBackend(Protocol):
     def shutdown(self, wait: bool = True) -> None: ...
 
 
-# -- in-process reference ------------------------------------------------------
-class InProcessExecutor:
-    """Serial, synchronous execution: the deterministic reference.
-
-    ``submit`` runs the job *immediately* in the calling process and
-    returns an already-completed future.  ``max_workers`` records the
-    parallelism the caller sized its shard cut for — the cut happens
-    either way and shard boundaries never affect results, so the output
-    is bitwise identical to every concurrent backend.
-    """
-
-    name = "in_process"
-
-    def __init__(self, max_workers: int = 1):
-        self.max_workers = max(1, int(max_workers))
-        self._seq = 0
-        self._closed = False
-
-    def submit(self, fn: Callable, /, *args: Any, **kwargs: Any) -> Future:
-        if self._closed:
-            raise RuntimeError("cannot schedule new futures after shutdown")
-        self._seq += 1
-        tracer = current_tracer()
-        future: Future = Future()
-        # Synchronous execution nests the job's own spans (engine runs,
-        # training epochs) under the job span naturally, so the job span
-        # is a real context here rather than a submit-time point.
-        ctx = (
-            tracer.span(
-                "executor.job",
-                backend=self.name,
-                seq=self._seq,
-                job=_job_name(fn),
-            )
-            if tracer is not None
-            else nullcontext()
-        )
-        if tracer is not None:
-            tracer.count("executor.jobs")
-        with ctx:
-            try:
-                future.set_result(fn(*args, **kwargs))
-            except BaseException as exc:  # noqa: BLE001 - future carries it
-                future.set_exception(exc)
-        return future
-
-    def map(self, fn: Callable, *iterables: Iterable) -> Iterable:
-        return [self.submit(fn, *args).result() for args in zip(*iterables)]
-
-    def shutdown(self, wait: bool = True) -> None:
-        self._closed = True
-
-
-# -- pool-wrapping backends ----------------------------------------------------
+# -- process-pool backend ------------------------------------------------------
 class ProcessPoolBackend:
     """The production backend: a fork-context process pool.
 
-    Wraps :func:`repro.engine.runner.shard_executor` (the canonical
-    pool constructor) behind the protocol; callers that own a
-    :class:`~repro.engine.transport.TransportChannel` compose it with
-    this backend so shard payloads cross as shared-memory handles.
+    Wraps :func:`shard_executor` behind the protocol; shard payloads
+    cross as handles on the caller's transport channel.
     """
 
     name = "process_pool"
 
     def __init__(self, max_workers: int):
-        from repro.engine.runner import shard_executor
-
         self.max_workers = int(max_workers)
         self._seq = 0
         self._pool = shard_executor(self.max_workers)
@@ -200,41 +181,6 @@ class ProcessPoolBackend:
         if span is not None:
             # Wall-only completion: the callback thread touches nothing
             # in the deterministic plane (see finish_wall).
-            future.add_done_callback(lambda _f: finish_wall(span))
-        return future
-
-    def map(self, fn: Callable, *iterables: Iterable) -> Iterable:
-        return self._pool.map(fn, *iterables)
-
-    def shutdown(self, wait: bool = True) -> None:
-        self._pool.shutdown(wait=wait)
-
-
-class ThreadBackend:
-    """A thread pool for GIL-light kernels: no pickling, shared memory.
-
-    The repository's numeric kernels spend their time inside BLAS and
-    vectorized numpy, which release the GIL; shard jobs keep all
-    cross-frame state in per-sequence ``SequenceState`` objects, so
-    threads sharing one resolved payload race on nothing.  Bitwise
-    identical to the in-process reference (pinned).
-    """
-
-    name = "thread"
-
-    def __init__(self, max_workers: int):
-        self.max_workers = int(max_workers)
-        self._seq = 0
-        self._pool = ThreadPoolExecutor(
-            max_workers=self.max_workers,
-            thread_name_prefix="repro-shard",
-        )
-
-    def submit(self, fn: Callable, /, *args: Any, **kwargs: Any):
-        self._seq += 1
-        span = _open_job_span(self.name, self._seq, fn)
-        future = self._pool.submit(fn, *args, **kwargs)
-        if span is not None:
             future.add_done_callback(lambda _f: finish_wall(span))
         return future
 
@@ -397,12 +343,7 @@ class FileQueueBackend:
     def _ensure_workers(self) -> None:
         if self._procs:
             return
-        import multiprocessing
-
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-posix platforms
-            ctx = multiprocessing.get_context()
+        ctx = _pool_context()
         for _ in range(self.max_workers):
             proc = ctx.Process(
                 target=_file_queue_worker,
@@ -485,11 +426,10 @@ class FileQueueBackend:
             pass
 
 
-#: Backend registry: the ``execution.backend`` spec values.
+#: Backend registry: the ``execution.backend`` values that build an
+#: executor (``"in_process"`` is the spec's name for building none).
 EXECUTOR_BACKENDS: dict[str, type] = {
-    "in_process": InProcessExecutor,
     "process_pool": ProcessPoolBackend,
-    "thread": ThreadBackend,
     "file_queue": FileQueueBackend,
 }
 

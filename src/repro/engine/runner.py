@@ -14,14 +14,16 @@ differ only in the rank width:
   width draws identical random streams and produces bitwise-identical
   contexts — the engine test suite asserts this end-to-end.
 * **sharded** — ``workers >= 2`` partitions the sequences into
-  contiguous shards and executes each shard in a worker *process* at the
-  width above.  Sequences share no mutable state (per-sequence random
-  streams are keyed by sequence index, never by execution order), so a
-  shard's results do not depend on which process runs it: merged
-  ``EngineRun``s are bitwise-identical to the single-process modes.
-  Requires the graph, the state factory and the sequences to be
-  picklable — the canonical graphs keep their callables as plain classes
-  for exactly this reason.
+  contiguous shards and executes each shard on a caller-owned executor
+  (``repro.api.Session.executor(n)``) at the width above, the payloads
+  crossing as handles on the caller's transport channel
+  (``Session.transport()``).  Sequences share no mutable state
+  (per-sequence random streams are keyed by sequence index, never by
+  execution order), so a shard's results do not depend on which process
+  runs it: merged ``EngineRun``s are bitwise-identical to the
+  single-process modes.  Requires the graph, the state factory and the
+  sequences to be picklable — the canonical graphs keep their callables
+  as plain classes for exactly this reason.
 
 Results come back as an :class:`EngineRun`: the completed frame contexts
 in *sequence-major* order (identical ordering in all modes, so
@@ -31,15 +33,15 @@ per-stage wall-clock timings for throughput/attribution reporting.
 
 from __future__ import annotations
 
-import multiprocessing
 import time
-from concurrent.futures import Executor, ProcessPoolExecutor
+from concurrent.futures import Executor
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from repro.engine.context import FrameContext, SequenceState
+from repro.engine.executors import check_dispatch
 from repro.engine.stage import StageGraph
 from repro.engine.transport import ObjectHandle, TransportChannel, resolve_payload
 from repro.obs.tracer import current_tracer
@@ -48,14 +50,13 @@ __all__ = [
     "SequenceRunner",
     "EngineRun",
     "StageTiming",
-    "shard_executor",
     "contiguous_shards",
 ]
 
-#: Shard oversubscription when an external (persistent) executor runs the
-#: shards: cutting the rank into ``workers * STEAL_FACTOR`` pieces lets an
-#: idle worker steal the next pending shard, so unequal sequence lengths
-#: no longer leave workers stalled behind one long contiguous shard.
+#: Shard oversubscription: cutting the rank into ``workers *
+#: STEAL_FACTOR`` pieces lets an idle worker steal the next pending
+#: shard, so unequal sequence lengths no longer leave workers stalled
+#: behind one long contiguous shard.
 STEAL_FACTOR = 4
 
 
@@ -85,7 +86,7 @@ class EngineRun:
     #: Transport accounting for sharded runs (``None`` in-process):
     #: mode ("shm"/"pickle"), dispatches, per-dispatch payload bytes
     #: (what actually crossed the pipe), and segment bytes written/reused
-    #: — the evidence behind the benchmark's transport columns.
+    #: — the evidence behind perfbench's ``transport.*`` metrics.
     transport: dict | None = None
 
     @property
@@ -103,26 +104,12 @@ def _default_state_factory(seq_index: int) -> SequenceState:
     return SequenceState(seq_index=seq_index)
 
 
-def _execute_shard(
-    runner: "SequenceRunner",
-    shard: list[tuple[int, Any]],
-    batched: bool,
-) -> tuple[list[FrameContext], dict[str, StageTiming]]:
-    """Run one shard in-process (worker-side entry point).
-
-    Module-level so :class:`~concurrent.futures.ProcessPoolExecutor` can
-    pickle it; the runner (graph + state factory) travels with the task.
-    """
-    timings = {name: StageTiming() for name in runner.graph.stage_names}
-    return runner._run_ranks(shard, timings, batched), timings
-
-
 def _execute_shard_handles(
     runner_handle: ObjectHandle,
     shard_handle: ObjectHandle,
     batched: bool,
 ) -> tuple[list[FrameContext], dict[str, StageTiming]]:
-    """Transport-mode worker entry: resolve handles, then run the shard.
+    """Worker-side entry point: resolve handles, then run the shard.
 
     The runner and the shard's sequences arrive as content-addressed
     :class:`~repro.engine.transport.ObjectHandle`\\ s: big arrays map
@@ -135,15 +122,8 @@ def _execute_shard_handles(
     """
     runner = resolve_payload(runner_handle)
     shard = resolve_payload(shard_handle)
-    return _execute_shard(runner, shard, batched)
-
-
-def _pool_context():
-    """Prefer fork (inherits the warm interpreter; cheap at CI scale)."""
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-posix platforms
-        return multiprocessing.get_context()
+    timings = {name: StageTiming() for name in runner.graph.stage_names}
+    return runner._run_ranks(shard, timings, batched), timings
 
 
 def contiguous_shards(items: list, n_shards: int) -> list[list]:
@@ -162,19 +142,6 @@ def contiguous_shards(items: list, n_shards: int) -> list[list]:
     return [
         items[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo
     ]
-
-
-def shard_executor(max_workers: int) -> ProcessPoolExecutor:
-    """A process pool suitable for sharded runs.
-
-    The canonical constructor for *persistent* pools (``repro.api``'s
-    :class:`Session` owns one and reuses it across runs); standalone
-    ``run(workers=N)`` calls without an injected executor still build a
-    throwaway pool per call from the same context.
-    """
-    return ProcessPoolExecutor(
-        max_workers=max_workers, mp_context=_pool_context()
-    )
 
 
 class SequenceRunner:
@@ -245,50 +212,29 @@ class SequenceRunner:
         batched: bool = False,
         workers: int | None = None,
         executor: Executor | None = None,
-        transport: TransportChannel | bool | None = None,
+        transport: TransportChannel | None = None,
     ) -> EngineRun:
         """Run the graph over ``[(seq_index, sequence), ...]``.
 
         ``batched`` picks the rank width (``batch_size``, or every
         sequence, instead of 1).  ``workers >= 2`` shards the sequences
-        across that many worker processes; each shard runs at the same
-        width and the merged result is bitwise-identical to the
-        single-process modes.  ``None``/``1`` runs in-process.
-
-        ``executor`` injects an existing pool for the sharded mode instead
-        of forking a fresh one per call (the historical per-call cost):
-        a persistent :func:`shard_executor` — e.g. the one owned by
-        ``repro.api.Session`` — can then be shared across runs, tests and
-        benches.  With an injected executor the rank is cut into
-        ``workers * STEAL_FACTOR`` contiguous shards so idle workers
-        steal pending shards when sequence lengths are unequal; shard
-        boundaries never affect results, only scheduling.
-
-        ``transport`` controls how shard payloads reach the workers:
-
-        * ``None`` (default) — a per-run
-          :class:`~repro.engine.transport.TransportChannel` ships the
-          runner and the sequences as content-addressed shared-memory
-          handles (plain pickle where shared memory is unavailable) and
-          unlinks its segments on run teardown;
-        * a channel instance — a *persistent* channel (e.g. the one
-          ``repro.api.Session`` owns) whose segments outlive this run,
-          so repeated runs ship each payload's bytes once;
-        * ``False`` — force the inline-pickle path (what the benchmarks
-          time as the pre-transport baseline).
-
-        All transport modes are bitwise-identical; the run's
+        over ``executor`` — a persistent pool such as
+        ``repro.api.Session.executor(n)`` — with the runner and the
+        shards published on ``transport``, the caller's
+        :class:`~repro.engine.transport.TransportChannel`
+        (``Session.transport()``), whose segments outlive the run so
+        repeated runs ship each payload's bytes once.  Both are required
+        to shard (:func:`~repro.engine.executors.check_dispatch`);
+        ``None``/``1`` runs in-process.  The rank is cut into ``workers
+        * STEAL_FACTOR`` contiguous shards so idle workers steal pending
+        shards when sequence lengths are unequal; shard boundaries never
+        affect results, only scheduling, and the merged result is
+        bitwise-identical to the single-process modes.  The run's
         :attr:`EngineRun.transport` records what actually moved.
         """
-        if workers is not None and workers < 1:
-            raise ValueError(f"workers must be >= 1: {workers}")
-        if executor is not None and (workers or 1) < 2:
-            raise ValueError(
-                "executor was injected but workers < 2 would run in-process "
-                "and silently ignore it; pass workers >= 2 to shard"
-            )
+        n_workers = check_dispatch(workers, executor, transport)
         sequences = list(sequences)
-        n_workers = min(workers or 1, len(sequences))
+        n_workers = min(n_workers, len(sequences))
         start = time.perf_counter()  # repro: allow[REP102] run wall-time metric
         transport_info = None
         if n_workers >= 2:
@@ -339,78 +285,49 @@ class SequenceRunner:
         sequences: list[tuple[int, Any]],
         batched: bool,
         workers: int,
-        executor: Executor | None = None,
-        transport: TransportChannel | bool | None = None,
+        executor: Executor,
+        channel: TransportChannel,
     ) -> tuple[list[FrameContext], dict[str, StageTiming], dict]:
-        # Contiguous balanced shards: concatenating shard outputs in shard
-        # order reproduces the sequence-major ordering of the in-process
-        # modes exactly.  An injected executor gets an oversubscribed cut
-        # (work stealing); a throwaway pool gets one shard per worker.
-        n_shards = (
-            min(len(sequences), workers * STEAL_FACTOR) if executor else workers
+        # Contiguous balanced shards, oversubscribed for work stealing:
+        # concatenating shard outputs in shard order reproduces the
+        # sequence-major ordering of the in-process modes exactly.
+        shards = contiguous_shards(
+            sequences, min(len(sequences), workers * STEAL_FACTOR)
         )
-        shards = contiguous_shards(sequences, n_shards)
-        if isinstance(transport, TransportChannel):
-            channel, own_channel = transport, False
-        else:
-            # Per-run channel: ``None`` auto-detects shared memory,
-            # ``False`` forces the inline-pickle fallback.  Either way
-            # the channel (and its segments) dies with this run.
-            channel = TransportChannel(use_shm=None if transport is None else False)
-            own_channel = True
-        try:
-            before = dict(channel.stats)
-            # Publish the payloads *before* forking a throwaway pool:
-            # fork-inherited mappings make the workers' segment attaches
-            # free.  The runner ships once per run; each shard ships as
-            # its own handle so the work-stealing dispatch stays per-shard.
-            runner_handle = channel.publish(self)
-            shard_handles = [channel.publish(shard) for shard in shards]
-            tasks = [
-                (runner_handle, handle, batched) for handle in shard_handles
-            ]
-            if executor is not None:
-                # submit() preserves shard order through the futures list
-                # while letting the pool hand the next pending shard to
-                # whichever worker frees up first.
-                futures = [
-                    executor.submit(_execute_shard_handles, *task)
-                    for task in tasks
-                ]
-                results = [f.result() for f in futures]
-            else:
-                with ProcessPoolExecutor(
-                    max_workers=len(shards), mp_context=_pool_context()
-                ) as pool:
-                    # map() preserves shard order; sequences within a shard
-                    # keep their relative order inside the worker.
-                    results = list(
-                        pool.map(_execute_shard_handles, *zip(*tasks))
-                    )
-            dispatch_bytes = sum(
-                runner_handle.wire_bytes + handle.wire_bytes
-                for handle in shard_handles
+        before = dict(channel.stats)
+        # The runner ships once per run; each shard ships as its own
+        # handle so the work-stealing dispatch stays per-shard.
+        runner_handle = channel.publish(self)
+        shard_handles = [channel.publish(shard) for shard in shards]
+        # submit() preserves shard order through the futures list while
+        # letting the pool hand the next pending shard to whichever
+        # worker frees up first.
+        futures = [
+            executor.submit(
+                _execute_shard_handles, runner_handle, handle, batched
             )
-            transport_info = {
-                "mode": "shm" if channel.use_shm else "pickle",
-                "persistent_channel": not own_channel,
-                "dispatches": len(shards),
-                "payload_bytes": dispatch_bytes,
-                "payload_bytes_per_dispatch": dispatch_bytes / len(shards),
-                "segment_bytes_written": (
-                    channel.stats["segment_bytes"] - before["segment_bytes"]
-                ),
-                "segments_created": (
-                    channel.stats["segments_created"]
-                    - before["segments_created"]
-                ),
-                "publish_reuses": (
-                    channel.stats["publish_reuses"] - before["publish_reuses"]
-                ),
-            }
-        finally:
-            if own_channel:
-                channel.close()
+            for handle in shard_handles
+        ]
+        results = [f.result() for f in futures]
+        dispatch_bytes = sum(
+            runner_handle.wire_bytes + handle.wire_bytes
+            for handle in shard_handles
+        )
+        transport_info = {
+            "mode": "shm" if channel.use_shm else "pickle",
+            "dispatches": len(shards),
+            "payload_bytes": dispatch_bytes,
+            "payload_bytes_per_dispatch": dispatch_bytes / len(shards),
+            "segment_bytes_written": (
+                channel.stats["segment_bytes"] - before["segment_bytes"]
+            ),
+            "segments_created": (
+                channel.stats["segments_created"] - before["segments_created"]
+            ),
+            "publish_reuses": (
+                channel.stats["publish_reuses"] - before["publish_reuses"]
+            ),
+        }
         contexts: list[FrameContext] = []
         timings: dict[str, StageTiming] = {
             name: StageTiming() for name in self.graph.stage_names

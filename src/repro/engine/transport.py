@@ -24,9 +24,9 @@ module attacks the bytes, not the kernels:
   training runtime's historical single-slot dataset cache into a keyed
   cache any worker-side rebuild path can use.
 * **Explicit lifecycle.**  Segments are created by the dispatcher and
-  unlinked deterministically: per-run channels unlink on run teardown,
-  the persistent channel owned by ``repro.api.Session`` unlinks on
-  ``Session.close()``.  Blob handles refcount the array segments they
+  unlinked deterministically: the channel owned by ``repro.api.Session``
+  (the only one the sharded paths use) unlinks on ``Session.close()``.
+  Blob handles refcount the array segments they
   reference; slot-keyed publishes (``publish(obj, slot=...)``) release
   the slot's previous generation — how per-epoch training weights avoid
   accumulating one segment per epoch.
@@ -168,8 +168,7 @@ class ObjectHandle:
 
 # -- process-wide segment + object caches (both sides) ------------------------
 #: Mapped segments by name.  On the dispatcher this holds every segment
-#: the process created (forked throwaway-pool workers inherit these
-#: mappings for free); on a pool worker it accumulates one attach per
+#: the process created; on a pool worker it accumulates one attach per
 #: segment ever resolved.
 _SEGMENTS: "OrderedDict[str, Any]" = OrderedDict()
 #: Names this process *created* (and therefore owns unlinking of).
@@ -291,13 +290,10 @@ class _ExtractingPickler(pickle.Pickler):
 class TransportChannel:
     """Dispatcher-owned transport state: segments, dedup maps, stats.
 
-    One channel per dispatch scope: the engine runner creates a per-run
-    channel for throwaway pools (closed — segments unlinked — on run
-    teardown), while ``repro.api.Session`` owns one persistent channel
-    whose segments live until ``Session.close()``.  ``use_shm=None``
-    auto-detects; ``use_shm=False`` forces the inline-pickle fallback
-    (the mode benchmarks time as the "pickle path") with identical
-    semantics and results.
+    ``repro.api.Session.transport()`` owns the one channel the sharded
+    paths publish on; its segments live until ``Session.close()``.
+    ``use_shm=None`` auto-detects; ``use_shm=False`` forces the
+    inline-pickle fallback with identical semantics and results.
     """
 
     def __init__(self, use_shm: bool | None = None):
@@ -490,8 +486,8 @@ class TransportChannel:
     def close(self) -> None:
         """Unlink every segment this channel created.  Idempotent.
 
-        Called on run teardown (per-run channels) or ``Session.close()``
-        (the persistent channel).  Workers that already mapped a segment
+        Called by ``Session.close()`` (or on leaving a ``with``
+        block).  Workers that already mapped a segment
         keep their mapping — POSIX shared memory outlives its name for
         existing maps — so in-flight results are never corrupted; only
         *new* attaches become impossible, and no names leak in

@@ -334,10 +334,8 @@ def _serve_partition(
 ) -> tuple[Telemetry, list, float]:
     """Run one scheduler replica over a client partition.
 
-    Module-level so sharded serving can ship it to worker processes
-    (the graph, state factory and dataset config all pickle; streams are
-    rebuilt in-worker from their client ids — cheaper than pickling
-    frames).
+    Streams are rebuilt from their client ids — in a sharded run that
+    happens in the worker, which is cheaper than pickling frames.
     """
     streams = build_streams(
         dataset_cfg,
@@ -406,17 +404,18 @@ def simulate_serving(
     (the spec's ``execution.serve`` section).  ``micro_batch=False``
     dispatches frames one at a time — the per-client-sequential baseline
     the serving benchmark compares against.  ``workers >= 2`` partitions
-    the fleet into that many independent scheduler replicas executed in
-    worker processes (``executor`` injects a persistent pool, e.g. the
-    session's, and ``transport`` its shared-memory channel — ``None``
-    opens a per-run channel, ``False`` forces plain-pickle dispatch;
-    telemetry is identical in every mode).  Telemetry latencies are
-    virtual-clock, hence deterministic; ``wall_seconds`` measures the
-    real serving loop.
+    the fleet into that many independent scheduler replicas executed on
+    ``executor`` (a persistent pool such as the session's), the
+    replica-invariant bundle published on ``transport`` (the session's
+    channel); both are required to shard
+    (:func:`~repro.engine.executors.check_dispatch`) and telemetry is
+    identical either way.  Telemetry latencies are virtual-clock, hence
+    deterministic; ``wall_seconds`` measures the real serving loop.
     """
+    from repro.engine.executors import check_dispatch
     from repro.engine.runner import contiguous_shards
-    from repro.engine.transport import TransportChannel
 
+    n_workers = check_dispatch(workers, executor, transport)
     if slo is None:
         slo = SLOModel.from_hardware(
             fps=dataset_cfg.fps,
@@ -425,48 +424,20 @@ def simulate_serving(
         )
     if client_ids is None:
         client_ids = list(range(scenario.num_clients))
-    n_workers = max(1, min(workers or 1, len(client_ids)))
+    n_workers = min(n_workers, len(client_ids))
     if n_workers >= 2:
-        partitions = contiguous_shards(client_ids, n_workers)
-        own_channel = None
-        channel = None
-        if transport is not False:
-            if isinstance(transport, TransportChannel):
-                channel = transport
-            else:
-                own_channel = channel = TransportChannel()
-        try:
-            if channel is not None:
-                # The replica-invariant bundle ships once (slot-keyed, so
-                # a later serve run on a persistent channel replaces this
-                # generation's segments); published before any throwaway
-                # pool forks so workers inherit the mappings.
-                bundle_handle = channel.publish(
-                    (graph, state_factory, dataset_cfg, scenario, slo,
-                     micro_batch),
-                    slot="serve_bundle",
-                )
-                args = [(bundle_handle, part) for part in partitions]
-                job = _serve_partition_handles
-            else:
-                args = [
-                    (graph, state_factory, dataset_cfg, scenario, slo, part,
-                     micro_batch)
-                    for part in partitions
-                ]
-                job = _serve_partition
-            if executor is not None:
-                futures = [executor.submit(job, *a) for a in args]
-                results = [f.result() for f in futures]
-            else:
-                from repro.engine.runner import shard_executor
-
-                with shard_executor(len(partitions)) as pool:
-                    futures = [pool.submit(job, *a) for a in args]
-                    results = [f.result() for f in futures]
-        finally:
-            if own_channel is not None:
-                own_channel.close()
+        # The replica-invariant bundle ships once (slot-keyed, so a later
+        # serve run on the same channel replaces this generation's
+        # segments); only the partition's client ids travel per dispatch.
+        bundle_handle = transport.publish(
+            (graph, state_factory, dataset_cfg, scenario, slo, micro_batch),
+            slot="serve_bundle",
+        )
+        futures = [
+            executor.submit(_serve_partition_handles, bundle_handle, part)
+            for part in contiguous_shards(client_ids, n_workers)
+        ]
+        results = [f.result() for f in futures]
         telemetry, gaze_log, _ = results[0]
         for part_telemetry, part_log, _ in results[1:]:
             telemetry.merge(part_telemetry)

@@ -295,10 +295,10 @@ class JointTrainer:
 
         ``workers >= 2`` shards the epoch's per-sequence gradient passes
         over worker processes (requires ``config.grad_accum``; see
-        :meth:`repro.training.runtime.TrainRunner.run`); ``executor``
-        reuses an existing pool (e.g. a ``repro.api.Session``'s) and
-        ``transport`` a shared-memory channel (``False`` forces plain
-        pickle) — both bitwise-neutral.
+        :meth:`repro.training.runtime.TrainRunner.run`) on ``executor``
+        with payloads on the ``transport`` channel (a
+        ``repro.api.Session``'s ``executor(n)`` and ``transport()``) —
+        bitwise-neutral.
         """
         # Imported here: the runtime imports this module for the config/
         # result/soft-mask types.

@@ -366,24 +366,27 @@ def _resolve_shard(shard_spec) -> list[tuple[int, object]]:
     return [(i, dataset[i]) for i in indices]
 
 
-def _epoch_shard_job(
-    roi_predictor,
-    segmenter,
-    config: JointTrainConfig,
-    seed: int,
-    epoch: int,
-    shard_spec,
-) -> list[_SequenceGrads]:
+def _epoch_shard_job(models_handle, shard_handle, epoch: int):
     """Worker-side entry point: per-sequence gradients for one shard.
 
-    Module-level so the pool can pickle it; per epoch only the models
-    (carrying the epoch-start weights) and the shard *spec* travel —
-    sequence data is rebuilt worker-side from the dataset config (see
-    :func:`_resolve_shard`).  Workers rebuild the canonical loss kernels
-    — :meth:`TrainRunner.run` refuses to shard when non-canonical
+    Module-level so the pool can pickle it.  ``models_handle`` carries
+    ``(roi_predictor, segmenter, config, seed)`` published per epoch
+    into a slot (so epoch ``e``'s weights replace epoch ``e-1``'s
+    segments); ``shard_handle`` carries the run-constant shard *spec*,
+    published once and digest-cached worker-side — sequence data is
+    rebuilt worker-side from the dataset config (see
+    :func:`_resolve_shard`).  Weight arrays arrive as read-only views
+    over the mapped segments; ``Parameter.__setstate__`` recreates
+    writable gradient buffers, and workers never write ``.data`` — they
+    only accumulate gradients — so read-only weights are exactly as safe
+    as pickled copies.  Workers rebuild the canonical loss kernels —
+    :meth:`TrainRunner.run` refuses to shard when non-canonical
     components were injected, so worker-side and in-process execution
     can never silently diverge.
     """
+    from repro.engine.transport import resolve_payload
+
+    roi_predictor, segmenter, config, seed = resolve_payload(models_handle)
     seg_loss = CrossEntropyLoss()
     roi_loss = MSELoss()
     soft_mask = SoftROIMask(
@@ -402,31 +405,8 @@ def _epoch_shard_job(
             roi_loss,
             soft_mask,
         )
-        for seq_index, seq in _resolve_shard(shard_spec)
+        for seq_index, seq in _resolve_shard(resolve_payload(shard_handle))
     ]
-
-
-def _epoch_shard_job_handles(models_handle, shard_handle, epoch: int):
-    """Shared-memory worker entry: resolve handles, run the shard job.
-
-    ``models_handle`` carries ``(roi_predictor, segmenter, config,
-    seed)`` published per epoch into a slot (so epoch ``e``'s weights
-    replace epoch ``e-1``'s segments); ``shard_handle`` carries the
-    run-constant shard spec, published once and digest-cached
-    worker-side, so steady-state epochs resolve it without touching the
-    bytes again.  Weight arrays arrive as read-only views over the
-    mapped segments; ``Parameter.__setstate__`` recreates writable
-    gradient buffers, and workers never write ``.data`` — they only
-    accumulate gradients — so read-only weights are exactly as safe as
-    pickled copies.
-    """
-    from repro.engine.transport import resolve_payload
-
-    roi_predictor, segmenter, config, seed = resolve_payload(models_handle)
-    shard_spec = resolve_payload(shard_handle)
-    return _epoch_shard_job(
-        roi_predictor, segmenter, config, seed, epoch, shard_spec
-    )
 
 
 class TrainRunner:
@@ -496,31 +476,23 @@ class TrainRunner:
         """Train over ``sequence_indices`` for ``config.epochs`` epochs.
 
         ``workers >= 2`` shards the data-parallel schedule's per-sequence
-        gradient passes over worker processes (``executor`` injects an
-        existing pool, e.g. a ``repro.api.Session``'s; otherwise a
-        throwaway pool is forked per call).  Requires
+        gradient passes over ``executor`` — a persistent pool such as
+        ``repro.api.Session.executor(n)`` — with the models and shard
+        specs published on ``transport``, the caller's
+        :class:`~repro.engine.transport.TransportChannel`
+        (``Session.transport()``); both are required to shard
+        (:func:`~repro.engine.executors.check_dispatch`).  Requires
         ``config.grad_accum`` — the stepped schedule updates weights
         every minibatch and is inherently sequential.  As with
         :meth:`~repro.engine.SequenceRunner.run`, the worker count is
         clamped to the sequence count: a single-sequence run stays
         in-process (same bits — workers never change results) even when
-        an executor was injected.
-
-        ``transport`` follows the engine runner's convention: ``None``
-        opens a per-run shared-memory
-        :class:`~repro.engine.transport.TransportChannel` (closed on
-        return), a channel instance reuses a persistent one (e.g. a
-        ``Session``'s), and ``False`` forces the plain-pickle dispatch
-        path.  Results are bitwise-identical in every mode.
+        an executor was injected.  Results are bitwise-identical for any
+        worker count.
         """
-        if workers is not None and workers < 1:
-            raise ValueError(f"workers must be >= 1: {workers}")
-        n_workers = workers or 1
-        if executor is not None and n_workers < 2:
-            raise ValueError(
-                "executor was injected but workers < 2 would run in-process "
-                "and silently ignore it; pass workers >= 2 to shard"
-            )
+        from repro.engine.executors import check_dispatch
+
+        n_workers = check_dispatch(workers, executor, transport)
         if n_workers >= 2 and not self.config.grad_accum:
             raise ValueError(
                 "sharded training requires grad_accum=True: the stepped "
@@ -643,80 +615,47 @@ class TrainRunner:
         transport,
     ) -> JointTrainResult:
         """One Adam step per epoch over fixed-order per-sequence sums."""
-        from repro.engine import contiguous_shards, shard_executor
-        from repro.engine.transport import TransportChannel
+        from repro.engine import contiguous_shards
 
         cfg = self.config
         n_workers = min(workers, len(indices))
         result = JointTrainResult()
         roi_params = self.roi_predictor.parameters()
         seg_params = self.segmenter.parameters()
-        # Shard *specs* are fixed for the whole run; sharded rebuild mode
-        # never renders the training sequences in the parent at all.
-        shard_specs = (
+        # Shard *specs* are fixed for the whole run (sharded rebuild mode
+        # never renders the training sequences in the parent at all) and
+        # ship once, into slots a later training run on the same channel
+        # will recycle.
+        shard_handles = (
             [
-                self._shard_spec(dataset, shard)
-                for shard in contiguous_shards(indices, n_workers)
+                transport.publish(
+                    self._shard_spec(dataset, shard), slot=("train_shard", i)
+                )
+                for i, shard in enumerate(contiguous_shards(indices, n_workers))
             ]
             if n_workers >= 2
             else None
         )
-        # Shared-memory transport for the shard dispatches: a channel
-        # instance is reused (persistent Session channel), ``None`` opens
-        # a per-run channel, ``False`` keeps plain-pickle dispatch.
-        own_channel = None
-        channel = None
-        if n_workers >= 2 and transport is not False:
-            if isinstance(transport, TransportChannel):
-                channel = transport
-            else:
-                own_channel = channel = TransportChannel()
-        # The run-constant shard specs ship once, into slots a later
-        # training run on the same channel will recycle.  Published
-        # before the throwaway pool forks so its workers inherit the
-        # mappings instead of re-attaching.
-        shard_handles = (
-            [
-                channel.publish(spec, slot=("train_shard", i))
-                for i, spec in enumerate(shard_specs)
-            ]
-            if channel is not None
-            else None
-        )
-        # One throwaway pool per *run* (not per epoch) when no executor
-        # was injected.
-        pool = (
-            shard_executor(n_workers)
-            if n_workers >= 2 and executor is None
-            else None
-        )
         tracer = current_tracer()
-        try:
-            for epoch in range(cfg.epochs):
-                epoch_span = (
-                    tracer.span(
-                        "train.epoch",
-                        epoch=epoch,
-                        schedule="accumulated",
-                        sequences=len(indices),
-                        workers=n_workers,
-                    )
-                    if tracer is not None
-                    else nullcontext()
+        for epoch in range(cfg.epochs):
+            epoch_span = (
+                tracer.span(
+                    "train.epoch",
+                    epoch=epoch,
+                    schedule="accumulated",
+                    sequences=len(indices),
+                    workers=n_workers,
                 )
-                if tracer is not None:
-                    tracer.count("train.epochs")
-                with epoch_span:
-                    self._accumulate_epoch(
-                        dataset, indices, shard_specs, shard_handles, channel,
-                        epoch, n_workers, executor or pool, roi_params,
-                        seg_params, result,
-                    )
-        finally:
-            if pool is not None:
-                pool.shutdown()
-            if own_channel is not None:
-                own_channel.close()
+                if tracer is not None
+                else nullcontext()
+            )
+            if tracer is not None:
+                tracer.count("train.epochs")
+            with epoch_span:
+                self._accumulate_epoch(
+                    dataset, indices, shard_handles, transport, epoch,
+                    executor, roi_params, seg_params, result,
+                )
         return result
 
     @staticmethod
@@ -753,21 +692,22 @@ class TrainRunner:
         self,
         dataset,
         indices: list[int],
-        shard_specs: list | None,
         shard_handles: list | None,
         channel,
         epoch: int,
-        workers: int,
         executor,
         roi_params,
         seg_params,
         result: JointTrainResult,
     ) -> None:
-        """One data-parallel epoch: reduce per-sequence sums, step once."""
+        """One data-parallel epoch: reduce per-sequence sums, step once.
+
+        ``shard_handles`` is ``None`` for the in-process accumulation.
+        """
         cfg = self.config
-        if workers >= 2:
+        if shard_handles is not None:
             per_seq = self._sharded_epoch(
-                shard_specs, shard_handles, channel, epoch, executor
+                shard_handles, channel, epoch, executor
             )
         else:
             # Lazy in-process generation: only one sequence's gradient
@@ -824,51 +764,32 @@ class TrainRunner:
         result.roi_losses.append(roi_sum / ranks)
 
     def _sharded_epoch(
-        self, shard_specs: list, shard_handles: list | None, channel,
-        epoch: int, executor,
+        self, shard_handles: list, channel, epoch: int, executor
     ):
         """Per-sequence gradients of one epoch, sharded over processes.
 
-        Contiguous shards of whole sequences onto ``executor`` (the
-        caller's injected pool, or the one ``_run_accumulated`` opened
-        for the whole run); the models ship with each task carrying the
-        epoch-start weights (gradient buffers are stripped by
-        ``Parameter.__getstate__``).  With a transport channel the
-        epoch-start weights are published into the ``"train_models"``
-        slot — each epoch's segments *replace* the previous epoch's
-        (safe: every epoch-``e`` task completes before epoch ``e+1``
-        publishes) — and each dispatch ships two tiny handles instead of
-        the models + shard payload.  Yields shard results in shard order
-        — exact sequence order for the parent-side reduction.  Peak
-        parent-side memory is bounded by the worker count: shards that
-        finish early sit buffered in their futures until the in-order
-        reduction reaches them.
+        Contiguous shards of whole sequences onto the caller's
+        ``executor``.  The epoch-start weights (gradient buffers are
+        stripped by ``Parameter.__getstate__``) are published into the
+        ``"train_models"`` slot — each epoch's segments *replace* the
+        previous epoch's (safe: every epoch-``e`` task completes before
+        epoch ``e+1`` publishes) — and each dispatch ships two tiny
+        handles.  Yields shard results in shard order — exact sequence
+        order for the parent-side reduction.  Peak parent-side memory is
+        bounded by the worker count: shards that finish early sit
+        buffered in their futures until the in-order reduction reaches
+        them.
         """
-        if channel is not None:
-            models_handle = channel.publish(
-                (self.roi_predictor, self.segmenter, self.config, self.seed),
-                slot="train_models",
+        models_handle = channel.publish(
+            (self.roi_predictor, self.segmenter, self.config, self.seed),
+            slot="train_models",
+        )
+        futures = [
+            executor.submit(
+                _epoch_shard_job, models_handle, shard_handle, epoch
             )
-            futures = [
-                executor.submit(
-                    _epoch_shard_job_handles, models_handle, shard_handle,
-                    epoch,
-                )
-                for shard_handle in shard_handles
-            ]
-        else:
-            futures = [
-                executor.submit(
-                    _epoch_shard_job,
-                    self.roi_predictor,
-                    self.segmenter,
-                    self.config,
-                    self.seed,
-                    epoch,
-                    shard_spec,
-                )
-                for shard_spec in shard_specs
-            ]
+            for shard_handle in shard_handles
+        ]
         tracer = current_tracer()
         if tracer is not None:
             tracer.count("train.shard_dispatches", len(futures))

@@ -71,6 +71,14 @@ class TestRunCommand:
         assert main(["run", str(spec_path), "--workers", "-2"]) == 2
         assert "execution.workers" in capsys.readouterr().err
 
+    def test_thread_backend_override_exits_2(self, capsys, tmp_path):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(
+            ExperimentSpec.from_dict({"workload": "area"}).to_json()
+        )
+        assert main(["run", str(spec_path), "--backend", "thread"]) == 2
+        assert "execution.backend" in capsys.readouterr().err
+
     def test_missing_spec_file_exits_2(self, capsys, tmp_path):
         assert main(["run", str(tmp_path / "nope.json")]) == 2
         assert "spec error" in capsys.readouterr().err

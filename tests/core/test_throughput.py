@@ -138,11 +138,11 @@ class TestStageNameUnion:
 
 
 class TestEndToEndWithWorkers:
-    def test_measure_throughput_records_sharded_mode(self):
+    def test_measure_throughput_records_sharded_mode(self, sharding):
         pipeline = BlissCamPipeline(ci(num_sequences=5, frames_per_sequence=6))
         pipeline.train([0, 1])
         record = measure_throughput(
-            pipeline, [2, 3, 4], repeats=1, workers=2
+            pipeline, [2, 3, 4], repeats=1, workers=2, **sharding
         )
         assert record["bitwise_identical"]
         assert record["workers"] == 2

@@ -150,7 +150,7 @@ class TestStagedEqualsPreRefactor:
             r["roi_iou"] for r in ref_records if r["roi_iou"] is not None
         ]
 
-    def test_strategy_parity(self):
+    def test_strategy_parity(self, sharding):
         """``evaluate_strategy`` on the engine == the pre-refactor harness
         loop, for both a stochastic and a stateful (SKIP) strategy.
 
@@ -251,7 +251,7 @@ class TestStagedEqualsPreRefactor:
 
             # Engine-backed harness with identically seeded inputs, in
             # every execution mode.
-            for mode in ({}, {"batched": True}, {"workers": 2}):
+            for mode in ({}, {"batched": True}, {"workers": 2, **sharding}):
                 est_new = FittedGazeEstimator()
                 est_new.fit(segs, gazes)
                 result = evaluate_strategy(

@@ -1,10 +1,10 @@
-"""Executor backends: every backend bitwise == the in-process reference.
+"""Executor backends: every backend bitwise == the serial run.
 
 The :class:`~repro.engine.executors.ExecutorBackend` protocol is the
 seam every sharded path dispatches through; these tests pin the
-contract (submit/map/shutdown/max_workers), the four backends' parity
-on a real staged-engine run, and the file-queue backend's
-self-containment (jobs round-trip through spooled files only).
+contract (submit/map/shutdown/max_workers), both backends' parity on a
+real staged-engine run, and the file-queue backend's self-containment
+(jobs round-trip through spooled files only).
 """
 
 import glob
@@ -16,7 +16,6 @@ import pytest
 from repro.engine import (
     EXECUTOR_BACKENDS,
     FileQueueBackend,
-    InProcessExecutor,
     SequenceRunner,
     Stage,
     make_executor,
@@ -60,18 +59,16 @@ class TestProtocolContract:
         finally:
             ex.shutdown(wait=True)
 
-    @pytest.mark.parametrize("backend", ("in_process", "thread", "file_queue"))
+    @pytest.mark.parametrize("backend", ("process_pool", "file_queue"))
     def test_submit_after_shutdown_raises(self, backend):
         ex = make_executor(backend, 2)
         ex.shutdown(wait=True)
         with pytest.raises(RuntimeError):
             ex.submit(_square, 1)
 
-    def test_worker_exception_reaches_the_future(self):
-        ex = InProcessExecutor(2)
+    def test_worker_exception_reaches_the_future(self, sharding):
         with pytest.raises(ValueError, match="worker-side failure"):
-            ex.submit(_boom).result()
-        ex.shutdown()
+            sharding["executor"].submit(_boom).result(timeout=30)
 
     def test_file_queue_ships_tracebacks(self):
         ex = FileQueueBackend(max_workers=1)
@@ -87,16 +84,14 @@ class TestProtocolContract:
         with pytest.raises(ValueError, match="unknown executor backend"):
             make_executor("slurm", 2)
 
-    def test_in_process_results_arrive_in_submission_order(self):
-        ex = InProcessExecutor(4)
-        futures = [ex.submit(_square, i) for i in range(10)]
-        assert [f.result() for f in futures] == [i * i for i in range(10)]
-        ex.shutdown()
+    def test_results_arrive_in_submission_order(self, sharding):
+        futures = [sharding["executor"].submit(_square, i) for i in range(10)]
+        assert [f.result(30) for f in futures] == [i * i for i in range(10)]
 
 
 class TestEngineParity:
-    """The acceptance pin: all four backends == serial reference on a
-    real staged run (shards + transport + fixed-order merge)."""
+    """The acceptance pin: both backends == serial reference on a real
+    staged run (shards + transport + fixed-order merge)."""
 
     @pytest.fixture(scope="class")
     def reference(self):
@@ -104,18 +99,26 @@ class TestEngineParity:
         run = SequenceRunner([Probe()]).run(sequences)
         return sequences, _contexts(run)
 
-    @pytest.mark.parametrize(
-        "backend", ("in_process", "thread", "process_pool", "file_queue")
-    )
-    def test_backend_bitwise_identical_to_serial(self, backend, reference):
+    @pytest.mark.parametrize("backend", ("process_pool", "file_queue"))
+    def test_backend_bitwise_identical_to_serial(
+        self, backend, reference, sharding
+    ):
         sequences, expected = reference
-        ex = make_executor(backend, 2)
-        try:
+        if backend == "process_pool":
             run = SequenceRunner([Probe()]).run(
-                sequences, workers=2, executor=ex
+                sequences, workers=2, **sharding
             )
-        finally:
-            ex.shutdown(wait=True)
+        else:
+            ex = make_executor(backend, 2)
+            try:
+                run = SequenceRunner([Probe()]).run(
+                    sequences,
+                    workers=2,
+                    executor=ex,
+                    transport=sharding["transport"],
+                )
+            finally:
+                ex.shutdown(wait=True)
         assert _contexts(run) == expected
         assert run.stage_timings["probe"].frames == len(sequences) * 3
 

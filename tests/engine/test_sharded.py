@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core import BlissCamPipeline, ci, evaluate_strategy, make_strategy
-from repro.engine import SequenceRunner, Stage, contiguous_shards, shard_executor
+from repro.engine import SequenceRunner, Stage, contiguous_shards
 from repro.engine.runner import STEAL_FACTOR
 
 
@@ -96,24 +96,28 @@ class TestShardedRunner:
         assert run.workers == 1
         assert len(run.contexts) == 3
 
-    def test_sequence_major_order_across_shards(self):
+    def test_sequence_major_order_across_shards(self, sharding):
         run = SequenceRunner([Probe()]).run(
-            [(i, Seq()) for i in (7, 3, 9, 5, 2)], workers=2
+            [(i, Seq()) for i in (7, 3, 9, 5, 2)], workers=2, **sharding
         )
         assert run.workers == 2
         assert [(c.seq_index, c.t) for c in run.contexts] == [
             (i, t) for i in (7, 3, 9, 5, 2) for t in range(3)
         ]
 
-    def test_workers_clamped_to_sequence_count(self):
-        run = SequenceRunner([Probe()]).run([(0, Seq()), (1, Seq())], workers=8)
+    def test_workers_clamped_to_sequence_count(self, sharding):
+        run = SequenceRunner([Probe()]).run(
+            [(0, Seq()), (1, Seq())], workers=8, **sharding
+        )
         assert run.workers == 2
         assert len(run.contexts) == 6
 
-    def test_timings_summed_over_shards(self):
+    def test_timings_summed_over_shards(self, sharding):
         sequences = [(i, Seq()) for i in range(4)]
         solo = SequenceRunner([Probe()]).run(sequences)
-        sharded = SequenceRunner([Probe()]).run(sequences, workers=2)
+        sharded = SequenceRunner([Probe()]).run(
+            sequences, workers=2, **sharding
+        )
         assert sharded.stage_timings["probe"].frames == (
             solo.stage_timings["probe"].frames
         )
@@ -122,44 +126,46 @@ class TestShardedRunner:
         )
         assert sharded.stage_timings["probe"].seconds > 0
 
-    def test_empty_sequence_list(self):
-        run = SequenceRunner([Probe()]).run([], workers=4)
+    def test_empty_sequence_list(self, sharding):
+        run = SequenceRunner([Probe()]).run([], workers=4, **sharding)
         assert run.contexts == []
         assert run.workers == 1
 
-    def test_injected_executor_without_workers_rejected(self):
+    def test_injected_executor_without_workers_rejected(self, sharding):
         # Silently ignoring an injected pool (and running in-process)
         # would defeat the caller's parallelism intent — fail loudly.
-        with shard_executor(2) as pool:
-            with pytest.raises(ValueError, match="workers >= 2"):
-                SequenceRunner([Probe()]).run([(0, Seq())], executor=pool)
-            with pytest.raises(ValueError, match="workers >= 2"):
-                SequenceRunner([Probe()]).run(
-                    [(0, Seq())], workers=1, executor=pool
-                )
+        pool = sharding["executor"]
+        with pytest.raises(ValueError, match="workers >= 2"):
+            SequenceRunner([Probe()]).run([(0, Seq())], executor=pool)
+        with pytest.raises(ValueError, match="workers >= 2"):
+            SequenceRunner([Probe()]).run(
+                [(0, Seq())], workers=1, executor=pool
+            )
 
-    def test_injected_executor_matches_per_call_pool(self):
-        """An injected (persistent) pool with work-stealing shards is
-        invisible in the results: same sequence-major order, same
-        contents, same summed timing counts as the per-call pool."""
+    def test_injected_executor_matches_in_process(self, sharding):
+        """The persistent pool with work-stealing shards is invisible in
+        the results: same sequence-major order, same contents, same
+        summed timing counts as the in-process run — on first use and on
+        reuse."""
         sequences = [(i, Seq()) for i in (7, 3, 9, 5, 2, 8, 1)]
-        per_call = SequenceRunner([Probe()]).run(sequences, workers=2)
-        with shard_executor(2) as pool:
-            injected = SequenceRunner([Probe()]).run(
-                sequences, workers=2, executor=pool
-            )
-            again = SequenceRunner([Probe()]).run(
-                sequences, workers=2, executor=pool
-            )
+        solo = SequenceRunner([Probe()]).run(sequences)
+        injected = SequenceRunner([Probe()]).run(
+            sequences, workers=2, **sharding
+        )
+        again = SequenceRunner([Probe()]).run(
+            sequences, workers=2, **sharding
+        )
         for run in (injected, again):
             assert [(c.seq_index, c.t, c.gaze_pred) for c in run.contexts] == [
-                (c.seq_index, c.t, c.gaze_pred) for c in per_call.contexts
+                (c.seq_index, c.t, c.gaze_pred) for c in solo.contexts
             ]
             assert run.stage_timings["probe"].frames == (
-                per_call.stage_timings["probe"].frames
+                solo.stage_timings["probe"].frames
             )
 
-    def test_steal_factor_oversubscription_preserves_merge_order(self):
+    def test_steal_factor_oversubscription_preserves_merge_order(
+        self, sharding
+    ):
         """Work-stealing shards (workers * STEAL_FACTOR pieces) over
         sequences of *unequal* lengths still merge sequence-major: short
         shards finish early and out of submission order, but the parent
@@ -168,10 +174,9 @@ class TestShardedRunner:
         lengths = [9, 1, 7, 2, 8, 1, 6, 3, 5, 2, 4, 1]
         sequences = [(i, VarSeq(n)) for i, n in enumerate(lengths)]
         reference = SequenceRunner([Probe()]).run(sequences)
-        with shard_executor(2) as pool:
-            stolen = SequenceRunner([Probe()]).run(
-                sequences, workers=2, executor=pool
-            )
+        stolen = SequenceRunner([Probe()]).run(
+            sequences, workers=2, **sharding
+        )
         # Oversubscription actually engaged: more shards than workers.
         assert stolen.transport["dispatches"] == min(
             len(sequences), 2 * STEAL_FACTOR
@@ -183,33 +188,41 @@ class TestShardedRunner:
             (i, t) for i, n in enumerate(lengths) for t in range(n)
         ]
 
-    def test_sharded_merge_drops_intermediates_when_asked(self):
+    def test_sharded_merge_drops_intermediates_when_asked(self, sharding):
         """retain_intermediates=False must hold across the shard merge:
         workers release bulky per-frame products before contexts cross
         back to the parent, so merges ship results, not frame data."""
         sequences = [(i, Seq()) for i in range(4)]
         slim = SequenceRunner([FatProbe()], retain_intermediates=False).run(
-            sequences, workers=2
+            sequences, workers=2, **sharding
         )
-        fat = SequenceRunner([FatProbe()]).run(sequences, workers=2)
+        fat = SequenceRunner([FatProbe()]).run(
+            sequences, workers=2, **sharding
+        )
         assert all(c.readout is None for c in slim.contexts)
         assert all(c.gaze_pred is not None for c in slim.contexts)
         assert all(c.readout is not None for c in fat.contexts)
 
 
 class TestShardedTracking:
-    def test_three_modes_cross_checked_bitwise(self, trained_pipeline):
+    def test_three_modes_cross_checked_bitwise(
+        self, trained_pipeline, sharding
+    ):
         """Sequential, batched lockstep and sharded (and their
         composition) all produce identical evaluation results."""
         indices = [2, 3, 4, 5]
         seq = trained_pipeline.evaluate(indices)
         runs = {
             "batched": trained_pipeline.evaluate(indices, batched=True),
-            "sharded": trained_pipeline.evaluate(indices, workers=2),
-            "sharded+batched": trained_pipeline.evaluate(
-                indices, workers=2, batched=True
+            "sharded": trained_pipeline.evaluate(
+                indices, workers=2, **sharding
             ),
-            "sharded x3": trained_pipeline.evaluate(indices, workers=3),
+            "sharded+batched": trained_pipeline.evaluate(
+                indices, workers=2, batched=True, **sharding
+            ),
+            "sharded x3": trained_pipeline.evaluate(
+                indices, workers=3, **sharding
+            ),
         }
         for name, other in runs.items():
             assert np.array_equal(seq.predictions, other.predictions), name
@@ -222,14 +235,18 @@ class TestShardedTracking:
             assert seq.horizontal == other.horizontal, name
             assert seq.vertical == other.vertical, name
 
-    def test_sharded_with_reuse_window(self, trained_pipeline):
+    def test_sharded_with_reuse_window(self, trained_pipeline, sharding):
         seq = trained_pipeline.evaluate([2, 3, 4], reuse_window=4)
-        shard = trained_pipeline.evaluate([2, 3, 4], reuse_window=4, workers=2)
+        shard = trained_pipeline.evaluate(
+            [2, 3, 4], reuse_window=4, workers=2, **sharding
+        )
         assert np.array_equal(seq.predictions, shard.predictions)
         assert seq.stats.transmitted_bytes == shard.stats.transmitted_bytes
 
-    def test_sharded_stage_timings_cover_graph(self, trained_pipeline):
-        result = trained_pipeline.evaluate([2, 3, 4], workers=2)
+    def test_sharded_stage_timings_cover_graph(
+        self, trained_pipeline, sharding
+    ):
+        result = trained_pipeline.evaluate([2, 3, 4], workers=2, **sharding)
         assert set(result.stage_timings) == {
             "eventify", "roi", "sample", "readout", "segment", "gaze", "stats",
         }
@@ -239,7 +256,7 @@ class TestShardedTracking:
 
 class TestShardedStrategySweep:
     def test_fig15_sweep_matches_sequential_in_all_modes(
-        self, trained_pipeline
+        self, trained_pipeline, sharding
     ):
         """A Fig. 15-style sweep (several strategies, shared dataset) is
         bitwise-reproducible batched and sharded — the per-sequence
@@ -260,7 +277,7 @@ class TestShardedStrategySweep:
                     ("sequential", {}),
                     ("batched", {"batched": True}),
                     ("chunked", {"batched": True, "batch_size": 2}),
-                    ("sharded", {"workers": 2}),
+                    ("sharded", {"workers": 2, **sharding}),
                 ]
             }
             ref = results["sequential"]

@@ -78,7 +78,9 @@ class TestBatchedStagesRegistered:
 
 class TestStrategyGraphParity:
     @pytest.mark.parametrize("name", STRATEGY_NAMES)
-    def test_batched_and_sharded_equal_sequential(self, name, dataset, vit):
+    def test_batched_and_sharded_equal_sequential(
+        self, name, dataset, vit, sharding
+    ):
         """batched == sequential == sharded, bitwise, per strategy —
         across batch widths 1 (degenerate rank), 3 (partial rank) and
         full-rank lockstep."""
@@ -87,7 +89,7 @@ class TestStrategyGraphParity:
             {"batched": True, "batch_size": 1},
             {"batched": True, "batch_size": 3},
             {"batched": True},
-            {"workers": 2},
+            {"workers": 2, **sharding},
         ):
             _assert_same(ref, _run(name, dataset, vit, **kwargs), (name, kwargs))
 

@@ -8,9 +8,9 @@ What the transport layer guarantees (``repro.engine.transport``):
 * identical content is deduplicated (publish again -> same handle, no
   new segments) while in-place mutation — being *content*-addressed —
   naturally produces a fresh segment instead of a stale cache hit;
-* segment lifecycle is explicit: per-run channels unlink on teardown,
-  ``repro.api.Session``'s persistent channel unlinks on ``close()``, and
-  nothing is left behind in ``/dev/shm``.
+* segment lifecycle is explicit: ``repro.api.Session``'s channel (the
+  one the sharded paths publish on) unlinks on ``close()``, and nothing
+  is left behind in ``/dev/shm``.
 """
 
 import glob
@@ -25,9 +25,9 @@ from repro.engine import (
     Stage,
     TransportChannel,
     TransportError,
-    shard_executor,
     shm_available,
 )
+from repro.engine.runner import STEAL_FACTOR
 from repro.engine.transport import (
     MIN_SHM_ARRAY_BYTES,
     SEGMENT_PREFIX,
@@ -186,49 +186,50 @@ class TestLifecycle:
 
 
 class TestEngineIntegration:
-    def test_sharded_run_records_transport(self):
+    def test_sharded_run_records_transport(self, sharding):
         run = SequenceRunner([Probe()]).run(
-            [(i, Seq()) for i in range(4)], workers=2
+            [(i, Seq()) for i in range(4)], workers=2, **sharding
         )
         info = run.transport
         assert info is not None
         assert info["mode"] in ("shm", "pickle")
-        assert info["dispatches"] == 2
+        # The work-stealing cut: min(n, workers * STEAL_FACTOR) shards.
+        assert info["dispatches"] == min(4, 2 * STEAL_FACTOR)
         assert info["payload_bytes_per_dispatch"] > 0
 
     def test_in_process_run_has_no_transport(self):
         run = SequenceRunner([Probe()]).run([(0, Seq())])
         assert run.transport is None
 
-    def test_forced_pickle_transport_matches_shm(self):
+    def test_forced_pickle_transport_matches_shm(self, sharding):
+        # The channel's inline-pickle fallback (what runs where /dev/shm
+        # is missing) on the same injected executor.
         sequences = [(i, Seq()) for i in (7, 3, 9, 5)]
         reference = SequenceRunner([Probe()]).run(sequences)
-        shm = SequenceRunner([Probe()]).run(sequences, workers=2)
-        pickled = SequenceRunner([Probe()]).run(
-            sequences, workers=2, transport=False
-        )
+        shm = SequenceRunner([Probe()]).run(sequences, workers=2, **sharding)
+        with TransportChannel(use_shm=False) as channel:
+            pickled = SequenceRunner([Probe()]).run(
+                sequences,
+                workers=2,
+                executor=sharding["executor"],
+                transport=channel,
+            )
         assert pickled.transport["mode"] == "pickle"
+        assert pickled.transport["segment_bytes_written"] == 0
         for run in (shm, pickled):
             assert [(c.seq_index, c.t, c.gaze_pred) for c in run.contexts] == [
                 (c.seq_index, c.t, c.gaze_pred) for c in reference.contexts
             ]
 
     @needs_shm
-    def test_run_teardown_leaves_no_segments(self):
-        before = _live_segments()
-        SequenceRunner([Probe()]).run([(i, Seq()) for i in range(4)], workers=2)
-        assert _live_segments() <= before
-
-    @needs_shm
-    def test_persistent_channel_reuses_payload_bytes(self):
+    def test_persistent_channel_reuses_payload_bytes(self, sharding):
         sequences = [(i, Seq()) for i in range(4)]
-        with shard_executor(2) as pool, TransportChannel() as channel:
-            first = SequenceRunner([Probe()]).run(
-                sequences, workers=2, executor=pool, transport=channel
-            )
-            second = SequenceRunner([Probe()]).run(
-                sequences, workers=2, executor=pool, transport=channel
-            )
+        first = SequenceRunner([Probe()]).run(
+            sequences, workers=2, **sharding
+        )
+        second = SequenceRunner([Probe()]).run(
+            sequences, workers=2, **sharding
+        )
         # Steady state: every publish is a dedup hit, no new bytes move.
         assert second.transport["publish_reuses"] > 0
         assert second.transport["segment_bytes_written"] == 0

@@ -84,12 +84,9 @@ def test_micro_batch_dispatch_has_no_per_row_stage(serving):
         )
 
 
-def test_replica_partitioning_preserves_results(serving):
+def test_replica_partitioning_preserves_results(serving, sharding):
     single = serve(serving)
-    with Session() as session:
-        sharded = serve(
-            serving, workers=2, executor=session.executor(2)
-        )
+    sharded = serve(serving, workers=2, **sharding)
     assert sharded.workers == 2
     assert sorted(sharded.gaze_log) == sorted(single.gaze_log)
     # Uncontended fleet (no queueing interaction): merged replica

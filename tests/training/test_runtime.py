@@ -250,28 +250,36 @@ class TestBatchedSchedule:
         assert any(not np.array_equal(a[k], b[k]) for k in a)
 
 
+def _shard_kwargs(workers, sharding):
+    """``run()`` keyword arguments: in-process for ``None``, else the
+    shared pool and channel."""
+    return {} if workers is None else {"workers": workers, **sharding}
+
+
 class TestShardedTraining:
-    def _train(self, workers=None):
+    def _train(self, sharding, workers=None):
         dataset = tiny_dataset(num_sequences=3, frames=4)
         roi, vit = tiny_components()
         cfg = JointTrainConfig(epochs=2, batch_size=2, grad_accum=True)
         runner = TrainRunner(
             roi, vit, cfg, np.random.default_rng(SEED_RNG)
         )
-        result = runner.run(dataset, [0, 1, 2], workers=workers)
+        result = runner.run(
+            dataset, [0, 1, 2], **_shard_kwargs(workers, sharding)
+        )
         return roi.state_dict(), vit.state_dict(), result
 
-    def test_workers_two_bitwise_identical_to_in_process(self):
-        roi_a, vit_a, res_a = self._train(workers=None)
-        roi_b, vit_b, res_b = self._train(workers=2)
+    def test_workers_two_bitwise_identical_to_in_process(self, sharding):
+        roi_a, vit_a, res_a = self._train(sharding, workers=None)
+        roi_b, vit_b, res_b = self._train(sharding, workers=2)
         assert res_a.seg_losses == res_b.seg_losses
         assert res_a.roi_losses == res_b.roi_losses
         assert_states_equal(roi_a, roi_b)
         assert_states_equal(vit_a, vit_b)
 
-    def test_worker_count_never_changes_results(self):
-        roi_a, vit_a, res_a = self._train(workers=2)
-        roi_b, vit_b, res_b = self._train(workers=3)
+    def test_worker_count_never_changes_results(self, sharding):
+        roi_a, vit_a, res_a = self._train(sharding, workers=2)
+        roi_b, vit_b, res_b = self._train(sharding, workers=3)
         assert res_a.seg_losses == res_b.seg_losses
         assert_states_equal(roi_a, roi_b)
         assert_states_equal(vit_a, vit_b)
@@ -294,15 +302,17 @@ class TestShardedTraining:
         assert_states_equal(roi.state_dict(), before_roi)
         assert_states_equal(vit.state_dict(), before_vit)
 
-    def test_sharding_requires_grad_accum(self):
+    def test_sharding_requires_grad_accum(self, sharding):
         roi, vit = tiny_components()
         runner = TrainRunner(
             roi, vit, JointTrainConfig(epochs=1), np.random.default_rng(0)
         )
         with pytest.raises(ValueError, match="grad_accum"):
-            runner.run(tiny_dataset(), [0, 1], workers=2)
+            runner.run(tiny_dataset(), [0, 1], workers=2, **sharding)
 
-    def test_config_less_dataset_ships_inline_and_stays_bitwise(self):
+    def test_config_less_dataset_ships_inline_and_stays_bitwise(
+        self, sharding
+    ):
         # Duck-typed datasets without a reconstructing `config` fall back
         # to shipping the frame data to workers — same bits either way.
         class Wrapped:
@@ -318,13 +328,13 @@ class TestShardedTraining:
             roi, vit = tiny_components()
             cfg = JointTrainConfig(epochs=1, batch_size=2, grad_accum=True)
             TrainRunner(roi, vit, cfg, np.random.default_rng(7)).run(
-                dataset, [0, 1, 2], workers=workers
+                dataset, [0, 1, 2], **_shard_kwargs(workers, sharding)
             )
             return roi.state_dict()
 
         assert_states_equal(train(True, 2), train(False, None))
 
-    def test_mutated_sequences_are_honored_when_sharded(self):
+    def test_mutated_sequences_are_honored_when_sharded(self, sharding):
         # A materialized-then-mutated sequence must reach the workers
         # as-is (inline shipping), not be silently re-rendered pristine
         # from the config — sharded and in-process runs must train on
@@ -336,7 +346,9 @@ class TestShardedTraining:
             roi, vit = tiny_components()
             cfg = JointTrainConfig(epochs=1, batch_size=2, grad_accum=True)
             runner = TrainRunner(roi, vit, cfg, np.random.default_rng(9))
-            result = runner.run(ds, [0, 1, 2], workers=workers)
+            result = runner.run(
+                ds, [0, 1, 2], **_shard_kwargs(workers, sharding)
+            )
             return roi.state_dict(), result
 
         roi_a, res_a = train(None)
@@ -344,7 +356,7 @@ class TestShardedTraining:
         assert res_a.roi_losses == res_b.roi_losses
         assert_states_equal(roi_a, roi_b)
 
-    def test_sharding_with_substituted_loss_rejected(self):
+    def test_sharding_with_substituted_loss_rejected(self, sharding):
         # Workers rebuild the canonical kernels; a substituted loss
         # would be silently ignored there, breaking the worker-count
         # neutrality contract — so run() must refuse.
@@ -363,9 +375,9 @@ class TestShardedTraining:
             seg_loss=WeightedCE(),
         )
         with pytest.raises(ValueError, match="canonical"):
-            runner.run(tiny_dataset(), [0, 1], workers=2)
+            runner.run(tiny_dataset(), [0, 1], workers=2, **sharding)
 
-    def test_sharding_with_mismatched_soft_mask_rejected(self):
+    def test_sharding_with_mismatched_soft_mask_rejected(self, sharding):
         # A canonical-*type* mask with a different tau would also
         # silently diverge (workers rebuild from config.tau) — the guard
         # must compare parameters, not just types.
@@ -376,7 +388,7 @@ class TestShardedTraining:
             soft_mask=SoftROIMask(SIZE, SIZE, tau=0.5),
         )
         with pytest.raises(ValueError, match="canonical"):
-            runner.run(tiny_dataset(), [0, 1], workers=2)
+            runner.run(tiny_dataset(), [0, 1], workers=2, **sharding)
 
     def test_executor_without_workers_rejected(self):
         roi, vit = tiny_components()
