@@ -20,22 +20,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-try:  # scipy is an *optional* extra (install blisscam-repro[analysis]);
-    # this offline analysis module is its only consumer — the training
-    # hot path's grey morphology moved to repro.nn.functional.
-    from scipy.stats import norm
-except ImportError:  # pragma: no cover - exercised in scipy-less envs
-    norm = None
-
 __all__ = ["EventificationErrorModel", "adc_code_error_probability"]
 
 
-def _require_scipy() -> None:
-    if norm is None:
+def _norm():
+    """``scipy.stats.norm``, imported on the first Gaussian-tail query.
+
+    scipy is an *optional* extra (install blisscam-repro[analysis]) and
+    this offline analysis module is its only consumer; importing it
+    lazily keeps its ~1 s import out of ``import repro``.
+    """
+    try:
+        from scipy.stats import norm
+    except ImportError as exc:
         raise ImportError(
             "the eventification noise analysis needs scipy; install the "
             "optional extra: pip install blisscam-repro[analysis]"
-        )
+        ) from exc
+    return norm
 
 
 @dataclass(frozen=True)
@@ -61,7 +63,7 @@ class EventificationErrorModel:
         """
         if self.noise_rms == 0:
             return 0.0 if abs(true_diff) <= self.sigma else 1.0
-        _require_scipy()
+        norm = _norm()
         upper = norm.sf((self.sigma - true_diff) / self.noise_rms)
         lower = norm.cdf((-self.sigma - true_diff) / self.noise_rms)
         return float(upper + lower)
@@ -99,8 +101,7 @@ class EventificationErrorModel:
         """
         if not 0 < false_rate_budget < 1:
             raise ValueError("budget must be in (0, 1)")
-        _require_scipy()
-        z = norm.isf(false_rate_budget / 2)
+        z = _norm().isf(false_rate_budget / 2)
         return self.sigma / z
 
 
@@ -112,7 +113,6 @@ def adc_code_error_probability(noise_rms: float, bit_depth: int = 10) -> float:
         raise ValueError("bit depth must be >= 1")
     if noise_rms == 0:
         return 0.0
-    _require_scipy()
     lsb = 1.0 / (2**bit_depth - 1)
     # The ramp crossing shifts by n; an error needs |n| > LSB/2.
-    return float(2 * norm.sf((lsb / 2) / noise_rms))
+    return float(2 * _norm().sf((lsb / 2) / noise_rms))

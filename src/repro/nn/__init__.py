@@ -3,7 +3,8 @@
 This subpackage substitutes for PyTorch in the BlissCam reproduction: it
 provides every building block the paper's networks need (convolutions,
 multi-head attention, layer/batch norm, GELU, cross-entropy/MSE losses,
-Adam/SGD) with full backpropagation, implemented purely in numpy.
+Adam over a flat parameter arena) with full backpropagation, implemented
+purely in numpy.
 """
 
 from repro.nn.activations import GELU, Identity, LeakyReLU, ReLU, Sigmoid, Tanh
@@ -19,7 +20,7 @@ from repro.nn.layers import Dropout, Flatten, Linear, Residual
 from repro.nn.losses import CrossEntropyLoss, MSELoss
 from repro.nn.module import Module, Parameter, Sequential
 from repro.nn.norm import BatchNorm2d, LayerNorm
-from repro.nn.optim import SGD, Adam, clip_grad_norm, cosine_schedule, step_schedule
+from repro.nn.optim import Adam, cosine_schedule, step_schedule
 from repro.nn.quantize import dequantize_tensor, quantize_module, quantize_tensor
 from repro.nn.serialize import load_checkpoint, save_checkpoint
 
@@ -49,9 +50,7 @@ __all__ = [
     "TransformerBlock",
     "CrossEntropyLoss",
     "MSELoss",
-    "SGD",
     "Adam",
-    "clip_grad_norm",
     "cosine_schedule",
     "step_schedule",
     "save_checkpoint",

@@ -46,7 +46,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.nn import Adam, CrossEntropyLoss, MSELoss, clip_grad_norm
+from repro.nn import Adam, CrossEntropyLoss, MSELoss
 from repro.obs.tracer import current_tracer
 from repro.nn.functional import grey_dilation, grey_erosion
 from repro.sampling.eventification import eventify
@@ -168,13 +168,12 @@ def _rank_backward(
     seg_loss,
     roi_loss,
     soft_mask: SoftROIMask,
-    zero_grads: bool,
 ) -> tuple[float, float]:
     """One minibatch through the joint pipeline as a single rank.
 
-    Leaves the parameter gradients of both networks populated (fresh
-    when ``zero_grads``, accumulated on top of the existing ones
-    otherwise) and returns ``(seg_loss, roi_loss)`` — the minibatch-mean
+    Accumulates the minibatch's parameter gradients of both networks on
+    top of the existing ones (callers zero them first when they want
+    fresh ones) and returns ``(seg_loss, roi_loss)`` — the minibatch-mean
     segmentation cross entropy and the mean ROI regression error over
     the box-supervised samples (0.0 when none are).
 
@@ -236,8 +235,6 @@ def _rank_backward(
     seg_loss_val = seg_loss.forward(logits, targets)
     grad_logits = seg_loss.backward()
 
-    if zero_grads:
-        segmenter.zero_grad()
     grad_pix, grad_bit = segmenter.backward_to_input(grad_logits)
 
     # Chain rule into the soft mask, gradient-masked to sampled pixels
@@ -246,8 +243,6 @@ def _rank_backward(
     grad_box_seg = soft_mask.backward_batch(grad_soft)
 
     total_grad_box = grad_box_mse + config.seg_to_roi_weight * grad_box_seg
-    if zero_grads:
-        roi_predictor.zero_grad()
     roi_predictor.backward(total_grad_box)
     return seg_loss_val, float(roi_loss_val)
 
@@ -259,8 +254,10 @@ class _SequenceGrads:
     shards, so any shard geometry reduces identically)."""
 
     seq_index: int
-    roi_grads: list[np.ndarray]
-    seg_grads: list[np.ndarray]
+    #: Each network's gradients, flattened and concatenated in
+    #: ``parameters()`` order (the layout of its optimizer's arena).
+    roi_grad: np.ndarray
+    seg_grad: np.ndarray
     seg_sum: float
     roi_sum: float
     ranks: int
@@ -301,19 +298,23 @@ def _sequence_gradients(
             seg_loss,
             roi_loss,
             soft_mask,
-            zero_grads=False,
         )
         seg_sum += seg_l
         roi_sum += roi_l
         ranks += 1
     return _SequenceGrads(
         seq_index=seq_index,
-        roi_grads=[p.grad.copy() for p in roi_predictor.parameters()],
-        seg_grads=[p.grad.copy() for p in segmenter.parameters()],
+        roi_grad=_flat_grad(roi_predictor),
+        seg_grad=_flat_grad(segmenter),
         seg_sum=seg_sum,
         roi_sum=roi_sum,
         ranks=ranks,
     )
+
+
+def _flat_grad(module) -> np.ndarray:
+    """A copy of ``module``'s gradients, concatenated in parameter order."""
+    return np.concatenate([p.grad.ravel() for p in module.parameters()])
 
 
 def _dataset_cache_key(dataset_type, dataset_cfg) -> tuple:
@@ -583,6 +584,8 @@ class TrainRunner:
         cfg = self.config
         seg_total, roi_total, steps = 0.0, 0.0, 0
         for rank in batched(samples, cfg.batch_size):
+            self.opt_roi.zero_grad()
+            self.opt_seg.zero_grad()
             seg_l, roi_l = _rank_backward(
                 self.roi_predictor,
                 self.segmenter,
@@ -593,10 +596,9 @@ class TrainRunner:
                 self.seg_loss,
                 self.roi_loss,
                 self.soft_mask,
-                zero_grads=True,
             )
-            clip_grad_norm(self.roi_predictor.parameters(), cfg.grad_clip)
-            clip_grad_norm(self.segmenter.parameters(), cfg.grad_clip)
+            self.opt_roi.clip_grad_norm(cfg.grad_clip)
+            self.opt_seg.clip_grad_norm(cfg.grad_clip)
             self.opt_roi.step()
             self.opt_seg.step()
             seg_total += seg_l
@@ -620,8 +622,17 @@ class TrainRunner:
         cfg = self.config
         n_workers = min(workers, len(indices))
         result = JointTrainResult()
-        roi_params = self.roi_predictor.parameters()
-        seg_params = self.segmenter.parameters()
+        # The reduction writes each network's flat gradient sum straight
+        # into its optimizer's arena, so the layouts must agree.
+        for net, opt in (
+            (self.roi_predictor, self.opt_roi),
+            (self.segmenter, self.opt_seg),
+        ):
+            if list(map(id, opt.params)) != list(map(id, net.parameters())):
+                raise ValueError(
+                    f"the data-parallel schedule needs an optimizer over "
+                    f"exactly {type(net).__name__}.parameters(), in order"
+                )
         # Shard *specs* are fixed for the whole run (sharded rebuild mode
         # never renders the training sequences in the parent at all) and
         # ship once, into slots a later training run on the same channel
@@ -654,7 +665,7 @@ class TrainRunner:
             with epoch_span:
                 self._accumulate_epoch(
                     dataset, indices, shard_handles, transport, epoch,
-                    executor, roi_params, seg_params, result,
+                    executor, result,
                 )
         return result
 
@@ -696,8 +707,6 @@ class TrainRunner:
         channel,
         epoch: int,
         executor,
-        roi_params,
-        seg_params,
         result: JointTrainResult,
     ) -> None:
         """One data-parallel epoch: reduce per-sequence sums, step once.
@@ -731,14 +740,12 @@ class TrainRunner:
         # Fixed-order reduction: per-sequence sums added in sequence
         # order — the bits cannot depend on which worker computed
         # which shard (or on the worker count at all).
-        roi_total = [np.zeros_like(p.data) for p in roi_params]
-        seg_total = [np.zeros_like(p.data) for p in seg_params]
+        roi_total = np.zeros_like(self.opt_roi.grad)
+        seg_total = np.zeros_like(self.opt_seg.grad)
         seg_sum, roi_sum, ranks = 0.0, 0.0, 0
         for grads in per_seq:
-            for acc, grad in zip(roi_total, grads.roi_grads):
-                acc += grad
-            for acc, grad in zip(seg_total, grads.seg_grads):
-                acc += grad
+            roi_total += grads.roi_grad
+            seg_total += grads.seg_grad
             seg_sum += grads.seg_sum
             roi_sum += grads.roi_sum
             ranks += grads.ranks
@@ -752,12 +759,10 @@ class TrainRunner:
             result.roi_losses.append(0.0)
             return
         scale = 1.0 / ranks
-        for param, grad in zip(roi_params, roi_total):
-            param.grad[...] = grad * scale
-        for param, grad in zip(seg_params, seg_total):
-            param.grad[...] = grad * scale
-        clip_grad_norm(roi_params, cfg.grad_clip)
-        clip_grad_norm(seg_params, cfg.grad_clip)
+        np.multiply(roi_total, scale, out=self.opt_roi.grad)
+        np.multiply(seg_total, scale, out=self.opt_seg.grad)
+        self.opt_roi.clip_grad_norm(cfg.grad_clip)
+        self.opt_seg.clip_grad_norm(cfg.grad_clip)
         self.opt_roi.step()
         self.opt_seg.step()
         result.seg_losses.append(seg_sum / ranks)
@@ -852,9 +857,9 @@ def run_segmentation_epochs(
                 logits = model(frames, masks)
                 loss_mask = masks if supervise_sampled_only else None
                 loss = loss_fn.forward(logits, targets, mask=loss_mask)
-                model.zero_grad()
+                optimizer.zero_grad()
                 model.backward(loss_fn.backward())
-                clip_grad_norm(model.parameters(), grad_clip)
+                optimizer.clip_grad_norm(grad_clip)
                 optimizer.step()
                 epoch_loss += loss
                 num_batches += 1

@@ -1,10 +1,14 @@
 """Tests for the eventification noise analysis and the power-budget model."""
 
+import importlib.util
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from repro.hardware.power_budget import HeadsetBudget
-from repro.hardware.sensor import noise_analysis
 from repro.hardware.sensor.noise_analysis import (
     EventificationErrorModel,
     adc_code_error_probability,
@@ -15,7 +19,7 @@ from repro.hardware.sensor.noise_analysis import (
 #: validation checks (which raise *before* the scipy requirement) run
 #: everywhere, pinning the scipy-less behavior this repo supports.
 needs_scipy = pytest.mark.skipif(
-    noise_analysis.norm is None, reason="scipy not installed"
+    importlib.util.find_spec("scipy") is None, reason="scipy not installed"
 )
 
 
@@ -25,6 +29,14 @@ def test_scipy_is_optional():
     model = EventificationErrorModel(noise_rms=0.0, sigma=15 / 255)
     assert model.false_event_probability(0.0) == 0.0
     assert adc_code_error_probability(0.0) == 0.0
+
+
+def test_import_does_not_load_scipy():
+    # scipy is imported on the first Gaussian-tail query, not with the
+    # package: it used to be most of `import repro.api`'s wall time.
+    probe = "import sys, repro.api; assert 'scipy' not in sys.modules"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    subprocess.run([sys.executable, "-c", probe], env=env, check=True)
 
 
 class TestEventificationErrorModel:

@@ -13,7 +13,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import Adam, CrossEntropyLoss, MSELoss, clip_grad_norm
+from repro.nn import Adam, CrossEntropyLoss, MSELoss
 from repro.nn.functional import grey_dilation, grey_erosion
 from repro.sampling import ROIPredictor
 from repro.sampling.eventification import eventify
@@ -53,6 +53,17 @@ def tiny_dataset(num_sequences=2, frames=5):
             num_sequences=num_sequences,
         )
     )
+
+
+def clip_grad_norm(params, max_norm):
+    """The retired per-parameter gradient clip (``Optimizer.clip_grad_norm``
+    reproduces its bits over the flat arena)."""
+    total = np.sqrt(sum(float(np.sum(p.grad**2)) for p in params))
+    if total > max_norm and total > 0:
+        scale = max_norm / total
+        for p in params:
+            p.grad *= scale
+    return total
 
 
 def reference_joint_train(roi, vit, cfg, dataset, indices, seed):
@@ -301,6 +312,19 @@ class TestShardedTraining:
         assert result.roi_losses == [0.0, 0.0]
         assert_states_equal(roi.state_dict(), before_roi)
         assert_states_equal(vit.state_dict(), before_vit)
+
+    def test_optimizer_not_matching_the_network_is_rejected(self):
+        # The reduction writes the flat gradient sum straight into the
+        # optimizer's arena, laid out in the network's parameter order.
+        roi, vit = tiny_components()
+        runner = TrainRunner(
+            roi, vit,
+            JointTrainConfig(epochs=1, grad_accum=True),
+            np.random.default_rng(0),
+            opt_seg=Adam(vit.parameters()[::-1]),
+        )
+        with pytest.raises(ValueError, match="ViTSegmenter.parameters"):
+            runner.run(tiny_dataset(), [0, 1])
 
     def test_sharding_requires_grad_accum(self, sharding):
         roi, vit = tiny_components()
