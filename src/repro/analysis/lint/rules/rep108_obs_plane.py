@@ -14,9 +14,10 @@ wall-clock read confined to the single declared seam
    (``current_tracer``/``install_tracer``) emits spans into a tracer
    that does not exist in the child process — the spans silently
    vanish, or worse, land on a fork-inherited tracer and double-count.
-   Cross-process spans must travel the spooled merge path
-   (``repro.obs.spool.capture_job`` in the worker, ``drain_spans`` on
-   the submit side), which is what ``_file_queue_worker`` does.
+   Cross-process spans must travel the pool capture: the pool runs a
+   traced job under ``repro.obs.capture.capture_job``, which returns
+   the job's records with its result, and the submit side merges them
+   as the result is consumed (``ProcessPoolBackend.submit``).
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ class ObsPlaneRule(Rule):
     rationale = (
         "The trace's deterministic plane is byte-pinned: wall-clock "
         "reads in repro.obs belong only in wall.py, and worker entry "
-        "points must spool spans through capture_job, never touch the "
+        "points must return spans through capture_job, never touch the "
         "ambient tracer of a process they do not own."
     )
 
@@ -113,8 +114,9 @@ class ObsPlaneRule(Rule):
                         module,
                         node,
                         f"{name.rsplit('.', 1)[1]}() inside worker entry "
-                        f"point {func_node.name!r} bypasses the spooled "
-                        "merge path — worker spans must go through "
-                        "repro.obs.spool.capture_job so the submit side "
-                        "can drain and re-parent them",
+                        f"point {func_node.name!r} bypasses the pool "
+                        "capture — worker spans must go through "
+                        "repro.obs.capture.capture_job, which returns "
+                        "them with the job's result for the submit side "
+                        "to merge and re-parent",
                     )

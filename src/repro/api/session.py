@@ -3,10 +3,10 @@
 A :class:`Session` owns the expensive, reusable state that the ad-hoc
 entry points used to rebuild per call:
 
-* **persistent executor backends** (one live backend per
-  ``execution.backend`` kind — see :mod:`repro.engine.executors`) and
-  one **transport channel**, created on first sharded run and reused by
-  every subsequent run — the only way the sharded paths dispatch;
+* one **persistent process pool** (see :mod:`repro.engine.executors`)
+  and one **transport channel**, created on first sharded run and
+  reused by every subsequent run — the only way the sharded paths
+  dispatch;
 * **memoized trained pipelines** keyed by the spec's training-relevant
   section hash, so two specs that differ only in execution mode share
   one joint training (and the sensor templates cached inside it);
@@ -22,7 +22,7 @@ entry points used to rebuild per call:
   ``RunResult``\\ s keyed by the spec hash.
 
 ``Session.run`` validates the spec, dispatches to the registered
-workload, and stamps provenance (spec hash, seed, workers, backend, git
+workload, and stamps provenance (spec hash, seed, workers, git
 describe, the ``cache_hits`` the run skipped work for, the full spec)
 onto the returned :class:`~repro.api.result.RunResult`.
 """
@@ -38,8 +38,7 @@ from dataclasses import replace
 from repro.api.result import RunResult, git_describe
 from repro.api.spec import ExperimentSpec, SpecError
 from repro.core import BlissCamPipeline, ci, paper
-from repro.engine import TransportChannel
-from repro.engine.executors import make_executor
+from repro.engine import ProcessPoolBackend, TransportChannel
 from repro.obs.tracer import TRACE_FORMAT_VERSION, Tracer, install_tracer
 from repro.store import ArtifactStore, StoreError, canonical_key
 from repro.synth import GazeDynamicsConfig
@@ -150,11 +149,10 @@ def _pickled_nbytes(value: Any) -> int:
 class Session:
     """A reusable runtime: ``run()`` as many specs as you like, cheaply.
 
-    Usable as a context manager; :meth:`close` shuts the executor
-    backends down.  All in-memory caches are per-session — two sessions
-    share nothing — but an attached :class:`~repro.store.ArtifactStore`
-    is durable state *across* sessions: that is what makes a killed
-    sweep resumable.
+    Usable as a context manager; :meth:`close` shuts the pool down.
+    All in-memory caches are per-session — two sessions share nothing —
+    but an attached :class:`~repro.store.ArtifactStore` is durable state
+    *across* sessions: that is what makes a killed sweep resumable.
     """
 
     def __init__(
@@ -173,8 +171,8 @@ class Session:
         * a :class:`~repro.obs.Tracer` — record into the caller's tracer
           across runs; the caller owns the export (no sink is written).
         """
-        #: One live backend per ``execution.backend`` kind, grow-only.
-        self._executors: dict[str, Any] = {}
+        #: The live process pool, grow-only (``None`` until sharded).
+        self._pool: ProcessPoolBackend | None = None
         self._transport = None
         self._closed = False
         self._memo: dict[Any, Any] = {}
@@ -207,26 +205,28 @@ class Session:
             "store_hydrations": 0,
         }
 
-    # -- persistent executor backends ----------------------------------------
-    def executor(self, workers: int, backend: str = "process_pool"):
-        """The session's live backend of the given kind, grown to at
-        least ``workers``; ``None`` for in-process runs (``workers < 2``
-        or ``backend == "in_process"`` — the serial reference path).
+    # -- the persistent process pool -----------------------------------------
+    def executor(self, workers: int) -> ProcessPoolBackend | None:
+        """The session's live pool, grown to at least ``workers``;
+        ``None`` for in-process runs (``workers < 2`` — the serial
+        reference path).
 
-        Grow-only per backend: asking for fewer workers than the current
-        backend has reuses the bigger one (idle workers are cheap,
-        re-forking is the cost this session exists to amortize).
-        Growing drains the old backend first (``shutdown(wait=True)``)
-        so in-flight shard jobs complete before their pool goes away."""
+        Grow-only: asking for fewer workers than the current pool has
+        reuses the bigger one (idle workers are cheap, re-forking is the
+        cost this session exists to amortize).  Growing drains the old
+        pool first (``shutdown(wait=True)``) so in-flight shard jobs
+        complete before their pool goes away.  A pool broken by a dead
+        worker is replaced at its size, never handed out again; every
+        new pool counts in ``pools_created``."""
         self._check_open()
-        if workers < 2 or backend == "in_process":
+        if workers < 2:
             return None
-        current = self._executors.get(backend)
-        if current is None or workers > current.max_workers:
+        current = self._pool
+        if current is None or current.broken or workers > current.max_workers:
             if current is not None:
+                workers = max(workers, current.max_workers)
                 current.shutdown(wait=True)
-            current = make_executor(backend, workers)
-            self._executors[backend] = current
+            self._pool = current = ProcessPoolBackend(workers)
             self._counters["pools_created"] += 1
         return current
 
@@ -245,12 +245,10 @@ class Session:
 
     @property
     def pool_workers(self) -> int:
-        """Largest live backend size (0 = no backend yet).  May exceed
-        what the last run asked for — backends are grow-only — which
-        matters when interpreting timing comparisons."""
-        return max(
-            (ex.max_workers for ex in self._executors.values()), default=0
-        )
+        """Live pool size (0 = no pool yet).  May exceed what the last
+        run asked for — the pool is grow-only — which matters when
+        interpreting timing comparisons."""
+        return self._pool.max_workers if self._pool is not None else 0
 
     # -- observability ---------------------------------------------------------
     def stats(self) -> dict:
@@ -378,8 +376,8 @@ class Session:
             # Sharded training needs the data-parallel schedule; the
             # stepped schedule always trains in-process (workers only
             # accelerate evaluation there).  Either way the result is
-            # independent of the worker count *and* of the backend.
-            executor = self.executor(workers, spec.execution.backend)
+            # independent of the worker count.
+            executor = self.executor(workers)
             if config.joint.grad_accum and executor is not None:
                 shard_kwargs = {
                     "workers": workers,
@@ -408,9 +406,9 @@ class Session:
 
         Tracing (``execution.trace`` or the session's ``trace=``)
         installs a :class:`~repro.obs.Tracer` around the whole run —
-        including the resume fast path — drains file-queue worker span
-        spools afterwards, writes the JSONL sink and stamps a ``trace``
-        block into ``provenance``."""
+        including the resume fast path; pool workers' spans merge in as
+        their results are consumed — writes the JSONL sink and stamps a
+        ``trace`` block into ``provenance``."""
         self._check_open()
         if isinstance(spec, dict):
             spec = ExperimentSpec.from_dict(spec)
@@ -444,12 +442,6 @@ class Session:
                 spec_hash=spec.spec_hash(),
             ):
                 result = self._run_impl(spec)
-            # Merge spooled worker captures (file-queue jobs) in sorted
-            # backend order, then account the run's cache economy.
-            for name in sorted(self._executors):
-                drain = getattr(self._executors[name], "drain_spans", None)
-                if drain is not None:
-                    drain(tracer)
             if self._cache_hits:
                 tracer.count("session.cache_hits", len(self._cache_hits))
         sink_bytes = tracer.write_jsonl(sink) if sink is not None else 0
@@ -496,7 +488,6 @@ class Session:
             "spec_hash": spec.spec_hash(),
             "seed": spec.dataset.seed,
             "workers": spec.execution.workers,
-            "backend": spec.execution.backend,
             "git": git_describe(),
             "cache_hits": list(self._cache_hits),
             "spec": spec.to_dict(),
@@ -516,13 +507,13 @@ class Session:
             )
 
     def close(self) -> None:
-        """Shut every executor backend down and retire the session.
-        Idempotent; any later ``run()``/``executor()``/``with`` use
-        raises cleanly instead of silently re-forking a pool the caller
-        thought was released."""
-        for backend in self._executors.values():
-            backend.shutdown(wait=True)
-        self._executors = {}
+        """Shut the pool down and retire the session.  Idempotent; any
+        later ``run()``/``executor()``/``with`` use raises cleanly
+        instead of silently re-forking a pool the caller thought was
+        released."""
+        if self._pool is not None:
+            self._pool.shutdown(wait=True)
+            self._pool = None
         if self._transport is not None:
             self._transport.close()
             self._transport = None

@@ -222,14 +222,6 @@ class ExecutionSection:
 
     #: Worker processes; >= 2 shards the sequence rank.
     workers: int = 1
-    #: Executor backend the sharded paths dispatch through (a
-    #: :data:`repro.engine.executors.EXECUTOR_BACKENDS` name):
-    #: ``process_pool`` (the production fork pool + shm transport) or
-    #: ``file_queue`` (spooled-file job queue — the external cluster
-    #: stand-in); or ``in_process`` (no executor: forces the unsharded
-    #: path regardless of ``workers``).  All are bitwise-identical for
-    #: any job set.
-    backend: str = "process_pool"
     #: Vectorized lockstep mode (bitwise-identical to sequential).
     batched: bool = False
     #: Lockstep width bound; ``None`` runs all sequences in one rank.
@@ -347,15 +339,6 @@ class ExperimentSpec:
             execution=dataclasses.replace(self.execution, workers=workers),
         )
 
-    def with_backend(self, backend: str | None) -> "ExperimentSpec":
-        """A copy with ``execution.backend`` overridden (CLI ``--backend``)."""
-        if backend is None:
-            return self
-        return dataclasses.replace(
-            self,
-            execution=dataclasses.replace(self.execution, backend=backend),
-        )
-
     def with_trace(
         self, sink: str | None = None, detail: str | None = None
     ) -> "ExperimentSpec":
@@ -464,18 +447,6 @@ class ExperimentSpec:
         _indices_ok("training.train_indices", t.train_indices, num_sequences)
         e = self.execution
         _require("execution.workers", e.workers >= 1, ">= 1")
-        # The backend registry lives in the engine layer; imported here
-        # (not hard-coded) so a new backend registers in exactly one
-        # place and the spec surface follows.
-        from repro.engine.executors import EXECUTOR_BACKENDS
-
-        backends = sorted({"in_process", *EXECUTOR_BACKENDS})
-        if e.backend not in backends:
-            raise SpecError(
-                "execution.backend",
-                f"unknown executor backend {e.backend!r}; "
-                f"choose from {backends}",
-            )
         if e.batch_size is not None:
             _require("execution.batch_size", e.batch_size >= 1, ">= 1")
         _require("execution.repeats", e.repeats >= 1, ">= 1")

@@ -53,13 +53,12 @@ def _split_indices(spec: ExperimentSpec, dataset):
 
 
 def _sharding(session: Session, spec: ExperimentSpec):
-    """(workers, executor, transport) for the engine: the session's
-    executor backend (``execution.backend``) and its shared-memory
-    transport channel when sharded.  ``backend: in_process`` (or
-    ``workers < 2``) returns the all-``None`` triple — the serial
-    reference path every backend is pinned against."""
+    """(workers, executor, transport) for the engine: the session's pool
+    and its shared-memory transport channel when sharded.  ``workers <
+    2`` returns the all-``None`` triple — the serial reference path the
+    sharded runs are pinned against."""
     workers = spec.execution.workers
-    executor = session.executor(workers, spec.execution.backend)
+    executor = session.executor(workers)
     if executor is None:
         return None, None, None
     return workers, executor, session.transport()
@@ -349,7 +348,8 @@ def run_serve(session: Session, spec: ExperimentSpec) -> RunResult:
         # same table Telemetry.summary builds its block from — the
         # metrics block and the exported trace cannot drift.  (The
         # per-tick serve.queue_depth series itself is emitted by the
-        # scheduler; replica workers run outside the ambient tracer.)
+        # scheduler; sharded replicas' series merge in with their
+        # results.)
         for field in QUEUE_DEPTH_FIELDS:
             value = telemetry["queue_depth"][field]
             if isinstance(value, (int, float)):
@@ -405,9 +405,9 @@ def run_throughput(session: Session, spec: ExperimentSpec) -> RunResult:
         transport=transport,
     )
     if executor is not None:
-        # Session backends are grow-only: a previous run may have left
-        # this one larger than the spec's `workers`.  Record the actual
-        # backend size so the sharded timing is interpretable.
+        # The Session's pool is grow-only: a previous run may have left
+        # it larger than the spec's `workers`.  Record the actual pool
+        # size so the sharded timing is interpretable.
         record["pool_workers"] = executor.max_workers
     return RunResult(
         workload="throughput",

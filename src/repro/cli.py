@@ -5,7 +5,6 @@ Commands
 ``run``          execute a declarative experiment spec (JSON file);
                  ``--store DIR`` attaches a persistent artifact store and
                  ``--resume`` replays completed work from it bitwise
-                 (``--backend`` overrides ``execution.backend``)
 ``quickstart``   train + evaluate the end-to-end pipeline (CI scale;
                  ``--train-batch-size``/``--grad-accum`` select the
                  training-runtime schedule, see docs/training.md)
@@ -161,12 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
                 help="override the spec's execution.workers",
             )
             cmd.add_argument(
-                "--backend",
-                default=None,
-                help="override the spec's execution.backend "
-                "(process_pool / file_queue / in_process)",
-            )
-            cmd.add_argument(
                 "--store",
                 metavar="DIR",
                 default=None,
@@ -289,15 +282,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         spec = _SPEC_BUILDERS[args.command](args)
         workers = getattr(args, "workers", None)
-        backend = getattr(args, "backend", None)
-        if workers or backend:  # None or 0 keep the spec's value
+        if workers:  # None or 0 keep the spec's value
             # Re-validate: the override must fail here (exit 2), not as
             # a traceback out of Session.run.
-            spec = (
-                spec.with_workers(workers or None)
-                .with_backend(backend)
-                .validate()
-            )
+            spec = spec.with_workers(workers).validate()
         trace = getattr(args, "trace", None)
         if trace is not None:  # --trace or --trace PATH
             spec = spec.with_trace(

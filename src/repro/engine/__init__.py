@@ -28,14 +28,7 @@ from repro.engine.runner import (
     StageTiming,
     contiguous_shards,
 )
-from repro.engine.executors import (
-    EXECUTOR_BACKENDS,
-    ExecutorBackend,
-    FileQueueBackend,
-    ProcessPoolBackend,
-    check_dispatch,
-    make_executor,
-)
+from repro.engine.executors import ProcessPoolBackend, check_dispatch
 from repro.engine.stage import Stage, StageGraph
 from repro.engine.transport import (
     ObjectHandle,
@@ -69,11 +62,7 @@ __all__ = [
     "StageTiming",
     "contiguous_shards",
     "check_dispatch",
-    "ExecutorBackend",
     "ProcessPoolBackend",
-    "FileQueueBackend",
-    "EXECUTOR_BACKENDS",
-    "make_executor",
     "TransportChannel",
     "TransportError",
     "ObjectHandle",

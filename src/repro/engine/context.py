@@ -2,8 +2,9 @@
 
 A :class:`FrameContext` is the unit of work: one exposure travelling
 through the stage graph, accumulating intermediate products (event map,
-ROI box, sample mask, sparse frame, segmentation, gaze) plus per-stage
-timing and the measured statistics the hardware models consume.  A
+ROI box, sample mask, sparse frame, segmentation, gaze) plus the
+measured statistics the hardware models consume; per-stage timing lives
+on the run (:class:`~repro.engine.runner.StageTiming`).  A
 :class:`SequenceState` carries everything that persists *across* frames of
 one sequence — the spawned sensor, the previous segmentation fed back to
 the ROI predictor (Fig. 8's cross-frame dependency), and arbitrary
@@ -56,19 +57,16 @@ class FrameContext:
     skipped: bool = False
     #: Per-frame measured statistics (stats collector output).
     stats: dict[str, Any] = field(default_factory=dict)
-    #: Seconds spent per stage on this frame (batch time split evenly
-    #: across the lockstep batch in batched mode).
-    stage_times: dict[str, float] = field(default_factory=dict)
 
     def release_intermediates(self) -> None:
         """Drop the bulky per-frame products, keeping scalars.
 
         Called by the runner (``retain_intermediates=False``) once every
         stage has consumed the frame: evaluation collectors only need
-        ``gaze_pred``/``gaze_true``/``stats``/``stage_times``, while the
-        arrays here are O(frame size) each and would otherwise keep the
-        whole run resident — and, in sharded mode, be pickled back from
-        the worker process for nothing.  The input ``frame`` is released
+        ``gaze_pred``/``gaze_true``/``stats``, while the arrays here are
+        O(frame size) each and would otherwise keep the whole run
+        resident — and, in sharded mode, be pickled back from the worker
+        process for nothing.  The input ``frame`` is released
         too: no stage touches it after the frame's own timestep.
         """
         self.frame = None

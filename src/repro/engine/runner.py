@@ -385,9 +385,6 @@ class SequenceRunner:
                     timing.seconds += dt
                     timing.frames += len(ctxs)
                     timing.calls += 1
-                    share = dt / len(ctxs)
-                    for c in ctxs:
-                        c.stage_times[stage.name] = share
                 if not self.retain_intermediates:
                     for ctx in rank:
                         ctx.release_intermediates()

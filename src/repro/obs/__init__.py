@@ -21,7 +21,7 @@ from repro.obs.export import (
     read_trace,
     summarize,
 )
-from repro.obs.spool import capture_job, read_spool
+from repro.obs.capture import capture_job
 from repro.obs.tracer import (
     DEFAULT_MAX_SPANS,
     TRACE_DETAIL_LEVELS,
@@ -47,7 +47,6 @@ __all__ = [
     "finish_wall",
     "install_tracer",
     "perfetto_events",
-    "read_spool",
     "read_trace",
     "summarize",
 ]

@@ -61,7 +61,7 @@ COUNTER_REGISTRY = {
     "transport.publish_reuses": "publishes deduplicated by content digest",
     "transport.publish_bytes": "payload bytes published (pre-dedup)",
     # executors
-    "executor.jobs": "jobs submitted across all backends",
+    "executor.jobs": "jobs submitted to the process pool",
     "executor.worker_spans_merged": "worker-captured spans merged in",
     # session
     "session.cache_hits": "trainings replayed from memo or store",

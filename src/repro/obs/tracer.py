@@ -23,7 +23,7 @@ Instrumented seams reach the tracer ambiently via :func:`current_tracer`
 global read).  The ambient tracer is pinned to the installing process
 *and thread*: a fork-pool worker or a thread-pool job sees ``None``
 instead of interleaving spans nondeterministically — cross-process spans
-must travel the spooled merge path (:mod:`repro.obs.spool`) instead,
+travel home with each job's result (:mod:`repro.obs.capture`) instead,
 which REP108 also enforces at the worker-entry seams.
 """
 
@@ -196,13 +196,13 @@ class Tracer:
     def merge_records(
         self, records: list[dict], parent: int | None | SpanRecord = None
     ) -> int:
-        """Fold a spooled worker capture in (the file-queue merge path).
+        """Fold a worker capture in (see :mod:`repro.obs.capture`).
 
         Span ids are remapped into this tracer's sequence; captured root
         spans re-parent under ``parent`` (the dispatcher-side executor
         job span), so the cross-process trace reads as one tree.  Caller
-        supplies captures in a deterministic order (sorted job
-        sequence); within a capture, record order is preserved.
+        supplies captures in a deterministic order (job submission
+        order); within a capture, record order is preserved.
         Returns the number of spans merged.
         """
         if isinstance(parent, SpanRecord):
@@ -307,8 +307,8 @@ def current_tracer() -> Tracer | None:
     """The installed tracer, or ``None`` (tracing off / wrong context).
 
     Returns ``None`` in any process or thread other than the installer's
-    — span emission from shard workers must travel the spooled merge
-    path (:mod:`repro.obs.spool`), never the ambient global.
+    — span emission from shard workers must travel home with the job's
+    result (:mod:`repro.obs.capture`), never the ambient global.
     """
     if _CURRENT is None:
         return None

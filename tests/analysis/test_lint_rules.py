@@ -725,7 +725,7 @@ class TestREP108ObsPlane:
             """
             from repro.obs.tracer import current_tracer
 
-            def _file_queue_worker(job):
+            def _sweep_worker(job):
                 tracer = current_tracer()
                 return job, tracer
             """,
@@ -749,10 +749,10 @@ class TestREP108ObsPlane:
     def test_capture_job_in_worker_passes(self):
         assert not self._lint_as(
             """
-            def _file_queue_worker(spans_path, fn, args, kwargs):
-                from repro.obs.spool import capture_job
+            def _sweep_worker(detail, fn, args, kwargs):
+                from repro.obs.capture import capture_job
 
-                return capture_job(spans_path, fn, args, kwargs)
+                return capture_job(detail, fn, args, kwargs)
             """,
             "src/repro/engine/executors.py",
         )

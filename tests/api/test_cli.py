@@ -71,12 +71,14 @@ class TestRunCommand:
         assert main(["run", str(spec_path), "--workers", "-2"]) == 2
         assert "execution.workers" in capsys.readouterr().err
 
-    def test_thread_backend_override_exits_2(self, capsys, tmp_path):
+    def test_spec_naming_a_backend_exits_2(self, capsys, tmp_path):
+        # execution.backend and --backend are gone; a spec file that
+        # still sets the field fails validation, naming it.
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(
-            ExperimentSpec.from_dict({"workload": "area"}).to_json()
+            '{"workload": "area", "execution": {"backend": "process_pool"}}'
         )
-        assert main(["run", str(spec_path), "--backend", "thread"]) == 2
+        assert main(["run", str(spec_path)]) == 2
         assert "execution.backend" in capsys.readouterr().err
 
     def test_missing_spec_file_exits_2(self, capsys, tmp_path):

@@ -1,5 +1,9 @@
 """Session runtime: memoized training, the persistent pool, provenance."""
 
+import os
+import signal
+from concurrent.futures.process import BrokenProcessPool
+
 import numpy as np
 import pytest
 
@@ -108,6 +112,10 @@ class TestSystemConfig:
         assert tiny_session.stats()["train_cache_misses"] == before
 
 
+def _kill_own_worker():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
 class Probe(Stage):
     name = "probe"
 
@@ -141,6 +149,17 @@ class TestPersistentPool:
             # Asking for fewer workers keeps the bigger pool.
             assert session.executor(2) is grown
             assert session.stats()["pools_created"] == 2
+
+    def test_broken_pool_is_replaced_not_reused(self):
+        with Session() as session:
+            pool = session.executor(2)
+            with pytest.raises(BrokenProcessPool):
+                pool.submit(_kill_own_worker).result(timeout=60)
+            assert pool.broken
+            fresh = session.executor(2)
+            assert fresh is not pool and not fresh.broken
+            assert session.stats()["pools_created"] == 2
+            assert fresh.submit(int, "7").result(timeout=60) == 7
 
     def test_close_shuts_pool_down(self):
         session = Session()
@@ -244,51 +263,30 @@ class TestBackends:
             # The grown pool is the one the rerun used (grow-only).
             assert session.pool_workers == 3
 
-    def test_in_process_backend_forces_serial_reference(self):
-        with Session() as session:
-            assert session.executor(4, backend="in_process") is None
-            assert session.stats()["pools_created"] == 0
-
-    def test_each_backend_kind_gets_its_own_executor(self):
-        with Session() as session:
-            pool = session.executor(2, backend="process_pool")
-            queue = session.executor(2, backend="file_queue")
-            assert pool is not queue
-            assert session.executor(2, backend="file_queue") is queue
-            assert session.stats()["pools_created"] == 2
-
-    def test_file_queue_matches_process_pool(self):
-        # Workload-level parity: the same sharded evaluate spec through
-        # both backends produces the serial reference's metrics.
+    def test_sharded_run_matches_serial(self):
+        # Workload-level parity: the same evaluate spec on the pool
+        # produces the serial reference's metrics.
         base = {
             "workload": "evaluate",
             "dataset": {"num_sequences": 4, "frames_per_sequence": 6},
             "training": {"train_indices": [0, 1], "epochs": 1},
         }
         results = {}
-        for backend in ("in_process", "process_pool", "file_queue"):
+        for workers in (1, 2):
             with Session() as session:
-                results[backend] = session.run(
-                    {**base, "execution": {"workers": 2, "backend": backend}}
+                results[workers] = session.run(
+                    {**base, "execution": {"workers": workers}}
                 ).metrics
-        assert results["process_pool"] == results["in_process"]
-        assert results["file_queue"] == results["in_process"]
-
-    def test_backend_recorded_in_provenance(self):
-        with Session() as session:
-            result = session.run(
-                {
-                    "workload": "area",
-                    "execution": {"backend": "file_queue"},
-                }
-            )
-        assert result.provenance["backend"] == "file_queue"
+        assert results[2] == results[1]
 
     def test_unknown_backend_is_a_spec_error(self):
-        with pytest.raises(SpecError, match="execution.backend"):
-            ExperimentSpec.from_dict(
-                {"execution": {"backend": "slurm"}}
-            )
+        # execution.backend is gone: any spec that still names a backend
+        # is rejected as an unknown field.
+        for backend in ("slurm", "process_pool", "in_process"):
+            with pytest.raises(SpecError, match="execution.backend"):
+                ExperimentSpec.from_dict(
+                    {"execution": {"backend": backend}}
+                )
 
     def test_thread_backend_is_a_spec_error(self):
         # The thread backend raced on the modules' cached activations

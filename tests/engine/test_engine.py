@@ -143,9 +143,12 @@ class TestFrameContextInvariants:
         assert len(run.evaluated) == 7
         for ctx in run.contexts:
             ctx.validate()
+        # every stage called and timed over frames
+        assert list(run.stage_timings) == list(graph.stage_names)
+        for timing in run.stage_timings.values():
+            assert timing.calls > 0 and timing.frames > 0
         for ctx in run.evaluated:
-            # every stage timed, ROI box well-formed, gaze emitted
-            assert set(ctx.stage_times) == set(graph.stage_names)
+            # ROI box well-formed, gaze emitted
             assert ctx.gaze_pred is not None
             assert set(ctx.stats) == {
                 "roi_fraction",

@@ -1,26 +1,18 @@
-"""Executor backends: every backend bitwise == the serial run.
+"""The process pool: sharded runs bitwise == the serial run.
 
-The :class:`~repro.engine.executors.ExecutorBackend` protocol is the
-seam every sharded path dispatches through; these tests pin the
-contract (submit/map/shutdown/max_workers), both backends' parity on a
-real staged-engine run, and the file-queue backend's self-containment
-(jobs round-trip through spooled files only).
+:class:`~repro.engine.executors.ProcessPoolBackend` is the seam every
+sharded path dispatches through; these tests pin its contract
+(submit/shutdown/max_workers), its parity on a real staged-engine run,
+and how a traced job's worker spans come home with its result.
 """
 
-import glob
-import tempfile
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
-from repro.engine import (
-    EXECUTOR_BACKENDS,
-    FileQueueBackend,
-    SequenceRunner,
-    Stage,
-    make_executor,
-)
-from repro.engine.executors import SPOOL_PREFIX, FileQueueJobError
+from repro.engine import ProcessPoolBackend, SequenceRunner, Stage
+from repro.obs import Tracer, current_tracer, install_tracer
 
 
 def _square(x):
@@ -29,6 +21,16 @@ def _square(x):
 
 def _boom():
     raise ValueError("worker-side failure")
+
+
+def _traced_square(x):
+    with current_tracer().span("job.work", x=x):
+        return x * x
+
+
+def _traced_boom():
+    current_tracer().point("job.before_failure")
+    raise KeyError("worker-side failure")
 
 
 class Probe(Stage):
@@ -48,20 +50,16 @@ def _contexts(run):
 
 
 class TestProtocolContract:
-    @pytest.mark.parametrize("backend", sorted(EXECUTOR_BACKENDS))
-    def test_submit_map_shutdown(self, backend):
-        ex = make_executor(backend, 2)
+    def test_submit_shutdown(self):
+        ex = ProcessPoolBackend(2)
         try:
             assert ex.max_workers == 2
-            # result(timeout) is part of the future contract everywhere.
             assert ex.submit(_square, 7).result(30) == 49
-            assert list(ex.map(_square, [1, 2, 3])) == [1, 4, 9]
         finally:
             ex.shutdown(wait=True)
 
-    @pytest.mark.parametrize("backend", ("process_pool", "file_queue"))
-    def test_submit_after_shutdown_raises(self, backend):
-        ex = make_executor(backend, 2)
+    def test_submit_after_shutdown_raises(self):
+        ex = ProcessPoolBackend(2)
         ex.shutdown(wait=True)
         with pytest.raises(RuntimeError):
             ex.submit(_square, 1)
@@ -70,91 +68,58 @@ class TestProtocolContract:
         with pytest.raises(ValueError, match="worker-side failure"):
             sharding["executor"].submit(_boom).result(timeout=30)
 
-    def test_file_queue_ships_tracebacks(self):
-        ex = FileQueueBackend(max_workers=1)
-        try:
-            with pytest.raises(
-                FileQueueJobError, match="worker-side failure"
-            ):
-                ex.submit(_boom).result(timeout=30)
-        finally:
-            ex.shutdown(wait=True)
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown executor backend"):
-            make_executor("slurm", 2)
-
     def test_results_arrive_in_submission_order(self, sharding):
         futures = [sharding["executor"].submit(_square, i) for i in range(10)]
         assert [f.result(30) for f in futures] == [i * i for i in range(10)]
 
 
 class TestEngineParity:
-    """The acceptance pin: both backends == serial reference on a real
+    """The acceptance pin: the pool == serial reference on a real
     staged run (shards + transport + fixed-order merge)."""
 
-    @pytest.fixture(scope="class")
-    def reference(self):
+    def test_pool_bitwise_identical_to_serial(self, sharding):
         sequences = [(i, Seq()) for i in (4, 1, 3, 0, 2)]
-        run = SequenceRunner([Probe()]).run(sequences)
-        return sequences, _contexts(run)
-
-    @pytest.mark.parametrize("backend", ("process_pool", "file_queue"))
-    def test_backend_bitwise_identical_to_serial(
-        self, backend, reference, sharding
-    ):
-        sequences, expected = reference
-        if backend == "process_pool":
-            run = SequenceRunner([Probe()]).run(
-                sequences, workers=2, **sharding
-            )
-        else:
-            ex = make_executor(backend, 2)
-            try:
-                run = SequenceRunner([Probe()]).run(
-                    sequences,
-                    workers=2,
-                    executor=ex,
-                    transport=sharding["transport"],
-                )
-            finally:
-                ex.shutdown(wait=True)
+        expected = _contexts(SequenceRunner([Probe()]).run(sequences))
+        run = SequenceRunner([Probe()]).run(sequences, workers=2, **sharding)
         assert _contexts(run) == expected
         assert run.stage_timings["probe"].frames == len(sequences) * 3
 
 
-class TestFileQueueSelfContainment:
-    def test_spool_directory_removed_on_shutdown(self):
-        ex = FileQueueBackend(max_workers=2)
-        root = ex.root
-        assert root.name.startswith(SPOOL_PREFIX)
-        assert ex.submit(_square, 3).result(timeout=30) == 9
-        ex.shutdown(wait=True)
-        assert not root.exists()
+class TestTracedJobs:
+    def test_untraced_submit_is_a_plain_pool_future(self, sharding):
+        future = sharding["executor"].submit(_square, 3)
+        assert type(future) is Future
+        assert future.result(30) == 9
 
-    def test_no_spool_leaks_after_shutdown(self):
-        before = set(sorted(glob.glob(f"{tempfile.gettempdir()}/{SPOOL_PREFIX}*")))
-        ex = FileQueueBackend(max_workers=2)
-        list(ex.map(_square, range(8)))
-        ex.shutdown(wait=True)
-        after = set(sorted(glob.glob(f"{tempfile.gettempdir()}/{SPOOL_PREFIX}*")))
-        assert after <= before
+    def test_worker_spans_merge_under_their_job_in_submission_order(
+        self, sharding
+    ):
+        ex = sharding["executor"]
+        tracer = Tracer()
+        with install_tracer(tracer):
+            futures = [ex.submit(_traced_square, i) for i in (3, 4)]
+            assert ex.unmerged_jobs == 2
+            assert [f.result(30) for f in futures] == [9, 16]
+        assert ex.unmerged_jobs == 0
+        jobs = [s for s in tracer.spans if s.name == "executor.job"]
+        work = [s for s in tracer.spans if s.name == "job.work"]
+        assert [j.attrs["seq"] for j in jobs] == [1, 2]
+        assert [w.attrs["x"] for w in work] == [3, 4]
+        assert [w.parent for w in work] == [j.id for j in jobs]
+        assert tracer.counters["executor.jobs"] == 2
+        assert tracer.counters["executor.worker_spans_merged"] == 2
 
-    def test_queue_drains_fifo_under_one_worker(self):
-        # One worker forces strictly sequential claims; results must
-        # still land under their own job names (no cross-talk).
-        ex = FileQueueBackend(max_workers=1)
-        try:
-            futures = [ex.submit(_square, i) for i in range(6)]
-            assert [f.result(timeout=60) for f in futures] == [
-                i * i for i in range(6)
-            ]
-        finally:
-            ex.shutdown(wait=True)
-
-    def test_shutdown_without_wait_terminates_workers(self):
-        ex = FileQueueBackend(max_workers=2)
-        ex.submit(_square, 2).result(timeout=30)
-        procs = list(ex._procs)
-        ex.shutdown(wait=False)
-        assert all(not p.is_alive() for p in procs)
+    def test_failed_job_merges_partial_spans_then_reraises(self, sharding):
+        ex = sharding["executor"]
+        tracer = Tracer()
+        with install_tracer(tracer):
+            future = ex.submit(_traced_boom)
+            with pytest.raises(KeyError, match="worker-side failure") as info:
+                future.result(30)
+        assert not hasattr(info.value, "trace_records")
+        (job,) = [s for s in tracer.spans if s.name == "executor.job"]
+        (partial,) = [
+            s for s in tracer.spans if s.name == "job.before_failure"
+        ]
+        assert partial.parent == job.id
+        assert ex.unmerged_jobs == 0

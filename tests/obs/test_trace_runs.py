@@ -1,14 +1,14 @@
 """Traced runs end to end: session wiring, gauges, determinism.
 
-The determinism pins here are the PR's acceptance contract: two
-identical traced runs (fresh state each) must produce byte-identical
-deterministic planes, including the cross-process file_queue merge.
+The determinism pins here: two identical traced runs (fresh state
+each) must produce byte-identical deterministic planes, including the
+worker spans that pool jobs bring home with their results.
 """
 
 import pytest
 
 from repro.api import ExperimentSpec, Session
-from repro.obs import Tracer, deterministic_bytes, read_trace
+from repro.obs import Tracer, deterministic_bytes, install_tracer, read_trace
 
 #: Cheapest spec that trains + evaluates.
 TINY = {
@@ -17,8 +17,8 @@ TINY = {
     "training": {"epochs": 1},
 }
 
-#: Small sweep that fans per-strategy jobs across a sharded executor —
-#: the cross-process spool/merge path under test.
+#: Small sweep that fans per-strategy jobs across the Session's pool —
+#: the cross-process capture/merge path under test.
 SWEEP_SHARDED = {
     "workload": "strategy_sweep",
     "dataset": {
@@ -28,11 +28,7 @@ SWEEP_SHARDED = {
     },
     "strategy": {"names": ["ROI+DS", "Ours (ROI+Random)"], "train_epochs": 1},
     "training": {"train_indices": [0, 1]},
-    "execution": {
-        "eval_indices": [2],
-        "backend": "file_queue",
-        "workers": 2,
-    },
+    "execution": {"eval_indices": [2], "workers": 2},
 }
 
 SERVE_TINY = {
@@ -148,7 +144,7 @@ class TestDeterminism:
             tmp_path / "b.jsonl"
         ).read_bytes()
 
-    def test_file_queue_merge_is_stable_and_reparented(self, tmp_path):
+    def test_pool_merge_is_stable_and_reparented(self, tmp_path):
         left = self._traced_run(SWEEP_SHARDED, tmp_path / "a.jsonl")
         right = self._traced_run(SWEEP_SHARDED, tmp_path / "b.jsonl")
         assert deterministic_bytes(left) == deterministic_bytes(right)
@@ -187,3 +183,49 @@ class TestDeterminism:
         assert "session.run" in names
         # Counters survive the reduced detail level.
         assert _counters(records)["serve.ticks"] == 4
+
+    def test_sharded_serve_replicas_follow_summary_detail(self, tmp_path):
+        # Replica workers capture at the dispatcher's detail level, so
+        # summary detail keeps their per-tick spans at home too.
+        sink = tmp_path / "summary-sharded.jsonl"
+        spec = ExperimentSpec.from_dict(
+            {
+                **SERVE_TINY,
+                "execution": {**SERVE_TINY["execution"], "workers": 2},
+            }
+        ).with_trace(sink=str(sink), detail="summary")
+        with Session() as session:
+            session.run(spec)
+        records = read_trace(sink)
+        assert "serve.tick" not in _span_names(records)
+        counters = _counters(records)
+        assert counters["executor.jobs"] == 2
+        # Each replica runs every tick; their counters merged home.
+        assert counters["serve.ticks"] == 2 * 4
+
+
+class TestTraceOutsideSession:
+    def _traced_evaluate(self) -> bytes:
+        # A tracer installed around evaluate() itself, not Session.run:
+        # the merge happens as each shard result is consumed, so nothing
+        # is left pending afterwards.  A fresh Session per run, as in
+        # TestDeterminism: a reused channel would legitimately flip the
+        # transport.publish spans' ``reused`` attrs.
+        with Session() as session:
+            pipeline = session.pipeline(ExperimentSpec.from_dict(TINY))
+            executor = session.executor(2)
+            tracer = Tracer()
+            with install_tracer(tracer):
+                pipeline.evaluate(
+                    [0, 1, 2],
+                    workers=2,
+                    executor=executor,
+                    transport=session.transport(),
+                )
+            assert executor.unmerged_jobs == 0
+        return deterministic_bytes(tracer.to_records())
+
+    def test_traced_sharded_evaluate_is_deterministic(self):
+        first = self._traced_evaluate()
+        assert first == self._traced_evaluate()
+        assert b"executor.job" in first

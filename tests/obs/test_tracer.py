@@ -1,6 +1,5 @@
 """Tracer unit behaviour: spans, planes, merge, the ambient guard."""
 
-import json
 import threading
 
 import pytest
@@ -13,7 +12,6 @@ from repro.obs import (
     current_tracer,
     finish_wall,
     install_tracer,
-    read_spool,
     read_trace,
 )
 
@@ -179,7 +177,7 @@ class TestJsonlRoundtrip:
         }
 
 
-def _spooled_job(x, y=1):
+def _captured_job(x, y=1):
     tracer = current_tracer()
     assert tracer is not None, "capture tracer must be ambient in the job"
     with tracer.span("job.work", x=x):
@@ -193,12 +191,10 @@ def _failing_job():
     raise RuntimeError("boom")
 
 
-class TestSpool:
-    def test_capture_job_spools_and_returns(self, tmp_path):
-        spool = tmp_path / "0.spans"
-        result = capture_job(spool, _spooled_job, (2,), {"y": 3})
+class TestCapture:
+    def test_capture_job_returns_result_and_records(self):
+        result, records = capture_job("full", _captured_job, (2,), {"y": 3})
         assert result == 5
-        records = read_spool(spool)
         assert records[0]["type"] == "meta"
         assert [r["name"] for r in records if r["type"] == "span"] == [
             "job.work"
@@ -206,17 +202,16 @@ class TestSpool:
         # The capture never leaks into this process's ambient slot.
         assert current_tracer() is None
 
-    def test_capture_job_spools_even_on_failure(self, tmp_path):
-        spool = tmp_path / "0.spans"
-        with pytest.raises(RuntimeError, match="boom"):
-            capture_job(spool, _failing_job, (), {})
+    def test_capture_job_keeps_partial_spans_on_failure(self):
+        with pytest.raises(RuntimeError, match="boom") as info:
+            capture_job("full", _failing_job, (), {})
         names = [
-            r["name"] for r in read_spool(spool) if r["type"] == "span"
+            r["name"]
+            for r in info.value.trace_records
+            if r["type"] == "span"
         ]
         assert names == ["job.before_failure"]
 
-    def test_spool_line_format_is_sorted_json(self, tmp_path):
-        spool = tmp_path / "0.spans"
-        capture_job(spool, _spooled_job, (1,), {})
-        for line in spool.read_text().splitlines():
-            assert line == json.dumps(json.loads(line), sort_keys=True)
+    def test_capture_job_uses_the_dispatcher_detail(self):
+        _, records = capture_job("summary", _captured_job, (1,), {})
+        assert records[0]["detail"] == "summary"
