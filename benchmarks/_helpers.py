@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.api.result import git_describe
 from repro.api.session import LIVELY_DYNAMICS
-from repro.core import ci
+from repro.api.tracker import ci
 from repro.segmentation import ViTConfig, ViTSegmenter
 from repro.synth import DatasetConfig, SyntheticEyeDataset
 

@@ -15,7 +15,7 @@ Two design choices the paper makes and defends qualitatively:
 
 from _helpers import bench_dataset, once
 from repro.analysis import normalization_ablation, sigma_sensitivity
-from repro.core import PaperComparison, Table
+from repro.api.result import PaperComparison, Table
 from repro.sampling import DEFAULT_SIGMA
 
 SIGMAS = [2 / 255, 8 / 255, 15 / 255, 30 / 255, 60 / 255]

@@ -15,7 +15,7 @@ import numpy as np
 
 from _helpers import bench_pipeline_config, bench_dataset, bench_vit, once
 from repro.analysis import joint_vs_separate, sampling_rate_sweep
-from repro.core import PaperComparison, Table
+from repro.api.result import PaperComparison, Table
 
 RATES = [0.05, 0.2, 0.6]
 

@@ -7,7 +7,7 @@ RLE decoder is <0.1 % of SoC area.
 """
 
 from _helpers import once
-from repro.core import PaperComparison, Table
+from repro.api.result import PaperComparison, Table
 from repro.hardware import AreaModel
 from repro.hardware.area import PUBLISHED_PIXELS
 

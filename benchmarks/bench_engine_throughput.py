@@ -1,28 +1,36 @@
 """Engine throughput: sequential vs batched vs sharded.
 
 Not a paper figure — this benchmark seeds the performance trajectory of
-the staged execution engine (``repro.engine``).  It runs one declarative
-``throughput`` spec through ``repro.api`` — the same front door the CLI
-uses — which trains one tracker (session-memoized), evaluates the same
-held-out sequences in all execution modes, verifies the results are
-bitwise identical, and reports frames/sec plus the per-stage wall-clock
-attribution the engine collects (the measured counterpart of the
-Figs. 13/14 breakdowns).
+the staged execution engine (``repro.engine``).  It runs three
+``evaluate`` specs through one ``repro.api`` session — the same front
+door the CLI uses — so the tracker trains once (session-memoized) and
+evaluates the same held-out sequences in each execution mode:
 
-The sharded mode runs the production sharded configuration — batched
-kernels inside each worker, work-stealing shards dispatched onto the
-session's persistent pool with payloads on its shared-memory transport
-channel, the only way anything shards.  ``sharded_s`` times that path
-after one warm-up dispatch, so it measures steady-state dispatch, not
-the first fork.
+* ``sequential`` — ranks of width 1;
+* ``batched`` — one vectorized lockstep rank (``execution.batched``);
+* ``sharded`` — ``workers: 2`` with batched kernels inside each worker,
+  work-stealing shards on the session's persistent pool with payloads
+  on its shared-memory transport channel, the only way anything shards.
 
-Appends to ``BENCH_engine.json`` at the repository root (the shared
-``RunResult`` serialization inside a git-stamped ``trajectory`` entry)
-so successive PRs accumulate the perf history.
+Each mode is timed around ``Session.run``, untraced (a tracer would make
+every sharded job capture and ship its spans home), best of ``REPEATS``
+after one warm-up run, which also forks the pool so the sharded time
+measures steady-state dispatch, not the first fork.  The timed window
+also holds the run's provenance stamping (a ``git describe``, ~5 ms on
+a 2-vCPU VM).  One traced sharded run afterwards reads what the engine
+executed from its ``engine.run`` span.  The bench checks the three
+modes' metrics are bitwise identical (aggregates only; per-frame
+identity is pinned by ``tests/engine/test_sharded.py``) and prints
+frames/sec plus each mode's per-stage wall-clock attribution (the
+measured counterpart of the Figs. 13/14 breakdowns).
+
+Appends to ``BENCH_engine.json`` at the repository root (a git-stamped
+``trajectory`` entry) so successive PRs accumulate the perf history.
 """
 
 from __future__ import annotations
 
+import time
 from pathlib import Path
 
 from _helpers import (
@@ -34,7 +42,8 @@ from _helpers import (
     same_host_baseline,
 )
 from repro.api import ExperimentSpec, Session
-from repro.core.throughput import throughput_tables
+from repro.api.result import Table, stage_timing_table
+from repro.obs import Tracer, install_tracer
 
 #: Wide evaluation rank: lockstep batching pays off when many sequences
 #: run together (production batch serving), so the bench evaluates 30.
@@ -57,6 +66,8 @@ BATCHED_REGRESSION_BOUND = 0.35
 #: Worker processes for the sharded mode.  Bitwise identity to the
 #: sequential loop is always enforced.
 WORKERS = 2
+#: Timed runs per mode; the fastest counts.
+REPEATS = 3
 
 _RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_engine.json"
 
@@ -65,7 +76,7 @@ _RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_engine.json"
 #: spec preset *is* ``BENCH_DYNAMICS`` (same object) and the epochs come
 #: from ``BENCH_EPOCHS``.
 BENCH_SPEC = {
-    "workload": "throughput",
+    "workload": "evaluate",
     "dataset": {
         "num_sequences": SEQUENCES,
         "frames_per_sequence": FRAMES,
@@ -74,31 +85,118 @@ BENCH_SPEC = {
         "dynamics": "lively",
     },
     "training": {"train_indices": TRAIN_INDICES, "epochs": BENCH_EPOCHS},
-    "execution": {
-        "workers": WORKERS,
-        "repeats": 3,
-        "eval_indices": EVAL_INDICES,
-    },
+    "execution": {"eval_indices": EVAL_INDICES},
+}
+
+#: Execution-section overrides per mode.  The sharded mode sets
+#: ``batched`` explicitly: batched kernels inside each worker are the
+#: production sharded configuration (sharding width-1 ranks would
+#: measure pure dispatch overhead on single-core hosts).
+MODES = {
+    "sequential": {},
+    "batched": {"batched": True},
+    "sharded": {"batched": True, "workers": WORKERS},
 }
 
 
-def run_engine_throughput() -> dict:
-    spec = ExperimentSpec.from_dict(BENCH_SPEC)
-    with Session() as session:
+def _spec(mode: str, eval_indices: list[int]) -> ExperimentSpec:
+    execution = {**MODES[mode], "eval_indices": eval_indices}
+    return ExperimentSpec.from_dict({**BENCH_SPEC, "execution": execution})
+
+
+def _best_run(session: Session, spec: ExperimentSpec):
+    """``(seconds, RunResult)`` of the fastest of ``REPEATS`` runs."""
+    runs = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()  # repro: allow[REP102] benchmark timing harness
         result = session.run(spec)
-        record_bench(
-            _RESULT_PATH, {**result.to_dict(), "host": host_fingerprint()}
+        elapsed = time.perf_counter() - start  # repro: allow[REP102] benchmark timing harness
+        runs.append((elapsed, result))
+    return min(runs, key=lambda run: run[0])
+
+
+def run_engine_throughput() -> tuple[dict, dict]:
+    """The trajectory record and each mode's best ``RunResult``."""
+    best = {}
+    with Session() as session:
+        for mode in MODES:
+            # Warm the memoized training, dataset cache, sensor template
+            # and (for the sharded mode) the pool's workers.
+            session.run(_spec(mode, EVAL_INDICES[:2]))
+            best[mode] = _best_run(session, _spec(mode, EVAL_INDICES))
+        # What the sharded run actually executed, as its engine.run span
+        # records it (the runner clamps workers to the sequence count).
+        tracer = Tracer()
+        with install_tracer(tracer):
+            session.run(_spec("sharded", EVAL_INDICES))
+    shard_attrs = next(
+        s.attrs for s in tracer.spans if s.name == "engine.run"
+    )
+
+    _, seq_result = best["sequential"]
+    frames = seq_result.metrics["frames"]
+    record = {
+        "sequences": len(EVAL_INDICES),
+        "frames": frames,
+        "bitwise_identical": all(
+            result.metrics == seq_result.metrics for _, result in best.values()
+        ),
+    }
+    for mode, (seconds, result) in best.items():
+        record[f"{mode}_s"] = seconds
+        record[f"{mode}_fps"] = frames / seconds
+        record[f"stage_seconds_{mode}"] = {
+            name: timing["seconds"]
+            for name, timing in result.stage_timings.items()
+        }
+    record["speedup"] = record["sequential_s"] / record["batched_s"]
+    record["sharded_speedup"] = record["sequential_s"] / record["sharded_s"]
+    record["workers"] = shard_attrs["workers"]
+    record["sharded_batched"] = shard_attrs["batched"]
+    record_bench(
+        _RESULT_PATH,
+        {
+            "workload": "evaluate",
+            "metrics": record,
+            "provenance": {
+                mode: result.provenance["spec_hash"]
+                for mode, (_, result) in best.items()
+            },
+            "host": host_fingerprint(),
+        },
+    )
+    return record, {mode: result for mode, (_, result) in best.items()}
+
+
+def _fps_table(record: dict) -> Table:
+    table = Table(
+        ["mode", "frames/sec", "wall (ms)"],
+        title=f"engine throughput ({record['frames']} frames, "
+        f"{record['sequences']} sequences)",
+    )
+    for mode in MODES:
+        label = f"sharded x{record['workers']}" if mode == "sharded" else mode
+        table.add_row(
+            label,
+            round(record[f"{mode}_fps"]),
+            round(record[f"{mode}_s"] * 1e3),
         )
-    return result.metrics
+    table.add_row("batched speedup", f"{record['speedup']:.2f}x", "")
+    table.add_row("sharded speedup", f"{record['sharded_speedup']:.2f}x", "")
+    return table
 
 
 def test_engine_throughput(benchmark):
     baseline = same_host_baseline(_RESULT_PATH)
-    record = once(benchmark, run_engine_throughput)
+    record, results = once(benchmark, run_engine_throughput)
 
     print()
-    for table in throughput_tables(record):
-        print(table.render())
+    print(_fps_table(record).render())
+    # The sharded stage seconds are CPU time summed over concurrent
+    # workers (shard timings add), not wall clock.
+    for mode, result in results.items():
+        title = f"{mode}: measured wall-clock shares"
+        print(stage_timing_table(result.stage_timings, title).render())
 
     assert record["bitwise_identical"], (
         "batched/sharded mode diverged from sequential"
@@ -118,7 +216,7 @@ def test_engine_throughput(benchmark):
     # the zero-copy transport, `workers=N` must actually win over the
     # sequential loop — even on a single-core host.
     assert record["workers"] == WORKERS
-    assert record["sharded_kernels"] == "batched"
+    assert record["sharded_batched"] is True
     assert record["sharded_speedup"] > 1.0, (
         f"sharded mode lost to sequential: {record['sharded_speedup']:.2f}x"
     )

@@ -10,7 +10,8 @@ saccade tracking stays responsive.
 import numpy as np
 
 from _helpers import bench_pipeline_config, once
-from repro.core import BlissCamPipeline, Table
+from repro.api.result import Table
+from repro.api.tracker import BlissCamPipeline
 from repro.gaze import KalmanGazeFilter
 from repro.gaze.metrics import angular_errors
 

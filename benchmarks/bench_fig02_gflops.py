@@ -10,7 +10,7 @@ the paper's 640x400 resolution, against published GPU peak numbers.
 
 import numpy as np
 
-from repro.core import PaperComparison, Table
+from repro.api.result import PaperComparison, Table
 from repro.segmentation import EdGazeNet, RITNet, ViTConfig, ViTSegmenter
 
 #: Published peak FP16 GFLOPS of Nvidia Jetson modules (release year).

@@ -5,7 +5,7 @@ Paper claim: by 4K, the per-frame MIPI transfer (~22 ms) alone exceeds the
 pipelining — motivating in-sensor data reduction.
 """
 
-from repro.core import PaperComparison, Table
+from repro.api.result import PaperComparison, Table
 from repro.hardware import LATENCY_REQUIREMENT_S, STANDARD_RESOLUTIONS, MipiLink
 
 

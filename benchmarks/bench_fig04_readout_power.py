@@ -8,7 +8,7 @@ the same regime — which is what makes skipping ADC conversions worthwhile.
 
 import numpy as np
 
-from repro.core import PaperComparison, Table
+from repro.api.result import PaperComparison, Table
 from repro.hardware import SystemEnergyModel, WorkloadProfile
 
 #: The six surveyed sensors of Fig. 4 (approximate readout-power shares).

@@ -17,8 +17,9 @@ import zlib
 import numpy as np
 
 from _helpers import BENCH_EPOCHS, bench_dataset, bench_vit, once
-from repro.core import PaperComparison, Table, evaluate_strategy, make_strategy
-from repro.core.variants import train_for_strategy
+from repro.api import STRATEGIES
+from repro.api.result import PaperComparison, Table
+from repro.api.tracker import evaluate_strategy, train_for_strategy
 from repro.segmentation import EdGazeNet, RITNet
 
 COMPRESSIONS = [2.0, 8.0, 20.0]
@@ -42,7 +43,7 @@ def run_fig12():
         for compression in COMPRESSIONS:
             rng = np.random.default_rng(zlib.crc32(f"{name}|{compression}".encode()))
             segmenter = factory(rng)
-            strategy = make_strategy(strategy_name, compression, dataset)
+            strategy = STRATEGIES.get(strategy_name)(compression, dataset)
             train_for_strategy(
                 segmenter, strategy, dataset, train_idx, BENCH_EPOCHS, rng
             )

@@ -15,7 +15,7 @@ print side by side.
 
 from _helpers import bench_evaluate_spec, once
 from repro.api import ExperimentSpec, Session, stage_timing_table
-from repro.core import PaperComparison, Table
+from repro.api.result import PaperComparison, Table
 from repro.hardware import SystemEnergyModel, VARIANTS, WorkloadProfile
 
 FPS = 120.0

@@ -8,7 +8,7 @@ the in-sensor stages shrink exposure by only ~1.8 %.
 
 from _helpers import bench_evaluate_spec, once
 from repro.api import ExperimentSpec, Session, stage_timing_table
-from repro.core import PaperComparison, Table
+from repro.api.result import PaperComparison, Table
 from repro.hardware import TimingModel, VARIANTS, WorkloadProfile
 
 FPS = 120.0

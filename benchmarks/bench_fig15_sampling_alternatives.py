@@ -16,8 +16,9 @@ import zlib
 import numpy as np
 
 from _helpers import BENCH_EPOCHS, bench_dataset, bench_vit, once
-from repro.core import PaperComparison, Table, evaluate_strategy, make_strategy
-from repro.core.variants import train_for_strategy
+from repro.api import STRATEGIES
+from repro.api.result import PaperComparison, Table
+from repro.api.tracker import evaluate_strategy, train_for_strategy
 from repro.sampling import STRATEGY_NAMES
 
 COMPRESSIONS = [5.0, 21.0]
@@ -34,7 +35,7 @@ def run_fig15():
                 zlib.crc32(f"fig15|{name}|{compression}".encode())
             )
             segmenter = bench_vit(int(compression))
-            strategy = make_strategy(name, compression, dataset)
+            strategy = STRATEGIES.get(name)(compression, dataset)
             train_for_strategy(
                 segmenter, strategy, dataset, train_idx, BENCH_EPOCHS, rng
             )

@@ -16,7 +16,8 @@ calibrated model with measured workload fractions.
 from dataclasses import replace
 
 from _helpers import bench_pipeline_config, once
-from repro.core import BlissCamPipeline, PaperComparison, Table
+from repro.api.result import PaperComparison, Table
+from repro.api.tracker import BlissCamPipeline
 from repro.hardware import SystemEnergyModel, WorkloadProfile
 from repro.synth import exposure_for_fps
 

@@ -8,7 +8,7 @@ leaves less room for in-sensor optimization.
 """
 
 from _helpers import once
-from repro.core import PaperComparison, Table
+from repro.api.result import PaperComparison, Table
 from repro.hardware import ProcessNodes, SystemEnergyModel, WorkloadProfile
 
 LOGIC_NODES = [16, 22, 40, 65]

@@ -6,7 +6,7 @@ model into sustained two-eye tracking power and battery-life impact.
 """
 
 from _helpers import once
-from repro.core import PaperComparison, Table
+from repro.api.result import PaperComparison, Table
 from repro.hardware import VARIANTS
 from repro.hardware.power_budget import HeadsetBudget
 

@@ -1,7 +1,7 @@
 """Strategy-sweep throughput: full-rank lockstep vs ranks of width 1.
 
 Not a paper figure — this benchmark seeds the performance trajectory of
-the Fig. 15 strategy harness (``repro.core.variants.evaluate_strategy``
+the Fig. 15 strategy harness (``repro.api.tracker.evaluate_strategy``
 over the eventify/sample/segment/regress strategy graph).  Every stage
 has one kernel, ``process_batch``; the benchmark evaluates the same
 (strategy, segmenter) pair three ways:
@@ -41,8 +41,8 @@ from _helpers import (
     once,
     record_bench,
 )
-from repro.api import Session
-from repro.core.variants import evaluate_strategy, make_strategy
+from repro.api import STRATEGIES, Session
+from repro.api.tracker import evaluate_strategy
 from repro.segmentation import ViTConfig, ViTSegmenter
 from repro.synth import DatasetConfig, SyntheticEyeDataset
 
@@ -96,7 +96,7 @@ def _time_mode(dataset, segmenter, **kwargs) -> tuple[float, object]:
     """Best-of-REPEATS wall seconds for one execution mode."""
     best, evaluation = None, None
     for _ in range(REPEATS):
-        strategy = make_strategy(STRATEGY, COMPRESSION, dataset=dataset)
+        strategy = STRATEGIES.get(STRATEGY)(COMPRESSION, dataset=dataset)
         rng = np.random.default_rng(
             int(np.random.default_rng(7).integers(2**32))
         )

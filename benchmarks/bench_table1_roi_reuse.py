@@ -12,7 +12,8 @@ DNN invocations from the model.
 """
 
 from _helpers import bench_pipeline_config, once
-from repro.core import BlissCamPipeline, PaperComparison, Table
+from repro.api.result import PaperComparison, Table
+from repro.api.tracker import BlissCamPipeline
 from repro.hardware import SystemEnergyModel, WorkloadProfile
 
 REUSE_WINDOWS = [1, 4, 16]

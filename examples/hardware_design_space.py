@@ -22,7 +22,7 @@ Run:  python examples/hardware_design_space.py
 from dataclasses import replace
 
 from repro.api import ExperimentSpec, Session
-from repro.core import Table
+from repro.api.result import Table
 from repro.hardware import (
     ProcessNodes,
     SystemEnergyModel,

@@ -14,7 +14,7 @@ Run:  python examples/quickstart.py
 from pathlib import Path
 
 from repro.api import ExperimentSpec, Session, system_config
-from repro.core import Table
+from repro.api.result import Table
 
 SPEC_PATH = Path(__file__).resolve().parent / "specs" / "quickstart.json"
 
@@ -47,7 +47,7 @@ def main() -> None:
         # The session reuses the pipeline trained above (same training
         # hash) — run() only executes the staged engine, in vectorized
         # lockstep, bitwise-identical to the sequential loop (see
-        # docs/architecture.md and `python -m repro.cli throughput`).
+        # docs/architecture.md and benchmarks/bench_engine_throughput.py).
         result = session.run(spec)
         assert session.stats()["train_cache_hits"] == 1, session.stats()
 

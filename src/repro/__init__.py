@@ -8,7 +8,8 @@ latency ~1.4x with little accuracy loss.
 
 Subpackages
 -----------
-``repro.api``           declarative front door: ExperimentSpec -> Session.run
+``repro.api``           declarative front door: ExperimentSpec -> Session.run,
+                        and the imperative tracker (``repro.api.tracker``)
 ``repro.nn``            from-scratch numpy DNN framework (PyTorch substitute)
 ``repro.synth``         synthetic near-eye dataset (OpenEDS substitute)
 ``repro.sampling``      eventification, ROI prediction, sampling strategies
@@ -16,7 +17,6 @@ Subpackages
 ``repro.gaze``          gaze regression + angular-error metrics
 ``repro.training``      joint ROI+ViT training (Sec. III-C)
 ``repro.hardware``      DPS sensor, NPUs, MIPI, DRAM, energy/latency/area
-``repro.core``          end-to-end pipeline, configs, benchmark plumbing
 
 Quickstart
 ----------
@@ -26,7 +26,8 @@ Quickstart
 >>> result.metrics["horizontal"]["mean"]         # degrees
 
 (The imperative surface remains: ``BlissCamPipeline(ci())`` /
-``.train()`` / ``.evaluate()`` — see ``docs/api.md``.)
+``.train()`` / ``.evaluate()`` from ``repro.api.tracker`` — see
+``docs/api.md``.)
 """
 
 __version__ = "1.0.0"

@@ -26,9 +26,12 @@ from dataclasses import replace
 
 import numpy as np
 
-from repro.core.config import SystemConfig
-from repro.core.pipeline import BlissCamPipeline
-from repro.core.variants import evaluate_strategy, train_for_strategy
+from repro.api.tracker import (
+    BlissCamPipeline,
+    SystemConfig,
+    evaluate_strategy,
+    train_for_strategy,
+)
 from repro.sampling.eventification import (
     event_precision,
     event_recall,
@@ -147,7 +150,7 @@ def sampling_rate_sweep(
     rate is converted to the strategy's frame-level compression using the
     dataset's typical ROI fraction.  Each point is one strategy-graph run
     on the shared :mod:`repro.engine` runtime (via
-    :func:`~repro.core.variants.evaluate_strategy`).
+    :func:`~repro.api.tracker.evaluate_strategy`).
     """
     train_idx, eval_idx = dataset.split()
     roi_fraction = dataset.typical_roi_fraction(0)

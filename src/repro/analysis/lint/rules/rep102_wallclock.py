@@ -6,10 +6,11 @@ deterministic path may read the host's clock (``time.time``,
 ``perf_counter``, ``datetime.now``): serve latencies are *virtual*-clock
 ticks, schedules are spec-driven, and RNG keys are integers.  The only
 sanctioned readers are the timing-measurement seams whose entire job is
-measuring wall time (``measure_throughput``'s best-of-N loops, the
-engine's per-stage attribution, the serve runtime's ``wall_seconds``) —
-each carries an inline ``# repro: allow[REP102] <reason>`` waiver, which
-is the rule's whitelist.
+measuring wall time (the ``repro.obs.wall`` clock behind every trace
+span, the engine's run time and per-stage attribution, the serve
+runtime's ``wall_seconds``) — each carries an inline
+``# repro: allow[REP102] <reason>`` waiver, which is the rule's
+whitelist.
 """
 
 from __future__ import annotations

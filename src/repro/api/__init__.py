@@ -11,7 +11,7 @@ One spec, one session, one result type::
         again = session.run(spec)             # no retraining, same pool
 
 Everything the repo can run — accuracy evaluation, Fig. 15 strategy
-sweeps, throughput measurement, the energy/latency/area/power models and
+sweeps, streaming serving, the energy/latency/area/power models and
 their sweeps — is a *workload kind* named in the spec and resolved
 through the :mod:`~repro.api.registry` registries; third parties add
 scenarios with ``@register_workload`` (and new strategies/stages with

@@ -40,7 +40,7 @@ class RegistryError(KeyError, ValueError):
     """Unknown or duplicate name in a registry.
 
     Subclasses ``KeyError`` (lookup failures behave like mapping misses)
-    *and* ``ValueError`` (the legacy ``make_strategy`` contract raised
+    *and* ``ValueError`` (strategy lookups have always raised
     ``ValueError`` on unknown names); ``str()`` renders the full message
     (``KeyError`` quotes its first argument, which would mangle
     multi-sentence errors).

@@ -4,7 +4,10 @@ Every path through the front door — CLI subcommands, ``repro run``,
 benchmarks, examples — ends in one :class:`RunResult`, and there is
 exactly one JSON serializer (:meth:`RunResult.to_dict` /
 :meth:`write_json`), so ``--json`` output, ``BENCH_engine.json`` and
-programmatic consumers can never drift apart.
+programmatic consumers can never drift apart.  The human-facing half
+lives here too: :class:`Table` renders every workload's tables, and
+:class:`PaperComparison` prints the benchmarks' paper-vs-measured
+blocks.
 """
 
 from __future__ import annotations
@@ -14,9 +17,13 @@ import subprocess
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.core.results import Table
-
-__all__ = ["RunResult", "stage_timing_table", "git_describe"]
+__all__ = [
+    "RunResult",
+    "Table",
+    "PaperComparison",
+    "stage_timing_table",
+    "git_describe",
+]
 
 
 def git_describe() -> str | None:
@@ -112,3 +119,71 @@ def stage_timing_table(
             f"{share:.1%}",
         )
     return table
+
+
+class Table:
+    """Monospace table with aligned columns."""
+
+    def __init__(self, headers: list[str], title: str = ""):
+        if not headers:
+            raise ValueError("table needs at least one column")
+        self.title = title
+        self.headers = list(headers)
+        self.rows: list[list[str]] = []
+
+    def add_row(self, *cells) -> None:
+        if len(cells) != len(self.headers):
+            raise ValueError(
+                f"expected {len(self.headers)} cells, got {len(cells)}"
+            )
+        self.rows.append([_fmt(c) for c in cells])
+
+    def render(self) -> str:
+        widths = [len(h) for h in self.headers]
+        for row in self.rows:
+            for i, cell in enumerate(row):
+                widths[i] = max(widths[i], len(cell))
+        lines = []
+        if self.title:
+            lines.append(self.title)
+        lines.append("  ".join(h.ljust(w) for h, w in zip(self.headers, widths)))
+        lines.append("  ".join("-" * w for w in widths))
+        for row in self.rows:
+            lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
+        return "\n".join(lines)
+
+    def __str__(self) -> str:  # pragma: no cover - convenience
+        return self.render()
+
+
+def _fmt(value) -> str:
+    if isinstance(value, float):
+        if value == 0:
+            return "0"
+        if abs(value) >= 1000 or abs(value) < 0.001:
+            return f"{value:.3g}"
+        return f"{value:.3f}".rstrip("0").rstrip(".")
+    return str(value)
+
+
+@dataclass
+class PaperComparison:
+    """Paper-reported vs measured values for one experiment."""
+
+    experiment: str
+    entries: list[tuple[str, str, str]] = field(default_factory=list)
+
+    def add(self, metric: str, paper_value, measured_value) -> None:
+        self.entries.append((metric, _fmt(paper_value), _fmt(measured_value)))
+
+    def render(self) -> str:
+        table = Table(
+            ["metric", "paper", "measured"],
+            title=f"[paper-vs-measured] {self.experiment}",
+        )
+        for metric, paper_value, measured in self.entries:
+            table.add_row(metric, paper_value, measured)
+        return table.render()
+
+    def __str__(self) -> str:  # pragma: no cover - convenience
+        return self.render()

@@ -37,7 +37,7 @@ from dataclasses import replace
 
 from repro.api.result import RunResult, git_describe
 from repro.api.spec import ExperimentSpec, SpecError
-from repro.core import BlissCamPipeline, ci, paper
+from repro.api.tracker import BlissCamPipeline, ci, paper
 from repro.engine import ProcessPoolBackend, TransportChannel
 from repro.obs.tracer import TRACE_FORMAT_VERSION, Tracer, install_tracer
 from repro.store import ArtifactStore, StoreError, canonical_key
@@ -57,7 +57,7 @@ LIVELY_DYNAMICS = GazeDynamicsConfig(
 
 
 def system_config(spec: ExperimentSpec):
-    """The :class:`~repro.core.config.SystemConfig` a spec describes.
+    """The :class:`~repro.api.tracker.SystemConfig` a spec describes.
 
     ``None`` dataset fields keep the preset's value — ``preset:
     "paper"`` alone is the faithful Sec. V geometry (32 x 60 at
@@ -313,12 +313,12 @@ class Session:
                 self._counters["train_cache_hits"] += 1
                 self._record_hit(key, "memory")
             return self._memo[key]
-        if persist and self.store is not None and self.store.contains(key):
+        if persist and self.store is not None:
             try:
                 value = self.store.get(key)
             except KeyError:
-                # Refused entry (stale format / torn payload): fall
-                # through and recompute.
+                # A miss, or a refused entry (stale format, torn
+                # record or payload): fall through and recompute.
                 pass
             else:
                 if training:

@@ -2,7 +2,7 @@
 of *what to run*.
 
 An :class:`ExperimentSpec` names a workload kind (``evaluate``,
-``strategy_sweep``, ``throughput``, ``energy``, ...) plus five nested
+``strategy_sweep``, ``serve``, ``energy``, ...) plus five nested
 sections — dataset / sensor / strategy / training / execution — each a
 frozen dataclass with CI-scale defaults.  The spec is the unit of
 provenance: ``to_dict``/``from_dict``/``from_json`` round-trip exactly,
@@ -22,6 +22,7 @@ import dataclasses
 import difflib
 import hashlib
 import json
+import math
 import types
 import typing
 from dataclasses import dataclass, field
@@ -42,9 +43,9 @@ __all__ = [
 
 #: Dataset size presets; both flow through identical code paths.
 DATASET_PRESETS = ("ci", "paper")
-#: Sequence count each preset defaults to (mirrors ``repro.core.config``
+#: Sequence count each preset defaults to (mirrors ``repro.api.tracker``
 #: ``ci()``/``paper()``; used to range-check indices at validate time
-#: without importing core).
+#: without importing the tracker).
 PRESET_NUM_SEQUENCES = {"ci": 4, "paper": 32}
 #: Oculomotor-statistics presets.
 DYNAMICS_PRESETS = ("default", "lively")
@@ -226,8 +227,6 @@ class ExecutionSection:
     batched: bool = False
     #: Lockstep width bound; ``None`` runs all sequences in one rank.
     batch_size: int | None = None
-    #: Best-of-N repeats for throughput timing.
-    repeats: int = 3
     #: Evaluation sequence indices; ``None`` uses ``dataset.split()``.
     eval_indices: tuple[int, ...] | None = None
     #: Operating frame rate of the hardware energy/latency models.
@@ -449,7 +448,6 @@ class ExperimentSpec:
         _require("execution.workers", e.workers >= 1, ">= 1")
         if e.batch_size is not None:
             _require("execution.batch_size", e.batch_size >= 1, ">= 1")
-        _require("execution.repeats", e.repeats >= 1, ">= 1")
         _indices_ok("execution.eval_indices", e.eval_indices, num_sequences)
         _require("execution.fps", e.fps > 0, "> 0")
         if e.fps_sweep_points is not None:
@@ -568,7 +566,9 @@ def _coerce(value, hint, path: str):
     """Coerce a JSON value to a field's annotation, naming the field on
     mismatch.  JSON has no int/float distinction on the way in (``120``
     is a valid fps) nor tuples, so ints widen to float and lists become
-    tuples; everything else must match exactly."""
+    tuples; everything else must match exactly.  Floats must be finite:
+    ``Infinity`` would pass the range checks and then leak into the
+    result JSON as a non-standard token."""
     if dataclasses.is_dataclass(hint) and isinstance(hint, type):
         # Nested sub-sections (dataset.noise, execution.serve) recurse
         # through the same key-checking/coercion machinery.
@@ -602,7 +602,13 @@ def _coerce(value, hint, path: str):
     if hint is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise SpecError(path, f"expected a number, got {_tn(value)}")
-        return float(value)
+        try:
+            number = float(value)
+        except OverflowError:  # an int too large for a float
+            number = math.inf
+        if not math.isfinite(number):
+            raise SpecError(path, "expected a finite number")
+        return number
     if hint is str:
         if not isinstance(value, str):
             raise SpecError(path, f"expected a string, got {_tn(value)}")

@@ -1,50 +1,161 @@
-"""The end-to-end BlissCam tracker: build, train, evaluate.
+"""The end-to-end BlissCam tracker: configure, build, train, evaluate.
 
-:class:`BlissCamPipeline` wires every subsystem together:
+Three parts, one module:
 
-* the synthetic dataset (scene + optics + sensor noise),
-* the functional sensor (analog eventification, trained ROI predictor,
-  SRAM-RNG sampling, sparse readout, RLE),
-* the sparse ViT segmenter on the host,
-* the geometric gaze regressor,
+* **Configurations.** :class:`SystemConfig` with the CI-scale
+  :func:`ci` and the faithful Sec. V :func:`paper` presets.  Both flow
+  through identical code paths; only sizes differ.
+  :func:`~repro.api.session.system_config` derives one from a spec.
+* **The tracker.** :class:`BlissCamPipeline` wires the synthetic
+  dataset, the functional sensor (analog eventification, trained ROI
+  predictor, SRAM-RNG sampling, sparse readout, RLE), the sparse ViT
+  segmenter and the geometric gaze regressor together.  It measures
+  both *accuracy* (per-axis angular error) and the *workload
+  statistics* (ROI, sampled and valid-token fractions, RLE bytes) that
+  parameterize the hardware energy/latency models.
+* **The strategy harness.** Fig. 12 compares pipeline variants across
+  segmentation backbones and Fig. 15 compares seven sampling
+  strategies under one backbone.  Both reduce to *train a segmenter on
+  frames sampled by strategy S, then measure gaze error on held-out
+  frames sampled by S* (:func:`train_for_strategy`,
+  :func:`evaluate_strategy`).  Strategies come from the
+  :data:`~repro.api.registry.STRATEGIES` registry:
+  ``STRATEGIES.get(name)(compression, dataset)``.
 
-and measures both *accuracy* (per-axis angular error) and the *workload
-statistics* (ROI fraction, sampled fraction, valid-token fraction, RLE
-bytes) that parameterize the hardware energy/latency models — so the
-benchmark harness can feed measured numbers, not assumptions, into
-Figs. 13/14/16/17.
+The ``evaluate`` and ``strategy_sweep`` workloads run on these; callers
+that want the imperative surface import it from here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro.engine import EngineRun, StageTiming, build_tracking_graph, tracking_runner
+from repro.engine import (
+    EngineRun,
+    StageTiming,
+    build_strategy_graph,
+    build_tracking_graph,
+    strategy_runner,
+    tracking_runner,
+)
 from repro.gaze.estimation import FittedGazeEstimator
 from repro.gaze.metrics import AngularErrorStats, angular_errors
 from repro.hardware.energy import WorkloadProfile
 from repro.hardware.sensor.sensor import BlissCamSensor
+from repro.sampling.eventification import eventify
 from repro.sampling.roi import (
     ROIPredictor,
     box_from_pixels,
     box_to_pixels,
     expand_box,
 )
-from repro.segmentation.vit import ViTSegmenter
-from repro.synth.dataset import SyntheticEyeDataset
+from repro.sampling.strategies import SamplingStrategy
+from repro.segmentation.vit import ViTConfig, ViTSegmenter
+from repro.synth.dataset import DatasetConfig, SyntheticEyeDataset
 from repro.training.joint import JointTrainConfig, JointTrainer, JointTrainResult
-from repro.core.config import SystemConfig
+from repro.training.loop import train_segmentation
 
 __all__ = [
+    "SystemConfig",
+    "ci",
+    "paper",
     "BlissCamPipeline",
     "EvaluationResult",
     "WorkloadStats",
     "MarginExpandedPredictor",
+    "StrategyEvaluation",
+    "collect_sampled_dataset",
+    "train_for_strategy",
+    "evaluate_strategy",
 ]
 
 
+# -- configurations ----------------------------------------------------------
+@dataclass(frozen=True)
+class SystemConfig:
+    """Everything needed to build and train the end-to-end tracker."""
+
+    dataset: DatasetConfig
+    vit: ViTConfig
+    joint: JointTrainConfig
+    #: Channel width of the ROI predictor's first conv layer.
+    roi_base_channels: int = 4
+    #: Target compression rate (total / transmitted pixels; paper: 20.6x).
+    compression: float = 20.6
+    #: Safety margin (pixels) added around the predicted ROI before
+    #: sampling, absorbing small box-regression errors.
+    roi_margin_px: int = 1
+    seed: int = 0
+
+    @property
+    def height(self) -> int:
+        return self.dataset.height
+
+    @property
+    def width(self) -> int:
+        return self.dataset.width
+
+
+def ci(
+    seed: int = 0,
+    num_sequences: int = 4,
+    frames_per_sequence: int = 10,
+    fps: float = 120.0,
+) -> SystemConfig:
+    """Small configuration for tests, examples, and benches (64x64)."""
+    height = width = 64
+    return SystemConfig(
+        dataset=DatasetConfig(
+            height=height,
+            width=width,
+            fps=fps,
+            frames_per_sequence=frames_per_sequence,
+            num_sequences=num_sequences,
+            seed=seed,
+        ),
+        vit=ViTConfig(
+            height=height,
+            width=width,
+            patch=8,
+            dim=24,
+            heads=3,
+            depth=2,
+            decoder_depth=1,
+            mlp_ratio=2.0,
+        ),
+        joint=JointTrainConfig(epochs=2),
+        roi_base_channels=4,
+        compression=20.6,
+        seed=seed,
+    )
+
+
+def paper(seed: int = 0) -> SystemConfig:
+    """The faithful Sec. V configuration (640x400, ViT-12/2, 250 epochs).
+
+    Pure-numpy training at this scale takes hours per epoch; it exists to
+    document the target configuration and for spot checks.
+    """
+    return SystemConfig(
+        dataset=DatasetConfig(
+            height=400,
+            width=640,
+            fps=120.0,
+            frames_per_sequence=60,
+            num_sequences=32,
+            seed=seed,
+        ),
+        vit=ViTConfig.paper(height=400, width=640),
+        joint=JointTrainConfig(epochs=250, lr_segmenter=1e-3, lr_roi=1e-3),
+        roi_base_channels=8,
+        compression=20.6,
+        seed=seed,
+    )
+
+
+# -- the tracker -------------------------------------------------------------
 @dataclass
 class MarginExpandedPredictor:
     """The trained ROI predictor with the safety-margin box expansion.
@@ -132,8 +243,6 @@ class WorkloadStats:
 
     def to_profile(self, base: WorkloadProfile | None = None) -> WorkloadProfile:
         """A hardware :class:`WorkloadProfile` with measured fractions."""
-        from dataclasses import replace
-
         base = base or WorkloadProfile()
         return replace(
             base,
@@ -378,3 +487,152 @@ class BlissCamPipeline:
             stage_timings=run.stage_timings,
             transport=run.transport,
         )
+
+
+# -- the strategy harness ----------------------------------------------------
+@dataclass
+class StrategyEvaluation:
+    """Gaze accuracy of one (strategy, segmenter) pair."""
+
+    strategy_name: str
+    horizontal: AngularErrorStats
+    vertical: AngularErrorStats
+    mean_compression: float
+    frames: int
+
+
+def collect_sampled_dataset(
+    strategy: SamplingStrategy,
+    dataset: SyntheticEyeDataset,
+    indices: list[int],
+    rng: np.random.Generator,
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Build (sparse_frame, mask, target) training samples under a
+    strategy, which sees each frame's ground-truth ROI box."""
+    samples = []
+    for prev, cur, seg, _gaze, gt_box, _si, _t in dataset.frame_pairs(indices):
+        decision = strategy.sample(cur, eventify(prev, cur), gt_box, rng)
+        if decision.reuse_previous:
+            continue  # SKIP transmits nothing; no training sample
+        samples.append((decision.sparse_frame, decision.mask, seg))
+    return samples
+
+
+def train_for_strategy(
+    segmenter,
+    strategy: SamplingStrategy,
+    dataset: SyntheticEyeDataset,
+    indices: list[int],
+    epochs: int,
+    rng: np.random.Generator,
+    lr: float = 3e-3,
+    batch_size: int = 4,
+):
+    """Train ``segmenter`` on frames sampled by ``strategy``.
+
+    Executes on the training runtime
+    (:func:`repro.training.runtime.run_segmentation_epochs` via
+    :func:`train_segmentation`): each ``batch_size`` minibatch is one
+    model rank, exactly as the historical loop ran it.
+
+    Stochastic strategies draw a *fresh* mask every epoch — the same
+    regime as the real sensor, whose SRAM RNG resamples each frame.  This
+    is what makes random sampling trainable at high compression: the
+    network sees many sparse views of each frame instead of one frozen
+    mask.  Deterministic strategies (Full+DS, Skip, ROI+DS, ROI+Fixed)
+    draw nothing from the RNG, so their samples are collected once and
+    every epoch trains on that first pass.  For the stateless ones the
+    re-collection was literally identical work; for Skip it also pins the
+    adaptive gate to a fresh first pass instead of letting its running
+    skip-rate leak across epoch re-collections and silently drift the
+    training set (the same leaked-state bug the per-sequence ``spawn``
+    design fixes on the evaluation side).
+    """
+    result = None
+    samples = None
+    for _ in range(max(1, epochs)):
+        if samples is None or strategy.stochastic:
+            samples = collect_sampled_dataset(strategy, dataset, indices, rng)
+        if not samples:
+            raise ValueError("strategy produced no training samples")
+        epoch_result = train_segmentation(
+            segmenter, samples, epochs=1, rng=rng, lr=lr,
+            batch_size=batch_size,
+        )
+        if result is None:
+            result = epoch_result
+        else:
+            result.epoch_losses.extend(epoch_result.epoch_losses)
+    return result
+
+
+def evaluate_strategy(
+    strategy: SamplingStrategy,
+    segmenter,
+    dataset: SyntheticEyeDataset,
+    eval_indices: list[int],
+    rng: np.random.Generator,
+    gaze_estimator: FittedGazeEstimator | None = None,
+    batched: bool = False,
+    batch_size: int | None = None,
+    workers: int | None = None,
+    executor=None,
+    transport=None,
+    use_gt_roi: bool = True,
+) -> StrategyEvaluation:
+    """Measure gaze error when the host sees ``strategy``-sampled frames.
+
+    The gaze estimator is calibrated on the evaluation sequences' ground
+    truth (per-user calibration); pass a pre-fit estimator to share it.
+
+    Runs on the shared :mod:`repro.engine` stage runtime: eventify ->
+    strategy sampling -> segment-or-reuse -> gaze regression, the same
+    runner the end-to-end tracker uses.  Each sequence samples from its
+    own ``strategy.spawn`` stream keyed by sequence index (derived from
+    ``rng``), so all three execution modes — sequential, ``batched``
+    lockstep, and sharded (``workers >= 2`` on ``executor`` and the
+    ``transport`` channel, e.g. a ``repro.api.Session``'s) — produce
+    bitwise-identical results; Fig. 15 sweeps can fan out freely.
+    """
+    if gaze_estimator is None:
+        gaze_estimator = FittedGazeEstimator()
+        segs = np.concatenate([dataset[i].segmentations for i in eval_indices])
+        gazes = np.concatenate([dataset[i].gazes for i in eval_indices])
+        gaze_estimator.fit(segs, gazes)
+
+    graph = build_strategy_graph(
+        strategy=strategy,
+        segmenter=segmenter,
+        gaze_estimator=gaze_estimator,
+        rng=rng,
+        use_gt_roi=use_gt_roi,
+    )
+    # The collector below only needs gaze + stats scalars; drop the
+    # O(frame size) intermediates as the run streams (and keep sharded
+    # worker->parent transfers scalar-sized).
+    runner = strategy_runner(
+        graph, batch_size=batch_size, retain_intermediates=False
+    )
+    run = runner.run(
+        [(i, dataset[i]) for i in eval_indices],
+        batched=batched,
+        workers=workers,
+        executor=executor,
+        transport=transport,
+    )
+
+    preds, truths, compressions = [], [], []
+    for ctx in run.evaluated:
+        preds.append(ctx.gaze_pred)
+        truths.append(ctx.gaze_true)
+        if not ctx.seg_reused:
+            compressions.append(min(ctx.stats["compression"], 1e6))
+
+    horizontal, vertical = angular_errors(np.array(preds), np.array(truths))
+    return StrategyEvaluation(
+        strategy_name=strategy.name,
+        horizontal=horizontal,
+        vertical=vertical,
+        mean_compression=float(np.mean(compressions)) if compressions else 1.0,
+        frames=len(preds),
+    )

@@ -6,10 +6,10 @@ under the spec string it answers to.  Accuracy workloads run the shared
 pipelines and persistent pool; hardware workloads query the calibrated
 energy/latency/area/power models; the ``serve`` workload drives the
 :mod:`repro.serve` streaming runtime over a session-trained tracker.
-The offline workloads delegate to the same functions the legacy entry
-points use (``pipeline.evaluate``, ``evaluate_strategy``,
-``measure_throughput``), so their metrics are bitwise-identical to the
-pre-API surfaces — the parity tests pin this.
+The offline workloads delegate to the imperative surface of
+:mod:`repro.api.tracker` (``BlissCamPipeline.evaluate``,
+``evaluate_strategy``), so their metrics are bitwise-identical to
+calling it directly — the parity tests pin this.
 """
 
 from __future__ import annotations
@@ -21,12 +21,10 @@ from dataclasses import asdict
 import numpy as np
 
 from repro.api.registry import STRATEGIES, register_workload
-from repro.api.result import RunResult, stage_timing_table
+from repro.api.result import RunResult, Table, stage_timing_table
 from repro.api.session import Session, system_config
 from repro.api.spec import ExperimentSpec
-from repro.core import Table
-from repro.core.throughput import measure_throughput, throughput_tables
-from repro.core.variants import evaluate_strategy, train_for_strategy
+from repro.api.tracker import evaluate_strategy, train_for_strategy
 from repro.hardware import (
     AreaModel,
     ProcessNodes,
@@ -388,32 +386,6 @@ def run_serve(session: Session, spec: ExperimentSpec) -> RunResult:
     table.add_row("goodput (fps)", round(telemetry["goodput_fps"], 1))
     table.add_row("max queue depth", telemetry["queue_depth"]["max"])
     return RunResult(workload="serve", metrics=metrics, tables=[table])
-
-
-@register_workload("throughput")
-def run_throughput(session: Session, spec: ExperimentSpec) -> RunResult:
-    """Engine frames/sec: sequential vs batched vs sharded modes."""
-    pipeline = session.pipeline(spec)
-    workers, executor, transport = _sharding(session, spec)
-    _, eval_idx = _split_indices(spec, pipeline.dataset)
-    record = measure_throughput(
-        pipeline,
-        eval_idx,
-        repeats=spec.execution.repeats,
-        workers=workers,
-        executor=executor,
-        transport=transport,
-    )
-    if executor is not None:
-        # The Session's pool is grow-only: a previous run may have left
-        # it larger than the spec's `workers`.  Record the actual pool
-        # size so the sharded timing is interpretable.
-        record["pool_workers"] = executor.max_workers
-    return RunResult(
-        workload="throughput",
-        metrics=record,
-        tables=throughput_tables(record),
-    )
 
 
 # -- hardware-model workloads ------------------------------------------------

@@ -11,8 +11,6 @@ Commands
 ``serve``        streaming multi-client serving with cross-client
                  micro-batching (``--workers N`` partitions the fleet
                  into scheduler replicas; see docs/serving.md)
-``throughput``   staged-engine frames/sec: sequential vs batched lockstep
-                 (``--workers N`` also times the sharded multi-process mode)
 ``energy``       per-frame energy breakdown of the four variants
 ``latency``      tracking-latency breakdown of the four variants
 ``area``         Sec. VI-D area estimate
@@ -34,10 +32,8 @@ and examples use.  ``--json <path>`` writes the uniform
 :class:`~repro.api.RunResult` serialization; all hardware commands
 accept ``--fps`` (default 120).
 
-Exit codes: 0 success, 2 spec-validation error (1 is reserved for
-workload-reported failures, e.g. a bitwise-equivalence miss in
-``throughput``).  ``lint`` follows the same convention: 0 clean, 1
-findings, 2 usage error.
+Exit codes: 0 success, 2 spec-validation error.  ``lint`` follows the
+same convention: 0 clean, 1 findings, 2 usage error.
 """
 
 from __future__ import annotations
@@ -97,20 +93,6 @@ def _spec_serve(args: argparse.Namespace) -> ExperimentSpec:
     )
 
 
-def _spec_throughput(args: argparse.Namespace) -> ExperimentSpec:
-    return ExperimentSpec.from_dict(
-        {
-            "workload": "throughput",
-            "dataset": {"num_sequences": 10, "frames_per_sequence": 10},
-            "training": {"train_indices": [0, 1]},
-            "execution": {
-                "repeats": 1,
-                "eval_indices": list(range(2, 10)),
-            },
-        }
-    )
-
-
 def _hardware_spec(workload: str):
     def build(args: argparse.Namespace) -> ExperimentSpec:
         return ExperimentSpec.from_dict(
@@ -124,7 +106,6 @@ _SPEC_BUILDERS = {
     "run": _spec_run,
     "quickstart": _spec_quickstart,
     "serve": _spec_serve,
-    "throughput": _spec_throughput,
     "energy": _hardware_spec("energy"),
     "latency": _hardware_spec("latency"),
     "area": _hardware_spec("area"),
@@ -135,7 +116,7 @@ _SPEC_BUILDERS = {
 
 #: Workloads that train a pipeline before producing output (announce it,
 #: or the terminal sits silent for the whole joint training).
-_TRAINING_WORKLOADS = {"evaluate", "strategy_sweep", "throughput", "serve"}
+_TRAINING_WORKLOADS = {"evaluate", "strategy_sweep", "serve"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -229,14 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
                 "Adam step per epoch",
             )
         cmd.add_argument("--fps", type=float, default=120.0)
-        if name == "throughput":
-            cmd.add_argument(
-                "--workers",
-                type=int,
-                default=0,
-                help="also time the sharded mode over N worker processes "
-                "(0 disables; >= 2 shards the sequence rank)",
-            )
     # Registered for `repro --help` discoverability only; main()
     # dispatches `lint` to the linter's own parser before parsing here.
     sub.add_parser(
@@ -317,11 +290,6 @@ def main(argv: list[str] | None = None) -> int:
         )
     if args.json:
         result.write_json(args.json)
-    if spec.workload == "throughput":
-        record = result.metrics
-        modes = "batched/sharded" if "sharded_s" in record else "batched"
-        print(f"{modes} == sequential (bitwise): {record['bitwise_identical']}")
-        return 0 if record["bitwise_identical"] else 1
     return 0
 
 

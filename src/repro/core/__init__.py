@@ -1,34 +1,11 @@
-"""End-to-end BlissCam system: configuration, pipeline, variants, results."""
+"""Compatibility re-exports for ``perfbench/workloads.py``.
 
-from repro.core.config import SystemConfig, ci, paper
-from repro.core.pipeline import (
-    BlissCamPipeline,
-    EvaluationResult,
-    MarginExpandedPredictor,
-    WorkloadStats,
-)
-from repro.core.results import PaperComparison, Table
-from repro.core.variants import (
-    StrategyEvaluation,
-    collect_sampled_dataset,
-    evaluate_strategy,
-    make_strategy,
-    train_for_strategy,
-)
+The tracker lives in :mod:`repro.api.tracker`; import it from there.
+This package keeps only the three names the repository benchmark
+imports (``BlissCamPipeline``, ``WorkloadStats``, ``ci``), because
+that benchmark is pinned and cannot follow the move.
+"""
 
-__all__ = [
-    "SystemConfig",
-    "ci",
-    "paper",
-    "BlissCamPipeline",
-    "EvaluationResult",
-    "MarginExpandedPredictor",
-    "WorkloadStats",
-    "Table",
-    "PaperComparison",
-    "StrategyEvaluation",
-    "make_strategy",
-    "collect_sampled_dataset",
-    "train_for_strategy",
-    "evaluate_strategy",
-]
+from repro.api.tracker import BlissCamPipeline, WorkloadStats, ci
+
+__all__ = ["BlissCamPipeline", "WorkloadStats", "ci"]

@@ -16,7 +16,7 @@ Tracking graph (Sec. III/IV, extracted from the old monolithic
 ``StatsCollectorStage`` per-frame workload statistics (Figs. 13/14 inputs)
 
 Strategy graph (Fig. 12/15 harness, extracted from
-``core/variants.evaluate_strategy``):
+``repro.api.tracker.evaluate_strategy``):
 
 ``EventifyPairStage``   digital frame-pair eventification
 ``StrategySampleStage`` one of the seven Fig. 15 sampling strategies

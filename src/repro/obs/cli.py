@@ -14,7 +14,7 @@ import json
 import sys
 from pathlib import Path
 
-from repro.core.results import Table
+from repro.api.result import Table
 from repro.obs.export import (
     TraceFormatError,
     deterministic_plane,

@@ -13,7 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from repro.core.results import Table
+from repro.api.result import Table
 from repro.store.store import ArtifactStore
 
 __all__ = ["main"]

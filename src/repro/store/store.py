@@ -55,8 +55,10 @@ __all__ = [
 #: On-disk record format version.  Bump on any incompatible change to
 #: the record schema or the payload serialization; old entries are then
 #: refused (reported stale by ``ls``, evicted first by ``gc``) instead
-#: of being misread.
-STORE_FORMAT_VERSION = 1
+#: of being misread.  Format 2: the tracker classes moved into
+#: ``repro.api.tracker``, so format 1 payloads name modules that no
+#: longer exist.
+STORE_FORMAT_VERSION = 2
 
 #: Staging files carry this prefix so the leak check (and ``gc``) can
 #: tell an interrupted write's debris from foreign files.
@@ -93,6 +95,16 @@ def store_digest(parts: Any) -> str:
     """The entry digest of a key: SHA-256 over its canonical JSON."""
     canonical = json.dumps(canonical_key(parts), sort_keys=True)
     return hashlib.sha256(canonical.encode()).hexdigest()[:32]
+
+
+#: The required record fields and their JSON types (``key`` may be any).
+_RECORD_TYPES = {
+    "digest": str,
+    "format": int,
+    "kind": str,
+    "nbytes": int,
+    "payload_digest": str,
+}
 
 
 @dataclass(frozen=True)
@@ -229,11 +241,18 @@ class ArtifactStore:
 
     # -- lookup ---------------------------------------------------------------
     def _read_record(self, meta_path: Path) -> StoreRecord | None:
+        """The entry's record, or ``None`` when the file is unreadable,
+        undecodable or not a JSON object (a torn or foreign write —
+        the entry reads as a miss)."""
         try:
-            data = json.loads(meta_path.read_text())
-        except (OSError, json.JSONDecodeError):
+            data = json.loads(meta_path.read_bytes())
+        except (OSError, ValueError):  # JSONDecodeError, UnicodeDecodeError
             return None
-        try:
+        if not isinstance(data, dict):
+            return None
+        if "key" in data and all(
+            type(data.get(name)) is kind for name, kind in _RECORD_TYPES.items()
+        ):
             return StoreRecord(
                 digest=data["digest"],
                 format=data["format"],
@@ -243,18 +262,18 @@ class ArtifactStore:
                 payload_digest=data["payload_digest"],
                 git=data.get("git"),
             )
-        except KeyError:
-            # A record missing required fields is by definition not
-            # format-current: refuse it like any stale entry.
-            return StoreRecord(
-                digest=meta_path.stem,
-                format=-1,
-                key=data.get("key", []),
-                kind=str(data.get("kind", "unknown")),
-                nbytes=int(data.get("nbytes", 0)),
-                payload_digest=str(data.get("payload_digest", "")),
-                git=data.get("git"),
-            )
+        # A record with missing or mistyped fields is by definition not
+        # format-current: refuse it like any stale entry.
+        nbytes = data.get("nbytes")
+        return StoreRecord(
+            digest=meta_path.stem,
+            format=-1,
+            key=data.get("key", []),
+            kind=str(data.get("kind", "unknown")),
+            nbytes=nbytes if type(nbytes) is int else 0,
+            payload_digest=str(data.get("payload_digest", "")),
+            git=data.get("git"),
+        )
 
     def contains(self, key: Any) -> bool:
         """Whether a *format-current, intact-looking* entry exists."""

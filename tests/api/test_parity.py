@@ -1,10 +1,9 @@
-"""Bitwise parity: ``Session.run`` vs the legacy entry points.
+"""Bitwise parity: ``Session.run`` vs the imperative tracker surface.
 
 The front door must be a pure re-plumbing: for each accuracy workload,
 the metrics coming out of ``Session.run(spec)`` are bitwise-identical to
-what the pre-API surfaces (``BlissCamPipeline.evaluate``,
-``evaluate_strategy``, ``measure_throughput``) produce from the same
-inputs.  Exact float equality everywhere — no tolerances.
+what ``BlissCamPipeline.evaluate`` and ``evaluate_strategy`` produce
+from the same inputs.  Exact float equality everywhere — no tolerances.
 """
 
 import copy
@@ -16,13 +15,9 @@ import pytest
 from repro.api import ExperimentSpec, Session
 from repro.api.session import system_config
 from repro.api.workloads import strategy_rng
-from repro.core import (
-    BlissCamPipeline,
-    evaluate_strategy,
-    make_strategy,
-)
-from repro.core.throughput import measure_throughput
-from repro.core.variants import train_for_strategy
+from repro.api import STRATEGIES
+from repro.api.tracker import BlissCamPipeline, evaluate_strategy
+from repro.api.tracker import train_for_strategy
 from repro.segmentation import ViTSegmenter
 from repro.synth import SyntheticEyeDataset
 
@@ -100,7 +95,7 @@ class TestStrategySweepParity:
             # strategy keyed by (sweep seed, name), training and
             # evaluation drawing from it in order.
             rng = strategy_rng(spec.strategy.seed, name)
-            strategy = make_strategy(name, 4.0, dataset)
+            strategy = STRATEGIES.get(name)(4.0, dataset)
             segmenter = ViTSegmenter(config.vit, rng)
             train_for_strategy(
                 segmenter, strategy, dataset, train_idx, 1, rng
@@ -146,30 +141,3 @@ class TestStrategySweepParity:
             assert session.stats()["train_cache_hits"] > 0
         assert first.metrics == second.metrics
 
-
-class TestThroughputParity:
-    SPEC = {
-        "workload": "throughput",
-        "dataset": {"num_sequences": 4, "frames_per_sequence": 6},
-        "training": {"epochs": 1, "train_indices": [0, 1]},
-        "execution": {"repeats": 1, "eval_indices": [2, 3]},
-    }
-
-    def test_deterministic_fields_match_legacy(self):
-        spec = ExperimentSpec.from_dict(self.SPEC)
-        with Session() as session:
-            api = session.run(spec).metrics
-
-        pipeline = BlissCamPipeline(system_config(spec))
-        pipeline.train([0, 1])
-        legacy = measure_throughput(pipeline, [2, 3], repeats=1)
-
-        # Wall-clock fields are nondeterministic by nature; everything
-        # the engine *computes* must agree exactly.
-        assert api["sequences"] == legacy["sequences"]
-        assert api["frames"] == legacy["frames"]
-        assert api["bitwise_identical"] is True
-        assert legacy["bitwise_identical"] is True
-        assert set(api["stage_seconds_sequential"]) == set(
-            legacy["stage_seconds_sequential"]
-        )

@@ -56,7 +56,6 @@ class TestBuiltins:
         assert set(WORKLOADS.names()) >= {
             "evaluate",
             "strategy_sweep",
-            "throughput",
             "energy",
             "latency",
             "area",
@@ -78,10 +77,3 @@ class TestBuiltins:
         with pytest.raises(ValueError, match="needs a dataset"):
             STRATEGIES.get("ROI+Fixed")(8.0)
 
-    def test_make_strategy_shim_delegates_to_registry(self):
-        from repro.core import make_strategy
-
-        strategy = make_strategy("Full+Random", compression=4.0)
-        assert type(strategy) is type(STRATEGIES.get("Full+Random")(4.0))
-        with pytest.raises(RegistryError, match="unknown strategy"):
-            make_strategy("Nope", 4.0)

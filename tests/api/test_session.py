@@ -67,7 +67,7 @@ class TestMemoization:
 class TestSystemConfig:
     def test_paper_preset_keeps_sec_v_geometry(self):
         from repro.api.session import system_config
-        from repro.core import paper
+        from repro.api.tracker import paper
 
         spec = ExperimentSpec.from_dict({"dataset": {"preset": "paper"}})
         config = system_config(spec)

@@ -2,8 +2,11 @@
 
 import dataclasses
 import json
+import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.api import (
     DatasetSection,
@@ -51,7 +54,6 @@ def _full_spec() -> ExperimentSpec:
                 "workers": 2,
                 "batched": True,
                 "batch_size": 4,
-                "repeats": 2,
                 "eval_indices": [3, 4, 5],
                 "fps": 240.0,
                 "serve": {
@@ -259,6 +261,41 @@ class TestValidation:
         with pytest.raises(SpecError, match="fps_sweep_points"):
             ExperimentSpec.from_dict({"execution": {"fps_sweep_points": []}})
 
+    @pytest.mark.parametrize(
+        "section, field",
+        [
+            ("execution", "fps"),
+            ("sensor", "compression"),
+            ("strategy", "compression"),
+            ("dataset", "eye_scale"),
+            ("dataset", "fps"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "value",
+        [
+            pytest.param(math.inf, id="inf"),
+            pytest.param(-math.inf, id="-inf"),
+            pytest.param(math.nan, id="nan"),
+            pytest.param(10**400, id="int-beyond-float"),
+        ],
+    )
+    def test_non_finite_numbers_named(self, section, field, value):
+        with pytest.raises(SpecError, match=f"{section}.{field}: .*finite"):
+            ExperimentSpec.from_dict(
+                {"workload": "energy", section: {field: value}}
+            )
+
+    def test_non_finite_sweep_point_named_by_index(self):
+        with pytest.raises(SpecError, match=r"fps_sweep_points\[1\]"):
+            ExperimentSpec.from_dict(
+                {"execution": {"fps_sweep_points": [30, math.inf]}}
+            )
+
+    def test_retired_repeats_field_rejected(self):
+        with pytest.raises(SpecError, match="execution.repeats"):
+            ExperimentSpec.from_dict({"execution": dict(repeats=3)})
+
     def test_invalid_json_text(self):
         with pytest.raises(SpecError, match="invalid JSON"):
             ExperimentSpec.from_json("{not json")
@@ -281,3 +318,56 @@ class TestValidation:
         assert spec.with_workers(4).execution.workers == 4
         # The rest of the spec is untouched.
         assert spec.with_workers(4).dataset == spec.dataset
+
+
+def _field_paths(data: dict, prefix: str = "") -> list[str]:
+    """Every dotted path of a spec dict, nested sections included."""
+    paths = []
+    for key, value in sorted(data.items()):
+        path = f"{prefix}{key}"
+        paths.append(path)
+        if isinstance(value, dict):
+            paths += _field_paths(value, f"{path}.")
+    return paths
+
+
+def _substitute(data: dict, path: str, value) -> dict:
+    head, _, rest = path.partition(".")
+    out = dict(data)
+    out[head] = _substitute(data[head], rest, value) if rest else value
+    return out
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=6,
+)
+_VALID = _full_spec().to_dict()
+_TOP_FIELDS = {"workload", "dataset", "sensor", "strategy", "training",
+               "execution"}
+
+
+class TestFuzz:
+    """Any JSON value at any field of a valid spec either validates to
+    standard JSON or fails with a ``SpecError`` naming a field — never
+    another exception, never a non-finite number."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        path=st.sampled_from(_field_paths(_VALID)),
+        value=st.floats() | st.integers() | _JSON_VALUES,
+    )
+    @example(path="execution.fps", value=math.inf)
+    @example(path="dataset.eye_scale", value=-math.inf)
+    @example(path="strategy.compression", value=10**400)
+    @example(path="execution.fps_sweep_points", value=[30, math.inf])
+    def test_substituted_field_validates_or_names_a_field(self, path, value):
+        data = _substitute(_VALID, path, value)
+        try:
+            spec = ExperimentSpec.from_dict(data)
+        except SpecError as exc:
+            assert exc.field.split(".")[0].split("[")[0] in _TOP_FIELDS
+            return
+        json.dumps(spec.to_dict(), allow_nan=False)

@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.core import BlissCamPipeline, ci
+from repro.api.tracker import BlissCamPipeline, ci
 from repro.synth import (
     DatasetConfig,
     EyeGeometry,

@@ -3,13 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.core import (
+from repro.api import STRATEGIES
+from repro.api.result import PaperComparison, Table
+from repro.api.tracker import (
     BlissCamPipeline,
-    PaperComparison,
-    Table,
     ci,
     evaluate_strategy,
-    make_strategy,
     paper,
     train_for_strategy,
 )
@@ -83,7 +82,7 @@ class TestStrategyHarness:
 
     def test_train_and_evaluate_ours(self, setup):
         ds, rng, vit = setup
-        strategy = make_strategy("Ours (ROI+Random)", compression=4.0)
+        strategy = STRATEGIES.get("Ours (ROI+Random)")(compression=4.0)
         train_for_strategy(vit, strategy, ds, [0, 1], epochs=2, rng=rng)
         result = evaluate_strategy(strategy, vit, ds, [2], rng)
         assert result.frames > 0
@@ -91,25 +90,25 @@ class TestStrategyHarness:
 
     def test_skip_strategy_reuses_segmentations(self, setup):
         ds, rng, vit = setup
-        strategy = make_strategy("Skip", compression=4.0)
+        strategy = STRATEGIES.get("Skip")(compression=4.0)
         result = evaluate_strategy(strategy, vit, ds, [2], rng)
         assert result.frames > 0
 
-    def test_make_strategy_all_names(self, setup):
+    def test_registry_builds_all_names(self, setup):
         ds, _, _ = setup
         from repro.sampling import STRATEGY_NAMES
 
         for name in STRATEGY_NAMES:
-            strategy = make_strategy(name, compression=8.0, dataset=ds)
+            strategy = STRATEGIES.get(name)(compression=8.0, dataset=ds)
             assert strategy.name == name
 
-    def test_make_strategy_unknown_raises(self):
+    def test_unknown_strategy_raises(self):
         with pytest.raises(ValueError):
-            make_strategy("nope", 4.0)
+            STRATEGIES.get("nope")(4.0)
 
     def test_roi_fixed_needs_dataset(self):
         with pytest.raises(ValueError):
-            make_strategy("ROI+Fixed", 4.0)
+            STRATEGIES.get("ROI+Fixed")(4.0)
 
 
 class TestResultsFormatting:

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.pipeline import EvaluationResult, WorkloadStats
-from repro.core.results import Table, _fmt
+from repro.api.tracker import EvaluationResult, WorkloadStats
+from repro.api.result import Table, _fmt
 from repro.gaze.metrics import AngularErrorStats
 from repro.hardware import WorkloadProfile
 

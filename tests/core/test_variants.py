@@ -1,10 +1,11 @@
-"""Tests for the strategy training harness in ``core.variants``."""
+"""Tests for the strategy training harness in ``repro.api.tracker``."""
 
 import numpy as np
 import pytest
 
-import repro.core.variants as variants
-from repro.core.variants import make_strategy, train_for_strategy
+import repro.api.tracker as tracker
+from repro.api import STRATEGIES
+from repro.api.tracker import train_for_strategy
 from repro.segmentation import ViTConfig, ViTSegmenter
 from repro.synth import DatasetConfig, SyntheticEyeDataset
 
@@ -33,13 +34,13 @@ class TestDeterministicCollectOnce:
 
     def _count_collections(self, monkeypatch):
         calls = {"n": 0}
-        original = variants.collect_sampled_dataset
+        original = tracker.collect_sampled_dataset
 
         def counting(*args, **kwargs):
             calls["n"] += 1
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(variants, "collect_sampled_dataset", counting)
+        monkeypatch.setattr(tracker, "collect_sampled_dataset", counting)
         return calls
 
     @pytest.mark.parametrize("name", ["Full+DS", "ROI+Fixed", "Skip", "ROI+DS"])
@@ -54,7 +55,7 @@ class TestDeterministicCollectOnce:
             # fixture dataset is too quiet for the default threshold.
             strategy = SkipStrategy(4.0, density_threshold=0.0)
         else:
-            strategy = make_strategy(name, 4.0, dataset=small_dataset)
+            strategy = STRATEGIES.get(name)(4.0, dataset=small_dataset)
         result = train_for_strategy(
             _vit(), strategy, small_dataset, [0], epochs=3,
             rng=np.random.default_rng(0),
@@ -67,7 +68,7 @@ class TestDeterministicCollectOnce:
         self, small_dataset, monkeypatch, name
     ):
         calls = self._count_collections(monkeypatch)
-        strategy = make_strategy(name, 4.0, dataset=small_dataset)
+        strategy = STRATEGIES.get(name)(4.0, dataset=small_dataset)
         train_for_strategy(
             _vit(), strategy, small_dataset, [0], epochs=3,
             rng=np.random.default_rng(0),
@@ -79,9 +80,9 @@ class TestDeterministicCollectOnce:
     ):
         """Collect-once must be a pure optimization for deterministic
         strategies: the trained weights match per-epoch re-collection."""
-        from repro.core.variants import collect_sampled_dataset
+        from repro.api.tracker import collect_sampled_dataset
 
-        strategy = make_strategy("Full+DS", 4.0, dataset=small_dataset)
+        strategy = STRATEGIES.get("Full+DS")(4.0, dataset=small_dataset)
         rng = np.random.default_rng(3)
         a = collect_sampled_dataset(strategy, small_dataset, [0], rng)
         b = collect_sampled_dataset(strategy, small_dataset, [0], rng)

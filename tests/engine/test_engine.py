@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import BlissCamPipeline, ci
+from repro.api.tracker import BlissCamPipeline, ci
 from repro.engine import (
     EventifyStage,
     FrameContext,

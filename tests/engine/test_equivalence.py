@@ -19,7 +19,8 @@ Three independent properties are pinned down, each exactly:
 import numpy as np
 import pytest
 
-from repro.core import BlissCamPipeline, ci, evaluate_strategy, make_strategy
+from repro.api import STRATEGIES
+from repro.api.tracker import BlissCamPipeline, ci, evaluate_strategy
 from repro.gaze.metrics import angular_errors
 from repro.sampling.roi import ROIReusePolicy, box_iou
 from repro.segmentation import ViTConfig, ViTSegmenter
@@ -219,7 +220,7 @@ class TestStagedEqualsPreRefactor:
             # derivation mirrors build_strategy_graph exactly.
             est_ref = FittedGazeEstimator()
             est_ref.fit(segs, gazes)
-            template = make_strategy(name, 4.0, dataset=dataset)
+            template = STRATEGIES.get(name)(4.0, dataset=dataset)
             seed = int(np.random.default_rng(7).integers(2**32))
             preds_ref, truths_ref, comps_ref = [], [], []
             for seq_index in eval_idx:
@@ -255,7 +256,7 @@ class TestStagedEqualsPreRefactor:
                 est_new = FittedGazeEstimator()
                 est_new.fit(segs, gazes)
                 result = evaluate_strategy(
-                    make_strategy(name, 4.0, dataset=dataset),
+                    STRATEGIES.get(name)(4.0, dataset=dataset),
                     vit,
                     dataset,
                     eval_idx,

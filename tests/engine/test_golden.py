@@ -34,8 +34,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core import BlissCamPipeline, ci
-from repro.core.variants import make_strategy
+from repro.api import STRATEGIES
+from repro.api.tracker import BlissCamPipeline, ci
 from repro.engine import build_strategy_graph, strategy_runner
 from repro.gaze.estimation import FittedGazeEstimator
 from repro.sampling.strategies import STRATEGY_NAMES
@@ -128,7 +128,7 @@ def strategy_record(name: str, dataset, segmenter) -> dict:
         np.concatenate([dataset[i].gazes for i in EVAL_IDX]),
     )
     graph = build_strategy_graph(
-        strategy=make_strategy(name, 4.0, dataset=dataset),
+        strategy=STRATEGIES.get(name)(4.0, dataset=dataset),
         segmenter=segmenter,
         gaze_estimator=estimator,
         rng=np.random.default_rng(7),

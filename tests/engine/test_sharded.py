@@ -11,7 +11,8 @@ order or process placement).
 import numpy as np
 import pytest
 
-from repro.core import BlissCamPipeline, ci, evaluate_strategy, make_strategy
+from repro.api import STRATEGIES
+from repro.api.tracker import BlissCamPipeline, ci, evaluate_strategy
 from repro.engine import SequenceRunner, Stage, contiguous_shards
 from repro.engine.runner import STEAL_FACTOR
 
@@ -266,7 +267,7 @@ class TestShardedStrategySweep:
         for name in ("Ours (ROI+Random)", "Full+Random", "Skip", "ROI+Fixed"):
             results = {
                 mode: evaluate_strategy(
-                    make_strategy(name, 4.0, dataset=dataset),
+                    STRATEGIES.get(name)(4.0, dataset=dataset),
                     trained_pipeline.segmenter,
                     dataset,
                     eval_idx,

@@ -12,7 +12,8 @@ backends.
 import numpy as np
 import pytest
 
-from repro.core.variants import evaluate_strategy, make_strategy
+from repro.api import STRATEGIES
+from repro.api.tracker import evaluate_strategy
 from repro.engine.stage import Stage
 from repro.engine.stages import (
     EventifyPairStage,
@@ -50,7 +51,7 @@ def vit():
 
 
 def _run(strategy_name, dataset, segmenter, **kwargs):
-    strategy = make_strategy(strategy_name, COMPRESSION, dataset=dataset)
+    strategy = STRATEGIES.get(strategy_name)(COMPRESSION, dataset=dataset)
     rng = np.random.default_rng(int(np.random.default_rng(7).integers(2**32)))
     return evaluate_strategy(
         strategy, segmenter, dataset, EVAL_IDX, rng, **kwargs

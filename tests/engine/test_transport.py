@@ -19,7 +19,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.api import ExperimentSpec, Session
+from repro.api import Session
 from repro.engine import (
     SequenceRunner,
     Stage,
@@ -254,19 +254,16 @@ class TestSessionOwnership:
     @needs_shm
     def test_session_context_manager_leaves_no_segments(self):
         before = _live_segments()
-        spec = ExperimentSpec.from_dict(
-            {
-                "workload": "throughput",
-                "dataset": {"num_sequences": 4, "frames_per_sequence": 4},
-                "training": {"epochs": 1, "train_indices": [0, 1]},
-                "execution": {
-                    "workers": 2,
-                    "repeats": 1,
-                    "eval_indices": [2, 3],
-                },
-            }
-        )
+        spec = {
+            "workload": "evaluate",
+            "dataset": {"num_sequences": 4, "frames_per_sequence": 4},
+            "training": {"epochs": 1, "train_indices": [0, 1]},
+            "execution": {"workers": 2, "eval_indices": [2, 3]},
+        }
         with Session() as session:
-            result = session.run(spec)
-        assert result.metrics["bitwise_identical"]
+            sharded = session.run(spec)
         assert _live_segments() <= before
+        serial_spec = {**spec, "execution": {"eval_indices": [2, 3]}}
+        with Session() as session:
+            serial = session.run(serial_spec)
+        assert sharded.metrics == serial.metrics

@@ -377,7 +377,7 @@ class TestExtensionContract:
     """A third-party strategy implements ``sample_batch`` only."""
 
     def test_row_loop_kernel_runs_at_every_width(self):
-        from repro.core import evaluate_strategy
+        from repro.api.tracker import evaluate_strategy
         from repro.segmentation import ViTConfig, ViTSegmenter
         from repro.synth import DatasetConfig, SyntheticEyeDataset
 

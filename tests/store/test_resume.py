@@ -10,6 +10,7 @@ an uninterrupted run — it is provenance *about* caching — so the byte
 pin is on the deterministic ``metrics`` payload.
 """
 
+import hashlib
 import json
 import os
 import signal
@@ -116,6 +117,53 @@ class TestSessionResume:
         assert _metrics_bytes(replay.metrics) == _metrics_bytes(
             result.metrics
         )
+
+
+class TestParentEraEntries:
+    """A store written before the tracker moved into ``repro.api.tracker``
+    holds format-1 pipeline entries whose payloads name a module that no
+    longer exists.  The memo key did not change, so such an entry still
+    *matches*; the format bump is what makes it a refused miss."""
+
+    SPEC = {
+        "workload": "evaluate",
+        "dataset": {"num_sequences": 3, "frames_per_sequence": 4},
+        "training": {"epochs": 1, "train_indices": [0, 1]},
+    }
+
+    def test_format_1_pipeline_is_refused_and_retrained(self, tmp_path):
+        spec = ExperimentSpec.from_dict(self.SPEC)
+        root = tmp_path / "store"
+        with Session(store=root) as session:
+            session.pipeline(spec)
+        store = ArtifactStore(root)
+        (record,) = store.find(kind="pipeline")
+        # Rewrite the entry as the older tree wrote it: format 1, and a
+        # payload naming a class in a module this tree does not have.
+        blob = b"cretired_module\nBlissCamPipeline\n."
+        meta = root / "entries" / f"{record.digest}.json"
+        (root / "entries" / f"{record.digest}.pkl").write_bytes(blob)
+        meta.write_text(
+            json.dumps(
+                {
+                    **record.to_dict(),
+                    "format": 1,
+                    "nbytes": len(blob),
+                    "payload_digest": hashlib.blake2b(
+                        blob, digest_size=16
+                    ).hexdigest(),
+                }
+            )
+        )
+        with Session(store=root) as session:
+            pipeline = session.pipeline(spec)
+            stats = session.stats()
+        assert pipeline.train_result is not None
+        assert stats["train_cache_misses"] == 1
+        assert stats["store_hydrations"] == 0
+        assert stats["store"]["stale_refused"] == 1
+        # The retrained pipeline replaced the refused entry.
+        assert not ArtifactStore(root).records()[0][0].stale
 
 
 class TestKillAndResume:

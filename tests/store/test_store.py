@@ -94,6 +94,76 @@ class TestAtomicity:
         with pytest.raises(KeyError, match="refused"):
             store.get(("x", "k"))
 
+    @pytest.mark.parametrize("suffix", [".json", ".pkl"])
+    def test_torn_entry_reads_as_a_miss(self, store, suffix):
+        # Every single-byte flip and every truncation of either half of
+        # an entry: ``get`` returns the original value or raises
+        # KeyError, and ``contains`` never raises.
+        key, value = ("x", "k"), {"weights": list(range(8)), "tag": "ok"}
+        store.put(key, value)
+        path = store._entries / f"{store.digest_for(key)}{suffix}"
+        original = path.read_bytes()
+        damaged = [
+            original[:i] + bytes([original[i] ^ 0xFF]) + original[i + 1:]
+            for i in range(len(original))
+        ]
+        damaged += [original[:n] for n in range(len(original))]
+        for data in damaged:
+            path.write_bytes(data)
+            store.contains(key)
+            try:
+                got = store.get(key)
+            except KeyError:
+                continue
+            assert got == value
+        path.write_bytes(original)
+        assert store.get(key) == value
+
+    @pytest.mark.parametrize("record", [b"[1, 2]", b"42", b'"text"', b"null"])
+    def test_non_object_record_reads_as_a_miss(self, store, record):
+        store.put(("x", "k"), 1)
+        meta = store._entries / f"{store.digest_for(('x', 'k'))}.json"
+        meta.write_bytes(record)
+        assert not store.contains(("x", "k"))
+        with pytest.raises(KeyError):
+            store.get(("x", "k"))
+        assert store.records() == []
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("nbytes", "x"),
+            ("nbytes", None),
+            ("format", str(STORE_FORMAT_VERSION)),
+            ("format", None),
+            ("digest", 7),
+            ("kind", []),
+            ("payload_digest", None),
+            ("nbytes", "<missing>"),
+            ("key", "<missing>"),
+            ("format", "<missing>"),
+        ],
+    )
+    def test_mistyped_record_reads_as_stale(self, store, field, value):
+        # An object record with a missing or wrong-typed field is not
+        # format-current: a miss for get/contains, stale for ls/gc.
+        key = ("x", "k")
+        store.put(key, 1)
+        meta = store._entries / f"{store.digest_for(key)}.json"
+        data = json.loads(meta.read_text())
+        if value == "<missing>":
+            del data[field]
+        else:
+            data[field] = value
+        meta.write_text(json.dumps(data))
+        assert not store.contains(key)
+        with pytest.raises(KeyError):
+            store.get(key)
+        [(record, _)] = store.records()
+        assert record.stale
+        assert store.stats()["stale_entries"] == 1
+        assert store.gc()["evicted"] == [store.digest_for(key)]
+
     def test_interrupted_write_leaves_only_staging_debris(self, store):
         # Emulate a SIGTERM mid-write: a staging file exists, no record.
         debris = store._staging / f"{STAGING_PREFIX}interrupted"

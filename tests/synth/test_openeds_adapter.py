@@ -97,7 +97,8 @@ class TestOpenEDSAdapter:
 
     def test_works_with_strategy_harness(self, archive_dir):
         """Real-data path: the variant harness runs unchanged."""
-        from repro.core import evaluate_strategy, make_strategy
+        from repro.api import STRATEGIES
+        from repro.api.tracker import evaluate_strategy
         from repro.segmentation import ViTConfig, ViTSegmenter
 
         adapter = OpenEDSAdapter(archive_dir)
@@ -107,7 +108,7 @@ class TestOpenEDSAdapter:
                       depth=1, decoder_depth=1),
             rng,
         )
-        strategy = make_strategy("Ours (ROI+Random)", 8.0)
+        strategy = STRATEGIES.get("Ours (ROI+Random)")(8.0)
         result = evaluate_strategy(strategy, vit, adapter, [1], rng)
         assert result.frames == 4
 

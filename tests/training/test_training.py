@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import ci
+from repro.api.tracker import ci
 from repro.sampling import ROIPredictor
 from repro.segmentation import ViTConfig, ViTSegmenter
 from repro.synth import DatasetConfig, SyntheticEyeDataset
