@@ -7,7 +7,7 @@ It trains identical CI-scale networks twice over the same dataset:
 
 * **per-frame** — ``batch_size=1``: the paper-faithful stepping, one
   Adam step per frame pair (bitwise-pinned by ``tests/training/``
-  against the retired ``JointTrainer`` loop);
+  against a transcription of the retired per-frame loop);
 * **batched** — ``batch_size=BATCH``: each minibatch is one rank through
   the vectorized kernels (stacked eventification, batched ROI
   forward/backward, batched soft masks, one ViT forward/backward per

@@ -2,13 +2,13 @@
 
 Worker functions receive their inputs through the transport layer:
 ``resolve_payload(handle)`` rebuilds a payload around **read-only**
-views over shared-memory segments, and ``worker_cached(key, factory)``
-returns an object *shared by every later dispatch in the process*.
-Writing into either corrupts state that outlives the call — other
-shards see the write, or the cached object silently diverges from a
-fresh build.  The transport makes shm views raise at runtime (PR 6);
-this rule catches the same hazard statically, including the pickle
-fallback path where nothing raises.
+views over shared-memory segments and memoizes the result by content
+digest, so the object is *shared by every later dispatch in the
+process*.  Writing into it corrupts state that outlives the call —
+other shards see the write, or the memoized object silently diverges
+from a fresh resolve.  The transport makes shm views raise at runtime
+(PR 6); this rule catches the same hazard statically, including the
+pickle fallback path where nothing raises.
 
 The analysis is intra-function dataflow: names assigned from a resolve
 call (or aliased from one through plain attribute/subscript access) are
@@ -31,7 +31,7 @@ __all__ = ["SharedMutationRule"]
 #: Call names whose results are shared/read-only (matched on the leaf,
 #: so both ``resolve_payload(...)`` and ``transport.resolve_payload``
 #: forms hit).
-_TAINT_SOURCES = {"resolve_payload", "worker_cached"}
+_TAINT_SOURCES = {"resolve_payload"}
 #: ndarray/list methods that mutate their receiver in place.
 _MUTATING_METHODS = {
     "fill",
@@ -86,9 +86,9 @@ class SharedMutationRule(Rule):
     rule_id = "REP105"
     title = "in-place write to a transport-resolved payload"
     rationale = (
-        "resolve_payload views are read-only shared memory and "
-        "worker_cached objects are shared across dispatches; mutating "
-        "either corrupts state beyond the current call — copy first."
+        "resolve_payload views are read-only shared memory and the "
+        "resolved objects are shared across dispatches; mutating them "
+        "corrupts state beyond the current call — copy first."
     )
 
     def check(self, module: ParsedModule) -> Iterator[Finding]:

@@ -46,7 +46,7 @@ _AMBIENT_CALLS = {
 
 #: Worker/shard entry-point naming conventions (see REP103's catalog of
 #: the repository's cross-process seams).
-_WORKER_SUFFIXES = ("_worker", "_handles", "_shard_job")
+_WORKER_SUFFIXES = ("_worker", "_handles", "_shard_job", "_strategy_job")
 _WORKER_PREFIXES = ("_execute_shard", "_serve_partition", "_epoch_shard")
 
 

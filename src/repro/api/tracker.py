@@ -309,8 +309,7 @@ class BlissCamPipeline:
     ) -> JointTrainResult:
         """Joint training (Sec. III-C) + gaze calibration.
 
-        Runs on the batched training runtime
-        (:class:`~repro.training.runtime.TrainRunner`):
+        Runs on :class:`~repro.training.joint.JointTrainer`:
         ``config.joint.batch_size`` sets the rank width / step
         granularity and ``config.joint.grad_accum`` selects the
         data-parallel epoch schedule, which ``workers >= 2`` shards over
@@ -530,10 +529,9 @@ def train_for_strategy(
 ):
     """Train ``segmenter`` on frames sampled by ``strategy``.
 
-    Executes on the training runtime
-    (:func:`repro.training.runtime.run_segmentation_epochs` via
-    :func:`train_segmentation`): each ``batch_size`` minibatch is one
-    model rank, exactly as the historical loop ran it.
+    Executes on :func:`~repro.training.loop.train_segmentation`: each
+    ``batch_size`` minibatch is one model rank, exactly as the
+    historical loop ran it.
 
     Stochastic strategies draw a *fresh* mask every epoch — the same
     regime as the real sensor, whose SRAM RNG resamples each frame.  This

@@ -36,7 +36,6 @@ from repro.engine.transport import (
     TransportError,
     resolve_payload,
     shm_available,
-    worker_cached,
 )
 from repro.engine.stages import (
     EventifyPairStage,
@@ -67,7 +66,6 @@ __all__ = [
     "TransportError",
     "ObjectHandle",
     "resolve_payload",
-    "worker_cached",
     "shm_available",
     "EventifyStage",
     "ROIPredictStage",

@@ -20,9 +20,7 @@ module attacks the bytes, not the kernels:
 * **Worker-resident caches.**  Workers map segments read-only (one
   attach per segment per process) and memoize the *resolved object* by
   its content digest, so repeated dispatches of the same payload skip
-  deserialization entirely.  :func:`worker_cached` generalizes the
-  training runtime's historical single-slot dataset cache into a keyed
-  cache any worker-side rebuild path can use.
+  deserialization entirely.
 * **Explicit lifecycle.**  Segments are created by the dispatcher and
   unlinked deterministically: the channel owned by ``repro.api.Session``
   (the only one the sharded paths use) unlinks on ``Session.close()``.
@@ -55,7 +53,7 @@ import pickle
 import secrets
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
@@ -72,7 +70,6 @@ __all__ = [
     "ObjectHandle",
     "ArrayRef",
     "resolve_payload",
-    "worker_cached",
     "shm_available",
     "payload_stats",
     "MIN_SHM_ARRAY_BYTES",
@@ -177,9 +174,6 @@ _OWNED: set[str] = set()
 #: dispatches of an identical payload skip deserialization entirely).
 _OBJECTS: "OrderedDict[str, Any]" = OrderedDict()
 _OBJECTS_MAX = 32
-#: The keyed worker cache behind :func:`worker_cached`.
-_KEYED: "OrderedDict[Any, Any]" = OrderedDict()
-_KEYED_MAX = 16
 
 
 def _attach(name: str):
@@ -237,33 +231,12 @@ def resolve_payload(handle: ObjectHandle) -> Any:
     return obj
 
 
-def worker_cached(key: Any, factory: Callable[[], Any]) -> Any:
-    """A worker-resident keyed cache for rebuild-style payloads.
-
-    The generalization of the training runtime's historical single-slot
-    dataset cache: any worker-side path that *re-derives* an expensive
-    object from a small spec (datasets from configs, sensor templates
-    from seeds) caches it here keyed by that spec's hash, so a persistent
-    pool re-derives once per worker instead of once per dispatch.  The
-    factory only runs on a miss; a failing factory caches nothing.
-    """
-    if key in _KEYED:
-        _KEYED.move_to_end(key)
-        return _KEYED[key]
-    value = factory()
-    _KEYED[key] = value
-    while len(_KEYED) > _KEYED_MAX:
-        _KEYED.popitem(last=False)
-    return value
-
-
 def payload_stats() -> dict:
     """Observability: this process's transport-cache occupancy."""
     return {
         "segments_mapped": len(_SEGMENTS),
         "segments_owned": len(_OWNED),
         "objects_cached": len(_OBJECTS),
-        "keyed_cached": len(_KEYED),
     }
 
 

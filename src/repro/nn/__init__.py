@@ -20,7 +20,7 @@ from repro.nn.layers import Dropout, Flatten, Linear, Residual
 from repro.nn.losses import CrossEntropyLoss, MSELoss
 from repro.nn.module import Module, Parameter, Sequential
 from repro.nn.norm import BatchNorm2d, LayerNorm
-from repro.nn.optim import Adam, cosine_schedule, step_schedule
+from repro.nn.optim import Adam
 from repro.nn.quantize import dequantize_tensor, quantize_module, quantize_tensor
 from repro.nn.serialize import load_checkpoint, save_checkpoint
 
@@ -51,8 +51,6 @@ __all__ = [
     "CrossEntropyLoss",
     "MSELoss",
     "Adam",
-    "cosine_schedule",
-    "step_schedule",
     "save_checkpoint",
     "load_checkpoint",
     "quantize_tensor",

@@ -1,4 +1,4 @@
-"""Adam over a flat parameter arena, and learning-rate schedules.
+"""Adam over a flat parameter arena.
 
 An :class:`Optimizer` owns the storage of the parameters it updates: it
 copies them into one flat float64 ``data`` buffer and one flat ``grad``
@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.nn.module import Parameter
 
-__all__ = ["Adam", "cosine_schedule", "step_schedule"]
+__all__ = ["Adam"]
 
 
 class Optimizer:
@@ -165,22 +165,3 @@ class Adam(Optimizer):
         b += self.eps
         a /= b
         self.data -= a
-
-
-def cosine_schedule(base_lr: float, epoch: int, total_epochs: int) -> float:
-    """Cosine decay from ``base_lr`` to zero over ``total_epochs``."""
-    if total_epochs <= 0:
-        raise ValueError("total_epochs must be positive")
-    frac = min(epoch, total_epochs) / total_epochs
-    return 0.5 * base_lr * (1.0 + np.cos(np.pi * frac))
-
-
-def step_schedule(
-    base_lr: float, epoch: int, milestones: list[int], gamma: float = 0.1
-) -> float:
-    """Multiply the learning rate by ``gamma`` at each milestone."""
-    lr = base_lr
-    for milestone in milestones:
-        if epoch >= milestone:
-            lr *= gamma
-    return lr

@@ -95,17 +95,6 @@ class SyntheticEyeDataset:
             self._cache[index] = self._generate(index)
         return self._cache[index]
 
-    def is_materialized(self, index: int) -> bool:
-        """Whether sequence ``index`` has already been generated.
-
-        A materialized sequence may have been mutated in place by the
-        caller (tests simulate occlusions that way), so consumers that
-        re-render from ``(config.seed, index)`` instead of shipping the
-        cached object — the sharded training runtime — only do so for
-        indices that are still un-materialized here.
-        """
-        return index in self._cache
-
     def __iter__(self):
         for i in range(len(self)):
             yield self[i]

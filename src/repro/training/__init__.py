@@ -1,9 +1,9 @@
 """Training procedures: generic segmentation training and the paper's
 joint ROI + ViT procedure with approximate differentiable sampling.
 
-Execution lives in :mod:`repro.training.runtime` — the batched-rank
-:class:`TrainRunner` behind :class:`JointTrainer` and
-:func:`train_segmentation` (see ``docs/training.md``)."""
+:class:`JointTrainer` runs the joint procedure on the batched-rank
+kernels of :mod:`repro.training.runtime`; :func:`train_segmentation`
+trains a segmenter alone (see ``docs/training.md``)."""
 
 from repro.training.joint import (
     JointTrainConfig,
@@ -14,7 +14,6 @@ from repro.training.joint import (
 from repro.training.loop import TrainResult, batched, train_segmentation
 from repro.training.runtime import (
     TRAIN_STREAM_TAG,
-    TrainRunner,
     TrainSample,
     collect_frame_pairs,
     sample_stream,
@@ -28,7 +27,6 @@ __all__ = [
     "JointTrainer",
     "JointTrainConfig",
     "JointTrainResult",
-    "TrainRunner",
     "TrainSample",
     "TRAIN_STREAM_TAG",
     "collect_frame_pairs",

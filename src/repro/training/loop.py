@@ -6,19 +6,17 @@ RITnet, EdGaze — they share the ``forward(frames, masks)`` /
 samples.  Used for the baseline (non-joint) experiments and the ablation
 benchmarks; the paper's full joint procedure lives in
 :mod:`repro.training.joint`.
-
-This module is the thin validating front: execution lives in
-:func:`repro.training.runtime.run_segmentation_epochs`, next to the
-joint :class:`~repro.training.runtime.TrainRunner`, so every training
-schedule runs in the runtime layer (bitwise-identical to the historical
-in-place loop).
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from repro.nn import Adam, CrossEntropyLoss
+from repro.obs.tracer import current_tracer
 
 __all__ = ["TrainResult", "train_segmentation", "batched"]
 
@@ -50,6 +48,16 @@ def batched(items: list, batch_size: int):
         yield items[start : start + batch_size]
 
 
+def _epoch_span(epoch: int, **attrs):
+    """The ``train.epoch`` span of one epoch (counted in
+    ``train.epochs``), or a no-op context when untraced."""
+    tracer = current_tracer()
+    if tracer is None:
+        return nullcontext()
+    tracer.count("train.epochs")
+    return tracer.span("train.epoch", epoch=epoch, **attrs)
+
+
 def train_segmentation(
     model,
     samples: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
@@ -74,18 +82,33 @@ def train_segmentation(
         (gradient masking).  The default supervises the full map, teaching
         the network to in-paint labels for unsampled pixels.
     """
-    # Imported lazily: the runtime imports this module for TrainResult /
-    # batched.  Input validation lives with the execution (the runtime
-    # is public surface too).
-    from repro.training.runtime import run_segmentation_epochs
-
-    return run_segmentation_epochs(
-        model,
-        samples,
-        epochs=epochs,
-        rng=rng,
-        lr=lr,
-        batch_size=batch_size,
-        grad_clip=grad_clip,
-        supervise_sampled_only=supervise_sampled_only,
-    )
+    if epochs < 1:
+        raise ValueError(f"epochs must be >= 1: {epochs}")
+    if not samples:
+        raise ValueError("no training samples")
+    loss_fn = CrossEntropyLoss()
+    optimizer = Adam(model.parameters(), lr=lr)
+    result = TrainResult()
+    order = np.arange(len(samples))
+    model.train()
+    for epoch in range(epochs):
+        with _epoch_span(epoch, schedule="segmentation", samples=len(samples)):
+            rng.shuffle(order)
+            epoch_loss = 0.0
+            num_batches = 0
+            for batch_idx in batched(list(order), batch_size):
+                frames = np.stack([samples[i][0] for i in batch_idx])
+                masks = np.stack([samples[i][1] for i in batch_idx])
+                targets = np.stack([samples[i][2] for i in batch_idx])
+                logits = model(frames, masks)
+                loss_mask = masks if supervise_sampled_only else None
+                loss = loss_fn.forward(logits, targets, mask=loss_mask)
+                optimizer.zero_grad()
+                model.backward(loss_fn.backward())
+                optimizer.clip_grad_norm(grad_clip)
+                optimizer.step()
+                epoch_loss += loss
+                num_batches += 1
+            result.epoch_losses.append(epoch_loss / num_batches)
+    model.eval()
+    return result

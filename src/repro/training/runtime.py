@@ -1,15 +1,14 @@
-"""The batched + sharded training runtime (the training-side engine).
+"""The joint-training kernels: batched ranks and per-sequence gradients.
 
 Every other execution surface of this reproduction — evaluation, strategy
 sweeps, serving — runs on the engine's batched-rank design: fixed-width
 vectorized ranks, per-unit spawned RNG streams keyed by stable identity,
 and fixed-order reductions, which together make execution mode (scalar /
-batched / sharded) a pure performance knob.  This module brings the last
-layer, *training*, onto the same design and retires the per-frame
-``JointTrainer._train_step`` loop.
-
-:class:`TrainRunner` forms minibatches of teacher-forced frame pairs and
-runs each as **one rank**:
+batched / sharded) a pure performance knob.  This module holds the
+kernels that bring *training* onto the same design;
+:class:`~repro.training.joint.JointTrainer` forms minibatches of
+teacher-forced frame pairs and runs each as **one rank**
+(:func:`_rank_backward`):
 
 * ``eventify`` vectorized over the stacked ``(B, H, W)`` frame pairs;
 * the ROI predictor's batched forward/backward (its conv trunk is the
@@ -30,42 +29,36 @@ Determinism contract (pinned by ``tests/training/``):
 * ``batch_size > 1`` is a **documented semantic change**: one Adam step
   per minibatch instead of per frame pair (``docs/training.md``);
 * ``grad_accum=True`` is the data-parallel schedule: per-sequence
-  gradient sums, reduced in fixed sequence order, one Adam step per
-  epoch.  ``workers >= 2`` shards the per-sequence gradient passes over
-  processes; because the reduction order is fixed and the streams are
-  identity-keyed, **any** worker count produces bitwise-identical
-  results to the in-process accumulation.
+  gradient sums (:func:`_sequence_gradients`), reduced in fixed sequence
+  order, one Adam step per epoch.  ``workers >= 2`` shards the
+  per-sequence gradient passes over processes
+  (:func:`_epoch_shard_job`); because the reduction order is fixed and
+  the streams are identity-keyed, **any** worker count produces
+  bitwise-identical results to the in-process accumulation.
 """
 
 from __future__ import annotations
 
 import zlib
-from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.nn import Adam, CrossEntropyLoss, MSELoss
-from repro.obs.tracer import current_tracer
 from repro.nn.functional import grey_dilation, grey_erosion
 from repro.sampling.eventification import eventify
 from repro.sampling.random_sampling import random_mask_in_box
 from repro.sampling.roi import ROIPredictor, box_from_pixels, box_to_pixels
-from repro.training.joint import (
-    JointTrainConfig,
-    JointTrainResult,
-    SoftROIMask,
-)
-from repro.training.loop import TrainResult, batched
+from repro.training.loop import batched
+
+if TYPE_CHECKING:  # joint.py builds on this module
+    from repro.training.joint import JointTrainConfig, SoftROIMask
 
 __all__ = [
     "TRAIN_STREAM_TAG",
     "TrainSample",
-    "TrainRunner",
     "collect_frame_pairs",
     "sample_stream",
-    "run_segmentation_epochs",
 ]
 
 #: Namespaces the training streams away from every other consumer of the
@@ -317,552 +310,31 @@ def _flat_grad(module) -> np.ndarray:
     return np.concatenate([p.grad.ravel() for p in module.parameters()])
 
 
-def _dataset_cache_key(dataset_type, dataset_cfg) -> tuple:
-    """The worker-cache key of one rebuildable dataset.
-
-    Keyed by the config's *content* (a digest of its pickle), not object
-    identity: two runs shipping equal configs share one worker-side
-    dataset, and any config change — however small — misses and
-    rebuilds.
-    """
-    import hashlib
-    import pickle as _pickle
-
-    blob = _pickle.dumps(dataset_cfg, _pickle.HIGHEST_PROTOCOL)
-    return (
-        "train_dataset",
-        dataset_type.__module__,
-        dataset_type.__qualname__,
-        hashlib.blake2b(blob, digest_size=16).hexdigest(),
-    )
-
-
-def _resolve_shard(shard_spec) -> list[tuple[int, object]]:
-    """Materialize one shard's ``(seq_index, sequence)`` pairs in-worker.
-
-    ``("rebuild", type, config, indices)`` re-renders the sequences from
-    the dataset config — sequence ``i`` is a pure function of
-    ``(config.seed, i)`` (the dataset's documented contract), so only
-    the *indices* ship per epoch, not the frame data; the built dataset
-    is cached across epochs (and runs) in the transport layer's keyed
-    worker cache (:func:`repro.engine.transport.worker_cached` — the
-    generalization of this module's historical single-slot cache), so a
-    persistent pool serving interleaved configs keeps each one warm.
-    ``("inline", pairs)`` is the fallback for datasets that cannot be
-    rebuilt worker-side (no reconstructing ``config``, or sequences the
-    parent already materialized and may have mutated).  Inline payloads
-    re-ship each epoch: a process pool gives no worker affinity, so a
-    once-only transfer could land on a worker that never cached it —
-    rebuild mode is the fast path, inline the correctness fallback.
-    """
-    from repro.engine.transport import worker_cached
-
-    if shard_spec[0] == "inline":
-        return shard_spec[1]
-    _, dataset_type, dataset_cfg, indices = shard_spec
-    dataset = worker_cached(
-        _dataset_cache_key(dataset_type, dataset_cfg),
-        lambda: dataset_type(dataset_cfg),
-    )
-    return [(i, dataset[i]) for i in indices]
-
-
 def _epoch_shard_job(models_handle, shard_handle, epoch: int):
     """Worker-side entry point: per-sequence gradients for one shard.
 
     Module-level so the pool can pickle it.  ``models_handle`` carries
     ``(roi_predictor, segmenter, config, seed)`` published per epoch
     into a slot (so epoch ``e``'s weights replace epoch ``e-1``'s
-    segments); ``shard_handle`` carries the run-constant shard *spec*,
-    published once and digest-cached worker-side — sequence data is
-    rebuilt worker-side from the dataset config (see
-    :func:`_resolve_shard`).  Weight arrays arrive as read-only views
-    over the mapped segments; ``Parameter.__setstate__`` recreates
-    writable gradient buffers, and workers never write ``.data`` — they
-    only accumulate gradients — so read-only weights are exactly as safe
-    as pickled copies.  Workers rebuild the canonical loss kernels —
-    :meth:`TrainRunner.run` refuses to shard when non-canonical
-    components were injected, so worker-side and in-process execution
-    can never silently diverge.
+    segments); ``shard_handle`` carries the shard's ``[(seq_index,
+    sequence), ...]`` pairs, published once per run and digest-cached
+    worker-side.  Weight arrays arrive as read-only views over the
+    mapped segments; ``Parameter.__setstate__`` recreates writable
+    gradient buffers, and workers never write ``.data`` — they only
+    accumulate gradients — so read-only weights are exactly as safe as
+    pickled copies.  The losses and soft mask come from
+    :func:`~repro.training.joint.joint_components`, the same builder the
+    in-process path uses.
     """
     from repro.engine.transport import resolve_payload
+    from repro.training.joint import joint_components
 
     roi_predictor, segmenter, config, seed = resolve_payload(models_handle)
-    seg_loss = CrossEntropyLoss()
-    roi_loss = MSELoss()
-    soft_mask = SoftROIMask(
-        segmenter.config.height, segmenter.config.width, tau=config.tau
-    )
+    kernels = joint_components(config, segmenter)
     return [
         _sequence_gradients(
-            roi_predictor,
-            segmenter,
-            config,
-            seed,
-            epoch,
-            seq_index,
-            seq,
-            seg_loss,
-            roi_loss,
-            soft_mask,
+            roi_predictor, segmenter, config, seed, epoch, seq_index, seq,
+            *kernels,
         )
-        for seq_index, seq in _resolve_shard(resolve_payload(shard_handle))
+        for seq_index, seq in resolve_payload(shard_handle)
     ]
-
-
-class TrainRunner:
-    """Executes the joint training procedure in batched ranks.
-
-    Parameters
-    ----------
-    roi_predictor, segmenter:
-        The networks to train (mutated in place).
-    config:
-        The :class:`~repro.training.joint.JointTrainConfig`;
-        ``batch_size`` sets the rank width / step granularity and
-        ``grad_accum`` selects the data-parallel epoch schedule.
-    rng:
-        A generator (one integer is drawn from it to key the per-sample
-        streams) or a plain integer seed.
-    seg_loss, roi_loss, opt_seg, opt_roi, soft_mask:
-        Injectable components, defaulting to the canonical ones; the
-        :class:`~repro.training.joint.JointTrainer` front passes its own
-        so callers can keep substituting them.
-    """
-
-    def __init__(
-        self,
-        roi_predictor,
-        segmenter,
-        config: JointTrainConfig,
-        rng: np.random.Generator | int,
-        *,
-        seg_loss=None,
-        roi_loss=None,
-        opt_seg=None,
-        opt_roi=None,
-        soft_mask: SoftROIMask | None = None,
-    ):
-        self.roi_predictor = roi_predictor
-        self.segmenter = segmenter
-        self.config = config
-        if isinstance(rng, np.random.Generator):
-            #: One draw keys every per-sample stream (the spawn idiom:
-            #: downstream streams derive from identity, not draw order).
-            self.seed = int(rng.integers(2**63 - 1))
-        else:
-            self.seed = int(rng)
-        self.seg_loss = seg_loss if seg_loss is not None else CrossEntropyLoss()
-        self.roi_loss = roi_loss if roi_loss is not None else MSELoss()
-        self.opt_seg = opt_seg or Adam(
-            segmenter.parameters(), lr=config.lr_segmenter
-        )
-        self.opt_roi = opt_roi or Adam(
-            roi_predictor.parameters(), lr=config.lr_roi
-        )
-        self.soft_mask = soft_mask or SoftROIMask(
-            segmenter.config.height, segmenter.config.width, tau=config.tau
-        )
-
-    # -- the front door -----------------------------------------------------
-    def run(
-        self,
-        dataset,
-        sequence_indices: Sequence[int],
-        *,
-        workers: int | None = None,
-        executor=None,
-        transport=None,
-    ) -> JointTrainResult:
-        """Train over ``sequence_indices`` for ``config.epochs`` epochs.
-
-        ``workers >= 2`` shards the data-parallel schedule's per-sequence
-        gradient passes over ``executor`` — a persistent pool such as
-        ``repro.api.Session.executor(n)`` — with the models and shard
-        specs published on ``transport``, the caller's
-        :class:`~repro.engine.transport.TransportChannel`
-        (``Session.transport()``); both are required to shard
-        (:func:`~repro.engine.executors.check_dispatch`).  Requires
-        ``config.grad_accum`` — the stepped schedule updates weights
-        every minibatch and is inherently sequential.  As with
-        :meth:`~repro.engine.SequenceRunner.run`, the worker count is
-        clamped to the sequence count: a single-sequence run stays
-        in-process (same bits — workers never change results) even when
-        an executor was injected.  Results are bitwise-identical for any
-        worker count.
-        """
-        from repro.engine.executors import check_dispatch
-
-        n_workers = check_dispatch(workers, executor, transport)
-        if n_workers >= 2 and not self.config.grad_accum:
-            raise ValueError(
-                "sharded training requires grad_accum=True: the stepped "
-                "schedule takes an Adam step per minibatch, which is "
-                "inherently sequential; the data-parallel schedule "
-                "accumulates per-sequence gradients (fixed reduction "
-                "order) and steps once per epoch"
-            )
-        if n_workers >= 2 and not self._components_canonical():
-            # Workers rebuild the canonical kernels (custom objects
-            # generally do not pickle); silently diverging from the
-            # in-process run would break the worker-count-neutrality
-            # contract, so refuse instead.
-            raise ValueError(
-                "sharded training runs the canonical loss / soft-mask "
-                "kernels in worker processes; substituted components "
-                "would be silently ignored there — train in-process "
-                "(workers=1) or drop the substitution"
-            )
-        indices = list(sequence_indices)
-        self.segmenter.train()
-        self.roi_predictor.train()
-        return self._execute(dataset, indices, n_workers, executor, transport)
-
-    def _components_canonical(self) -> bool:
-        """Whether workers would rebuild exactly the components in use.
-
-        ``_epoch_shard_job`` reconstructs the losses and soft mask from
-        the config, so sharding is only allowed when the in-process
-        instances are the canonical types *and* the soft mask carries
-        the config's parameters (a canonical-type mask with a different
-        ``tau`` or geometry would still diverge silently).
-        """
-        c = self.segmenter.config
-        return (
-            type(self.seg_loss) is CrossEntropyLoss
-            and type(self.roi_loss) is MSELoss
-            and type(self.soft_mask) is SoftROIMask
-            and self.soft_mask.tau == self.config.tau
-            and len(self.soft_mask._rows) == c.height
-            and len(self.soft_mask._cols) == c.width
-        )
-
-    def _execute(
-        self, dataset, indices: list[int], n_workers: int, executor, transport
-    ) -> JointTrainResult:
-        """Dispatch to the configured schedule; restore eval mode."""
-        try:
-            if self.config.grad_accum:
-                result = self._run_accumulated(
-                    dataset, indices, n_workers, executor, transport
-                )
-            else:
-                result = self._run_stepped(
-                    collect_frame_pairs(dataset, indices)
-                )
-        finally:
-            self.segmenter.eval()
-            self.roi_predictor.eval()
-        return result
-
-    # -- stepped schedule (legacy semantics at batch_size=1) ------------------
-    def _run_stepped(self, samples: list[TrainSample]) -> JointTrainResult:
-        """One Adam step per minibatch, minibatches cut sequence-major."""
-        cfg = self.config
-        result = JointTrainResult()
-        tracer = current_tracer()
-        for epoch in range(cfg.epochs):
-            epoch_span = (
-                tracer.span(
-                    "train.epoch",
-                    epoch=epoch,
-                    schedule="stepped",
-                    samples=len(samples),
-                )
-                if tracer is not None
-                else nullcontext()
-            )
-            if tracer is not None:
-                tracer.count("train.epochs")
-            with epoch_span:
-                self._stepped_epoch(samples, epoch, result)
-        return result
-
-    def _stepped_epoch(
-        self, samples: list[TrainSample], epoch: int, result: JointTrainResult
-    ) -> None:
-        cfg = self.config
-        seg_total, roi_total, steps = 0.0, 0.0, 0
-        for rank in batched(samples, cfg.batch_size):
-            self.opt_roi.zero_grad()
-            self.opt_seg.zero_grad()
-            seg_l, roi_l = _rank_backward(
-                self.roi_predictor,
-                self.segmenter,
-                cfg,
-                self.seed,
-                epoch,
-                rank,
-                self.seg_loss,
-                self.roi_loss,
-                self.soft_mask,
-            )
-            self.opt_roi.clip_grad_norm(cfg.grad_clip)
-            self.opt_seg.clip_grad_norm(cfg.grad_clip)
-            self.opt_roi.step()
-            self.opt_seg.step()
-            seg_total += seg_l
-            roi_total += roi_l
-            steps += 1
-        result.seg_losses.append(seg_total / max(steps, 1))
-        result.roi_losses.append(roi_total / max(steps, 1))
-
-    # -- data-parallel schedule (grad_accum) ----------------------------------
-    def _run_accumulated(
-        self,
-        dataset,
-        indices: list[int],
-        workers: int,
-        executor,
-        transport,
-    ) -> JointTrainResult:
-        """One Adam step per epoch over fixed-order per-sequence sums."""
-        from repro.engine import contiguous_shards
-
-        cfg = self.config
-        n_workers = min(workers, len(indices))
-        result = JointTrainResult()
-        # The reduction writes each network's flat gradient sum straight
-        # into its optimizer's arena, so the layouts must agree.
-        for net, opt in (
-            (self.roi_predictor, self.opt_roi),
-            (self.segmenter, self.opt_seg),
-        ):
-            if list(map(id, opt.params)) != list(map(id, net.parameters())):
-                raise ValueError(
-                    f"the data-parallel schedule needs an optimizer over "
-                    f"exactly {type(net).__name__}.parameters(), in order"
-                )
-        # Shard *specs* are fixed for the whole run (sharded rebuild mode
-        # never renders the training sequences in the parent at all) and
-        # ship once, into slots a later training run on the same channel
-        # will recycle.
-        shard_handles = (
-            [
-                transport.publish(
-                    self._shard_spec(dataset, shard), slot=("train_shard", i)
-                )
-                for i, shard in enumerate(contiguous_shards(indices, n_workers))
-            ]
-            if n_workers >= 2
-            else None
-        )
-        tracer = current_tracer()
-        for epoch in range(cfg.epochs):
-            epoch_span = (
-                tracer.span(
-                    "train.epoch",
-                    epoch=epoch,
-                    schedule="accumulated",
-                    sequences=len(indices),
-                    workers=n_workers,
-                )
-                if tracer is not None
-                else nullcontext()
-            )
-            if tracer is not None:
-                tracer.count("train.epochs")
-            with epoch_span:
-                self._accumulate_epoch(
-                    dataset, indices, shard_handles, transport, epoch,
-                    executor, result,
-                )
-        return result
-
-    @staticmethod
-    def _shard_spec(dataset, shard_indices: list[int]):
-        """What one worker needs to materialize its shard.
-
-        With a config-reconstructible dataset only the *indices* ship
-        each epoch — sequences re-render worker-side from
-        ``(config.seed, index)``, the dataset's determinism contract
-        (the same idiom the strategy-sweep fan-out uses).  The
-        reconstruction is probed here (dataset constructors are lazy, so
-        the probe renders nothing), and rebuild mode is only used when
-        the parent has not yet materialized any of the shard's sequences
-        — a caller-side mutation requires a materialized sequence, so
-        re-rendering can never silently diverge from what the in-process
-        path would train on.  Everything else ships the frame data
-        inline.
-        """
-        config = getattr(dataset, "config", None)
-        materialized = getattr(dataset, "is_materialized", None)
-        pristine = materialized is not None and not any(
-            materialized(i) for i in shard_indices
-        )
-        if config is not None and pristine:
-            try:
-                type(dataset)(config)
-            except Exception:
-                pass
-            else:
-                return ("rebuild", type(dataset), config, shard_indices)
-        return ("inline", [(i, dataset[i]) for i in shard_indices])
-
-    def _accumulate_epoch(
-        self,
-        dataset,
-        indices: list[int],
-        shard_handles: list | None,
-        channel,
-        epoch: int,
-        executor,
-        result: JointTrainResult,
-    ) -> None:
-        """One data-parallel epoch: reduce per-sequence sums, step once.
-
-        ``shard_handles`` is ``None`` for the in-process accumulation.
-        """
-        cfg = self.config
-        if shard_handles is not None:
-            per_seq = self._sharded_epoch(
-                shard_handles, channel, epoch, executor
-            )
-        else:
-            # Lazy in-process generation: only one sequence's gradient
-            # copies are alive at a time — the reduction below consumes
-            # them in the same fixed sequence order either way.
-            per_seq = (
-                _sequence_gradients(
-                    self.roi_predictor,
-                    self.segmenter,
-                    cfg,
-                    self.seed,
-                    epoch,
-                    seq_index,
-                    dataset[seq_index],
-                    self.seg_loss,
-                    self.roi_loss,
-                    self.soft_mask,
-                )
-                for seq_index in indices
-            )
-        # Fixed-order reduction: per-sequence sums added in sequence
-        # order — the bits cannot depend on which worker computed
-        # which shard (or on the worker count at all).
-        roi_total = np.zeros_like(self.opt_roi.grad)
-        seg_total = np.zeros_like(self.opt_seg.grad)
-        seg_sum, roi_sum, ranks = 0.0, 0.0, 0
-        for grads in per_seq:
-            roi_total += grads.roi_grad
-            seg_total += grads.seg_grad
-            seg_sum += grads.seg_sum
-            roi_sum += grads.roi_sum
-            ranks += grads.ranks
-        if ranks == 0:
-            # No frame pairs at all (empty indices / single-frame
-            # sequences): no gradient, so no optimizer step — a warm
-            # Adam would otherwise move the weights on pure momentum,
-            # which the stepped schedule (and the retired loop) never
-            # did for empty input.
-            result.seg_losses.append(0.0)
-            result.roi_losses.append(0.0)
-            return
-        scale = 1.0 / ranks
-        np.multiply(roi_total, scale, out=self.opt_roi.grad)
-        np.multiply(seg_total, scale, out=self.opt_seg.grad)
-        self.opt_roi.clip_grad_norm(cfg.grad_clip)
-        self.opt_seg.clip_grad_norm(cfg.grad_clip)
-        self.opt_roi.step()
-        self.opt_seg.step()
-        result.seg_losses.append(seg_sum / ranks)
-        result.roi_losses.append(roi_sum / ranks)
-
-    def _sharded_epoch(
-        self, shard_handles: list, channel, epoch: int, executor
-    ):
-        """Per-sequence gradients of one epoch, sharded over processes.
-
-        Contiguous shards of whole sequences onto the caller's
-        ``executor``.  The epoch-start weights (gradient buffers are
-        stripped by ``Parameter.__getstate__``) are published into the
-        ``"train_models"`` slot — each epoch's segments *replace* the
-        previous epoch's (safe: every epoch-``e`` task completes before
-        epoch ``e+1`` publishes) — and each dispatch ships two tiny
-        handles.  Yields shard results in shard order — exact sequence
-        order for the parent-side reduction.  Peak parent-side memory is
-        bounded by the worker count: shards that finish early sit
-        buffered in their futures until the in-order reduction reaches
-        them.
-        """
-        models_handle = channel.publish(
-            (self.roi_predictor, self.segmenter, self.config, self.seed),
-            slot="train_models",
-        )
-        futures = [
-            executor.submit(
-                _epoch_shard_job, models_handle, shard_handle, epoch
-            )
-            for shard_handle in shard_handles
-        ]
-        tracer = current_tracer()
-        if tracer is not None:
-            tracer.count("train.shard_dispatches", len(futures))
-        for future in futures:
-            yield from future.result()
-
-
-# -- generic segmentation training (the train_segmentation backend) ----------
-def run_segmentation_epochs(
-    model,
-    samples: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
-    epochs: int,
-    rng: np.random.Generator,
-    lr: float,
-    batch_size: int,
-    grad_clip: float,
-    supervise_sampled_only: bool,
-) -> TrainResult:
-    """The minibatched epoch loop behind :func:`repro.training.loop.
-    train_segmentation`.
-
-    Already a batched-rank computation (one model forward/backward per
-    minibatch); it lives here so every training schedule — joint and
-    plain segmentation alike — executes in the runtime layer.  The
-    numerics are an exact transplant of the historical loop: same
-    shuffle draws, same stacking, same step order, bitwise-identical
-    results.
-    """
-    if epochs < 1:
-        raise ValueError(f"epochs must be >= 1: {epochs}")
-    if not samples:
-        raise ValueError("no training samples")
-    loss_fn = CrossEntropyLoss()
-    optimizer = Adam(model.parameters(), lr=lr)
-    result = TrainResult()
-    order = np.arange(len(samples))
-    model.train()
-    tracer = current_tracer()
-    for epoch in range(epochs):
-        epoch_span = (
-            tracer.span(
-                "train.epoch",
-                epoch=epoch,
-                schedule="segmentation",
-                samples=len(samples),
-            )
-            if tracer is not None
-            else nullcontext()
-        )
-        if tracer is not None:
-            tracer.count("train.epochs")
-        with epoch_span:
-            rng.shuffle(order)
-            epoch_loss = 0.0
-            num_batches = 0
-            for batch_idx in batched(list(order), batch_size):
-                frames = np.stack([samples[i][0] for i in batch_idx])
-                masks = np.stack([samples[i][1] for i in batch_idx])
-                targets = np.stack([samples[i][2] for i in batch_idx])
-                logits = model(frames, masks)
-                loss_mask = masks if supervise_sampled_only else None
-                loss = loss_fn.forward(logits, targets, mask=loss_mask)
-                optimizer.zero_grad()
-                model.backward(loss_fn.backward())
-                optimizer.clip_grad_norm(grad_clip)
-                optimizer.step()
-                epoch_loss += loss
-                num_batches += 1
-            result.epoch_losses.append(epoch_loss / num_batches)
-    model.eval()
-    return result

@@ -382,14 +382,16 @@ class TestREP105SharedMutation:
             "REP105",
         )
 
-    def test_worker_cached_mutating_method_fires(self):
+    def test_mutating_method_fires(self):
+        # Resolved payloads are memoized per process, so an in-place
+        # method call poisons every later dispatch of the same content.
         assert findings_for(
             """
-            from repro.engine.transport import worker_cached
+            from repro.engine.transport import resolve_payload
 
-            def job(key, factory):
-                dataset = worker_cached(key, factory)
-                dataset.append("poisoned")
+            def job(handle):
+                shard = resolve_payload(handle)
+                shard.append("poisoned")
             """,
             "REP105",
         )
@@ -745,6 +747,20 @@ class TestREP108ObsPlane:
             """,
             "src/repro/training/runtime.py",
         )
+
+    def test_ambient_tracer_in_sweep_strategy_job_fires(self):
+        # The strategy sweep's pool entry point is a worker entry too.
+        found = self._lint_as(
+            """
+            from repro.obs.tracer import current_tracer
+
+            def _sweep_strategy_job(config, name):
+                tracer = current_tracer()
+                return name, tracer
+            """,
+            "src/repro/api/workloads.py",
+        )
+        assert len(found) == 1
 
     def test_capture_job_in_worker_passes(self):
         assert not self._lint_as(

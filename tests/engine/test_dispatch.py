@@ -1,6 +1,6 @@
 """The one dispatch contract: sharding needs an executor and a channel.
 
-The engine (``SequenceRunner.run``), training (``TrainRunner.run``) and
+The engine (``SequenceRunner.run``), training (``JointTrainer.train``) and
 serving (``simulate_serving``) shard only on a caller-owned executor
 plus a :class:`~repro.engine.TransportChannel`.  Every other
 combination is refused by the same check, with the same message, before
@@ -15,7 +15,7 @@ from repro.sampling import ROIPredictor
 from repro.segmentation import ViTConfig, ViTSegmenter
 from repro.serve import simulate_serving
 from repro.synth import DatasetConfig, SyntheticEyeDataset
-from repro.training import JointTrainConfig, TrainRunner
+from repro.training import JointTrainConfig, JointTrainer
 
 
 class Probe(Stage):
@@ -41,7 +41,7 @@ def _training(**kwargs):
                   decoder_depth=1),
         rng,
     )
-    runner = TrainRunner(
+    trainer = JointTrainer(
         ROIPredictor(16, 16, rng, base_channels=2),
         vit,
         JointTrainConfig(epochs=1, grad_accum=True),
@@ -51,7 +51,7 @@ def _training(**kwargs):
         DatasetConfig(height=16, width=16, frames_per_sequence=2,
                       num_sequences=3)
     )
-    runner.run(dataset, [0, 1, 2], **kwargs)
+    trainer.train(dataset, [0, 1, 2], **kwargs)
 
 
 def _serving(**kwargs):

@@ -32,7 +32,6 @@ from repro.engine.transport import (
     MIN_SHM_ARRAY_BYTES,
     SEGMENT_PREFIX,
     resolve_payload,
-    worker_cached,
 )
 
 needs_shm = pytest.mark.skipif(
@@ -171,18 +170,6 @@ class TestLifecycle:
         channel.close()
         with pytest.raises(TransportError):
             channel.publish({"x": 1})
-
-    def test_worker_cached_builds_once_per_key(self):
-        calls = []
-
-        def factory():
-            calls.append(1)
-            return "built"
-
-        key = ("test_worker_cached", id(calls))
-        assert worker_cached(key, factory) == "built"
-        assert worker_cached(key, factory) == "built"
-        assert len(calls) == 1
 
 
 class TestEngineIntegration:

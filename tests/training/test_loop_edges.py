@@ -32,13 +32,10 @@ class TestBatchedEdges:
         assert list(batched([], 4)) == []
 
 
-class TestRuntimeEntryValidation:
-    def test_run_segmentation_epochs_validates_directly(self):
-        # The runtime entry point is public surface too: calling it
-        # without going through train_segmentation must fail with the
-        # same named errors, not a bare ZeroDivisionError.
-        from repro.training.runtime import run_segmentation_epochs
-
+class TestTrainSegmentationValidation:
+    def test_validates_inputs(self):
+        # Bad inputs fail with named errors, not a bare
+        # ZeroDivisionError from an empty epoch.
         rng = np.random.default_rng(0)
         vit = ViTSegmenter(
             ViTConfig(height=16, width=16, patch=8, dim=24, heads=3,
@@ -46,14 +43,14 @@ class TestRuntimeEntryValidation:
             rng,
         )
         with pytest.raises(ValueError, match="no training samples"):
-            run_segmentation_epochs(
+            train_segmentation(
                 vit, [], epochs=1, rng=rng, lr=1e-3, batch_size=4,
                 grad_clip=5.0, supervise_sampled_only=False,
             )
         sample = (np.zeros((16, 16)), np.ones((16, 16), dtype=bool),
                   np.zeros((16, 16), dtype=np.int64))
         with pytest.raises(ValueError, match="epochs"):
-            run_segmentation_epochs(
+            train_segmentation(
                 vit, [sample], epochs=0, rng=rng, lr=1e-3, batch_size=4,
                 grad_clip=5.0, supervise_sampled_only=False,
             )

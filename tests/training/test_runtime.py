@@ -25,7 +25,6 @@ from repro.training import (
     JointTrainConfig,
     JointTrainer,
     SoftROIMask,
-    TrainRunner,
     sample_stream,
 )
 
@@ -261,8 +260,42 @@ class TestBatchedSchedule:
         assert any(not np.array_equal(a[k], b[k]) for k in a)
 
 
+class TestFrameGeometry:
+    @pytest.mark.parametrize(
+        "grad_accum,workers", [(False, None), (True, None), (True, 2)]
+    )
+    def test_frame_network_size_mismatch_is_refused_by_name(
+        self, grad_accum, workers, sharding
+    ):
+        # 32x32 frames into 64x64 networks: refused up front with both
+        # shapes named, not deep in the ROI conv's matmul, and before
+        # any epoch touches the weights or the trainer's RNG.
+        rng = np.random.default_rng(1)
+        roi = ROIPredictor(64, 64, rng, base_channels=2)
+        vit = ViTSegmenter(
+            ViTConfig(height=64, width=64, patch=8, dim=24, heads=3,
+                      depth=1, decoder_depth=1),
+            rng,
+        )
+        before = roi.state_dict()
+        trainer_rng = np.random.default_rng(0)
+        trainer = JointTrainer(
+            roi, vit,
+            JointTrainConfig(epochs=1, grad_accum=grad_accum),
+            trainer_rng,
+        )
+        with pytest.raises(ValueError, match="32x32 frames.*64x64"):
+            trainer.train(
+                tiny_dataset(), [0, 1], **_shard_kwargs(workers, sharding)
+            )
+        assert_states_equal(roi.state_dict(), before)
+        assert trainer_rng.bit_generator.state == (
+            np.random.default_rng(0).bit_generator.state
+        )
+
+
 def _shard_kwargs(workers, sharding):
-    """``run()`` keyword arguments: in-process for ``None``, else the
+    """``train()`` keyword arguments: in-process for ``None``, else the
     shared pool and channel."""
     return {} if workers is None else {"workers": workers, **sharding}
 
@@ -272,10 +305,10 @@ class TestShardedTraining:
         dataset = tiny_dataset(num_sequences=3, frames=4)
         roi, vit = tiny_components()
         cfg = JointTrainConfig(epochs=2, batch_size=2, grad_accum=True)
-        runner = TrainRunner(
+        trainer = JointTrainer(
             roi, vit, cfg, np.random.default_rng(SEED_RNG)
         )
-        result = runner.run(
+        result = trainer.train(
             dataset, [0, 1, 2], **_shard_kwargs(workers, sharding)
         )
         return roi.state_dict(), vit.state_dict(), result
@@ -303,42 +336,29 @@ class TestShardedTraining:
         dataset = tiny_dataset(num_sequences=2, frames=4)
         roi, vit = tiny_components()
         cfg = JointTrainConfig(epochs=2, grad_accum=True)
-        runner = TrainRunner(roi, vit, cfg, np.random.default_rng(0))
-        runner.run(dataset, [0, 1])  # warm the Adam moments
+        trainer = JointTrainer(roi, vit, cfg, np.random.default_rng(0))
+        trainer.train(dataset, [0, 1])  # warm the Adam moments
         before_roi = roi.state_dict()
         before_vit = vit.state_dict()
-        result = runner.run(dataset, [])
+        result = trainer.train(dataset, [])
         assert result.seg_losses == [0.0, 0.0]
         assert result.roi_losses == [0.0, 0.0]
         assert_states_equal(roi.state_dict(), before_roi)
         assert_states_equal(vit.state_dict(), before_vit)
 
-    def test_optimizer_not_matching_the_network_is_rejected(self):
-        # The reduction writes the flat gradient sum straight into the
-        # optimizer's arena, laid out in the network's parameter order.
-        roi, vit = tiny_components()
-        runner = TrainRunner(
-            roi, vit,
-            JointTrainConfig(epochs=1, grad_accum=True),
-            np.random.default_rng(0),
-            opt_seg=Adam(vit.parameters()[::-1]),
-        )
-        with pytest.raises(ValueError, match="ViTSegmenter.parameters"):
-            runner.run(tiny_dataset(), [0, 1])
-
     def test_sharding_requires_grad_accum(self, sharding):
         roi, vit = tiny_components()
-        runner = TrainRunner(
+        trainer = JointTrainer(
             roi, vit, JointTrainConfig(epochs=1), np.random.default_rng(0)
         )
         with pytest.raises(ValueError, match="grad_accum"):
-            runner.run(tiny_dataset(), [0, 1], workers=2, **sharding)
+            trainer.train(tiny_dataset(), [0, 1], workers=2, **sharding)
 
     def test_config_less_dataset_ships_inline_and_stays_bitwise(
         self, sharding
     ):
-        # Duck-typed datasets without a reconstructing `config` fall back
-        # to shipping the frame data to workers — same bits either way.
+        # Duck-typed datasets (anything indexable) shard like the real
+        # one: every shard ships its sequences inline — same bits.
         class Wrapped:
             def __init__(self, inner):
                 self._inner = inner
@@ -351,7 +371,7 @@ class TestShardedTraining:
             dataset = Wrapped(ds) if wrap else ds
             roi, vit = tiny_components()
             cfg = JointTrainConfig(epochs=1, batch_size=2, grad_accum=True)
-            TrainRunner(roi, vit, cfg, np.random.default_rng(7)).run(
+            JointTrainer(roi, vit, cfg, np.random.default_rng(7)).train(
                 dataset, [0, 1, 2], **_shard_kwargs(workers, sharding)
             )
             return roi.state_dict()
@@ -360,17 +380,16 @@ class TestShardedTraining:
 
     def test_mutated_sequences_are_honored_when_sharded(self, sharding):
         # A materialized-then-mutated sequence must reach the workers
-        # as-is (inline shipping), not be silently re-rendered pristine
-        # from the config — sharded and in-process runs must train on
-        # the same data.
+        # as-is, not re-rendered pristine from the config — sharded and
+        # in-process runs must train on the same data.
         def train(workers):
             ds = tiny_dataset(num_sequences=3, frames=4)
             for t in range(len(ds[1])):
                 ds[1].roi_boxes[t] = None  # occlude one cached sequence
             roi, vit = tiny_components()
             cfg = JointTrainConfig(epochs=1, batch_size=2, grad_accum=True)
-            runner = TrainRunner(roi, vit, cfg, np.random.default_rng(9))
-            result = runner.run(
+            trainer = JointTrainer(roi, vit, cfg, np.random.default_rng(9))
+            result = trainer.train(
                 ds, [0, 1, 2], **_shard_kwargs(workers, sharding)
             )
             return roi.state_dict(), result
@@ -380,46 +399,12 @@ class TestShardedTraining:
         assert res_a.roi_losses == res_b.roi_losses
         assert_states_equal(roi_a, roi_b)
 
-    def test_sharding_with_substituted_loss_rejected(self, sharding):
-        # Workers rebuild the canonical kernels; a substituted loss
-        # would be silently ignored there, breaking the worker-count
-        # neutrality contract — so run() must refuse.
-        class WeightedCE:
-            def forward(self, logits, target, mask=None):
-                return 0.0
-
-            def backward(self):
-                return np.zeros(1)
-
-        roi, vit = tiny_components()
-        runner = TrainRunner(
-            roi, vit,
-            JointTrainConfig(epochs=1, grad_accum=True),
-            np.random.default_rng(0),
-            seg_loss=WeightedCE(),
-        )
-        with pytest.raises(ValueError, match="canonical"):
-            runner.run(tiny_dataset(), [0, 1], workers=2, **sharding)
-
-    def test_sharding_with_mismatched_soft_mask_rejected(self, sharding):
-        # A canonical-*type* mask with a different tau would also
-        # silently diverge (workers rebuild from config.tau) — the guard
-        # must compare parameters, not just types.
-        roi, vit = tiny_components()
-        cfg = JointTrainConfig(epochs=1, grad_accum=True, tau=0.05)
-        runner = TrainRunner(
-            roi, vit, cfg, np.random.default_rng(0),
-            soft_mask=SoftROIMask(SIZE, SIZE, tau=0.5),
-        )
-        with pytest.raises(ValueError, match="canonical"):
-            runner.run(tiny_dataset(), [0, 1], workers=2, **sharding)
-
     def test_executor_without_workers_rejected(self):
         roi, vit = tiny_components()
-        runner = TrainRunner(
+        trainer = JointTrainer(
             roi, vit,
             JointTrainConfig(epochs=1, grad_accum=True),
             np.random.default_rng(0),
         )
         with pytest.raises(ValueError, match="workers"):
-            runner.run(tiny_dataset(), [0, 1], executor=object())
+            trainer.train(tiny_dataset(), [0, 1], executor=object())

@@ -7,6 +7,7 @@ from repro.api.tracker import ci
 from repro.sampling import ROIPredictor
 from repro.segmentation import ViTConfig, ViTSegmenter
 from repro.synth import DatasetConfig, SyntheticEyeDataset
+from repro.training import joint
 from repro.training import (
     JointTrainConfig,
     JointTrainer,
@@ -124,7 +125,9 @@ class TestJointTrainer:
         assert result.improved
         assert result.roi_losses[-1] < result.roi_losses[0]
 
-    def test_gradients_reach_roi_predictor_through_sampling(self):
+    def test_gradients_reach_roi_predictor_through_sampling(
+        self, monkeypatch
+    ):
         """With ROI-loss weight zero, only the seg loss can move the ROI net
         — verifying the approximate differentiability path of Sec. III-C."""
         roi, vit = tiny_components()
@@ -145,16 +148,20 @@ class TestJointTrainer:
 
         # Disable the direct ROI MSE contribution by zeroing its gradient:
         # monkey-patch the loss to return zero gradient but keep the API.
+        calls = []
+
         class ZeroMSE:
             def forward(self, pred, target, mask=None):
+                calls.append(1)
                 self._shape = pred.shape
                 return 0.0
 
             def backward(self):
                 return np.zeros(self._shape)
 
-        trainer.roi_loss = ZeroMSE()
+        monkeypatch.setattr(joint, "MSELoss", ZeroMSE)
         trainer.train(ds, [0])
+        assert calls, "the patched ROI loss was not used"
         after = roi.state_dict()
         moved = any(
             not np.allclose(before[k], after[k]) for k in before
