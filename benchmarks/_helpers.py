@@ -101,7 +101,7 @@ def bench_pipeline_config(
 def bench_evaluate_spec(fps: float = 120.0, seed: int = 0) -> dict:
     """The ``bench_pipeline_config`` geometry as a declarative
     ``repro.api`` evaluate spec — for benchmarks that route through the
-    front door (and get ``RunResult.stage_timings`` for free)."""
+    front door (a traced run adds per-stage ``engine.stage`` spans)."""
     return {
         "workload": "evaluate",
         "dataset": {

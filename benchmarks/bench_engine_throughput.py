@@ -17,12 +17,13 @@ every sharded job capture and ship its spans home), best of ``REPEATS``
 after one warm-up run, which also forks the pool so the sharded time
 measures steady-state dispatch, not the first fork.  The timed window
 also holds the run's provenance stamping (a ``git describe``, ~5 ms on
-a 2-vCPU VM).  One traced sharded run afterwards reads what the engine
-executed from its ``engine.run`` span.  The bench checks the three
-modes' metrics are bitwise identical (aggregates only; per-frame
-identity is pinned by ``tests/engine/test_sharded.py``) and prints
-frames/sec plus each mode's per-stage wall-clock attribution (the
-measured counterpart of the Figs. 13/14 breakdowns).
+a 2-vCPU VM).  One traced run per mode afterwards gives that mode's
+per-stage wall-clock attribution from its ``engine.stage`` spans (the
+measured counterpart of the Figs. 13/14 breakdowns), and the sharded
+one what the engine executed from its ``engine.run`` span.  The bench
+checks the three modes' metrics are bitwise identical (aggregates only;
+per-frame identity is pinned by ``tests/engine/test_sharded.py``) and
+prints frames/sec plus the per-stage tables.
 
 Appends to ``BENCH_engine.json`` at the repository root (a git-stamped
 ``trajectory`` entry) so successive PRs accumulate the perf history.
@@ -42,8 +43,9 @@ from _helpers import (
     same_host_baseline,
 )
 from repro.api import ExperimentSpec, Session
-from repro.api.result import Table, stage_timing_table
-from repro.obs import Tracer, install_tracer
+from repro.api.result import Table
+from repro.obs import Tracer, install_tracer, summarize
+from repro.obs.cli import stage_table
 
 #: Wide evaluation rank: lockstep batching pays off when many sequences
 #: run together (production batch serving), so the bench evaluates 30.
@@ -116,7 +118,7 @@ def _best_run(session: Session, spec: ExperimentSpec):
 
 
 def run_engine_throughput() -> tuple[dict, dict]:
-    """The trajectory record and each mode's best ``RunResult``."""
+    """The trajectory record and each mode's per-stage roll-up."""
     best = {}
     with Session() as session:
         for mode in MODES:
@@ -124,13 +126,20 @@ def run_engine_throughput() -> tuple[dict, dict]:
             # and (for the sharded mode) the pool's workers.
             session.run(_spec(mode, EVAL_INDICES[:2]))
             best[mode] = _best_run(session, _spec(mode, EVAL_INDICES))
-        # What the sharded run actually executed, as its engine.run span
-        # records it (the runner clamps workers to the sequence count).
-        tracer = Tracer()
-        with install_tracer(tracer):
-            session.run(_spec("sharded", EVAL_INDICES))
+        # One traced run per mode: its engine.stage spans attribute
+        # wall time per stage, and the sharded run's engine.run span
+        # records what actually executed (the runner clamps workers to
+        # the sequence count).
+        tracers = {mode: Tracer() for mode in MODES}
+        for mode, tracer in tracers.items():
+            with install_tracer(tracer):
+                session.run(_spec(mode, EVAL_INDICES))
+    stages = {
+        mode: summarize(tracer.to_records())["stages"]
+        for mode, tracer in tracers.items()
+    }
     shard_attrs = next(
-        s.attrs for s in tracer.spans if s.name == "engine.run"
+        s.attrs for s in tracers["sharded"].spans if s.name == "engine.run"
     )
 
     _, seq_result = best["sequential"]
@@ -146,8 +155,7 @@ def run_engine_throughput() -> tuple[dict, dict]:
         record[f"{mode}_s"] = seconds
         record[f"{mode}_fps"] = frames / seconds
         record[f"stage_seconds_{mode}"] = {
-            name: timing["seconds"]
-            for name, timing in result.stage_timings.items()
+            name: stage["wall_s"] for name, stage in stages[mode].items()
         }
     record["speedup"] = record["sequential_s"] / record["batched_s"]
     record["sharded_speedup"] = record["sequential_s"] / record["sharded_s"]
@@ -165,7 +173,7 @@ def run_engine_throughput() -> tuple[dict, dict]:
             "host": host_fingerprint(),
         },
     )
-    return record, {mode: result for mode, (_, result) in best.items()}
+    return record, stages
 
 
 def _fps_table(record: dict) -> Table:
@@ -188,15 +196,15 @@ def _fps_table(record: dict) -> Table:
 
 def test_engine_throughput(benchmark):
     baseline = same_host_baseline(_RESULT_PATH)
-    record, results = once(benchmark, run_engine_throughput)
+    record, stages = once(benchmark, run_engine_throughput)
 
     print()
     print(_fps_table(record).render())
-    # The sharded stage seconds are CPU time summed over concurrent
-    # workers (shard timings add), not wall clock.
-    for mode, result in results.items():
+    # The sharded stage seconds are summed over concurrent workers'
+    # per-shard spans, not wall clock.
+    for mode, mode_stages in stages.items():
         title = f"{mode}: measured wall-clock shares"
-        print(stage_timing_table(result.stage_timings, title).render())
+        print(stage_table(mode_stages, title).render())
 
     assert record["bitwise_identical"], (
         "batched/sharded mode diverged from sequential"

@@ -7,16 +7,18 @@ backhaul and RLE overheads are 0.6 % and 0.04 % of BlissCam's total.
 
 The workload fractions (ROI size, sampled pixels, valid tokens) are
 *measured* by running the trained functional pipeline — through the
-``repro.api`` front door, whose ``RunResult`` also carries the engine's
-measured wall-clock stage shares — then fed into the calibrated
+``repro.api`` front door, traced so the run's ``engine.stage`` spans
+give the measured wall-clock stage shares — then fed into the calibrated
 component-level energy model, so modeled joules and measured seconds
 print side by side.
 """
 
 from _helpers import bench_evaluate_spec, once
-from repro.api import ExperimentSpec, Session, stage_timing_table
+from repro.api import ExperimentSpec, Session
 from repro.api.result import PaperComparison, Table
 from repro.hardware import SystemEnergyModel, VARIANTS, WorkloadProfile
+from repro.obs import Tracer, summarize
+from repro.obs.cli import stage_table
 
 FPS = 120.0
 
@@ -27,7 +29,8 @@ def run_fig13():
     # measured fractions are reported alongside.  At CI scale (64x64,
     # patch 8) the eye covers a larger frame fraction, so the measured
     # fractions are honest but not the paper's operating point.
-    with Session() as session:
+    tracer = Tracer()
+    with Session(trace=tracer) as session:
         run_result = session.run(
             ExperimentSpec.from_dict(bench_evaluate_spec(fps=FPS))
         )
@@ -38,11 +41,12 @@ def run_fig13():
     measured_totals = {
         v: model.frame_energy(v, measured, FPS).total for v in VARIANTS
     }
-    return measured, breakdowns, measured_totals, run_result.stage_timings
+    stages = summarize(tracer.to_records())["stages"]
+    return measured, breakdowns, measured_totals, stages
 
 
 def test_fig13_energy(benchmark):
-    profile, breakdowns, measured_totals, stage_timings = once(
+    profile, breakdowns, measured_totals, stages = once(
         benchmark, run_fig13
     )
 
@@ -104,13 +108,12 @@ def test_fig13_energy(benchmark):
     print(cmp.render())
 
     # The modeled joules above attribute energy per stage; this is the
-    # *measured* wall-clock share of the same evaluation run (engine
-    # stage timings, routed through RunResult).
+    # *measured* wall-clock share of the same evaluation run (its
+    # engine.stage spans).
     print()
     print(
-        stage_timing_table(
-            stage_timings,
-            title="measured engine wall-clock shares (same run)",
+        stage_table(
+            stages, title="measured engine wall-clock shares (same run)"
         ).render()
     )
 

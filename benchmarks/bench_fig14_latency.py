@@ -7,9 +7,11 @@ the in-sensor stages shrink exposure by only ~1.8 %.
 """
 
 from _helpers import bench_evaluate_spec, once
-from repro.api import ExperimentSpec, Session, stage_timing_table
+from repro.api import ExperimentSpec, Session
 from repro.api.result import PaperComparison, Table
 from repro.hardware import TimingModel, VARIANTS, WorkloadProfile
+from repro.obs import Tracer, summarize
+from repro.obs.cli import stage_table
 
 FPS = 120.0
 
@@ -17,8 +19,10 @@ FPS = 120.0
 def run_fig14():
     # As in Fig. 13: headline latencies at the paper-scale workload
     # profile, with the CI pipeline's measured fractions (and the
-    # engine's measured stage timings, via RunResult) reported too.
-    with Session() as session:
+    # engine's measured stage wall time, from the run's trace) reported
+    # too.
+    tracer = Tracer()
+    with Session(trace=tracer) as session:
         run_result = session.run(
             ExperimentSpec.from_dict(bench_evaluate_spec(fps=FPS))
         )
@@ -32,11 +36,12 @@ def run_fig14():
         timing.tracking_latency("NPU-Full", measured, FPS).total
         / timing.tracking_latency("BlissCam", measured, FPS).total
     )
-    return latencies, reduction, feasible, measured_ratio, run_result.stage_timings
+    engine_stages = summarize(tracer.to_records())["stages"]
+    return latencies, reduction, feasible, measured_ratio, engine_stages
 
 
 def test_fig14_latency(benchmark):
-    latencies, exposure_reduction, feasible, measured_ratio, stage_timings = (
+    latencies, exposure_reduction, feasible, measured_ratio, engine_stages = (
         once(benchmark, run_fig14)
     )
 
@@ -80,12 +85,11 @@ def test_fig14_latency(benchmark):
     print(cmp.render())
 
     # Modeled milliseconds above; measured engine wall-clock shares of
-    # the same evaluation run below (stage timings via RunResult).
+    # the same evaluation run below (its engine.stage spans).
     print()
     print(
-        stage_timing_table(
-            stage_timings,
-            title="measured engine wall-clock shares (same run)",
+        stage_table(
+            engine_stages, title="measured engine wall-clock shares (same run)"
         ).render()
     )
 

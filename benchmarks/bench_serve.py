@@ -13,7 +13,9 @@ synthetic client eye-streams, and serves the *same* frames twice:
 
 Both modes produce bitwise-identical per-client gaze streams (asserted
 here and pinned by ``tests/serve/``); the wall-clock ratio is the
-benefit of batching *across tenants* rather than across a dataset.
+benefit of batching *across tenants* rather than across a dataset.  The
+timed window is ``Scheduler.run`` alone, as in perfbench's ``serve``
+workload: the client streams are materialized before the clock starts.
 Appends to ``BENCH_serve.json`` at the repository root (git-stamped
 ``trajectory`` entries, shared ``record_bench`` plumbing).
 """
@@ -32,7 +34,15 @@ from _helpers import (
     same_host_baseline,
 )
 from repro.api import ExperimentSpec, Session
-from repro.serve import ClientSensorFactory, ServeScenario, simulate_serving
+from repro.serve import (
+    ClientSensorFactory,
+    Scheduler,
+    ServeScenario,
+    SLOModel,
+    Telemetry,
+    build_streams,
+    materialize_arrivals,
+)
 
 #: Wide client fleet: micro-batching pays off when many tenants are due
 #: per tick (the production multi-user story), so the bench serves 24.
@@ -76,35 +86,58 @@ def run_serve_bench() -> dict:
     graph, template = pipeline.tracking_setup()
     factory = ClientSensorFactory(template, spec.sensor.sensor_seed)
     dataset_cfg = pipeline.config.dataset
+    slo = SLOModel.from_hardware(
+        fps=dataset_cfg.fps,
+        slack_ticks=SCENARIO.deadline_slack_ticks,
+        policy=SCENARIO.deadline_policy,
+    )
 
     def serve(micro_batch: bool):
+        """``(seconds, gaze_log, summary)`` of the fastest of ``REPEATS``
+        scheduler runs."""
         best = None
         for _ in range(REPEATS):
-            run = simulate_serving(
-                graph=graph,
-                state_factory=factory,
-                dataset_cfg=dataset_cfg,
-                scenario=SCENARIO,
+            streams = build_streams(
+                dataset_cfg,
+                list(range(CLIENTS)),
+                arrival=SCENARIO.arrival,
+                seed=SCENARIO.seed,
+            )
+            arrivals = materialize_arrivals(streams, TICKS)
+            telemetry = Telemetry(
+                tick_s=slo.tick_s,
+                deadline_s=slo.deadline_s,
+                duration_ticks=TICKS,
+            )
+            scheduler = Scheduler(
+                graph,
+                factory,
+                slo,
+                max_batch=SCENARIO.max_batch,
+                queue_capacity=SCENARIO.queue_capacity,
                 micro_batch=micro_batch,
             )
-            if best is None or run.wall_seconds < best.wall_seconds:
-                best = run
+            start = time.perf_counter()  # repro: allow[REP102] benchmark timing harness
+            gaze_log = scheduler.run(arrivals, telemetry)
+            seconds = time.perf_counter() - start  # repro: allow[REP102] benchmark timing harness
+            if best is None or seconds < best[0]:
+                best = (seconds, gaze_log, telemetry.summary())
         return best
 
-    sequential = serve(micro_batch=False)
-    batched = serve(micro_batch=True)
-    frames = batched.summary["frames"]["processed"]
+    sequential_s, sequential_log, _ = serve(micro_batch=False)
+    batched_s, batched_log, summary = serve(micro_batch=True)
+    frames = summary["frames"]["processed"]
     record = {
         "clients": CLIENTS,
         "duration_ticks": TICKS,
         "frames": frames,
-        "sequential_s": sequential.wall_seconds,
-        "batched_s": batched.wall_seconds,
-        "sequential_fps": frames / sequential.wall_seconds,
-        "batched_fps": frames / batched.wall_seconds,
-        "speedup": sequential.wall_seconds / batched.wall_seconds,
-        "bitwise_identical": batched.gaze_log == sequential.gaze_log,
-        "telemetry": batched.summary,
+        "sequential_s": sequential_s,
+        "batched_s": batched_s,
+        "sequential_fps": frames / sequential_s,
+        "batched_fps": frames / batched_s,
+        "speedup": sequential_s / batched_s,
+        "bitwise_identical": batched_log == sequential_log,
+        "telemetry": summary,
         "host": host_fingerprint(),
     }
     record_bench(_RESULT_PATH, record)

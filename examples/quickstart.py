@@ -6,7 +6,8 @@ CI-scale system (synthetic near-eye dataset, ROI predictor, sparse ViT,
 functional sensor) exactly once and reuses it across runs, and the
 result is the same uniform ``RunResult`` the CLI and benchmarks emit —
 tracking accuracy plus the measured in-sensor statistics (compression,
-ROI fraction, RLE size) and the engine's wall-clock stage attribution.
+ROI fraction, RLE size).  The session records into a tracer, whose
+``engine.stage`` spans give the engine's wall-clock stage attribution.
 
 Run:  python examples/quickstart.py
 """
@@ -15,6 +16,8 @@ from pathlib import Path
 
 from repro.api import ExperimentSpec, Session, system_config
 from repro.api.result import Table
+from repro.obs import Tracer, summarize
+from repro.obs.cli import stage_table
 
 SPEC_PATH = Path(__file__).resolve().parent / "specs" / "quickstart.json"
 
@@ -31,7 +34,8 @@ def main() -> None:
         f"target compression {spec.sensor.compression:g}x"
     )
 
-    with Session() as session:
+    tracer = Tracer()
+    with Session(trace=tracer) as session:
         print("\n[1/3] joint training (ROI predictor + sparse ViT)...")
         pipeline = session.pipeline(spec)
         train_result = pipeline.train_result
@@ -75,11 +79,9 @@ def main() -> None:
         f"{config.height}x{config.width} 10-bit frame ({full_frame_bytes} B)."
     )
 
-    timing_table = Table(["engine stage", "ms/frame"])
-    for name, timing in result.stage_timings.items():
-        timing_table.add_row(name, round(timing["seconds_per_frame"] * 1e3, 2))
-    print("\nPer-stage wall-clock attribution (engine timings):")
-    print(timing_table.render())
+    stages = summarize(tracer.to_records())["stages"]
+    print()
+    print(stage_table(stages, "Per-stage wall-clock attribution").render())
 
     print(
         f"\nsession stats: {session.stats()} — the second run of the same "

@@ -4,13 +4,14 @@ Everything this repository reports — accuracy, telemetry percentiles,
 loss trajectories — is pinned bitwise against a scalar reference, so no
 deterministic path may read the host's clock (``time.time``,
 ``perf_counter``, ``datetime.now``): serve latencies are *virtual*-clock
-ticks, schedules are spec-driven, and RNG keys are integers.  The only
-sanctioned readers are the timing-measurement seams whose entire job is
-measuring wall time (the ``repro.obs.wall`` clock behind every trace
-span, the engine's run time and per-stage attribution, the serve
-runtime's ``wall_seconds``) — each carries an inline
-``# repro: allow[REP102] <reason>`` waiver, which is the rule's
-whitelist.
+ticks, schedules are spec-driven, and RNG keys are integers.  Under
+``src/`` the one sanctioned reader is ``repro.obs.wall``, the clock
+behind every trace span: wall time is observability and lands only in a
+trace's wall plane, so the engine's stage attribution and the serve
+loop's timing are spans, not results.  Timing harnesses outside the
+package (benchmarks) read the clock themselves.  Each sanctioned read
+carries an inline ``# repro: allow[REP102] <reason>`` waiver, which is
+the rule's whitelist.
 """
 
 from __future__ import annotations

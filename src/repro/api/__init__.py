@@ -14,8 +14,8 @@ Everything the repo can run — accuracy evaluation, Fig. 15 strategy
 sweeps, streaming serving, the energy/latency/area/power models and
 their sweeps — is a *workload kind* named in the spec and resolved
 through the :mod:`~repro.api.registry` registries; third parties add
-scenarios with ``@register_workload`` (and new strategies/stages with
-``@register_strategy`` / ``@register_stage``) without touching core.
+scenarios with ``@register_workload`` (and new strategies with
+``@register_strategy``) without touching core.
 The CLI, the benchmarks and the examples are all thin layers over this
 package (see ``docs/api.md`` and ``docs/architecture.md``).
 """
@@ -23,10 +23,8 @@ package (see ``docs/api.md`` and ``docs/architecture.md``).
 from repro.api.registry import (
     Registry,
     RegistryError,
-    STAGES,
     STRATEGIES,
     WORKLOADS,
-    register_stage,
     register_strategy,
     register_workload,
 )
@@ -39,7 +37,7 @@ from repro.api.spec import (
     StrategySection,
     TrainingSection,
 )
-from repro.api.result import RunResult, git_describe, stage_timing_table
+from repro.api.result import RunResult, git_describe
 from repro.api.session import Session, system_config
 import repro.api.builtin  # noqa: F401  (populates the registries)
 
@@ -54,14 +52,11 @@ __all__ = [
     "Session",
     "system_config",
     "RunResult",
-    "stage_timing_table",
     "git_describe",
     "Registry",
     "RegistryError",
     "STRATEGIES",
-    "STAGES",
     "WORKLOADS",
     "register_strategy",
-    "register_stage",
     "register_workload",
 ]

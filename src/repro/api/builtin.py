@@ -1,15 +1,12 @@
-"""Built-in registry population: the paper's strategies, stages, workloads.
+"""Built-in registry population: the paper's strategies and workloads.
 
 Importing this module (``repro.api`` does it on package import, and
 ``ExperimentSpec.validate`` pulls it in for standalone spec use) fills
-the three registries with everything the reproduction ships:
+the two registries with everything the reproduction ships:
 
 * the seven Fig. 15 sampling strategies, as
   ``factory(compression, dataset=None)`` callables (``ROI+Fixed`` fits
   its static mask on the dataset at construction);
-* the canonical engine stages under unique slugs (the graphs reuse
-  timing labels like ``"segment"`` across different classes, so slugs —
-  not ``Stage.name`` — key the registry);
 * the ten workload kinds (registered by decorator in
   :mod:`repro.api.workloads`).
 
@@ -22,20 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 import repro.api.workloads  # noqa: F401  (registers the workload kinds)
-from repro.api.registry import register_stage, register_strategy
-from repro.engine import (
-    EventifyPairStage,
-    EventifyStage,
-    GazeRegressStage,
-    ROIPredictStage,
-    ROIReuseStage,
-    ReadoutStage,
-    SampleStage,
-    SegmentOrReuseStage,
-    SegmentStage,
-    StatsCollectorStage,
-    StrategySampleStage,
-)
+from repro.api.registry import register_strategy
 from repro.sampling.strategies import (
     FullDownsample,
     FullRandom,
@@ -82,20 +66,3 @@ def _make_roi_fixed(compression: float, dataset=None):
     strategy.fit(masks)
     return strategy
 
-
-#: Unique registry slug -> canonical stage class.
-_STAGE_SLUGS = {
-    "eventify": EventifyStage,
-    "roi_predict": ROIPredictStage,
-    "roi_reuse": ROIReuseStage,
-    "sample": SampleStage,
-    "readout": ReadoutStage,
-    "segment": SegmentStage,
-    "gaze": GazeRegressStage,
-    "stats": StatsCollectorStage,
-    "eventify_pair": EventifyPairStage,
-    "strategy_sample": StrategySampleStage,
-    "segment_or_reuse": SegmentOrReuseStage,
-}
-for slug, stage_cls in _STAGE_SLUGS.items():
-    register_stage(slug, stage_cls)

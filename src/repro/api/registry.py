@@ -1,11 +1,10 @@
 """Name-based plugin registries behind the declarative front door.
 
-An :class:`ExperimentSpec` refers to strategies, engine stages, and
-workload kinds by *string*; these registries turn those strings into
-constructors.  Three registries ship populated (`repro.api.builtin`
-registers the paper's strategy zoo, the canonical engine stages, and the
-ten workload kinds), and the decorators are public so third parties can
-plug in new scenarios without touching core::
+An :class:`ExperimentSpec` refers to strategies and workload kinds by
+*string*; these registries turn those strings into constructors.  Both
+ship populated (`repro.api.builtin` registers the paper's strategy zoo
+and the ten workload kinds), and the decorators are public so third
+parties can plug in new scenarios without touching core::
 
     from repro.api import register_workload
 
@@ -28,10 +27,8 @@ __all__ = [
     "Registry",
     "RegistryError",
     "STRATEGIES",
-    "STAGES",
     "WORKLOADS",
     "register_strategy",
-    "register_stage",
     "register_workload",
 ]
 
@@ -103,10 +100,6 @@ class Registry:
 
 #: ``name -> factory(compression, dataset=None) -> SamplingStrategy``.
 STRATEGIES = Registry("strategy")
-#: ``name -> Stage subclass`` (keys are unique slugs, not ``Stage.name``,
-#: because the tracking and strategy graphs reuse timing labels like
-#: ``"segment"`` for different stage classes).
-STAGES = Registry("stage")
 #: ``name -> workload(session, spec) -> RunResult``.
 WORKLOADS = Registry("workload")
 
@@ -114,11 +107,6 @@ WORKLOADS = Registry("workload")
 def register_strategy(name: str, obj: Any = None):
     """Register a sampling-strategy factory under a spec string."""
     return STRATEGIES.register(name, obj)
-
-
-def register_stage(name: str, obj: Any = None):
-    """Register an engine stage class under a spec string."""
-    return STAGES.register(name, obj)
 
 
 def register_workload(name: str, obj: Any = None):

@@ -1,4 +1,4 @@
-"""The uniform result of every workload: metrics + timings + provenance.
+"""The uniform result of every workload: metrics + provenance.
 
 Every path through the front door — CLI subcommands, ``repro run``,
 benchmarks, examples — ends in one :class:`RunResult`, and there is
@@ -21,7 +21,6 @@ __all__ = [
     "RunResult",
     "Table",
     "PaperComparison",
-    "stage_timing_table",
     "git_describe",
 ]
 
@@ -45,18 +44,18 @@ def git_describe() -> str | None:
 class RunResult:
     """What one :meth:`Session.run` produced.
 
-    ``metrics`` is workload-shaped but always JSON-able; ``stage_timings``
-    is the engine's measured wall-clock attribution (``None`` for
-    model-only workloads that execute no frames); ``workload_profile`` is
-    the measured per-frame statistics in :class:`WorkloadProfile` field
-    form; ``provenance`` pins spec hash, seed, workers, git state and the
-    full spec.  ``tables`` are the human-facing renderings — excluded
-    from JSON, printed by the CLI and examples.
+    ``metrics`` is workload-shaped but always JSON-able;
+    ``workload_profile`` is the measured per-frame statistics in
+    :class:`WorkloadProfile` field form; ``provenance`` pins spec hash,
+    seed, workers, git state and the full spec.  Everything but
+    ``provenance`` is a pure function of the spec: wall time is
+    observability and lives only in a trace (``repro run --trace``).
+    ``tables`` are the human-facing renderings — excluded from JSON,
+    printed by the CLI and examples.
     """
 
     workload: str
     metrics: dict
-    stage_timings: dict[str, dict] | None = None
     workload_profile: dict | None = None
     provenance: dict = field(default_factory=dict)
     tables: list[Table] = field(default_factory=list, repr=False)
@@ -65,7 +64,6 @@ class RunResult:
         return {
             "workload": self.workload,
             "metrics": self.metrics,
-            "stage_timings": self.stage_timings,
             "workload_profile": self.workload_profile,
             "provenance": self.provenance,
         }
@@ -80,45 +78,6 @@ class RunResult:
 
     def render_tables(self) -> str:
         return "\n\n".join(table.render() for table in self.tables)
-
-    @staticmethod
-    def timings_to_dict(stage_timings) -> dict[str, dict] | None:
-        """Flatten engine ``StageTiming`` objects for serialization."""
-        if stage_timings is None:
-            return None
-        return {
-            name: {
-                "seconds": timing.seconds,
-                "frames": timing.frames,
-                "calls": timing.calls,
-                "seconds_per_frame": timing.seconds_per_frame,
-            }
-            for name, timing in stage_timings.items()
-        }
-
-
-def stage_timing_table(
-    stage_timings: dict[str, dict], title: str = "measured wall-clock shares"
-) -> Table:
-    """Measured per-stage wall-clock shares, in serialized timing form.
-
-    The measured counterpart of the Figs. 13/14 modeled breakdowns: the
-    energy/latency models attribute *modeled* joules/seconds per stage,
-    this table attributes *measured* engine seconds per stage of the same
-    run, so the two print side by side.
-    """
-    # Sorted operands: the repo-wide reduction convention (REP104) —
-    # the share column must not depend on stage-dict insertion order.
-    total = sum(t["seconds"] for _, t in sorted(stage_timings.items()))
-    table = Table(["engine stage", "ms/frame", "share"], title=title)
-    for name, timing in stage_timings.items():
-        share = timing["seconds"] / total if total > 0 else 0.0
-        table.add_row(
-            name,
-            round(timing["seconds_per_frame"] * 1e3, 3),
-            f"{share:.1%}",
-        )
-    return table
 
 
 class Table:

@@ -34,7 +34,6 @@ import numpy as np
 
 from repro.engine import (
     EngineRun,
-    StageTiming,
     build_strategy_graph,
     build_tracking_graph,
     strategy_runner,
@@ -261,10 +260,6 @@ class EvaluationResult:
     stats: WorkloadStats
     predictions: np.ndarray  # (N, 2)
     truths: np.ndarray  # (N, 2)
-    #: Wall-clock per-stage attribution from the engine run (stage name ->
-    #: :class:`~repro.engine.StageTiming`); the measured counterpart of the
-    #: Figs. 13/14 per-stage energy/latency breakdowns.
-    stage_timings: dict[str, StageTiming] | None = None
     #: Shard-transport accounting from the engine run (``None`` for
     #: in-process modes): mode, dispatches, per-dispatch payload bytes —
     #: see :attr:`repro.engine.EngineRun.transport`.
@@ -483,7 +478,6 @@ class BlissCamPipeline:
             stats=stats,
             predictions=predictions,
             truths=truth_arr,
-            stage_timings=run.stage_timings,
             transport=run.transport,
         )
 

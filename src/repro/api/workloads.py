@@ -21,7 +21,7 @@ from dataclasses import asdict
 import numpy as np
 
 from repro.api.registry import STRATEGIES, register_workload
-from repro.api.result import RunResult, Table, stage_timing_table
+from repro.api.result import RunResult, Table
 from repro.api.session import Session, system_config
 from repro.api.spec import ExperimentSpec
 from repro.api.tracker import evaluate_strategy, train_for_strategy
@@ -122,13 +122,11 @@ def run_evaluate(session: Session, spec: ExperimentSpec) -> RunResult:
     table.add_row("vertical error (deg)", round(result.vertical.mean, 2))
     table.add_row("compression (x)", round(result.stats.mean_compression, 1))
     table.add_row("ROI IoU", round(result.stats.mean_roi_iou, 2))
-    timings = RunResult.timings_to_dict(result.stage_timings)
     return RunResult(
         workload="evaluate",
         metrics=metrics,
-        stage_timings=timings,
         workload_profile=asdict(result.stats.to_profile()),
-        tables=[table, stage_timing_table(timings)],
+        tables=[table],
     )
 
 
@@ -318,7 +316,8 @@ def run_serve(session: Session, spec: ExperimentSpec) -> RunResult:
     2`` partitions the fleet into independent scheduler replicas over
     the session pool.  Telemetry (latency percentiles, goodput, drop
     rate, queue depths) is virtual-time, hence deterministic for a given
-    spec + seed; ``wall_seconds`` measures the real serving loop.
+    spec + seed; the real loop's wall time lives in the trace
+    (``serve.tick`` and ``session.run`` spans).
     """
     from repro.serve import ClientSensorFactory, simulate_serving
 
@@ -360,14 +359,6 @@ def run_serve(session: Session, spec: ExperimentSpec) -> RunResult:
         "max_batch": scenario.max_batch,
         "replicas": run.workers,
         "telemetry": telemetry,
-        # Real serving-loop throughput (non-deterministic; excluded from
-        # the determinism guarantee the telemetry block carries).
-        "wall_seconds": run.wall_seconds,
-        "served_fps_wall": (
-            frames["processed"] / run.wall_seconds
-            if run.wall_seconds > 0
-            else 0.0
-        ),
     }
     table = Table(["metric", "value"], title="serving scorecard")
     table.add_row("clients", scenario.num_clients)

@@ -4,7 +4,7 @@ The paper's system is a staged dataflow (eventification -> ROI prediction
 -> in-ROI sampling -> RLE/MIPI readout -> packed sparse-ViT segmentation
 -> gaze regression).  This package makes that structure executable: a
 :class:`Stage` protocol, a :class:`FrameContext` carrying one frame's
-intermediate products and timings, and a :class:`SequenceRunner` that
+intermediate products, and a :class:`SequenceRunner` that
 executes stage graphs over batches of sequences — sequentially, in
 vectorized lockstep, or sharded over worker processes, all
 bitwise-identical.
@@ -22,12 +22,7 @@ from repro.engine.graphs import (
     strategy_runner,
     tracking_runner,
 )
-from repro.engine.runner import (
-    EngineRun,
-    SequenceRunner,
-    StageTiming,
-    contiguous_shards,
-)
+from repro.engine.runner import EngineRun, SequenceRunner, contiguous_shards
 from repro.engine.executors import ProcessPoolBackend, check_dispatch
 from repro.engine.stage import Stage, StageGraph
 from repro.engine.transport import (
@@ -58,7 +53,6 @@ __all__ = [
     "StageGraph",
     "SequenceRunner",
     "EngineRun",
-    "StageTiming",
     "contiguous_shards",
     "check_dispatch",
     "ProcessPoolBackend",

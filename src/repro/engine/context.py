@@ -3,8 +3,8 @@
 A :class:`FrameContext` is the unit of work: one exposure travelling
 through the stage graph, accumulating intermediate products (event map,
 ROI box, sample mask, sparse frame, segmentation, gaze) plus the
-measured statistics the hardware models consume; per-stage timing lives
-on the run (:class:`~repro.engine.runner.StageTiming`).  A
+measured statistics the hardware models consume; per-stage wall time
+lives in the trace (``engine.stage`` spans).  A
 :class:`SequenceState` carries everything that persists *across* frames of
 one sequence — the spawned sensor, the previous segmentation fed back to
 the ROI predictor (Fig. 8's cross-frame dependency), and arbitrary

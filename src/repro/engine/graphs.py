@@ -70,7 +70,7 @@ def build_tracking_graph(
             SampleStage(),
             ReadoutStage(),
             SegmentStage(segmenter),
-            GazeRegressStage(gaze_estimator, per_sequence_state=True),
+            GazeRegressStage(gaze_estimator),
             StatsCollectorStage(tokens_total, segmenter.config.patch),
         ]
     )
@@ -127,7 +127,6 @@ def build_strategy_graph(
     gaze_estimator,
     rng: np.random.Generator,
     use_gt_roi: bool = True,
-    sigma: float | None = None,
 ) -> StageGraph:
     """The Fig. 12/15 strategy-evaluation dataflow as a stage graph.
 
@@ -141,14 +140,10 @@ def build_strategy_graph(
     strategy_seed = int(rng.integers(2**32))
     return StageGraph(
         [
-            EventifyPairStage(sigma=sigma),
+            EventifyPairStage(),
             StrategySampleStage(strategy, strategy_seed, use_gt_roi=use_gt_roi),
             SegmentOrReuseStage(segmenter),
-            # Per-sequence fallback state, like the tracking graph: the
-            # estimator's last-gaze fallback must not cross sequence
-            # boundaries or results would depend on the rank width and
-            # the sharding.
-            GazeRegressStage(gaze_estimator, per_sequence_state=True),
+            GazeRegressStage(gaze_estimator),
         ]
     )
 

@@ -27,14 +27,18 @@ differ only in the rank width:
 
 Results come back as an :class:`EngineRun`: the completed frame contexts
 in *sequence-major* order (identical ordering in all modes, so
-downstream accuracy statistics are reduction-order independent) plus
-per-stage wall-clock timings for throughput/attribution reporting.
+downstream accuracy statistics are reduction-order independent).  Wall
+time is observability, not a result: under an installed tracer the run
+opens an ``engine.run`` span and every :meth:`SequenceRunner._run_ranks`
+call — in-process, or in a shard worker under its capture tracer —
+emits one ``engine.stage`` span per stage carrying the stage's frames,
+calls and wall seconds.  Untraced runs never read the clock.
 """
 
 from __future__ import annotations
 
-import time
 from concurrent.futures import Executor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
@@ -45,11 +49,11 @@ from repro.engine.executors import check_dispatch
 from repro.engine.stage import StageGraph
 from repro.engine.transport import ObjectHandle, TransportChannel, resolve_payload
 from repro.obs.tracer import current_tracer
+from repro.obs.wall import wall_now
 
 __all__ = [
     "SequenceRunner",
     "EngineRun",
-    "StageTiming",
     "contiguous_shards",
 ]
 
@@ -61,25 +65,10 @@ STEAL_FACTOR = 4
 
 
 @dataclass
-class StageTiming:
-    """Accumulated wall-clock cost of one stage over a run."""
-
-    seconds: float = 0.0
-    frames: int = 0
-    calls: int = 0
-
-    @property
-    def seconds_per_frame(self) -> float:
-        return self.seconds / self.frames if self.frames else 0.0
-
-
-@dataclass
 class EngineRun:
     """Everything one :meth:`SequenceRunner.run` produced."""
 
     contexts: list[FrameContext]
-    stage_timings: dict[str, StageTiming]
-    wall_seconds: float
     batched: bool
     #: Worker processes the run was sharded over (1 = in-process).
     workers: int = 1
@@ -94,11 +83,6 @@ class EngineRun:
         """Contexts that made it through the full graph (non-bootstrap)."""
         return [c for c in self.contexts if not c.skipped]
 
-    @property
-    def frames_per_second(self) -> float:
-        n = len(self.evaluated)
-        return n / self.wall_seconds if self.wall_seconds > 0 else float("inf")
-
 
 def _default_state_factory(seq_index: int) -> SequenceState:
     return SequenceState(seq_index=seq_index)
@@ -108,7 +92,7 @@ def _execute_shard_handles(
     runner_handle: ObjectHandle,
     shard_handle: ObjectHandle,
     batched: bool,
-) -> tuple[list[FrameContext], dict[str, StageTiming]]:
+) -> list[FrameContext]:
     """Worker-side entry point: resolve handles, then run the shard.
 
     The runner and the shard's sequences arrive as content-addressed
@@ -118,12 +102,12 @@ def _execute_shard_handles(
     Stages keep all cross-frame state in ``SequenceState`` (never on
     themselves), so executing a cached runner object repeatedly is
     exactly as stateless as unpickling a fresh copy per task — the
-    sharded parity suites pin this.
+    sharded parity suites pin this.  A traced job's ``engine.stage``
+    spans come home with the result through the pool's span capture.
     """
     runner = resolve_payload(runner_handle)
     shard = resolve_payload(shard_handle)
-    timings = {name: StageTiming() for name in runner.graph.stage_names}
-    return runner._run_ranks(shard, timings, batched), timings
+    return runner._run_ranks(shard, batched)
 
 
 def contiguous_shards(items: list, n_shards: int) -> list[list]:
@@ -234,47 +218,33 @@ class SequenceRunner:
         """
         n_workers = check_dispatch(workers, executor, transport)
         sequences = list(sequences)
-        n_workers = min(n_workers, len(sequences))
-        start = time.perf_counter()  # repro: allow[REP102] run wall-time metric
-        transport_info = None
-        if n_workers >= 2:
-            contexts, timings, transport_info = self._run_sharded(
-                sequences, batched, n_workers, executor, transport
-            )
-        else:
-            n_workers = 1
-            timings = {name: StageTiming() for name in self.graph.stage_names}
-            contexts = self._run_ranks(sequences, timings, batched)
-        wall = time.perf_counter() - start  # repro: allow[REP102] run wall-time metric
+        n_workers = max(1, min(n_workers, len(sequences)))
         tracer = current_tracer()
-        if tracer is not None:
-            # Span view of the run: the merged StageTiming table becomes
-            # one engine.run span with per-stage children.  Point spans —
-            # the measurements already exist; stage order is graph order
-            # (deterministic), wall durations ride the wall plane.
-            run_span = tracer.point(
+        run_span = (
+            tracer.span(
                 "engine.run",
-                wall_dur=wall,
                 sequences=len(sequences),
-                frames=len(contexts),
                 batched=batched,
                 workers=n_workers,
             )
-            for name, timing in timings.items():
-                tracer.point(
-                    "engine.stage",
-                    parent=run_span,
-                    wall_dur=timing.seconds,
-                    stage=name,
-                    frames=timing.frames,
-                    calls=timing.calls,
+            if tracer is not None
+            else nullcontext()
+        )
+        transport_info = None
+        with run_span as span:
+            if n_workers >= 2:
+                contexts, transport_info = self._run_sharded(
+                    sequences, batched, n_workers, executor, transport
                 )
+            else:
+                contexts = self._run_ranks(sequences, batched)
+            if span is not None:
+                span.attrs["frames"] = len(contexts)
+        if tracer is not None:
             tracer.count("engine.runs")
             tracer.count("engine.frames", len(contexts))
         return EngineRun(
             contexts=contexts,
-            stage_timings=timings,
-            wall_seconds=wall,
             batched=batched,
             workers=n_workers,
             transport=transport_info,
@@ -287,7 +257,7 @@ class SequenceRunner:
         workers: int,
         executor: Executor,
         channel: TransportChannel,
-    ) -> tuple[list[FrameContext], dict[str, StageTiming], dict]:
+    ) -> tuple[list[FrameContext], dict]:
         # Contiguous balanced shards, oversubscribed for work stealing:
         # concatenating shard outputs in shard order reproduces the
         # sequence-major ordering of the in-process modes exactly.
@@ -328,29 +298,22 @@ class SequenceRunner:
                 channel.stats["publish_reuses"] - before["publish_reuses"]
             ),
         }
-        contexts: list[FrameContext] = []
-        timings: dict[str, StageTiming] = {
-            name: StageTiming() for name in self.graph.stage_names
-        }
-        # Summed timings are CPU seconds across *concurrent* workers —
-        # attribution shares stay meaningful, but they are not wall clock
-        # (the run's wall_seconds is measured by the caller).
-        for shard_contexts, shard_timings in results:
-            contexts.extend(shard_contexts)
-            # Sorted operands (REP104): the merged float totals must not
-            # depend on the per-shard dict insertion order.
-            for name, timing in sorted(shard_timings.items()):
-                total = timings[name]
-                total.seconds += timing.seconds
-                total.frames += timing.frames
-                total.calls += timing.calls
-        return contexts, timings, transport_info
+        contexts = [ctx for shard in results for ctx in shard]
+        return contexts, transport_info
 
-    def _run_ranks(self, sequences, timings, batched) -> list[FrameContext]:
+    def _run_ranks(self, sequences, batched) -> list[FrameContext]:
         # Lanes are keyed by *position* in ``sequences``, not by sequence
         # index — a repeated index is two independent lanes.
         if not sequences:
             return []
+        tracer = current_tracer()
+        # Stage name -> [wall seconds, frames, calls], kept only while a
+        # tracer (the ambient one, or a shard job's capture) is listening.
+        timings = (
+            {name: [0.0, 0, 0] for name in self.graph.stage_names}
+            if tracer is not None
+            else None
+        )
         lanes: dict[int, list[FrameContext]] = {}
         width = (self.batch_size or len(sequences)) if batched else 1
         for chunk_start in range(0, len(sequences), width):
@@ -378,15 +341,28 @@ class SequenceRunner:
                         ctxs = [c for c in ctxs if not c.skipped]
                         if not ctxs:
                             break
-                    t0 = time.perf_counter()  # repro: allow[REP102] stage timing attribution
+                    if timings is None:
+                        stage.process_batch(ctxs, seqs)
+                        continue
+                    start = wall_now()
                     stage.process_batch(ctxs, seqs)
-                    dt = time.perf_counter() - t0  # repro: allow[REP102] stage timing attribution
                     timing = timings[stage.name]
-                    timing.seconds += dt
-                    timing.frames += len(ctxs)
-                    timing.calls += 1
+                    timing[0] += wall_now() - start
+                    timing[1] += len(ctxs)
+                    timing[2] += 1
                 if not self.retain_intermediates:
                     for ctx in rank:
                         ctx.release_intermediates()
+        if tracer is not None:
+            # Graph order; in a sharded run each shard job emits its own
+            # set, so summing a stage's spans gives the run's totals.
+            for name, (seconds, frames, calls) in timings.items():
+                tracer.point(
+                    "engine.stage",
+                    wall_dur=seconds,
+                    stage=name,
+                    frames=frames,
+                    calls=calls,
+                )
         # Sequence-major order at every width.
         return [ctx for pos in range(len(sequences)) for ctx in lanes[pos]]

@@ -237,38 +237,32 @@ class GazeRegressStage(Stage):
     """Calibrated gaze regression on the predicted segmentation map.
 
     The estimator keeps a last-prediction fallback for frames where the
-    pupil is occluded; with ``per_sequence_state`` the fallback is tracked
-    per sequence (required for width invariance), otherwise the
-    estimator's own cross-sequence state is used.
+    pupil is occluded; the fallback is tracked per sequence, so it never
+    crosses sequence boundaries and results do not depend on the rank
+    width or the sharding.
     """
 
     name = "gaze"
 
-    def __init__(self, estimator, per_sequence_state: bool = True):
+    def __init__(self, estimator):
         self.estimator = estimator
-        self.per_sequence_state = per_sequence_state
 
     def start_sequence(self, seq: SequenceState) -> None:
-        if self.per_sequence_state:
-            seq.slots[self.name] = self.estimator.INITIAL_FALLBACK
+        seq.slots[self.name] = self.estimator.INITIAL_FALLBACK
 
     def process_batch(self, ctxs, seqs) -> None:
         # The O(B*H*W) centroid extraction stacks across the rank
         # (integer index sums — exact, see pupil_centroid_batch); the
-        # tiny per-row regression tail runs in rank order, which also
-        # threads the fallback state — both per-sequence slots and the
-        # shared-estimator regime.
+        # tiny per-row regression tail runs in rank order, threading each
+        # sequence's fallback slot through the shared estimator.
         est = self.estimator
         centroids = pupil_centroid_batch(
             stack_rows([ctx.seg_pred for ctx in ctxs])
         )
         for ctx, seq, centroid in zip(ctxs, seqs, centroids):
-            if self.per_sequence_state:
-                est.fallback_state = seq.slots[self.name]
-                ctx.gaze_pred = est.predict_from_centroid(centroid)
-                seq.slots[self.name] = est.fallback_state
-            else:
-                ctx.gaze_pred = est.predict_from_centroid(centroid)
+            est.fallback_state = seq.slots[self.name]
+            ctx.gaze_pred = est.predict_from_centroid(centroid)
+            seq.slots[self.name] = est.fallback_state
 
 
 class StatsCollectorStage(Stage):
@@ -310,9 +304,6 @@ class EventifyPairStage(Stage):
 
     name = "eventify"
 
-    def __init__(self, sigma: float | None = None):
-        self.sigma = sigma
-
     def process_batch(self, ctxs, seqs) -> None:
         # eventify is purely elementwise, so one stacked call over the
         # rows that have a frame pair is bitwise row-equal; rows at
@@ -327,10 +318,7 @@ class EventifyPairStage(Stage):
             return
         prevs = stack_rows([ctx.prev_frame for ctx in live])
         frames = stack_rows([ctx.frame for ctx in live])
-        if self.sigma is None:
-            events = eventify(prevs, frames)
-        else:
-            events = eventify(prevs, frames, sigma=self.sigma)
+        events = eventify(prevs, frames)
         for i, ctx in enumerate(live):
             ctx.event_map = events[i]
 

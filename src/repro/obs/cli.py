@@ -23,7 +23,7 @@ from repro.obs.export import (
     summarize,
 )
 
-__all__ = ["main"]
+__all__ = ["main", "stage_table"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -34,7 +34,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     summary = sub.add_parser(
-        "summary", help="top-N spans by wall time + counter/gauge tables"
+        "summary",
+        help="top-N spans by wall time + stage/counter/gauge tables",
     )
     summary.add_argument("trace", help="JSONL trace file")
     summary.add_argument(
@@ -64,6 +65,33 @@ def build_parser() -> argparse.ArgumentParser:
         help="differing records to print (default 10)",
     )
     return parser
+
+
+def stage_table(stages: dict[str, dict], title: str = "engine stages") -> Table:
+    """Render :func:`~repro.obs.export.summarize`'s ``stages`` block.
+
+    The measured counterpart of the Figs. 13/14 modeled breakdowns:
+    wall seconds per stage, per frame, and as a share of all stages.
+    """
+    # Sorted operands (REP104): the share column must not depend on the
+    # block's insertion order.
+    total = sum(stage["wall_s"] for _, stage in sorted(stages.items()))
+    table = Table(
+        ["stage", "count", "calls", "frames", "wall_s", "ms/frame", "share"],
+        title=title,
+    )
+    for name, stage in stages.items():
+        frames = stage["frames"]
+        table.add_row(
+            name,
+            stage["count"],
+            stage["calls"],
+            frames,
+            f"{stage['wall_s']:.6f}",
+            round(stage["wall_s"] / frames * 1e3, 3) if frames else 0.0,
+            f"{stage['wall_s'] / total:.1%}" if total > 0 else "-",
+        )
+    return table
 
 
 def _load(path: str) -> list[dict] | None:
@@ -96,6 +124,8 @@ def _cmd_summary(args: argparse.Namespace) -> int:
         f"{report['spans_total']} spans ({report['span_names']} names, "
         f"{report['spans_dropped']} dropped)"
     )
+    if report["stages"]:
+        print(stage_table(report["stages"]).render())
     if report["counters"]:
         counter_table = Table(["counter", "value"], title="counters")
         for name, value in report["counters"].items():

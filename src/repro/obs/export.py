@@ -130,18 +130,34 @@ def summarize(records: list[dict], top: int = 10) -> dict:
     Spans aggregate by name (count, total/mean wall seconds — wall
     values are reported, never compared); the span table is ordered by
     total wall seconds descending (ties by name) and truncated to
-    ``top``.  Counters and gauge series are complete and name-sorted.
+    ``top``.  ``engine.stage`` spans also roll up by their ``stage``
+    attr (count, wall seconds, frames, calls) in first-seen order — the
+    graph order — so a sharded run's per-shard spans sum to the run's
+    per-stage totals.  Counters and gauge series are complete and
+    name-sorted.
     """
     meta = records[0]
     by_name: dict[str, dict] = {}
+    stages: dict[str, dict] = {}
     for record in records:
         if record.get("type") != "span":
             continue
+        wall_s = record.get("wall", {}).get("dur_s", 0.0) or 0.0
         entry = by_name.setdefault(
             record["name"], {"count": 0, "wall_s": 0.0}
         )
         entry["count"] += 1
-        entry["wall_s"] += record.get("wall", {}).get("dur_s", 0.0) or 0.0
+        entry["wall_s"] += wall_s
+        if record["name"] == "engine.stage":
+            attrs = record.get("attrs", {})
+            stage = stages.setdefault(
+                attrs["stage"],
+                {"count": 0, "wall_s": 0.0, "frames": 0, "calls": 0},
+            )
+            stage["count"] += 1
+            stage["wall_s"] += wall_s
+            stage["frames"] += attrs.get("frames", 0)
+            stage["calls"] += attrs.get("calls", 0)
     span_rows = [
         {
             "name": name,
@@ -176,6 +192,7 @@ def summarize(records: list[dict], top: int = 10) -> dict:
         "spans_dropped": meta.get("spans_dropped", 0),
         "span_names": len(span_rows),
         "spans": span_rows[:top],
+        "stages": stages,
         "counters": dict(sorted(counters.items())),
         "gauges": dict(sorted(gauges.items())),
     }

@@ -12,8 +12,8 @@ bitwise-identical to serving that client alone.
 
 The pieces:
 
-* :class:`~repro.serve.clock.VirtualClock` — frame-period ticks; all
-  latencies are virtual time, so telemetry is deterministic.
+* virtual time: one tick is one camera frame period and all latencies
+  are tick counts, so telemetry is deterministic.
 * :class:`~repro.serve.streams.ClientStream` — per-client synthetic eye
   streams (``synth.gaze_dynamics``) with uniform / Poisson / trace
   arrival processes and per-client RNG spawns.
@@ -29,7 +29,6 @@ The front door is :func:`~repro.serve.scheduler.simulate_serving`;
 ``docs/serving.md``).
 """
 
-from repro.serve.clock import VirtualClock
 from repro.serve.scheduler import (
     ClientSensorFactory,
     Scheduler,
@@ -48,7 +47,6 @@ from repro.serve.streams import (
 from repro.serve.telemetry import Telemetry
 
 __all__ = [
-    "VirtualClock",
     "ClientStream",
     "FrameArrival",
     "SERVE_STREAM_TAG",

@@ -29,7 +29,6 @@ whenever no queueing interaction occurs (no drops / no waits).
 
 from __future__ import annotations
 
-import time
 from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -130,9 +129,6 @@ class ServeRun:
     #: ``(client_id, frame_index, gaze_pred)`` per completed frame, in
     #: dispatch order — the raw material of the per-client parity tests.
     gaze_log: list[tuple[int, int, tuple[float, float]]]
-    #: Wall-clock seconds of the serving loop (dispatch + kernels only;
-    #: stream generation is materialized beforehand).
-    wall_seconds: float
     #: Scheduler replicas the fleet was partitioned into.
     workers: int = 1
 
@@ -182,8 +178,8 @@ class Scheduler:
     ) -> list[tuple[int, int, tuple[float, float]]]:
         """Serve the scenario; records into ``telemetry``, returns the
         gaze log."""
-        # Virtual time: tick t of the loop IS VirtualClock tick t (the
-        # clock's seconds view lives in the SLO's latency arithmetic).
+        # Virtual time: loop iteration t is tick t (its seconds view
+        # lives in the SLO's latency arithmetic).
         queue: deque[FrameArrival] = deque()
         gaze_log: list[tuple[int, int, tuple[float, float]]] = []
         tracer = current_tracer()
@@ -331,7 +327,7 @@ def _serve_partition(
     slo: SLOModel,
     client_ids: list[int],
     micro_batch: bool,
-) -> tuple[Telemetry, list, float]:
+) -> tuple[Telemetry, list]:
     """Run one scheduler replica over a client partition.
 
     Streams are rebuilt from their client ids — in a sharded run that
@@ -357,10 +353,7 @@ def _serve_partition(
         queue_capacity=scenario.queue_capacity,
         micro_batch=micro_batch,
     )
-    start = time.perf_counter()  # repro: allow[REP102] wall_seconds metric (non-deterministic by contract)
-    gaze_log = scheduler.run(arrivals, telemetry)
-    wall = time.perf_counter() - start  # repro: allow[REP102] wall_seconds metric (non-deterministic by contract)
-    return telemetry, gaze_log, wall
+    return telemetry, scheduler.run(arrivals, telemetry)
 
 
 def _serve_partition_handles(bundle_handle, client_ids: list[int]):
@@ -410,7 +403,8 @@ def simulate_serving(
     channel); both are required to shard
     (:func:`~repro.engine.executors.check_dispatch`) and telemetry is
     identical either way.  Telemetry latencies are virtual-clock, hence
-    deterministic; ``wall_seconds`` measures the real serving loop.
+    deterministic; the real loop's wall time lives in the trace's
+    ``serve.tick`` spans.
     """
     from repro.engine.executors import check_dispatch
     from repro.engine.runner import contiguous_shards
@@ -438,22 +432,14 @@ def simulate_serving(
             for part in contiguous_shards(client_ids, n_workers)
         ]
         results = [f.result() for f in futures]
-        telemetry, gaze_log, _ = results[0]
-        for part_telemetry, part_log, _ in results[1:]:
+        telemetry, gaze_log = results[0]
+        for part_telemetry, part_log in results[1:]:
             telemetry.merge(part_telemetry)
             gaze_log = gaze_log + part_log
-        # Replicas serve concurrently: the fleet's serving time is the
-        # slowest replica's loop, not the sum.
-        wall = max(w for _, _, w in results)
     else:
         n_workers = 1
-        telemetry, gaze_log, wall = _serve_partition(
+        telemetry, gaze_log = _serve_partition(
             graph, state_factory, dataset_cfg, scenario, slo,
             client_ids, micro_batch,
         )
-    return ServeRun(
-        telemetry=telemetry,
-        gaze_log=gaze_log,
-        wall_seconds=wall,
-        workers=n_workers,
-    )
+    return ServeRun(telemetry=telemetry, gaze_log=gaze_log, workers=n_workers)

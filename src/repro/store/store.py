@@ -57,8 +57,10 @@ __all__ = [
 #: refused (reported stale by ``ls``, evicted first by ``gc``) instead
 #: of being misread.  Format 2: the tracker classes moved into
 #: ``repro.api.tracker``, so format 1 payloads name modules that no
-#: longer exist.
-STORE_FORMAT_VERSION = 2
+#: longer exist.  Format 3: wall time left ``RunResult``, so a format 2
+#: ``run_result`` would hand back stale stage timings and serve wall
+#: metrics on resume.
+STORE_FORMAT_VERSION = 3
 
 #: Staging files carry this prefix so the leak check (and ``gc``) can
 #: tell an interrupted write's debris from foreign files.

@@ -18,6 +18,7 @@ from repro.api.workloads import strategy_rng
 from repro.api import STRATEGIES
 from repro.api.tracker import BlissCamPipeline, evaluate_strategy
 from repro.api.tracker import train_for_strategy
+from repro.obs import Tracer, summarize
 from repro.segmentation import ViTSegmenter
 from repro.synth import SyntheticEyeDataset
 
@@ -30,8 +31,12 @@ class TestEvaluateParity:
     }
 
     @pytest.fixture(scope="class")
-    def api_result(self):
-        with Session() as session:
+    def api_trace(self):
+        return Tracer()
+
+    @pytest.fixture(scope="class")
+    def api_result(self, api_trace):
+        with Session(trace=api_trace) as session:
             yield session.run(ExperimentSpec.from_dict(self.SPEC))
 
     @pytest.fixture(scope="class")
@@ -63,8 +68,8 @@ class TestEvaluateParity:
             legacy_result.stats.to_profile()
         )
 
-    def test_stage_timings_cover_the_graph(self, api_result):
-        assert set(api_result.stage_timings) == {
+    def test_stage_spans_cover_the_graph(self, api_result, api_trace):
+        assert set(summarize(api_trace.to_records())["stages"]) == {
             "eventify", "roi", "sample", "readout", "segment", "gaze",
             "stats",
         }

@@ -5,7 +5,6 @@ import pytest
 from repro.api import (
     Registry,
     RegistryError,
-    STAGES,
     STRATEGIES,
     WORKLOADS,
 )
@@ -63,11 +62,6 @@ class TestBuiltins:
             "fps_sweep",
             "node_sweep",
         }
-
-    def test_canonical_stages_registered(self):
-        assert {"eventify", "roi_predict", "roi_reuse", "sample", "readout",
-                "segment", "gaze", "stats", "eventify_pair",
-                "strategy_sample", "segment_or_reuse"} <= set(STAGES.names())
 
     def test_strategy_factories_construct(self):
         strategy = STRATEGIES.get("Ours (ROI+Random)")(8.0)

@@ -1,5 +1,6 @@
 """Session runtime: memoized training, the persistent pool, provenance."""
 
+import json
 import os
 import signal
 from concurrent.futures.process import BrokenProcessPool
@@ -62,6 +63,33 @@ class TestMemoization:
         a = tiny_session.run(spec)
         b = tiny_session.run(spec)
         assert a.metrics == b.metrics
+
+
+class TestResultsArePureFunctionsOfTheSpec:
+    """Wall time is observability, not a result: two fresh sessions
+    running the same specs serialize byte-identical results once the
+    provenance stamp (git state, trace accounting) is set aside."""
+
+    SERVE = {
+        **TINY,
+        "workload": "serve",
+        "execution": {"serve": {"num_clients": 4, "duration_ticks": 6}},
+    }
+
+    @staticmethod
+    def _results() -> list[str]:
+        out = []
+        with Session() as session:
+            for spec in (TINY, TestResultsArePureFunctionsOfTheSpec.SERVE):
+                record = session.run(ExperimentSpec.from_dict(spec)).to_dict()
+                del record["provenance"]
+                out.append(json.dumps(record))
+        return out
+
+    def test_evaluate_and_serve_identical_across_fresh_sessions(self):
+        first, second = self._results(), self._results()
+        assert first[0] == second[0]  # evaluate
+        assert first[1] == second[1]  # serve
 
 
 class TestSystemConfig:
@@ -168,20 +196,22 @@ class TestPersistentPool:
         with pytest.raises(RuntimeError):
             pool.submit(int)
 
-    def test_injected_pool_runs_shards(self):
+    def test_injected_pool_runs_shards(self, traced_stages):
         sequences = [(i, Seq()) for i in (7, 3, 9, 5, 2)]
         solo = SequenceRunner([Probe()]).run(sequences)
         with Session() as session:
-            run = SequenceRunner([Probe()]).run(
-                sequences,
-                workers=2,
-                executor=session.executor(2),
-                transport=session.transport(),
+            run, stages = traced_stages(
+                lambda: SequenceRunner([Probe()]).run(
+                    sequences,
+                    workers=2,
+                    executor=session.executor(2),
+                    transport=session.transport(),
+                )
             )
         assert [(c.seq_index, c.t, c.gaze_pred) for c in run.contexts] == [
             (c.seq_index, c.t, c.gaze_pred) for c in solo.contexts
         ]
-        assert run.stage_timings["probe"].frames == 15
+        assert stages["probe"]["frames"] == 15
 
 
 class TestLifecycle:

@@ -122,7 +122,9 @@ class TestROIReuseRank:
 
 
 class TestFrameContextInvariants:
-    def test_all_contexts_validate_after_run(self, trained_pipeline):
+    def test_all_contexts_validate_after_run(
+        self, trained_pipeline, traced_stages
+    ):
         # Run the real tracking graph and check every emitted context.
         template = trained_pipeline._sensor_template(77)
         from repro.engine import tracking_runner
@@ -137,16 +139,18 @@ class TestFrameContextInvariants:
         runner = tracking_runner(
             sensor_template=template, sensor_seed=77, graph=graph
         )
-        run = runner.run([(2, trained_pipeline.dataset[2])])
+        run, stages = traced_stages(
+            lambda: runner.run([(2, trained_pipeline.dataset[2])])
+        )
         assert len(run.contexts) == 8
         assert run.contexts[0].skipped  # bootstrap frame
         assert len(run.evaluated) == 7
         for ctx in run.contexts:
             ctx.validate()
         # every stage called and timed over frames
-        assert list(run.stage_timings) == list(graph.stage_names)
-        for timing in run.stage_timings.values():
-            assert timing.calls > 0 and timing.frames > 0
+        assert list(stages) == list(graph.stage_names)
+        for stage in stages.values():
+            assert stage["calls"] > 0 and stage["frames"] > 0
         for ctx in run.evaluated:
             # ROI box well-formed, gaze emitted
             assert ctx.gaze_pred is not None
@@ -158,7 +162,7 @@ class TestFrameContextInvariants:
                 "rle_ratio",
                 "roi_iou",
             }
-        assert run.frames_per_second > 0
+        assert stages["segment"]["wall_s"] > 0
 
     def test_validate_catches_leaky_sparse_frame(self):
         ctx = FrameContext(seq_index=0, t=1, frame=np.zeros((8, 8)))

@@ -77,12 +77,16 @@ class TestEngineParity:
     """The acceptance pin: the pool == serial reference on a real
     staged run (shards + transport + fixed-order merge)."""
 
-    def test_pool_bitwise_identical_to_serial(self, sharding):
+    def test_pool_bitwise_identical_to_serial(self, sharding, traced_stages):
         sequences = [(i, Seq()) for i in (4, 1, 3, 0, 2)]
         expected = _contexts(SequenceRunner([Probe()]).run(sequences))
-        run = SequenceRunner([Probe()]).run(sequences, workers=2, **sharding)
+        run, stages = traced_stages(
+            lambda: SequenceRunner([Probe()]).run(
+                sequences, workers=2, **sharding
+            )
+        )
         assert _contexts(run) == expected
-        assert run.stage_timings["probe"].frames == len(sequences) * 3
+        assert stages["probe"]["frames"] == len(sequences) * 3
 
 
 class TestTracedJobs:

@@ -2,7 +2,8 @@
 
 The sharded mode's contract is that partitioning the sequence rank over
 worker processes is invisible in the results: contexts come back in
-sequence-major order, per-stage timings are summed over shards, and the
+sequence-major order, per-shard ``engine.stage`` spans sum to the
+in-process stage counts, and the
 numeric content is bitwise-identical to the sequential reference (per-
 sequence random streams are keyed by sequence index, never by execution
 order or process placement).
@@ -113,19 +114,19 @@ class TestShardedRunner:
         assert run.workers == 2
         assert len(run.contexts) == 6
 
-    def test_timings_summed_over_shards(self, sharding):
+    def test_timings_summed_over_shards(self, sharding, traced_stages):
         sequences = [(i, Seq()) for i in range(4)]
-        solo = SequenceRunner([Probe()]).run(sequences)
-        sharded = SequenceRunner([Probe()]).run(
-            sequences, workers=2, **sharding
+        _, solo = traced_stages(
+            lambda: SequenceRunner([Probe()]).run(sequences)
         )
-        assert sharded.stage_timings["probe"].frames == (
-            solo.stage_timings["probe"].frames
+        _, sharded = traced_stages(
+            lambda: SequenceRunner([Probe()]).run(
+                sequences, workers=2, **sharding
+            )
         )
-        assert sharded.stage_timings["probe"].calls == (
-            solo.stage_timings["probe"].calls
-        )
-        assert sharded.stage_timings["probe"].seconds > 0
+        assert sharded["probe"]["frames"] == solo["probe"]["frames"]
+        assert sharded["probe"]["calls"] == solo["probe"]["calls"]
+        assert sharded["probe"]["wall_s"] > 0
 
     def test_empty_sequence_list(self, sharding):
         run = SequenceRunner([Probe()]).run([], workers=4, **sharding)
@@ -143,26 +144,27 @@ class TestShardedRunner:
                 [(0, Seq())], workers=1, executor=pool
             )
 
-    def test_injected_executor_matches_in_process(self, sharding):
+    def test_injected_executor_matches_in_process(
+        self, sharding, traced_stages
+    ):
         """The persistent pool with work-stealing shards is invisible in
         the results: same sequence-major order, same contents, same
-        summed timing counts as the in-process run — on first use and on
-        reuse."""
+        summed stage-span counts as the in-process run — on first use
+        and on reuse."""
         sequences = [(i, Seq()) for i in (7, 3, 9, 5, 2, 8, 1)]
-        solo = SequenceRunner([Probe()]).run(sequences)
-        injected = SequenceRunner([Probe()]).run(
-            sequences, workers=2, **sharding
+        solo, solo_stages = traced_stages(
+            lambda: SequenceRunner([Probe()]).run(sequences)
         )
-        again = SequenceRunner([Probe()]).run(
-            sequences, workers=2, **sharding
-        )
-        for run in (injected, again):
+        for _ in range(2):
+            run, stages = traced_stages(
+                lambda: SequenceRunner([Probe()]).run(
+                    sequences, workers=2, **sharding
+                )
+            )
             assert [(c.seq_index, c.t, c.gaze_pred) for c in run.contexts] == [
                 (c.seq_index, c.t, c.gaze_pred) for c in solo.contexts
             ]
-            assert run.stage_timings["probe"].frames == (
-                solo.stage_timings["probe"].frames
-            )
+            assert stages["probe"]["frames"] == solo_stages["probe"]["frames"]
 
     def test_steal_factor_oversubscription_preserves_merge_order(
         self, sharding
@@ -244,15 +246,17 @@ class TestShardedTracking:
         assert np.array_equal(seq.predictions, shard.predictions)
         assert seq.stats.transmitted_bytes == shard.stats.transmitted_bytes
 
-    def test_sharded_stage_timings_cover_graph(
-        self, trained_pipeline, sharding
+    def test_sharded_stage_spans_cover_graph(
+        self, trained_pipeline, sharding, traced_stages
     ):
-        result = trained_pipeline.evaluate([2, 3, 4], workers=2, **sharding)
-        assert set(result.stage_timings) == {
+        result, stages = traced_stages(
+            lambda: trained_pipeline.evaluate([2, 3, 4], workers=2, **sharding)
+        )
+        assert set(stages) == {
             "eventify", "roi", "sample", "readout", "segment", "gaze", "stats",
         }
         evaluated_frames = result.predictions.shape[0]
-        assert result.stage_timings["segment"].frames == evaluated_frames
+        assert stages["segment"]["frames"] == evaluated_frames
 
 
 class TestShardedStrategySweep:

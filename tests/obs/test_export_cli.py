@@ -94,6 +94,9 @@ class TestSummarize:
         assert report["span_names"] == 3
         assert len(report["spans"]) == 2  # truncated to top
         assert report["counters"] == {"engine.frames": 6}
+        assert report["stages"] == {
+            "warp": {"count": 1, "wall_s": 0.5, "frames": 0, "calls": 0},
+        }
         assert report["gauges"]["serve.queue_depth"] == {
             "samples": 1, "min": 2, "max": 2,
         }
@@ -112,7 +115,9 @@ class TestTraceCli:
             ["summary", str(trace_file), "--json", str(out)]
         )
         assert code == 0
-        assert "session.run" in capsys.readouterr().out
+        printed = capsys.readouterr().out
+        assert "session.run" in printed
+        assert "engine stages" in printed and "warp" in printed
         report = json.loads(out.read_text())
         assert report["spans_total"] == 3
 

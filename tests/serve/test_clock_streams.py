@@ -1,4 +1,4 @@
-"""Virtual clock and client streams: determinism, spawns, arrivals."""
+"""Client streams: determinism, spawns, arrivals."""
 
 import numpy as np
 import pytest
@@ -6,30 +6,12 @@ import pytest
 from repro.serve import (
     ClientStream,
     SERVE_STREAM_TAG,
-    VirtualClock,
     build_streams,
     materialize_arrivals,
 )
 from repro.synth import DatasetConfig
 
 CFG = DatasetConfig(height=16, width=16, frames_per_sequence=4)
-
-
-class TestVirtualClock:
-    def test_ticks_and_seconds(self):
-        clock = VirtualClock.for_fps(100.0)
-        assert clock.tick == 0 and clock.now_s == 0.0
-        clock.advance()
-        clock.advance()
-        assert clock.tick == 2
-        assert clock.now_s == pytest.approx(0.02)
-        assert clock.seconds(5) == pytest.approx(0.05)
-
-    def test_rejects_bad_rate(self):
-        with pytest.raises(ValueError):
-            VirtualClock.for_fps(0)
-        with pytest.raises(ValueError):
-            VirtualClock(tick_s=-1.0)
 
 
 def _collect(stream, ticks):

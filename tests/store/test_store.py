@@ -134,7 +134,7 @@ class TestAtomicity:
         [
             ("nbytes", "x"),
             ("nbytes", None),
-            ("format", str(STORE_FORMAT_VERSION)),
+            pytest.param("format", str(STORE_FORMAT_VERSION), id="format-str"),
             ("format", None),
             ("digest", 7),
             ("kind", []),
