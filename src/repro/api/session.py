@@ -159,18 +159,21 @@ class Session:
         self,
         store: ArtifactStore | str | Path | None = None,
         resume: bool = False,
-        trace: bool | str | Path | Tracer | None = None,
+        trace: str | Path | Tracer | None = None,
     ):
-        """``trace`` is the session-level tracing default:
+        """``trace`` is the one tracing switch; it covers every run:
 
-        * ``None`` (default) — trace only runs whose spec enables
-          ``execution.trace``;
-        * ``True`` — trace every run, JSONL sink at the spec's
-          ``execution.trace.sink`` (or ``trace-<spec_hash>.jsonl``);
-        * a path — trace every run into that file;
-        * a :class:`~repro.obs.Tracer` — record into the caller's tracer
-          across runs; the caller owns the export (no sink is written).
+        * ``None`` (default) — no tracing;
+        * a path — the session records into one tracer of its own and
+          rewrites this JSONL file after each run, so the file holds
+          every run so far, in order;
+        * a :class:`~repro.obs.Tracer` — record into the caller's tracer;
+          the caller owns the export (no file is written).
         """
+        if not (trace is None or isinstance(trace, (str, Path, Tracer))):
+            raise TypeError(
+                f"trace must be None, a path or a Tracer, got {type(trace)!r}"
+            )
         #: The live process pool, grow-only (``None`` until sharded).
         self._pool: ProcessPoolBackend | None = None
         self._transport = None
@@ -188,14 +191,11 @@ class Session:
         )
         #: Reuse whole stored ``RunResult``\ s keyed by spec hash.
         self.resume = bool(resume)
-        #: Session-level tracing default (see the constructor docstring).
-        self._trace = trace
-        #: Cross-run trace accounting (``stats()["trace"]``).
-        self._trace_totals = {
-            "spans": 0,
-            "spans_dropped": 0,
-            "sink_bytes": 0,
-        }
+        #: The session-lifetime tracer (``None``: tracing off) and the
+        #: JSONL file rewritten after each run (``None``: caller exports).
+        self._tracer, self._trace_sink = trace, None
+        if isinstance(trace, (str, Path)):
+            self._tracer, self._trace_sink = Tracer(), Path(trace)
         #: Observability counters: how often the session saved work.
         self._counters = {
             "runs": 0,
@@ -263,7 +263,6 @@ class Session:
         out = dict(self._counters)
         out["memo_entries"] = len(self._memo)
         out["memo_bytes"] = sum(sorted(self._memo_bytes.values()))
-        out["trace"] = dict(self._trace_totals)
         if self.store is not None:
             out["store"] = self.store.stats()
         return out
@@ -292,28 +291,22 @@ class Session:
         factory: Callable[[], Any],
         *,
         training: bool = True,
-        persist: bool | None = None,
     ) -> Any:
         """Session-lifetime memoization of expensive work.
 
-        ``training=False`` keeps the access out of the
+        ``training=True`` entries count in the
         ``train_cache_hits``/``train_cache_misses`` counters — those
-        count *trainings saved*, not every cached object (datasets,
-        templates).
-
-        ``persist`` controls the attached store (defaults to
-        ``training``): persisted misses are written through to disk and
-        persisted lookups hydrate from disk before computing — the
-        resume path.  Datasets and other cheap-to-rebuild objects pass
-        ``training=False`` and so skip the store by default."""
-        if persist is None:
-            persist = training
+        count *trainings saved*, not every cached object — and persist
+        to the attached store: misses are written through to disk and
+        lookups hydrate from disk before computing (the resume path).
+        Datasets and other cheap-to-rebuild objects pass
+        ``training=False``, which keeps them out of both."""
         if key in self._memo:
             if training:
                 self._counters["train_cache_hits"] += 1
                 self._record_hit(key, "memory")
             return self._memo[key]
-        if persist and self.store is not None:
+        if training and self.store is not None:
             try:
                 value = self.store.get(key)
             except KeyError:
@@ -333,7 +326,7 @@ class Session:
         value = factory()
         self._memo[key] = value
         self._memo_bytes[key] = _pickled_nbytes(value)
-        if persist and self.store is not None:
+        if training and self.store is not None:
             self.store.put(key, value)
         return value
 
@@ -404,11 +397,11 @@ class Session:
         returned directly (its ``cache_hits`` restamped to say so)
         instead of re-running the workload.
 
-        Tracing (``execution.trace`` or the session's ``trace=``)
-        installs a :class:`~repro.obs.Tracer` around the whole run —
-        including the resume fast path; pool workers' spans merge in as
-        their results are consumed — writes the JSONL sink and stamps a
-        ``trace`` block into ``provenance``."""
+        With the session's ``trace=`` set, its tracer is installed
+        around the whole run — including the resume fast path; pool
+        workers' spans merge in as their results are consumed — the
+        JSONL file (if any) is rewritten, and a ``trace`` block with this
+        run's own span counts is stamped into ``provenance``."""
         self._check_open()
         if isinstance(spec, dict):
             spec = ExperimentSpec.from_dict(spec)
@@ -418,21 +411,11 @@ class Session:
             raise SpecError(
                 "<root>", f"expected ExperimentSpec or dict, got {type(spec)!r}"
             )
-        trace_cfg = spec.execution.trace
-        if not (trace_cfg.enabled or self._trace):
+        tracer = self._tracer
+        if tracer is None:
             return self._run_impl(spec)
-        if isinstance(self._trace, Tracer):
-            tracer, sink = self._trace, None
-        else:
-            tracer = Tracer(detail=trace_cfg.detail)
-            if isinstance(self._trace, (str, Path)):
-                sink = Path(self._trace)
-            elif trace_cfg.sink:
-                sink = Path(trace_cfg.sink)
-            else:
-                sink = Path(f"trace-{spec.spec_hash()}.jsonl")
-        # Deltas, not totals: an injected cross-run tracer accumulates
-        # spans across runs and must not be re-counted per run.
+        # Deltas, not totals: the session's tracer holds every run so
+        # far, and provenance reports this run's own counts.
         spans_before = len(tracer.spans)
         dropped_before = tracer.dropped
         with install_tracer(tracer):
@@ -444,20 +427,15 @@ class Session:
                 result = self._run_impl(spec)
             if self._cache_hits:
                 tracer.count("session.cache_hits", len(self._cache_hits))
-        sink_bytes = tracer.write_jsonl(sink) if sink is not None else 0
         trace_info = {
             "format": TRACE_FORMAT_VERSION,
-            "detail": tracer.detail,
-            "spans": len(tracer.spans),
-            "spans_dropped": tracer.dropped,
+            "spans": len(tracer.spans) - spans_before,
+            "spans_dropped": tracer.dropped - dropped_before,
         }
-        if sink is not None:
-            trace_info["path"] = str(sink)
-            trace_info["sink_bytes"] = sink_bytes
+        if self._trace_sink is not None:
+            trace_info["path"] = str(self._trace_sink)
+            trace_info["sink_bytes"] = tracer.write_jsonl(self._trace_sink)
         result.provenance = {**result.provenance, "trace": trace_info}
-        self._trace_totals["spans"] += len(tracer.spans) - spans_before
-        self._trace_totals["spans_dropped"] += tracer.dropped - dropped_before
-        self._trace_totals["sink_bytes"] += sink_bytes
         return result
 
     def _run_impl(self, spec: ExperimentSpec) -> RunResult:

@@ -36,7 +36,6 @@ __all__ = [
     "StrategySection",
     "TrainingSection",
     "ServeSection",
-    "TraceSection",
     "ExecutionSection",
     "ExperimentSpec",
 ]
@@ -197,36 +196,14 @@ class ServeSection:
 
 
 @dataclass(frozen=True)
-class TraceSection:
-    """Observability: the ``repro.obs`` tracer wired around a run.
-
-    Pure measurement — tracing never changes results, so this section is
-    **hash-exempt**: :meth:`ExperimentSpec.section_hash` drops it before
-    digesting, and a traced run shares its spec hash (and therefore its
-    store/resume identity) with the identical untraced run.  See
-    ``docs/observability.md``.
-    """
-
-    #: Record a trace for this run.
-    enabled: bool = False
-    #: JSONL trace file path; ``None`` defaults to
-    #: ``trace-<spec_hash>.jsonl`` in the working directory.
-    sink: str | None = None
-    #: ``full`` records everything; ``summary`` skips the high-volume
-    #: per-tick/per-publish spans (see ``repro.obs.TRACE_DETAIL_LEVELS``).
-    detail: str = "full"
-
-
-@dataclass(frozen=True)
 class ExecutionSection:
     """*How* to run: engine mode, parallelism, model operating point."""
 
     #: Worker processes; >= 2 shards the sequence rank.
     workers: int = 1
-    #: Vectorized lockstep mode (bitwise-identical to sequential).
+    #: Vectorized lockstep mode: one rank of every sequence
+    #: (bitwise-identical to sequential).
     batched: bool = False
-    #: Lockstep width bound; ``None`` runs all sequences in one rank.
-    batch_size: int | None = None
     #: Evaluation sequence indices; ``None`` uses ``dataset.split()``.
     eval_indices: tuple[int, ...] | None = None
     #: Operating frame rate of the hardware energy/latency models.
@@ -236,8 +213,6 @@ class ExecutionSection:
     fps_sweep_points: tuple[float, ...] | None = None
     #: The ``serve`` workload's scenario (ignored by other workloads).
     serve: ServeSection = field(default_factory=ServeSection)
-    #: Tracing around the run (hash-exempt; see :class:`TraceSection`).
-    trace: TraceSection = field(default_factory=TraceSection)
 
 
 _SECTIONS = {
@@ -315,16 +290,6 @@ class ExperimentSpec:
         trained pipeline across specs that differ only in execution)."""
         data = self.to_dict()
         subset = {name: data[name] for name in names}
-        if "execution" in subset:
-            # The trace section is pure measurement (it cannot change
-            # results), so it is exempt from spec identity: a traced run
-            # resumes from / stores into the same entries as the
-            # identical untraced run.
-            subset["execution"] = {
-                key: value
-                for key, value in subset["execution"].items()
-                if key != "trace"
-            }
         canonical = json.dumps(subset, sort_keys=True)
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
@@ -336,20 +301,6 @@ class ExperimentSpec:
         return dataclasses.replace(
             self,
             execution=dataclasses.replace(self.execution, workers=workers),
-        )
-
-    def with_trace(
-        self, sink: str | None = None, detail: str | None = None
-    ) -> "ExperimentSpec":
-        """A copy with tracing enabled (CLI ``--trace [PATH]``)."""
-        trace = dataclasses.replace(
-            self.execution.trace,
-            enabled=True,
-            **({} if sink is None else {"sink": sink}),
-            **({} if detail is None else {"detail": detail}),
-        )
-        return dataclasses.replace(
-            self, execution=dataclasses.replace(self.execution, trace=trace)
         )
 
     # -- validation ----------------------------------------------------------
@@ -446,8 +397,6 @@ class ExperimentSpec:
         _indices_ok("training.train_indices", t.train_indices, num_sequences)
         e = self.execution
         _require("execution.workers", e.workers >= 1, ">= 1")
-        if e.batch_size is not None:
-            _require("execution.batch_size", e.batch_size >= 1, ">= 1")
         _indices_ok("execution.eval_indices", e.eval_indices, num_sequences)
         _require("execution.fps", e.fps > 0, "> 0")
         if e.fps_sweep_points is not None:
@@ -491,20 +440,6 @@ class ExperimentSpec:
         _require(
             "execution.serve.seed", sv.seed >= 0, ">= 0 (keys RNG streams)"
         )
-        tr = e.trace
-        if tr.sink is not None and not tr.sink:
-            raise SpecError(
-                "execution.trace.sink",
-                "must be a non-empty path (or omitted for the default)",
-            )
-        from repro.obs.tracer import TRACE_DETAIL_LEVELS
-
-        if tr.detail not in TRACE_DETAIL_LEVELS:
-            raise SpecError(
-                "execution.trace.detail",
-                f"unknown detail level {tr.detail!r}; "
-                f"choose from {TRACE_DETAIL_LEVELS}",
-            )
         return self
 
 

@@ -416,7 +416,6 @@ class BlissCamPipeline:
         reuse_window: int = 1,
         sensor_seed: int = 1234,
         batched: bool = False,
-        batch_size: int | None = None,
         workers: int | None = None,
         executor=None,
         transport=None,
@@ -425,7 +424,7 @@ class BlissCamPipeline:
 
         ``reuse_window`` > 1 enables the Table-I ROI-reuse policy (a
         first-class engine stage).  ``batched`` runs the sequences in
-        vectorized lockstep; ``batch_size`` bounds the lockstep width.
+        vectorized lockstep, one rank of every sequence.
         ``workers >= 2`` shards the sequence rank over ``executor``
         with payloads on the ``transport`` channel (a
         ``repro.api.Session``'s ``executor(n)`` and ``transport()``),
@@ -441,7 +440,6 @@ class BlissCamPipeline:
             sensor_template=template,
             sensor_seed=sensor_seed,
             graph=graph,
-            batch_size=batch_size,
             # The collector below only needs gaze + stats per frame; drop
             # the O(frame size) intermediates as the run streams.
             retain_intermediates=False,
@@ -566,7 +564,6 @@ def evaluate_strategy(
     rng: np.random.Generator,
     gaze_estimator: FittedGazeEstimator | None = None,
     batched: bool = False,
-    batch_size: int | None = None,
     workers: int | None = None,
     executor=None,
     transport=None,
@@ -602,9 +599,7 @@ def evaluate_strategy(
     # The collector below only needs gaze + stats scalars; drop the
     # O(frame size) intermediates as the run streams (and keep sharded
     # worker->parent transfers scalar-sized).
-    runner = strategy_runner(
-        graph, batch_size=batch_size, retain_intermediates=False
-    )
+    runner = strategy_runner(graph, retain_intermediates=False)
     run = runner.run(
         [(i, dataset[i]) for i in eval_indices],
         batched=batched,

@@ -84,7 +84,6 @@ def run_evaluate(session: Session, spec: ExperimentSpec) -> RunResult:
         reuse_window=spec.sensor.reuse_window,
         sensor_seed=spec.sensor.sensor_seed,
         batched=e.batched,
-        batch_size=e.batch_size,
         workers=workers,
         executor=executor,
         transport=transport,
@@ -278,7 +277,6 @@ def run_strategy_sweep(session: Session, spec: ExperimentSpec) -> RunResult:
                 # replays bitwise.
                 copy.deepcopy(rng),
                 batched=spec.execution.batched,
-                batch_size=spec.execution.batch_size,
                 workers=workers,
                 executor=executor,
                 transport=transport,

@@ -260,10 +260,8 @@ def main(argv: list[str] | None = None) -> int:
             # a traceback out of Session.run.
             spec = spec.with_workers(workers).validate()
         trace = getattr(args, "trace", None)
-        if trace is not None:  # --trace or --trace PATH
-            spec = spec.with_trace(
-                sink=None if trace is True else trace
-            ).validate()
+        if trace is True:  # bare --trace: the default file
+            trace = f"trace-{spec.spec_hash()}.jsonl"
         store = getattr(args, "store", None)
         if getattr(args, "resume", False) and not store:
             print(
@@ -276,17 +274,16 @@ def main(argv: list[str] | None = None) -> int:
         print(f"spec error: {exc}", file=sys.stderr)
         return 2
     with Session(
-        store=store, resume=getattr(args, "resume", False)
+        store=store, resume=getattr(args, "resume", False), trace=trace
     ) as session:
         if spec.workload in _TRAINING_WORKLOADS:
             print("training...")
         result = session.run(spec)
     print(result.render_tables())
-    trace_info = result.provenance.get("trace")
-    if trace_info and "path" in trace_info:
+    if trace is not None:
         print(
-            f"trace written: {trace_info['path']} "
-            f"({trace_info['spans']} spans)"
+            f"trace written: {trace} "
+            f"({result.provenance['trace']['spans']} spans)"
         )
     if args.json:
         result.write_json(args.json)

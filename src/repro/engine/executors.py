@@ -167,9 +167,7 @@ class ProcessPoolBackend:
             seq=int(tracer.counters["executor.jobs"]),
             job=_job_name(fn),
         )
-        future = self._pool.submit(
-            capture_job, tracer.detail, fn, args, kwargs
-        )
+        future = self._pool.submit(capture_job, fn, args, kwargs)
         if span is not None:
             future.add_done_callback(lambda _f: finish_wall(span))
         self.unmerged_jobs += 1

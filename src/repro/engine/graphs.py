@@ -102,7 +102,6 @@ def tracking_runner(
     sensor_template,
     sensor_seed: int,
     graph: StageGraph,
-    batch_size: int | None = None,
     retain_intermediates: bool = True,
 ) -> SequenceRunner:
     """A runner that spawns one sensor stream per evaluated sequence.
@@ -115,7 +114,6 @@ def tracking_runner(
     return SequenceRunner(
         graph,
         SensorSpawnFactory(sensor_template, sensor_seed),
-        batch_size=batch_size,
         retain_intermediates=retain_intermediates,
     )
 
@@ -149,9 +147,7 @@ def build_strategy_graph(
 
 
 def strategy_runner(
-    graph: StageGraph,
-    batch_size: int | None = None,
-    retain_intermediates: bool = True,
+    graph: StageGraph, retain_intermediates: bool = True
 ) -> SequenceRunner:
     """A runner for strategy graphs.
 
@@ -161,6 +157,4 @@ def strategy_runner(
     Pass ``retain_intermediates=False`` when only the per-frame scalars
     (gaze, stats) are consumed, e.g. ``evaluate_strategy``.
     """
-    return SequenceRunner(
-        graph, batch_size=batch_size, retain_intermediates=retain_intermediates
-    )
+    return SequenceRunner(graph, retain_intermediates=retain_intermediates)

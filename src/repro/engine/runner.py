@@ -7,12 +7,12 @@ differ only in the rank width:
 
 * **sequential** — ``batched=False``: ranks of width 1, i.e. sequences
   one after another, frames in order.
-* **batched** — up to ``batch_size`` sequences per rank (all of them by
-  default): vectorized eventification, grouped packed ViT inference,
-  vectorized RLE accounting.  Because every sequence owns its own sensor
-  spawn (and all cross-frame state lives in its ``SequenceState``), every
-  width draws identical random streams and produces bitwise-identical
-  contexts — the engine test suite asserts this end-to-end.
+* **batched** — one rank of every sequence: vectorized eventification,
+  grouped packed ViT inference, vectorized RLE accounting.  Because
+  every sequence owns its own sensor spawn (and all cross-frame state
+  lives in its ``SequenceState``), every width draws identical random
+  streams and produces bitwise-identical contexts — the engine test
+  suite asserts this end-to-end.
 * **sharded** — ``workers >= 2`` partitions the sequences into
   contiguous shards and executes each shard on a caller-owned executor
   (``repro.api.Session.executor(n)``) at the width above, the payloads
@@ -138,23 +138,16 @@ class SequenceRunner:
     state_factory:
         ``seq_index -> SequenceState``; builds the per-sequence state
         (e.g. spawning a per-sequence sensor from a calibrated template).
-    batch_size:
-        Rank width in batched mode; ``None`` runs all sequences in one
-        rank.  Sequential mode always runs ranks of width 1.
     """
 
     def __init__(
         self,
         graph: StageGraph | Sequence,
         state_factory: Callable[[int], SequenceState] | None = None,
-        batch_size: int | None = None,
         retain_intermediates: bool = True,
     ):
         self.graph = graph if isinstance(graph, StageGraph) else StageGraph(graph)
         self.state_factory = state_factory or _default_state_factory
-        if batch_size is not None and batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1: {batch_size}")
-        self.batch_size = batch_size
         #: When False, each context's bulky per-frame products (event map,
         #: masks, sparse frame, seg map, readout) are dropped as soon as
         #: the last stage has consumed them, so run memory stays O(frames
@@ -200,11 +193,10 @@ class SequenceRunner:
     ) -> EngineRun:
         """Run the graph over ``[(seq_index, sequence), ...]``.
 
-        ``batched`` picks the rank width (``batch_size``, or every
-        sequence, instead of 1).  ``workers >= 2`` shards the sequences
-        over ``executor`` — a persistent pool such as
-        ``repro.api.Session.executor(n)`` — with the runner and the
-        shards published on ``transport``, the caller's
+        ``batched`` picks the rank width (every sequence instead of 1).
+        ``workers >= 2`` shards the sequences over ``executor`` — a
+        persistent pool such as ``repro.api.Session.executor(n)`` — with
+        the runner and the shards published on ``transport``, the caller's
         :class:`~repro.engine.transport.TransportChannel`
         (``Session.transport()``), whose segments outlive the run so
         repeated runs ship each payload's bytes once.  Both are required
@@ -315,7 +307,7 @@ class SequenceRunner:
             else None
         )
         lanes: dict[int, list[FrameContext]] = {}
-        width = (self.batch_size or len(sequences)) if batched else 1
+        width = len(sequences) if batched else 1
         for chunk_start in range(0, len(sequences), width):
             positions = range(
                 chunk_start, min(chunk_start + width, len(sequences))

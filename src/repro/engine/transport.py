@@ -414,12 +414,7 @@ class TransportChannel:
             tracer.count("transport.publish_bytes", len(blob))
             if reused:
                 tracer.count("transport.publish_reuses")
-            if tracer.detail == "full":
-                # Per-publish spans are high-volume; summary detail keeps
-                # only the counters above.
-                tracer.point(
-                    "transport.publish", nbytes=len(blob), reused=reused
-                )
+            tracer.point("transport.publish", nbytes=len(blob), reused=reused)
         if slot is not None:
             previous = self._slots.get(slot)
             if previous is not None and previous != digest:

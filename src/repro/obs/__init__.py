@@ -24,7 +24,6 @@ from repro.obs.export import (
 from repro.obs.capture import capture_job
 from repro.obs.tracer import (
     DEFAULT_MAX_SPANS,
-    TRACE_DETAIL_LEVELS,
     TRACE_FORMAT_VERSION,
     SpanRecord,
     Tracer,
@@ -35,7 +34,6 @@ from repro.obs.tracer import (
 
 __all__ = [
     "DEFAULT_MAX_SPANS",
-    "TRACE_DETAIL_LEVELS",
     "TRACE_FORMAT_VERSION",
     "SpanRecord",
     "Tracer",

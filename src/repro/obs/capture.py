@@ -3,9 +3,9 @@
 Pool workers live in other processes, where the ambient tracer is (by
 design — see :func:`repro.obs.tracer.current_tracer`) invisible.
 Instead, a traced job runs under :func:`capture_job`: a fresh capture
-:class:`~repro.obs.tracer.Tracer` at the dispatcher's detail level is
-installed for the job's duration, and its records travel back to the
-dispatcher with the job's result.  The dispatcher merges them with
+:class:`~repro.obs.tracer.Tracer` is installed for the job's duration,
+and its records travel back to the dispatcher with the job's result.
+The dispatcher merges them with
 :meth:`~repro.obs.tracer.Tracer.merge_records` under the submit-side
 ``executor.job`` span as each result is consumed, in submission order —
 so a cross-process run still reads as one deterministic tree.
@@ -25,10 +25,7 @@ __all__ = ["capture_job"]
 
 
 def capture_job(
-    detail: str,
-    fn: Callable[..., Any],
-    args: tuple,
-    kwargs: dict,
+    fn: Callable[..., Any], args: tuple, kwargs: dict
 ) -> tuple[Any, list[dict]]:
     """Run one traced job under a fresh capture tracer.
 
@@ -37,7 +34,7 @@ def capture_job(
     ``trace_records`` attribute (exception state pickles with it), so a
     failed job's spans still reach the merged trace.
     """
-    tracer = Tracer(origin=f"worker-{os.getpid()}", detail=detail)
+    tracer = Tracer(origin=f"worker-{os.getpid()}")
     try:
         with install_tracer(tracer):
             result = fn(*args, **kwargs)

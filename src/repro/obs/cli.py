@@ -109,8 +109,7 @@ def _cmd_summary(args: argparse.Namespace) -> int:
     report = summarize(records, top=args.top)
     table = Table(
         ["span", "count", "wall_s", "mean_wall_s"],
-        title=f"trace {args.trace} (origin={report['origin']}, "
-        f"detail={report['detail']})",
+        title=f"trace {args.trace} (origin={report['origin']})",
     )
     for row in report["spans"]:
         table.add_row(

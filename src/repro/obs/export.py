@@ -187,7 +187,6 @@ def summarize(records: list[dict], top: int = 10) -> dict:
     return {
         "format": meta.get("format"),
         "origin": meta.get("origin"),
-        "detail": meta.get("detail"),
         "spans_total": sum(row["count"] for row in span_rows),
         "spans_dropped": meta.get("spans_dropped", 0),
         "span_names": len(span_rows),

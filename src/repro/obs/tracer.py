@@ -53,12 +53,6 @@ __all__ = [
 #: than misreading them.
 TRACE_FORMAT_VERSION = 1
 
-#: Trace detail levels (the ``execution.trace.detail`` spec values).
-#: ``full`` records everything; ``summary`` skips the high-volume
-#: per-tick/per-publish spans while keeping the layer roll-ups,
-#: counters and gauges.
-TRACE_DETAIL_LEVELS = ("summary", "full")
-
 #: Span-count safety cap: a runaway instrumentation loop degrades into
 #: a counted ``spans_dropped`` instead of unbounded memory growth.
 DEFAULT_MAX_SPANS = 200_000
@@ -107,22 +101,14 @@ class Tracer:
     def __init__(
         self,
         origin: str = "main",
-        detail: str = "full",
         max_spans: int = DEFAULT_MAX_SPANS,
     ):
-        if detail not in TRACE_DETAIL_LEVELS:
-            raise ValueError(
-                f"unknown trace detail {detail!r}; "
-                f"choose from {TRACE_DETAIL_LEVELS}"
-            )
         self.origin = origin
-        self.detail = detail
         self.max_spans = max_spans
         self.spans: list[SpanRecord] = []
         self.counters: dict[str, float] = {}
         self.gauges: list[dict] = []
         self.dropped = 0
-        self.sink_bytes = 0
         self._next_id = 1
         self._stack: list[int] = []
 
@@ -259,7 +245,6 @@ class Tracer:
                 "type": "meta",
                 "format": TRACE_FORMAT_VERSION,
                 "origin": self.origin,
-                "detail": self.detail,
                 "spans": len(self.spans),
                 "spans_dropped": self.dropped,
             }
@@ -282,18 +267,7 @@ class Tracer:
         ]
         data = ("\n".join(lines) + "\n").encode()
         path.write_bytes(data)
-        self.sink_bytes += len(data)
         return len(data)
-
-    def stats(self) -> dict:
-        """Observability of the observer: volume + drop accounting."""
-        return {
-            "spans": len(self.spans),
-            "spans_dropped": self.dropped,
-            "counters": len(self.counters),
-            "gauges": len(self.gauges),
-            "sink_bytes": self.sink_bytes,
-        }
 
 
 # -- the ambient tracer --------------------------------------------------------

@@ -184,11 +184,9 @@ class Scheduler:
         gaze_log: list[tuple[int, int, tuple[float, float]]] = []
         tracer = current_tracer()
         for tick, arrivals in enumerate(arrivals_by_tick):
-            # Per-tick spans are the high-volume series; summary detail
-            # keeps only the counters/gauge below.
             tick_span = (
                 tracer.span("serve.tick", tick=tick, arrivals=len(arrivals))
-                if tracer is not None and tracer.detail == "full"
+                if tracer is not None
                 else nullcontext()
             )
             with tick_span:

@@ -765,10 +765,10 @@ class TestREP108ObsPlane:
     def test_capture_job_in_worker_passes(self):
         assert not self._lint_as(
             """
-            def _sweep_worker(detail, fn, args, kwargs):
+            def _sweep_worker(fn, args, kwargs):
                 from repro.obs.capture import capture_job
 
-                return capture_job(detail, fn, args, kwargs)
+                return capture_job(fn, args, kwargs)
             """,
             "src/repro/engine/executors.py",
         )

@@ -53,7 +53,6 @@ def _full_spec() -> ExperimentSpec:
             "execution": {
                 "workers": 2,
                 "batched": True,
-                "batch_size": 4,
                 "eval_indices": [3, 4, 5],
                 "fps": 240.0,
                 "serve": {
@@ -295,6 +294,14 @@ class TestValidation:
     def test_retired_repeats_field_rejected(self):
         with pytest.raises(SpecError, match="execution.repeats"):
             ExperimentSpec.from_dict({"execution": dict(repeats=3)})
+
+    def test_retired_trace_and_batch_size_fields_rejected(self):
+        # Tracing is switched on by Session(trace=); a batched run is
+        # always one rank of every sequence.
+        for field, value in (("trace", {"enabled": True}), ("batch_size", 2)):
+            with pytest.raises(SpecError) as err:
+                ExperimentSpec.from_dict({"execution": {field: value}})
+            assert err.value.field == f"execution.{field}"
 
     def test_invalid_json_text(self):
         with pytest.raises(SpecError, match="invalid JSON"):

@@ -77,10 +77,6 @@ class TestStageGraph:
         with pytest.raises(ValueError):
             ROIReuseStage(inner, window=0)
 
-    def test_bad_batch_size_rejected(self):
-        with pytest.raises(ValueError):
-            SequenceRunner([EventifyStage()], batch_size=0)
-
 
 class TestROIReuseRank:
     def test_lanes_out_of_phase_match_width_one(self):
@@ -263,11 +259,6 @@ class TestRunnerExecution:
             run = runner.run([], batched=batched)
             assert run.contexts == []
             assert run.evaluated == []
-
-    def test_batch_size_chunks_the_rank(self, trained_pipeline):
-        full = trained_pipeline.evaluate([2, 3], batched=True)
-        chunked = trained_pipeline.evaluate([2, 3], batched=True, batch_size=1)
-        assert np.array_equal(full.predictions, chunked.predictions)
 
     def test_duplicate_sequence_indices_are_independent_lanes(
         self, trained_pipeline

@@ -281,7 +281,6 @@ class TestShardedStrategySweep:
                 for mode, kwargs in [
                     ("sequential", {}),
                     ("batched", {"batched": True}),
-                    ("chunked", {"batched": True, "batch_size": 2}),
                     ("sharded", {"workers": 2, **sharding}),
                 ]
             }

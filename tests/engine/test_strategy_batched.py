@@ -4,8 +4,8 @@ The strategy graph's stages (eventify-pair, strategy-sample,
 segment-or-reuse, gaze-regress) each have one ``process_batch`` kernel;
 this module pins batched == sequential (width 1) == sharded for **every**
 registered strategy — including the stochastic ones (Full+Random,
-ROI+Learned tie-breaks, ROI+Random) and the stateful SKIP gate — across
-batch widths {1, partial, full-rank}, and for all three segmentation
+ROI+Learned tie-breaks, ROI+Random) and the stateful SKIP gate — at
+width 1 and full-rank lockstep, and for all three segmentation
 backends.
 """
 
@@ -83,12 +83,9 @@ class TestStrategyGraphParity:
         self, name, dataset, vit, sharding
     ):
         """batched == sequential == sharded, bitwise, per strategy —
-        across batch widths 1 (degenerate rank), 3 (partial rank) and
-        full-rank lockstep."""
+        at width 1 (sequential) and in full-rank lockstep."""
         ref = _run(name, dataset, vit)
         for kwargs in (
-            {"batched": True, "batch_size": 1},
-            {"batched": True, "batch_size": 3},
             {"batched": True},
             {"workers": 2, **sharding},
         ):

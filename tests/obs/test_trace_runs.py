@@ -7,7 +7,7 @@ worker spans that pool jobs bring home with their results.
 
 import pytest
 
-from repro.api import ExperimentSpec, Session
+from repro.api import ExperimentSpec, Session, SpecError
 from repro.obs import Tracer, deterministic_bytes, install_tracer, read_trace
 
 #: Cheapest spec that trains + evaluates.
@@ -60,7 +60,6 @@ class TestSessionWiring:
         with Session() as session:
             result = session.run(ExperimentSpec.from_dict(TINY))
         assert "trace" not in result.provenance
-        assert session.stats()["trace"]["spans"] == 0
 
     def test_session_trace_path_writes_sink(self, tmp_path):
         sink = tmp_path / "run.jsonl"
@@ -75,15 +74,26 @@ class TestSessionWiring:
         assert names[0] == "session.run"
         assert "train.epoch" in names
         assert "engine.stage" in names
-        assert session.stats()["trace"]["spans"] == info["spans"]
 
-    def test_spec_enabled_trace_uses_spec_sink(self, tmp_path):
-        sink = tmp_path / "spec-sink.jsonl"
-        spec = ExperimentSpec.from_dict(TINY).with_trace(sink=str(sink))
-        with Session() as session:
-            result = session.run(spec)
-        assert result.provenance["trace"]["path"] == str(sink)
-        assert sink.exists()
+    def test_trace_file_keeps_every_run_of_the_session(self, tmp_path):
+        # One tracer for the session's life: the file rewritten after
+        # run 2 still holds run 1's root.
+        sink = tmp_path / "two-runs.jsonl"
+        with Session(trace=sink) as session:
+            first = session.run({"workload": "energy"})
+            second = session.run({"workload": "latency"})
+        records = read_trace(sink)
+        roots = [
+            (r["name"], r["attrs"]["workload"])
+            for r in records
+            if r.get("type") == "span" and r["parent"] is None
+        ]
+        assert roots == [("session.run", "energy"), ("session.run", "latency")]
+        assert sink.stat().st_size == second.provenance["trace"]["sink_bytes"]
+        assert len(_span_names(records)) == (
+            first.provenance["trace"]["spans"]
+            + second.provenance["trace"]["spans"]
+        )
 
     def test_injected_tracer_records_without_sink(self):
         tracer = Tracer()
@@ -92,19 +102,42 @@ class TestSessionWiring:
         assert "path" not in result.provenance["trace"]
         assert len(tracer.spans) == result.provenance["trace"]["spans"]
 
-    def test_trace_section_is_hash_exempt(self, tmp_path):
-        spec = ExperimentSpec.from_dict(TINY)
-        traced = spec.with_trace(sink=str(tmp_path / "t.jsonl"))
-        assert spec.spec_hash() == traced.spec_hash()
+    def test_injected_tracer_reports_each_runs_own_counts(self):
+        tracer = Tracer()
+        with Session(trace=tracer) as session:
+            first = session.run({"workload": "energy"})
+            after_first = len(tracer.spans)
+            second = session.run({"workload": "energy"})
+        assert first.provenance["trace"]["spans"] == after_first
+        assert (
+            second.provenance["trace"]["spans"]
+            == len(tracer.spans) - after_first
+        )
+        assert second.provenance["trace"]["spans_dropped"] == 0
+
+    def test_traced_run_resumes_untraced(self, tmp_path):
+        # Tracing lives outside the spec, so a traced run stores under
+        # the same spec hash an untraced run resumes from.
+        store = tmp_path / "store"
+        with Session(store=store, trace=Tracer()) as session:
+            traced = session.run(TINY)
+        with Session(store=store, resume=True) as session:
+            resumed = session.run(TINY)
+        assert resumed.metrics == traced.metrics
+        assert [h["kind"] for h in resumed.provenance["cache_hits"]] == [
+            "run_result"
+        ]
 
     def test_trace_spec_validation(self):
-        with pytest.raises(Exception, match="execution.trace.sink"):
+        # Tracing is a Session switch, never a spec field.
+        with pytest.raises(SpecError, match="execution.trace"):
             ExperimentSpec.from_dict(
-                {
-                    **TINY,
-                    "execution": {"trace": {"enabled": True, "sink": ""}},
-                }
+                {**TINY, "execution": {"trace": {"enabled": True}}}
             )
+
+    def test_session_trace_rejects_other_forms(self):
+        with pytest.raises(TypeError, match="None, a path or a Tracer"):
+            Session(trace=True)
 
 
 class TestServeGauges:
@@ -171,33 +204,29 @@ class TestDeterminism:
             assert node["name"] == "session.run"
 
     def test_summary_detail_skips_per_tick_spans(self, tmp_path):
+        # There is one detail level: every traced run records its ticks.
         sink = tmp_path / "summary.jsonl"
-        spec = ExperimentSpec.from_dict(SERVE_TINY).with_trace(
-            sink=str(sink), detail="summary"
-        )
-        with Session() as session:
-            session.run(spec)
+        with Session(trace=sink) as session:
+            session.run(ExperimentSpec.from_dict(SERVE_TINY))
         records = read_trace(sink)
         names = _span_names(records)
-        assert "serve.tick" not in names
+        assert "serve.tick" in names
         assert "session.run" in names
-        # Counters survive the reduced detail level.
         assert _counters(records)["serve.ticks"] == 4
 
     def test_sharded_serve_replicas_follow_summary_detail(self, tmp_path):
-        # Replica workers capture at the dispatcher's detail level, so
-        # summary detail keeps their per-tick spans at home too.
+        # Replica workers' per-tick spans come home with their results.
         sink = tmp_path / "summary-sharded.jsonl"
         spec = ExperimentSpec.from_dict(
             {
                 **SERVE_TINY,
                 "execution": {**SERVE_TINY["execution"], "workers": 2},
             }
-        ).with_trace(sink=str(sink), detail="summary")
-        with Session() as session:
+        )
+        with Session(trace=sink) as session:
             session.run(spec)
         records = read_trace(sink)
-        assert "serve.tick" not in _span_names(records)
+        assert "serve.tick" in _span_names(records)
         counters = _counters(records)
         assert counters["executor.jobs"] == 2
         # Each replica runs every tick; their counters merged home.
