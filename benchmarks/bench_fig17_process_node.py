@@ -18,12 +18,11 @@ FPS = 120.0
 
 def run_fig17():
     profile = WorkloadProfile()
-    base = SystemEnergyModel()
     savings: dict[int, dict[int, float]] = {}
     for soc in SOC_NODES:
         savings[soc] = {}
         for logic in LOGIC_NODES:
-            model = base.with_nodes(
+            model = SystemEnergyModel(
                 ProcessNodes(sensor_logic_nm=logic, host_nm=soc)
             )
             savings[soc][logic] = model.savings_over(

@@ -110,7 +110,6 @@ def node_grid(session: Session) -> None:
     print()
 
     # ...and a finer-grained grid straight from the model.
-    model = SystemEnergyModel()
     profile = WorkloadProfile()
     logic_nodes = (16, 22, 28, 40, 65)
     soc_nodes = (7, 16, 22)
@@ -121,7 +120,7 @@ def node_grid(session: Session) -> None:
     for logic in logic_nodes:
         row = []
         for soc in soc_nodes:
-            m = model.with_nodes(ProcessNodes(sensor_logic_nm=logic, host_nm=soc))
+            m = SystemEnergyModel(ProcessNodes(sensor_logic_nm=logic, host_nm=soc))
             row.append(f"{m.savings_over('NPU-Full', 'BlissCam', profile, 120):.2f}x")
         table.add_row(f"{logic} nm", *row)
     print(table.render())

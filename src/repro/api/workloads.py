@@ -501,7 +501,6 @@ def run_fps_sweep(session: Session, spec: ExperimentSpec) -> RunResult:
 def run_node_sweep(session: Session, spec: ExperimentSpec) -> RunResult:
     """Fig. 17: BlissCam's energy saving vs process nodes."""
     fps = spec.execution.fps
-    base = SystemEnergyModel()
     profile = WorkloadProfile()
     table = Table(
         ["logic node", "7 nm SoC", "22 nm SoC"], title="saving vs process node"
@@ -510,7 +509,7 @@ def run_node_sweep(session: Session, spec: ExperimentSpec) -> RunResult:
     for logic in (16, 22, 40, 65):
         row = {}
         for soc in (7, 22):
-            model = base.with_nodes(
+            model = SystemEnergyModel(
                 ProcessNodes(sensor_logic_nm=logic, host_nm=soc)
             )
             row[f"soc_{soc}nm"] = model.savings_over(

@@ -9,7 +9,7 @@ executes stage graphs over batches of sequences — sequentially, in
 vectorized lockstep, or sharded over worker processes, all
 bitwise-identical.
 
-``BlissCamPipeline.evaluate``, ``core.variants.evaluate_strategy``, the
+``BlissCamPipeline.evaluate``, ``repro.api.tracker.evaluate_strategy``, the
 ablation runners, the CLI, and the figure benchmarks are all thin
 configurations over this one runtime (see ``docs/architecture.md``).
 """

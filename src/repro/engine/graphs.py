@@ -2,7 +2,7 @@
 
 The tracking graph is the full in-sensor/host dataflow of Fig. 8 — what
 ``BlissCamPipeline.evaluate`` runs.  The strategy graph is the Fig. 12/15
-harness — what ``core.variants.evaluate_strategy`` runs.  Both are plain
+harness — what ``repro.api.tracker.evaluate_strategy`` runs.  Both are plain
 :class:`~repro.engine.stage.StageGraph` instances over the same runner, so
 every figure benchmark and the CLI exercise one code path.
 

@@ -8,7 +8,9 @@ from repro.hardware.energy import (
     EnergyBreakdown,
     ProcessNodes,
     SystemEnergyModel,
+    Traffic,
     WorkloadProfile,
+    traffic,
 )
 from repro.hardware.mipi import (
     LATENCY_REQUIREMENT_S,
@@ -28,7 +30,9 @@ __all__ = [
     "EnergyBreakdown",
     "ProcessNodes",
     "SystemEnergyModel",
+    "Traffic",
     "WorkloadProfile",
+    "traffic",
     "MipiLink",
     "STANDARD_RESOLUTIONS",
     "LATENCY_REQUIREMENT_S",

@@ -5,7 +5,8 @@ The paper computes DRAM energy from Micron's system power calculator for a
 segmentation ViT's kernels and activations.  The calculator's outputs
 reduce to an access energy per byte plus a background (standby/refresh)
 power; published LPDDR3 figures put the IO+core access cost at roughly
-40 pJ/byte and the 4-channel background power in the tens of milliwatts.
+40 pJ/byte.  The background power is not priced here: it is part of the
+per-variant host idle power in :mod:`repro.hardware.energy`.
 """
 
 from __future__ import annotations
@@ -21,23 +22,9 @@ class LPDDR3Model:
 
     #: Read/write access energy (core + IO) per byte.
     access_energy_per_byte_j: float = 40e-12
-    #: Background power: self-refresh + standby across 4 channels.
-    background_power_w: float = 30e-3
 
     def traffic_energy(self, num_bytes: int) -> float:
         """Dynamic energy for ``num_bytes`` of DRAM traffic."""
         if num_bytes < 0:
             raise ValueError(f"negative byte count: {num_bytes}")
         return num_bytes * self.access_energy_per_byte_j
-
-    def background_energy(self, duration_s: float) -> float:
-        """Standby energy over a time window."""
-        if duration_s < 0:
-            raise ValueError(f"negative duration: {duration_s}")
-        return self.background_power_w * duration_s
-
-    def frame_energy(self, traffic_bytes: int, frame_period_s: float) -> float:
-        """Total DRAM energy attributable to one frame."""
-        return self.traffic_energy(traffic_bytes) + self.background_energy(
-            frame_period_s
-        )

@@ -16,25 +16,29 @@ Variants (Sec. V, "System Variants"):
   runs in-sensor; RLE-compressed sampled pixels cross MIPI; the host
   receives ~5 % of the pixels.
 
-Every term is built from component models (ADC, pixel circuit, MIPI, NPU,
-DRAM, process scaling), so the sensitivity studies (frame rate, Fig. 16;
-process node, Fig. 17) fall out of the same code path.
+What each variant moves per frame is counted once, by :func:`traffic`;
+this model and :class:`~repro.hardware.timing.TimingModel` only price that
+record.  Every term is built from component models (ADC, pixel circuit,
+MIPI, NPU, DRAM, process scaling), so the sensitivity studies (frame rate,
+Fig. 16; process node, Fig. 17) fall out of the same code path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.hardware.dram import LPDDR3Model
 from repro.hardware.mipi import MipiLink
 from repro.hardware.npu import SystolicNPU, host_npu, in_sensor_npu
 from repro.hardware.scaling import scale_leakage
 from repro.hardware.sensor.adc import SingleSlopeADC
-from repro.hardware.sensor.pixel import BLISSCAM_DPS, PixelCircuit
+from repro.hardware.sensor.pixel import BLISSCAM_DPS
 from repro.synth.noise import exposure_for_fps
 
 __all__ = [
     "WorkloadProfile",
+    "Traffic",
+    "traffic",
     "ProcessNodes",
     "EnergyBreakdown",
     "SystemEnergyModel",
@@ -69,10 +73,11 @@ class WorkloadProfile:
     """Per-frame statistics that drive the energy/latency models.
 
     Defaults correspond to the paper's operating point: a 640x400 sensor,
-    ROI of ~34 k pixels (13.4 % of the frame), ~20 % in-ROI sampling for a
-    20.6x compression (4.85 % of pixels transmitted, 10.8 % of ViT tokens
-    valid).  The benchmark harness can overwrite any field with *measured*
-    statistics from the functional pipeline.
+    ROI of ~34 k pixels (13.4 % of the frame), 4.85 % of pixels sampled
+    and transmitted for a 20.6x compression -- ~36 % in-ROI sampling
+    (0.0485 / 0.134) -- and 10.8 % of ViT tokens valid.  The benchmark
+    harness can overwrite any field with *measured* statistics from the
+    functional pipeline.
     """
 
     height: int = 400
@@ -104,23 +109,84 @@ class WorkloadProfile:
     def num_pixels(self) -> int:
         return self.height * self.width
 
-    def seg_macs(self, variant: str) -> int:
-        """Segmentation MACs under each variant's input reduction."""
-        if variant == "NPU-Full":
-            return self.seg_macs_dense
-        if variant == "NPU-ROI":
-            return int(self.seg_macs_dense * self.roi_fraction)
-        if variant in ("S+NPU", "BlissCam"):
-            return int(self.seg_macs_dense * self.valid_token_fraction)
-        raise ValueError(f"unknown variant: {variant}")
 
-    def dram_bytes(self, variant: str) -> int:
-        """DRAM traffic scales with the segmentation working set."""
-        return int(
-            self.dram_bytes_dense
-            * self.seg_macs(variant)
-            / self.seg_macs_dense
-        )
+@dataclass(frozen=True)
+class Traffic:
+    """What one variant moves per frame: the counts both cost models price.
+
+    :func:`traffic` builds it; :class:`SystemEnergyModel` turns it into
+    joules and :class:`~repro.hardware.timing.TimingModel` into seconds.
+    """
+
+    #: Pixels exposed: the whole array, in every variant.
+    exposed: int
+    #: Pixels the ADCs convert.
+    converted: int
+    #: In-ROI pixels the sparse readout skips without converting.
+    skipped: int
+    #: Columns the readout scans: the frame's, or the ROI's alone.
+    readout_columns: int
+    #: Where the frame difference is taken: ``none``, ``host``,
+    #: ``sensor`` (digital, over an SRAM frame buffer) or ``pixel``
+    #: (analog, over the in-pixel frame memory).
+    eventify: str
+    #: Where the ROI DNN runs: ``none``, ``host`` or ``sensor``.  An
+    #: in-sensor ROI also means in-sensor sampling.
+    roi_dnn: str
+    #: Bytes sensor -> host over MIPI: the full frame or the RLE'd sample.
+    mipi_up_bytes: int
+    #: Bytes host -> sensor over MIPI: the seg-map backhaul.
+    mipi_down_bytes: int
+    #: ROI pixels streamed through the RLE encoder.
+    rle_pixels: int
+    #: Segmentation MACs on the host NPU.
+    seg_macs: int
+    #: Host DRAM bytes of segmentation; scales with its working set.
+    dram_bytes: int
+
+
+def traffic(variant: str, profile: WorkloadProfile) -> Traffic:
+    """Count one variant's per-frame data movement (the Sec. V designs)."""
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}; choose from {VARIANTS}")
+    # Where each design takes the frame difference and runs its ROI DNN.
+    eventify, roi_dnn = {
+        "NPU-Full": ("none", "none"),
+        "NPU-ROI": ("host", "host"),
+        "S+NPU": ("sensor", "sensor"),
+        "BlissCam": ("pixel", "sensor"),
+    }[variant]
+    in_sensor = roi_dnn == "sensor"
+    # Only the analog frame memory spares the ADCs: digital
+    # eventification needs every pixel digitized.
+    analog = eventify == "pixel"
+    n = profile.num_pixels
+    in_roi = int(n * profile.roi_fraction)
+    sampled = int(n * profile.sampled_fraction)
+    if in_sensor:
+        seg_macs = int(profile.seg_macs_dense * profile.valid_token_fraction)
+        # ROI aspect follows the frame.
+        columns = max(1, int(round(profile.width * profile.roi_fraction**0.5)))
+        mipi_up = int(MipiLink().frame_bytes(sampled) * profile.rle_overhead)
+    else:
+        seg_macs = profile.seg_macs_dense
+        if roi_dnn == "host":
+            seg_macs = int(seg_macs * profile.roi_fraction)
+        columns = profile.width
+        mipi_up = MipiLink().frame_bytes(n)
+    return Traffic(
+        exposed=n,
+        converted=sampled if analog else n,
+        skipped=max(0, in_roi - sampled) if analog else 0,
+        readout_columns=columns,
+        eventify=eventify,
+        roi_dnn=roi_dnn,
+        mipi_up_bytes=mipi_up,
+        mipi_down_bytes=profile.seg_map_bytes if in_sensor else 0,
+        rle_pixels=in_roi if in_sensor else 0,
+        seg_macs=seg_macs,
+        dram_bytes=int(profile.dram_bytes_dense * seg_macs / profile.seg_macs_dense),
+    )
 
 
 @dataclass(frozen=True)
@@ -184,47 +250,16 @@ class EnergyBreakdown:
 
 
 class SystemEnergyModel:
-    """Composes component models into per-variant, per-frame energy."""
+    """Prices each variant's :func:`traffic` as per-frame energy."""
 
-    def __init__(
-        self,
-        nodes: ProcessNodes | None = None,
-        mipi: MipiLink | None = None,
-        dram: LPDDR3Model | None = None,
-        adc: SingleSlopeADC | None = None,
-        pixel: PixelCircuit = BLISSCAM_DPS,
-    ):
+    def __init__(self, nodes: ProcessNodes | None = None):
         self.nodes = nodes or ProcessNodes()
-        self.mipi = mipi or MipiLink()
-        self.dram = dram or LPDDR3Model()
-        self.adc = adc or SingleSlopeADC()
-        self.pixel = pixel
+        self.mipi = MipiLink()
+        self.dram = LPDDR3Model()
+        self.adc = SingleSlopeADC()
+        self.pixel = BLISSCAM_DPS
         self.host = host_npu(self.nodes.host_nm)
         self.sensor_npu = in_sensor_npu(self.nodes.sensor_logic_nm)
-
-    # -- shared sub-terms -----------------------------------------------------
-    def _host_seg_terms(
-        self, variant: str, profile: WorkloadProfile
-    ) -> dict[str, float]:
-        """Segmentation + gaze on the host NPU, buffer gated to active time."""
-        macs = profile.seg_macs(variant)
-        seg_time = self.host.compute_latency(macs)
-        buffer_bytes = macs // 64  # ~64 MACs per scratchpad byte touched
-        return {
-            "seg_npu": self.host.mac_energy(macs)
-            + self.host.leakage_power() * seg_time,
-            "host_buffer": self.host.buffer_energy(buffer_bytes),
-            "gaze": self.host.mac_energy(profile.gaze_macs),
-            "dram": self.dram.traffic_energy(profile.dram_bytes(variant)),
-        }
-
-    def _frame_buffer_leakage(self, profile: WorkloadProfile, fps: float) -> float:
-        """S+NPU's digital frame buffer: 10 bits/pixel, never power-gated."""
-        size_kb = profile.num_pixels * 10 / 8 / 1024
-        power = size_kb * scale_leakage(
-            _FRAME_BUFFER_LEAKAGE_16NM_W_PER_KB, self.nodes.sensor_logic_nm
-        )
-        return power / fps
 
     def _roi_dnn_energy(self, npu: SystolicNPU, profile: WorkloadProfile) -> float:
         """ROI DNN on the given NPU, SRAM gated to the DNN's runtime."""
@@ -233,82 +268,60 @@ class SystemEnergyModel:
             profile.roi_macs, profile.roi_macs // 64, active_time_s=time
         )
 
-    # -- variants ------------------------------------------------------------
     def frame_energy(
         self, variant: str, profile: WorkloadProfile, fps: float
     ) -> EnergyBreakdown:
         """Per-frame energy breakdown for one variant at one frame rate."""
-        if variant not in VARIANTS:
-            raise ValueError(f"unknown variant {variant!r}; choose from {VARIANTS}")
+        t = traffic(variant, profile)
         if fps <= 0:
             raise ValueError(f"fps must be positive: {fps}")
-        n = profile.num_pixels
+        n = t.exposed
         exposure = exposure_for_fps(fps)
         frame_period = 1.0 / fps
+        seg_time = self.host.compute_latency(t.seg_macs)
         parts: dict[str, float] = {
             "exposure": self.pixel.exposure_energy(n, exposure),
             "sensor_misc": _SENSOR_MISC_POWER_W * frame_period,
             "host_idle": _HOST_IDLE_POWER_W[variant] * frame_period,
+            "readout": self.adc.readout_energy(t.converted, t.skipped),
+            "mipi": self.mipi.transfer_energy(t.mipi_up_bytes),
+            # Segmentation + gaze on the host NPU, buffer gated to active
+            # time; ~64 MACs per scratchpad byte touched.
+            "seg_npu": self.host.mac_energy(t.seg_macs)
+            + self.host.leakage_power() * seg_time,
+            "host_buffer": self.host.buffer_energy(t.seg_macs // 64),
+            "gaze": self.host.mac_energy(profile.gaze_macs),
+            "dram": self.dram.traffic_energy(t.dram_bytes),
         }
-
-        if variant == "NPU-Full":
-            parts["readout"] = self.adc.readout_energy(n)
-            parts["mipi"] = self.mipi.transfer_energy(self.mipi.frame_bytes(n))
-            parts.update(self._host_seg_terms(variant, profile))
-
-        elif variant == "NPU-ROI":
-            parts["readout"] = self.adc.readout_energy(n)
-            parts["mipi"] = self.mipi.transfer_energy(self.mipi.frame_bytes(n))
-            # Host-side eventification (digital diff) + ROI DNN at 7 nm.
-            parts["roi_dnn_host"] = (
-                self._roi_dnn_energy(self.host, profile)
-                + n * _DIGITAL_EVENT_16NM_J_PER_PIXEL * 0.44  # 7 nm factor
-            )
-            parts.update(self._host_seg_terms(variant, profile))
-
-        elif variant == "S+NPU":
-            # Full digitization is still required for digital eventification.
-            parts["readout"] = self.adc.readout_energy(n)
-            parts["frame_buffer"] = self._frame_buffer_leakage(profile, fps)
+        if t.roi_dnn == "host":
+            parts["roi_dnn_host"] = self._roi_dnn_energy(self.host, profile)
+        elif t.roi_dnn == "sensor":
+            parts["roi_dnn_sensor"] = self._roi_dnn_energy(self.sensor_npu, profile)
+            parts["rng"] = n * _RNG_J_PER_PIXEL
+            parts["rle"] = t.rle_pixels * _RLE_16NM_J_PER_PIXEL
+            parts["seg_map_backhaul"] = self.mipi.transfer_energy(t.mipi_down_bytes)
+        if t.eventify == "host":
+            # Digital diff on the host at 7 nm, booked with its ROI DNN.
+            parts["roi_dnn_host"] += n * _DIGITAL_EVENT_16NM_J_PER_PIXEL * 0.44
+        elif t.eventify == "sensor":
             parts["eventification"] = (
                 n
                 * _DIGITAL_EVENT_16NM_J_PER_PIXEL
                 * scale_leakage(1.0, self.nodes.sensor_logic_nm)
             )
-            parts["roi_dnn_sensor"] = self._roi_dnn_energy(self.sensor_npu, profile)
-            parts["rng"] = n * _RNG_J_PER_PIXEL
-            sampled_bytes = self.mipi.frame_bytes(
-                int(n * profile.sampled_fraction)
+            # The digital frame buffer (10 bits/pixel) holds the previous
+            # frame for eventification, so it is never power-gated.
+            size_kb = n * 10 / 8 / 1024
+            parts["frame_buffer"] = (
+                size_kb
+                * scale_leakage(
+                    _FRAME_BUFFER_LEAKAGE_16NM_W_PER_KB, self.nodes.sensor_logic_nm
+                )
+                / fps
             )
-            parts["mipi"] = self.mipi.transfer_energy(
-                int(sampled_bytes * profile.rle_overhead)
-            )
-            parts["rle"] = int(n * profile.roi_fraction) * _RLE_16NM_J_PER_PIXEL
-            parts["seg_map_backhaul"] = self.mipi.transfer_energy(
-                profile.seg_map_bytes
-            )
-            parts.update(self._host_seg_terms(variant, profile))
-
-        else:  # BlissCam
-            sampled = int(n * profile.sampled_fraction)
-            in_roi_skipped = int(n * profile.roi_fraction) - sampled
-            parts["readout"] = self.adc.readout_energy(
-                sampled, max(0, in_roi_skipped)
-            )
+        elif t.eventify == "pixel":
             parts["eventification"] = self.pixel.eventification_energy(n)
             parts["analog_memory"] = self.pixel.analog_memory_energy(n, exposure)
-            parts["roi_dnn_sensor"] = self._roi_dnn_energy(self.sensor_npu, profile)
-            parts["rng"] = n * _RNG_J_PER_PIXEL
-            sampled_bytes = self.mipi.frame_bytes(sampled)
-            parts["mipi"] = self.mipi.transfer_energy(
-                int(sampled_bytes * profile.rle_overhead)
-            )
-            parts["rle"] = int(n * profile.roi_fraction) * _RLE_16NM_J_PER_PIXEL
-            parts["seg_map_backhaul"] = self.mipi.transfer_energy(
-                profile.seg_map_bytes
-            )
-            parts.update(self._host_seg_terms(variant, profile))
-
         return EnergyBreakdown(variant=variant, components=parts)
 
     def savings_over(
@@ -322,13 +335,3 @@ class SystemEnergyModel:
         base = self.frame_energy(baseline, profile, fps).total
         ours = self.frame_energy(variant, profile, fps).total
         return base / ours
-
-    def with_nodes(self, nodes: ProcessNodes) -> "SystemEnergyModel":
-        """A copy of this model under different process nodes (Fig. 17)."""
-        return SystemEnergyModel(
-            nodes=nodes,
-            mipi=self.mipi,
-            dram=self.dram,
-            adc=self.adc,
-            pixel=self.pixel,
-        )

@@ -63,6 +63,3 @@ class MipiLink:
     def frame_latency(self, height: int, width: int) -> float:
         """Per-frame transfer latency at a given resolution (Fig. 3)."""
         return self.transfer_latency(self.frame_bytes(height * width))
-
-    def frame_energy(self, height: int, width: int) -> float:
-        return self.transfer_energy(self.frame_bytes(height * width))

@@ -48,28 +48,17 @@ class HeadsetBudget:
         if self.num_eyes < 1:
             raise ValueError("need at least one eye")
 
-    def tracking_power(
-        self,
-        variant: str,
-        fps: float,
-        model: SystemEnergyModel | None = None,
-        profile: WorkloadProfile | None = None,
-    ) -> float:
-        """Sustained eye-tracking power (both eyes), watts."""
-        model = model or SystemEnergyModel()
-        profile = profile or WorkloadProfile()
-        per_frame = model.frame_energy(variant, profile, fps).total
+    def tracking_power(self, variant: str, fps: float) -> float:
+        """Sustained eye-tracking power (both eyes), watts, at the paper's
+        operating point."""
+        per_frame = (
+            SystemEnergyModel().frame_energy(variant, WorkloadProfile(), fps).total
+        )
         return self.num_eyes * per_frame * fps
 
-    def report(
-        self,
-        variant: str,
-        fps: float,
-        model: SystemEnergyModel | None = None,
-        profile: WorkloadProfile | None = None,
-    ) -> PowerReport:
+    def report(self, variant: str, fps: float) -> PowerReport:
         """Power, budget share, and battery life with this variant."""
-        power = self.tracking_power(variant, fps, model, profile)
+        power = self.tracking_power(variant, fps)
         if power >= self.total_power_w:
             raise ValueError(
                 f"{variant} at {fps} FPS needs {power:.2f} W, exceeding the "
@@ -83,21 +72,14 @@ class HeadsetBudget:
             battery_hours=self.battery_wh / self.total_power_w,
         )
 
-    def battery_gain_hours(
-        self,
-        baseline: str,
-        variant: str,
-        fps: float,
-        model: SystemEnergyModel | None = None,
-        profile: WorkloadProfile | None = None,
-    ) -> float:
+    def battery_gain_hours(self, baseline: str, variant: str, fps: float) -> float:
         """Extra runtime from switching ``baseline`` -> ``variant``.
 
         The rest of the headset keeps drawing its share; only the
         eye-tracking power changes.
         """
-        base_power = self.tracking_power(baseline, fps, model, profile)
-        new_power = self.tracking_power(variant, fps, model, profile)
+        base_power = self.tracking_power(baseline, fps)
+        new_power = self.tracking_power(variant, fps)
         rest = self.total_power_w - base_power
         if rest <= 0:
             raise ValueError("baseline tracking power exceeds the budget")

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.hardware.energy import WorkloadProfile, traffic
 from repro.hardware.mipi import MipiLink
-from repro.hardware.npu import SystolicNPU, host_npu, in_sensor_npu
-from repro.hardware.energy import WorkloadProfile
+from repro.hardware.npu import host_npu, in_sensor_npu
 from repro.hardware.sensor.adc import SingleSlopeADC
 from repro.hardware.sensor.readout import SparseReadout
 from repro.synth.noise import DEFAULT_EXPOSURE_DUTY
@@ -40,6 +40,11 @@ SAMPLING_DECISION_S = 3e-6
 #: analog-memory handoff (~20 % of the DNN window) serializes.  This puts
 #: the exposure reduction near the paper's 1.8 % at 120 FPS.
 ROI_OVERLAP_FRACTION = 0.8
+#: In-sensor eventification time by where the frame difference is taken.
+_EVENTIFICATION_S = {
+    "sensor": DIGITAL_EVENTIFICATION_S,
+    "pixel": ANALOG_EVENTIFICATION_S,
+}
 
 
 @dataclass
@@ -62,119 +67,57 @@ class LatencyBreakdown:
 
 
 class TimingModel:
-    """End-to-end latency and frame-rate feasibility for all variants."""
+    """Prices each variant's :func:`traffic` as latency and checks the
+    frame-rate schedule."""
 
-    def __init__(
-        self,
-        mipi: MipiLink | None = None,
-        adc: SingleSlopeADC | None = None,
-        host: SystolicNPU | None = None,
-        sensor_npu: SystolicNPU | None = None,
-        readout: SparseReadout | None = None,
-        exposure_duty: float = DEFAULT_EXPOSURE_DUTY,
-    ):
-        self.mipi = mipi or MipiLink()
-        self.adc = adc or SingleSlopeADC()
-        self.host = host or host_npu()
-        self.sensor_npu = sensor_npu or in_sensor_npu()
-        self.readout = readout or SparseReadout()
-        self.exposure_duty = exposure_duty
+    def __init__(self):
+        self.mipi = MipiLink()
+        self.adc = SingleSlopeADC()
+        self.host = host_npu()
+        self.sensor_npu = in_sensor_npu()
+        self.readout = SparseReadout()
 
-    # -- stage latencies -----------------------------------------------------
-    def _readout_time(self, profile: WorkloadProfile, roi_only: bool) -> float:
-        """Column-sequential readout; per-pixel ADCs convert in parallel."""
-        cols = profile.width
-        if roi_only:
-            # ROI columns only; ROI aspect follows the frame.
-            cols = max(1, int(round(profile.width * profile.roi_fraction**0.5)))
-        return (
-            self.adc.conversion_time_s
-            + self.readout.setup_time_s
-            + cols * self.readout.column_time_s
-        )
-
-    def _mipi_time(self, profile: WorkloadProfile, variant: str) -> float:
-        n = profile.num_pixels
-        if variant in ("NPU-Full", "NPU-ROI"):
-            payload = self.mipi.frame_bytes(n)
-        else:
-            sampled = int(n * profile.sampled_fraction)
-            payload = int(
-                self.mipi.frame_bytes(sampled) * profile.rle_overhead
-            )
-        return self.mipi.transfer_latency(payload)
-
-    def _seg_time(self, profile: WorkloadProfile, variant: str) -> float:
-        return self.host.compute_latency(profile.seg_macs(variant))
-
-    def _gaze_time(self, profile: WorkloadProfile) -> float:
-        return self.host.compute_latency(profile.gaze_macs)
-
-    def roi_prediction_time(self, profile: WorkloadProfile, on_host: bool) -> float:
-        npu = self.host if on_host else self.sensor_npu
-        return npu.compute_latency(profile.roi_macs)
-
-    # -- end-to-end ----------------------------------------------------------
     def tracking_latency(
         self, variant: str, profile: WorkloadProfile, fps: float
     ) -> LatencyBreakdown:
         """Fig. 14: start-of-exposure to gaze-ready, per variant."""
         if fps <= 0:
             raise ValueError(f"fps must be positive: {fps}")
-        frame_period = 1.0 / fps
-        nominal_exposure = self.exposure_duty * frame_period
-        stages: dict[str, float] = {}
-
-        if variant == "NPU-Full":
-            stages["exposure"] = nominal_exposure
-            stages["readout"] = self._readout_time(profile, roi_only=False)
-        elif variant == "NPU-ROI":
-            stages["exposure"] = nominal_exposure
-            stages["readout"] = self._readout_time(profile, roi_only=False)
+        t = traffic(variant, profile)
+        nominal_exposure = DEFAULT_EXPOSURE_DUTY * (1.0 / fps)
+        stages: dict[str, float] = {"exposure": nominal_exposure}
+        if t.roi_dnn == "sensor":
+            # In-sensor stages run between exposure and readout; the
+            # exposure shrinks by their serialized part.
+            eventify = _EVENTIFICATION_S[t.eventify]
+            roi_time = self.sensor_npu.compute_latency(profile.roi_macs)
+            overhead = (
+                eventify
+                + (1.0 - ROI_OVERLAP_FRACTION) * roi_time
+                + SAMPLING_DECISION_S
+            )
+            stages["exposure"] = nominal_exposure - overhead
+            stages["eventification"] = eventify
+            stages["roi_prediction"] = roi_time
+            stages["sampling"] = SAMPLING_DECISION_S
+        # Column-sequential readout; per-pixel ADCs convert in parallel.
+        stages["readout"] = (
+            self.adc.conversion_time_s
+            + self.readout.setup_time_s
+            + t.readout_columns * self.readout.column_time_s
+        )
+        if t.roi_dnn == "host":
             # Eventification + ROI DNN on the host overlap with MIPI of the
             # *next* frame, but sit on this frame's critical path before
             # segmentation can start.
-            stages["roi_prediction"] = self.roi_prediction_time(
-                profile, on_host=True
-            )
-        elif variant == "S+NPU":
-            roi_time = self.roi_prediction_time(profile, on_host=False)
-            overhead = (
-                DIGITAL_EVENTIFICATION_S
-                + (1.0 - ROI_OVERLAP_FRACTION) * roi_time
-                + SAMPLING_DECISION_S
-            )
-            stages["exposure"] = nominal_exposure - overhead
-            stages["eventification"] = DIGITAL_EVENTIFICATION_S
-            stages["roi_prediction"] = self.roi_prediction_time(
-                profile, on_host=False
-            )
-            stages["sampling"] = SAMPLING_DECISION_S
-            stages["readout"] = self._readout_time(profile, roi_only=True)
-        elif variant == "BlissCam":
-            roi_time = self.roi_prediction_time(profile, on_host=False)
-            overhead = (
-                ANALOG_EVENTIFICATION_S
-                + (1.0 - ROI_OVERLAP_FRACTION) * roi_time
-                + SAMPLING_DECISION_S
-            )
-            stages["exposure"] = nominal_exposure - overhead
-            stages["eventification"] = ANALOG_EVENTIFICATION_S
-            stages["roi_prediction"] = self.roi_prediction_time(
-                profile, on_host=False
-            )
-            stages["sampling"] = SAMPLING_DECISION_S
-            stages["readout"] = self._readout_time(profile, roi_only=True)
-        else:
-            raise ValueError(f"unknown variant: {variant}")
-
+            stages["roi_prediction"] = self.host.compute_latency(profile.roi_macs)
         if stages["exposure"] <= 0:
             raise ValueError(
                 f"in-sensor stages leave no exposure time at {fps} fps"
             )
-        stages["mipi"] = self._mipi_time(profile, variant)
-        stages["segmentation"] = self._seg_time(profile, variant)
-        stages["gaze"] = self._gaze_time(profile)
+        stages["mipi"] = self.mipi.transfer_latency(t.mipi_up_bytes)
+        stages["segmentation"] = self.host.compute_latency(t.seg_macs)
+        stages["gaze"] = self.host.compute_latency(profile.gaze_macs)
         return LatencyBreakdown(variant=variant, stages=stages)
 
     def exposure_reduction(
@@ -182,7 +125,7 @@ class TimingModel:
     ) -> float:
         """Fractional exposure loss to in-sensor stages (paper: 1.8 %)."""
         lat = self.tracking_latency(variant, profile, fps)
-        nominal = self.exposure_duty / fps
+        nominal = DEFAULT_EXPOSURE_DUTY / fps
         return 1.0 - lat.stages["exposure"] / nominal
 
     def schedule_feasible(
@@ -190,21 +133,22 @@ class TimingModel:
     ) -> bool:
         """Can the Fig. 8 pipeline sustain the requested frame rate?
 
-        Every stage must fit within a frame period, and for the in-sensor
-        variants the previous frame's segmentation map must be back before
-        this frame's ROI prediction starts: ``mipi + seg + backhaul <=
-        frame_period`` (the backhaul shares the MIPI link and is tiny).
+        Every stage must fit within a frame period, and when the ROI is
+        predicted in-sensor, the previous frame's segmentation map must be
+        back before this frame's ROI prediction starts: ``mipi + seg +
+        backhaul <= frame_period`` (the backhaul shares the MIPI link and
+        is tiny).
         """
         frame_period = 1.0 / fps
         lat = self.tracking_latency(variant, profile, fps)
-        stage_fits = all(t <= frame_period for t in lat.stages.values())
-        if variant in ("S+NPU", "BlissCam"):
-            backhaul = self.mipi.transfer_latency(profile.seg_map_bytes)
-            dependency = (
-                lat.stages["mipi"]
-                + lat.stages["segmentation"]
-                + backhaul
-                + lat.in_sensor_overhead
-            )
-            return stage_fits and dependency <= frame_period
-        return stage_fits
+        stage_fits = all(s <= frame_period for s in lat.stages.values())
+        t = traffic(variant, profile)
+        if t.roi_dnn != "sensor":
+            return stage_fits
+        dependency = (
+            lat.stages["mipi"]
+            + lat.stages["segmentation"]
+            + self.mipi.transfer_latency(t.mipi_down_bytes)
+            + lat.in_sensor_overhead
+        )
+        return stage_fits and dependency <= frame_period

@@ -21,8 +21,6 @@ from repro.nn.losses import CrossEntropyLoss, MSELoss
 from repro.nn.module import Module, Parameter, Sequential
 from repro.nn.norm import BatchNorm2d, LayerNorm
 from repro.nn.optim import Adam
-from repro.nn.quantize import dequantize_tensor, quantize_module, quantize_tensor
-from repro.nn.serialize import load_checkpoint, save_checkpoint
 
 __all__ = [
     "Module",
@@ -51,9 +49,4 @@ __all__ = [
     "CrossEntropyLoss",
     "MSELoss",
     "Adam",
-    "save_checkpoint",
-    "load_checkpoint",
-    "quantize_tensor",
-    "quantize_module",
-    "dequantize_tensor",
 ]

@@ -46,14 +46,12 @@ class SLOModel:
         fps: float,
         slack_ticks: int = 1,
         policy: str = "drop",
-        variant: str = "BlissCam",
-        profile: WorkloadProfile | None = None,
-        timing: TimingModel | None = None,
     ) -> "SLOModel":
-        """Derive the service time from the calibrated timing model."""
-        timing = timing or TimingModel()
-        profile = profile or WorkloadProfile()
-        service = timing.tracking_latency(variant, profile, fps).total
+        """Derive the service time from BlissCam's modeled latency at the
+        paper's operating point."""
+        service = (
+            TimingModel().tracking_latency("BlissCam", WorkloadProfile(), fps).total
+        )
         return cls(
             tick_s=1.0 / fps,
             service_s=service,

@@ -124,12 +124,6 @@ class TestDram:
             2 * dram.traffic_energy(1000)
         )
 
-    def test_frame_energy_includes_background(self):
-        dram = LPDDR3Model()
-        assert dram.frame_energy(0, 1e-3) == pytest.approx(
-            dram.background_energy(1e-3)
-        )
-
     def test_negative_raises(self):
         with pytest.raises(ValueError):
             LPDDR3Model().traffic_energy(-1)

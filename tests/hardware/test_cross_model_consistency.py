@@ -22,8 +22,9 @@ from repro.hardware.timing import (
 
 class TestRleOverheadParameter:
     def test_profile_overhead_matches_codec_on_realistic_stream(self):
-        """WorkloadProfile.rle_overhead (~1.12) must match what the codec
-        actually produces on a paper-sized in-ROI stream (~20 % density)."""
+        """WorkloadProfile.rle_overhead (1.9) must match what the codec
+        actually produces on a paper-sized in-ROI stream at the profile's
+        in-ROI density (0.0485 / 0.134, ~36 %)."""
         profile = WorkloadProfile()
         rng = np.random.default_rng(0)
         roi_pixels = int(profile.num_pixels * profile.roi_fraction)

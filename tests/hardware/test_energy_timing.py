@@ -3,11 +3,13 @@
 import pytest
 
 from repro.hardware import (
+    MipiLink,
     ProcessNodes,
     SystemEnergyModel,
     TimingModel,
     VARIANTS,
     WorkloadProfile,
+    traffic,
 )
 
 
@@ -85,7 +87,7 @@ class TestEnergyModel:
         """Fig. 17: older logic nodes shrink the saving; and a 7 nm SoC is
         more sensitive to the sensor logic node than a 22 nm SoC."""
         def saving(logic_nm, host_nm):
-            m = model.with_nodes(
+            m = SystemEnergyModel(
                 ProcessNodes(sensor_logic_nm=logic_nm, host_nm=host_nm)
             )
             return m.savings_over("NPU-Full", "BlissCam", profile, 120)
@@ -110,10 +112,77 @@ class TestEnergyModel:
         )
 
     def test_profile_seg_macs_scaling(self, profile):
-        assert profile.seg_macs("NPU-Full") == profile.seg_macs_dense
-        assert profile.seg_macs("BlissCam") < 0.15 * profile.seg_macs_dense
+        assert traffic("NPU-Full", profile).seg_macs == profile.seg_macs_dense
+        assert traffic("BlissCam", profile).seg_macs < 0.15 * profile.seg_macs_dense
         with pytest.raises(ValueError):
-            profile.seg_macs("nope")
+            traffic("nope", profile)
+
+
+class TestTraffic:
+    """The per-frame counts both cost models price."""
+
+    @pytest.mark.parametrize("variant", ["NPU-Full", "NPU-ROI"])
+    def test_conventional_sensor_sends_the_whole_frame(self, profile, variant):
+        n = profile.num_pixels
+        t = traffic(variant, profile)
+        assert t.exposed == t.converted == n
+        assert t.skipped == 0
+        assert t.mipi_up_bytes == MipiLink().frame_bytes(n)
+        assert t.mipi_down_bytes == 0
+        assert t.rle_pixels == 0
+        assert t.readout_columns == profile.width
+
+    def test_roi_dnn_location(self, profile):
+        where = {v: (traffic(v, profile).roi_dnn, traffic(v, profile).eventify)
+                 for v in VARIANTS}
+        assert where == {
+            "NPU-Full": ("none", "none"),
+            "NPU-ROI": ("host", "host"),
+            "S+NPU": ("sensor", "sensor"),
+            "BlissCam": ("sensor", "pixel"),
+        }
+
+    def test_snpu_converts_all_and_sends_the_rled_sample(self, profile):
+        n = profile.num_pixels
+        t = traffic("S+NPU", profile)
+        sampled = int(n * profile.sampled_fraction)
+        assert t.converted == n
+        assert t.skipped == 0
+        assert t.mipi_up_bytes == int(
+            MipiLink().frame_bytes(sampled) * profile.rle_overhead
+        )
+        assert t.mipi_down_bytes == profile.seg_map_bytes
+        assert t.rle_pixels == int(n * profile.roi_fraction)
+
+    def test_blisscam_converts_only_the_sample(self, profile):
+        n = profile.num_pixels
+        t = traffic("BlissCam", profile)
+        converted = int(n * profile.sampled_fraction)
+        assert t.converted == converted
+        assert t.skipped == int(n * profile.roi_fraction) - converted
+        assert t.mipi_up_bytes == traffic("S+NPU", profile).mipi_up_bytes
+        assert t.mipi_down_bytes == profile.seg_map_bytes
+        assert t.readout_columns < profile.width
+
+    def test_dram_follows_the_segmentation_working_set(self, profile):
+        full = traffic("NPU-Full", profile)
+        roi = traffic("NPU-ROI", profile)
+        assert full.dram_bytes == profile.dram_bytes_dense
+        assert roi.dram_bytes == int(
+            profile.dram_bytes_dense * roi.seg_macs / profile.seg_macs_dense
+        )
+
+    def test_both_models_refuse_an_unknown_variant_alike(self, profile):
+        messages = []
+        for price in (
+            SystemEnergyModel().frame_energy,
+            TimingModel().tracking_latency,
+        ):
+            with pytest.raises(ValueError) as err:
+                price("bogus", profile, 120)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        assert "unknown variant 'bogus'" in messages[0]
 
 
 class TestTimingModel:
