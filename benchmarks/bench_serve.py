@@ -9,7 +9,7 @@ synthetic client eye-streams, and serves the *same* frames twice:
   width-1 rank (the naive one-loop-per-stream server);
 * **micro-batched** — each tick's due frames dispatched as one
   cross-client rank through the same ``process_batch`` kernels
-  (vectorized eventification, grouped packed-ViT inference).
+  (vectorized eventification, packed-slab ViT inference).
 
 Both modes produce bitwise-identical per-client gaze streams (asserted
 here and pinned by ``tests/serve/``); the wall-clock ratio is the

@@ -8,7 +8,7 @@ differ only in the rank width:
 * **sequential** — ``batched=False``: ranks of width 1, i.e. sequences
   one after another, frames in order.
 * **batched** — one rank of every sequence: vectorized eventification,
-  grouped packed ViT inference, vectorized RLE accounting.  Because
+  packed-slab ViT inference, vectorized RLE accounting.  Because
   every sequence owns its own sensor spawn (and all cross-frame state
   lives in its ``SequenceState``), every width draws identical random
   streams and produces bitwise-identical contexts — the engine test

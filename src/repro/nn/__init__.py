@@ -4,7 +4,8 @@ This subpackage substitutes for PyTorch in the BlissCam reproduction: it
 provides every building block the paper's networks need (convolutions,
 multi-head attention, layer/batch norm, GELU, cross-entropy/MSE losses,
 Adam over a flat parameter arena) with full backpropagation, implemented
-purely in numpy.
+purely in numpy.  Forwards run inside :func:`inference` keep no backward
+caches.
 """
 
 from repro.nn.activations import GELU, Identity, LeakyReLU, ReLU, Sigmoid, Tanh
@@ -18,7 +19,7 @@ from repro.nn.conv import (
 )
 from repro.nn.layers import Dropout, Flatten, Linear, Residual
 from repro.nn.losses import CrossEntropyLoss, MSELoss
-from repro.nn.module import Module, Parameter, Sequential
+from repro.nn.module import Module, Parameter, Sequential, inference
 from repro.nn.norm import BatchNorm2d, LayerNorm
 from repro.nn.optim import Adam
 
@@ -26,6 +27,7 @@ __all__ = [
     "Module",
     "Parameter",
     "Sequential",
+    "inference",
     "Linear",
     "Flatten",
     "Dropout",

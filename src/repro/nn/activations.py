@@ -5,15 +5,17 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn import functional as F
-from repro.nn.module import Module
+from repro.nn.module import Module, caching
 
 __all__ = ["ReLU", "LeakyReLU", "GELU", "Sigmoid", "Tanh", "Identity"]
 
 
 class ReLU(Module):
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = x > 0
-        return x * self._mask
+        mask = x > 0
+        if caching():
+            self._mask = mask
+        return x * mask
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         return grad * self._mask
@@ -25,8 +27,10 @@ class LeakyReLU(Module):
         self.negative_slope = negative_slope
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = x > 0
-        return np.where(self._mask, x, self.negative_slope * x)
+        mask = x > 0
+        if caching():
+            self._mask = mask
+        return np.where(mask, x, self.negative_slope * x)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         return np.where(self._mask, grad, self.negative_slope * grad)
@@ -34,7 +38,8 @@ class LeakyReLU(Module):
 
 class GELU(Module):
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x = x
+        if caching():
+            self._x = x
         return F.gelu(x)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
@@ -43,8 +48,10 @@ class GELU(Module):
 
 class Sigmoid(Module):
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._out = F.sigmoid(x)
-        return self._out
+        out = F.sigmoid(x)
+        if caching():
+            self._out = out
+        return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         return grad * self._out * (1.0 - self._out)
@@ -52,8 +59,10 @@ class Sigmoid(Module):
 
 class Tanh(Module):
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._out = np.tanh(x)
-        return self._out
+        out = np.tanh(x)
+        if caching():
+            self._out = out
+        return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         return grad * (1.0 - self._out**2)

@@ -4,7 +4,9 @@ The paper's ViT segmentation network (Sec. III-B, Fig. 6) is built from
 "MHA modules": pre-LayerNorm multi-head attention followed by a token-wise
 MLP, both with residual connections — the standard ViT encoder block of
 Strudel et al. (Segmenter).  Sparse inputs are handled with a key-padding
-mask so empty tokens neither attend nor contribute.
+mask so empty tokens neither attend nor contribute, or, at inference, by
+dropping empty tokens and packing the rest into one ``(N, D)`` slab of
+*runs* (see :class:`MultiHeadAttention`).
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import numpy as np
 from repro.nn import functional as F
 from repro.nn.activations import GELU
 from repro.nn.layers import Linear
-from repro.nn.module import Module
+from repro.nn.module import Module, caching
 from repro.nn.norm import LayerNorm
 
 __all__ = ["MultiHeadAttention", "MLP", "TransformerBlock"]
@@ -28,6 +30,13 @@ class MultiHeadAttention(Module):
     ``D`` must be divisible by ``heads``.  An optional boolean key mask of
     shape ``(B, T)`` marks *valid* tokens; invalid tokens receive a large
     negative score before the softmax so they are never attended to.
+
+    Given ``runs``, the input is instead a ``(N, D)`` slab of packed
+    sequences: each ``(start, rows, length)`` run is ``rows`` sequences
+    of ``length`` tokens stored back to back from slab row ``start``, and
+    the runs cover the slab.  The projections run once on the whole slab
+    and only the attention core runs per run.  The slab form has no
+    backward, so it is refused outside :func:`repro.nn.inference`.
     """
 
     def __init__(self, dim: int, heads: int, rng: np.random.Generator):
@@ -49,26 +58,62 @@ class MultiHeadAttention(Module):
         batch, _, tokens, _ = x.shape
         return x.transpose(0, 2, 1, 3).reshape(batch, tokens, self.dim)
 
-    def forward(self, x: np.ndarray, key_mask: np.ndarray | None = None) -> np.ndarray:
+    def forward(
+        self,
+        x: np.ndarray,
+        key_mask: np.ndarray | None = None,
+        runs: list[tuple[int, int, int]] | None = None,
+    ) -> np.ndarray:
+        qkv = self.qkv(x)  # (B, T, 3D), or (N, 3D) for a slab
+        context = np.empty(qkv.shape[:-1] + (self.dim,))
+        if runs is None:
+            self._attend(qkv, context, key_mask)
+            return self.proj(context)
+        if caching():
+            raise ValueError(
+                "packed runs have no backward; call under repro.nn.inference()"
+            )
+        for start, rows, length in runs:
+            stop = start + rows * length
+            self._attend(
+                qkv[start:stop].reshape(rows, length, -1),
+                context[start:stop].reshape(rows, length, -1),
+            )
+        return self.proj(context)
+
+    def _attend(
+        self,
+        qkv: np.ndarray,
+        context: np.ndarray,
+        key_mask: np.ndarray | None = None,
+    ) -> None:
+        """The attention core: ``(B, T, 3D)`` projections -> ``context``.
+
+        Scores, optional key mask, softmax and the weighted sum of values,
+        written head-merged into the ``(B, T, D)`` ``context``.
+        """
         # All four attention contractions run as stacked matmuls (BLAS
         # dgemm per (batch, head) slice) rather than einsum: c_einsum is
         # an order of magnitude slower on these shapes and this is the
         # hottest kernel of ViT training *and* inference.  Stacked matmul
-        # is per-slice row-independent for a fixed inner shape — the same
-        # BLAS property the packed batched inference and the ROI conv
-        # GEMM already rely on — so the engine's batched == sequential
-        # bitwise guarantee carries through (pinned end-to-end by the
-        # engine equivalence tests).
-        qkv = self.qkv(x)  # (B, T, 3D)
-        q, k, v = np.split(qkv, 3, axis=-1)
-        q, k, v = self._split_heads(q), self._split_heads(k), self._split_heads(v)
-        scores = np.matmul(q, k.transpose(0, 1, 3, 2)) * self.scale
+        # is per-slice row-independent for a fixed inner shape, so a
+        # sequence's attention does not depend on the others stacked
+        # with it (pinned end-to-end by the engine equivalence tests).
+        batch, tokens, _ = qkv.shape
+        q, k, v = qkv.reshape(
+            batch, tokens, 3, self.heads, self.head_dim
+        ).transpose(2, 0, 3, 1, 4)
+        scores = np.matmul(q, k.transpose(0, 1, 3, 2))
+        scores *= self.scale
         if key_mask is not None:
-            scores = scores + np.where(key_mask, 0.0, _NEG_INF)[:, None, None, :]
-        attn = F.softmax(scores, axis=-1)
+            scores += np.where(key_mask, 0.0, _NEG_INF)[:, None, None, :]
+        attn = F.softmax(scores, axis=-1, out=scores)
         out = np.matmul(attn, v)
-        self._q, self._k, self._v, self._attn = q, k, v, attn
-        return self.proj(self._merge_heads(out))
+        context.reshape(batch, tokens, self.heads, self.head_dim)[...] = (
+            out.transpose(0, 2, 1, 3)
+        )
+        if caching():
+            self._q, self._k, self._v, self._attn = q, k, v, attn
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         grad_merged = self.proj.backward(grad)
@@ -129,9 +174,19 @@ class TransformerBlock(Module):
         self.norm2 = LayerNorm(dim)
         self.mlp = MLP(dim, int(dim * mlp_ratio), rng)
 
-    def forward(self, x: np.ndarray, key_mask: np.ndarray | None = None) -> np.ndarray:
-        y = x + self.attn(self.norm1(x), key_mask=key_mask)
-        return y + self.mlp(self.norm2(y))
+    def forward(
+        self,
+        x: np.ndarray,
+        key_mask: np.ndarray | None = None,
+        runs: list[tuple[int, int, int]] | None = None,
+    ) -> np.ndarray:
+        """``(B, T, D)`` tokens, or a packed ``(N, D)`` slab of ``runs``
+        (see :class:`MultiHeadAttention`); every other layer is token-wise."""
+        y = self.attn(self.norm1(x), key_mask=key_mask, runs=runs)
+        y += x
+        out = self.mlp(self.norm2(y))
+        out += y
+        return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         grad_y = grad + self.norm2.backward(self.mlp.backward(grad))

@@ -10,7 +10,7 @@ import numpy as np
 
 from repro.nn import functional as F
 from repro.nn import init
-from repro.nn.module import Module, Parameter
+from repro.nn.module import Module, Parameter, caching
 
 __all__ = ["Conv2d", "DepthwiseConv2d", "MaxPool2d", "AvgPool2d", "UpsampleNearest2d"]
 
@@ -43,9 +43,10 @@ class Conv2d(Module):
         self.bias = Parameter(init.zeros((out_channels,)), name="bias") if bias else None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._input_shape = x.shape
         cols, oh, ow = F.im2col(x, self.kernel_size, self.stride, self.padding)
-        self._cols = cols  # (B, C*K*K, OH*OW)
+        if caching():
+            self._input_shape = x.shape
+            self._cols = cols  # (B, C*K*K, OH*OW)
         w = self.weight.data.reshape(self.out_channels, -1)  # (O, C*K*K)
         # Row-independent GEMM: one (O, K) @ (K, P) product per sample.
         # Each sample's GEMM has a batch-size-independent shape, so the
@@ -105,12 +106,13 @@ class DepthwiseConv2d(Module):
         self.bias = Parameter(init.zeros((channels,)), name="bias") if bias else None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._input_shape = x.shape
         cols, oh, ow = F.im2col(x, self.kernel_size, self.stride, self.padding)
         batch = x.shape[0]
         k2 = self.kernel_size**2
         cols = cols.reshape(batch, self.channels, k2, oh * ow)
-        self._cols = cols
+        if caching():
+            self._input_shape = x.shape
+            self._cols = cols
         w = self.weight.data.reshape(self.channels, k2)
         out = np.einsum("ck,bckp->bcp", w, cols)
         if self.bias is not None:
@@ -151,12 +153,13 @@ class MaxPool2d(Module):
         k = self.kernel_size
         if height % k or width % k:
             raise ValueError(f"input {height}x{width} not divisible by pool {k}")
-        self._input_shape = x.shape
         windows = x.reshape(batch, channels, height // k, k, width // k, k)
         windows = windows.transpose(0, 1, 2, 4, 3, 5).reshape(
             batch, channels, height // k, width // k, k * k
         )
-        self._argmax = windows.argmax(axis=-1)
+        if caching():
+            self._input_shape = x.shape
+            self._argmax = windows.argmax(axis=-1)
         return windows.max(axis=-1)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
@@ -181,7 +184,8 @@ class AvgPool2d(Module):
         k = self.kernel_size
         if height % k or width % k:
             raise ValueError(f"input {height}x{width} not divisible by pool {k}")
-        self._input_shape = x.shape
+        if caching():
+            self._input_shape = x.shape
         windows = x.reshape(batch, channels, height // k, k, width // k, k)
         return windows.mean(axis=(3, 5))
 

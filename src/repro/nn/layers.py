@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn import init
-from repro.nn.module import Module, Parameter
+from repro.nn.module import Module, Parameter, caching
 
 __all__ = ["Linear", "Flatten", "Dropout", "Residual"]
 
@@ -32,10 +32,11 @@ class Linear(Module):
         self.bias = Parameter(init.zeros((out_features,)), name="bias") if bias else None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x = x
+        if caching():
+            self._x = x
         out = x @ self.weight.data
         if self.bias is not None:
-            out = out + self.bias.data
+            out += self.bias.data
         return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
@@ -55,7 +56,8 @@ class Flatten(Module):
     """Collapse all axes after the batch axis."""
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._shape = x.shape
+        if caching():
+            self._shape = x.shape
         return x.reshape(x.shape[0], -1)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
@@ -73,12 +75,13 @@ class Dropout(Module):
         self.rng = rng
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        if not self.training or self.p == 0.0:
-            self._mask = None
-            return x
-        keep = 1.0 - self.p
-        self._mask = (self.rng.random(x.shape) < keep) / keep
-        return x * self._mask
+        mask = None
+        if self.training and self.p != 0.0:
+            keep = 1.0 - self.p
+            mask = (self.rng.random(x.shape) < keep) / keep
+        if caching():
+            self._mask = mask
+        return x if mask is None else x * mask
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._mask is None:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn import functional as F
+from repro.nn.module import caching
 
 __all__ = ["CrossEntropyLoss", "MSELoss"]
 
@@ -55,12 +56,13 @@ class CrossEntropyLoss:
             weight = np.ones_like(per_item)
         else:
             weight = mask.astype(np.float64)
-        total = weight.sum()
-        self._count = max(total, 1.0)
-        self._probs = np.exp(log_probs)
-        self._onehot = onehot
-        self._weight = weight
-        return float((per_item * weight).sum() / self._count)
+        count = max(weight.sum(), 1.0)
+        if caching():
+            self._count = count
+            self._probs = np.exp(log_probs)
+            self._onehot = onehot
+            self._weight = weight
+        return float((per_item * weight).sum() / count)
 
     def backward(self) -> np.ndarray:
         grad = (self._probs - self._onehot) * self._weight[..., None]
@@ -83,11 +85,12 @@ class MSELoss:
             weight = np.ones_like(diff)
         else:
             weight = np.broadcast_to(mask, diff.shape).astype(np.float64)
-        total = weight.sum()
-        self._count = max(total, 1.0)
-        self._diff = diff
-        self._weight = weight
-        return float((weight * diff**2).sum() / self._count)
+        count = max(weight.sum(), 1.0)
+        if caching():
+            self._count = count
+            self._diff = diff
+            self._weight = weight
+        return float((weight * diff**2).sum() / count)
 
     def backward(self) -> np.ndarray:
         return 2.0 * self._weight * self._diff / self._count

@@ -10,15 +10,44 @@ This is deliberately simpler than a full autograd tape: the networks in this
 repository (ViT segmentation, ROI prediction CNN, RITnet/EdGaze baselines)
 are all feed-forward chains with a small number of residual connections,
 which the layer classes model explicitly.
+
+Inside :func:`inference` forwards store no backward caches: a prediction
+neither holds whole-rank activations alive nor overwrites the caches of a
+training forward whose backward is still to come.
 """
 
 from __future__ import annotations
 
+import threading
+from contextlib import contextmanager
 from typing import Iterator
 
 import numpy as np
 
-__all__ = ["Parameter", "Module", "Sequential"]
+__all__ = ["Parameter", "Module", "Sequential", "inference", "caching"]
+
+_mode = threading.local()
+
+
+def caching() -> bool:
+    """Whether forwards store what their backward reads (False in :func:`inference`)."""
+    return getattr(_mode, "caching", True)
+
+
+@contextmanager
+def inference():
+    """Run this thread's forwards without storing backward caches.
+
+    Every layer that keeps a backward cache skips it while this context is
+    open, so a forward inside it has no backward.  Contexts nest, and the
+    previous state comes back on exit, exception or not.
+    """
+    previous = caching()
+    _mode.caching = False
+    try:
+        yield
+    finally:
+        _mode.caching = previous
 
 
 class Parameter:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.module import Module, Parameter
+from repro.nn.module import Module, Parameter, caching
 
 __all__ = ["LayerNorm", "BatchNorm2d"]
 
@@ -20,11 +20,22 @@ class LayerNorm(Module):
         self.beta = Parameter(np.zeros(dim), name="beta")
 
     def forward(self, x: np.ndarray) -> np.ndarray:
+        # The steps of ``np.var`` with its centred array kept, then the
+        # affine map written into the squares' buffer: two full-size
+        # arrays instead of five, bitwise-equal to
+        # ``gamma * (x - mean) / sqrt(x.var() + eps) + beta``.
         mean = x.mean(axis=-1, keepdims=True)
-        var = x.var(axis=-1, keepdims=True)
-        self._inv_std = 1.0 / np.sqrt(var + self.eps)
-        self._x_hat = (x - mean) * self._inv_std
-        return self.gamma.data * self._x_hat + self.beta.data
+        x_hat = x - mean
+        out = np.square(x_hat)
+        var = out.sum(axis=-1, keepdims=True)
+        var /= x.shape[-1]
+        inv_std = 1.0 / np.sqrt(var + self.eps)
+        x_hat *= inv_std
+        if caching():
+            self._inv_std, self._x_hat = inv_std, x_hat
+        np.multiply(x_hat, self.gamma.data, out=out)
+        out += self.beta.data
+        return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         x_hat, inv_std = self._x_hat, self._inv_std
@@ -65,11 +76,13 @@ class BatchNorm2d(Module):
         else:
             mean, var = self.running_mean, self.running_var
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        self._inv_std = inv_std
-        self._x_hat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
-        self._n = x.shape[0] * x.shape[2] * x.shape[3]
+        x_hat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
+        if caching():
+            self._inv_std = inv_std
+            self._x_hat = x_hat
+            self._n = x.shape[0] * x.shape[2] * x.shape[3]
         return (
-            self.gamma.data[None, :, None, None] * self._x_hat
+            self.gamma.data[None, :, None, None] * x_hat
             + self.beta.data[None, :, None, None]
         )
 

@@ -195,7 +195,8 @@ class ROIPredictor(nn.Module):
         matmul per sample — see :class:`~repro.nn.conv.Conv2d`).  The FC
         tail is *not* provably batch-invariant (a stacked ``(B, F) @
         (F, O)`` BLAS call may block differently per ``B``), so it runs
-        per-row — it is a tiny fraction of the predictor's MACs.
+        per-row — it is a tiny fraction of the predictor's MACs.  The
+        forward runs under :func:`repro.nn.inference`.
         """
         x = np.concatenate(
             [
@@ -203,15 +204,16 @@ class ROIPredictor(nn.Module):
                 for event, seg in zip(event_maps, prev_segmentations)
             ]
         )
-        h = self.act1(self.conv1(x))
-        h = self.act2(self.conv2(h))
-        h = self.act3(self.conv3(h))
-        flat = self.flatten(h)
-        boxes = []
-        for b in range(flat.shape[0]):
-            row = self.act4(self.fc1(flat[b : b + 1]))
-            out = self.out_act(self.fc2(row))
-            boxes.append(order_box(out[0]))
+        with nn.inference():
+            h = self.act1(self.conv1(x))
+            h = self.act2(self.conv2(h))
+            h = self.act3(self.conv3(h))
+            flat = self.flatten(h)
+            boxes = []
+            for b in range(flat.shape[0]):
+                row = self.act4(self.fc1(flat[b : b + 1]))
+                out = self.out_act(self.fc2(row))
+                boxes.append(order_box(out[0]))
         return boxes
 
     def mac_count(self) -> int:

@@ -128,7 +128,6 @@ class ViTSegmenter(nn.Module):
         tokens, valid = self._tokenize(frames, masks)
         batch = tokens.shape[0]
         x = self.patch_embed(tokens) + self.pos_embed.data
-        self._enc_valid = valid
         for block in self.encoder:
             x = block(x, key_mask=valid)
         cls = np.broadcast_to(
@@ -143,7 +142,6 @@ class ViTSegmenter(nn.Module):
         patch_tokens = joint[:, : c.tokens]
         normed = self.final_norm(patch_tokens)
         logits_flat = self.head(normed)  # (B, T, p*p*K)
-        self._batch = batch
         per_pixel = logits_flat.reshape(batch, c.tokens, c.patch * c.patch, c.num_classes)
         # Rearrange to (B, H, W, K) via unpatchify on each class channel.
         per_pixel = per_pixel.transpose(0, 1, 3, 2).reshape(
@@ -154,7 +152,7 @@ class ViTSegmenter(nn.Module):
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         c = self.config
-        batch = self._batch
+        batch = grad.shape[0]
         grad = grad.transpose(0, 3, 1, 2)  # (B, K, H, W)
         grad_tokens = F.patchify(grad, c.patch)  # (B, T, K*p*p)
         grad_tokens = grad_tokens.reshape(
@@ -206,14 +204,14 @@ class ViTSegmenter(nn.Module):
     def predict_batch(self, frames: np.ndarray, masks: np.ndarray) -> np.ndarray:
         """Dense segmentation maps of a ``(B, H, W)`` rank, row-independent.
 
-        One stacked dense forward: every row keeps the full token grid,
-        so the rank is a single fixed-shape group — the same
-        row-independence property :meth:`predict_packed_batch` exploits
-        per valid-token-count group (see its caveat on BLAS behaviour).
-        The strategy graph's segment-or-reuse stage runs through this
-        dense path, not the packed one.
+        One stacked dense forward under :func:`repro.nn.inference`: every
+        row keeps the full token grid, so the rank is a single
+        fixed-shape group (see :meth:`predict_packed_batch` on the BLAS
+        property this rests on).  The strategy graph's segment-or-reuse
+        stage runs through this dense path, not the packed one.
         """
-        return np.argmax(self.forward(frames, masks), axis=-1)
+        with nn.inference():
+            return np.argmax(self.forward(frames, masks), axis=-1)
 
     def forward_packed(
         self, frame: np.ndarray, mask: np.ndarray
@@ -260,68 +258,96 @@ class ViTSegmenter(nn.Module):
     def predict_packed_batch(
         self, frames: np.ndarray, masks: np.ndarray
     ) -> np.ndarray:
-        """Packed inference over a batch of frames, bitwise-equal per frame.
+        """Packed inference over a rank of frames, bitwise-equal per frame.
 
-        Frames are grouped by valid-token count so each group runs one
-        stacked packed forward with the same per-frame matmul shapes as
-        a width-1 call (and as :meth:`forward_packed`); numpy's batched
-        GEMM/einsum paths are row-independent for a fixed inner shape,
-        so every frame's seg map is bitwise identical at any batch width.
-        The engine relies on this for its width-invariance guarantee
-        while amortizing python/numpy dispatch overhead across the
-        lockstep batch.
+        The valid tokens of every frame are packed into one ``(N, D)``
+        slab, frames ordered by valid-token count, so patch embedding,
+        every LayerNorm, Linear, GELU and residual add, the final norm,
+        the head and the argmax each run once per rank.  Only the
+        attention core runs per group of equal-count frames, on
+        ``(frames, count, 3D)`` views of the slab (the ``runs`` of
+        :class:`~repro.nn.MultiHeadAttention`); the decoder's class
+        tokens are placed into a joint slab by precomputed indices.
+        Frames without a valid token never enter the slab.
 
-        Caveat: per-row identity of stacked GEMMs is a property of the
-        installed BLAS, not an IEEE guarantee — it holds for the builds
-        this repo targets and is enforced end-to-end by the engine
-        equivalence tests, but a BLAS whose kernel selection varies with
-        the stacked batch dimension could break it (pin single-threaded
-        BLAS in such environments; cf. the ROI conv, which is excluded
-        from batching for exactly this reason).
+        A frame's labels do not depend on the rest of its rank because
+        the rows of a BLAS GEMM with at least two rows are bitwise
+        independent of the row count and offset, and the attention core
+        sees the same shapes at every rank width.  A one-row product
+        takes numpy's vector path instead, which rounds differently, so
+        a slab of one token is padded to two by running its frame twice.
+        The GEMM property belongs to the installed BLAS, not to IEEE; the
+        engine equivalence tests pin it, in CI on single-threaded BLAS
+        as well.  Forwards run under :func:`repro.nn.inference`.
+        """
+        c = self.config
+        p = c.patch
+        rows, tok, logits = self._packed_logits(frames, masks)
+        # Empty patches carry all-zero logits, so their argmax is class 0
+        # (background), which is what a zero-initialized map encodes.
+        seg_tokens = np.zeros((frames.shape[0], c.tokens, p * p), dtype=np.int64)
+        # Per-token head layout is (pixel, class).
+        seg_tokens[rows, tok] = np.argmax(
+            logits.reshape(tok.size, p * p, c.num_classes), axis=-1
+        )
+        return (
+            seg_tokens.reshape(-1, c.height // p, c.width // p, p, p)
+            .transpose(0, 1, 3, 2, 4)
+            .reshape(-1, c.height, c.width)
+        )
+
+    def _packed_logits(
+        self, frames: np.ndarray, masks: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Head logits of every valid token of a rank, computed on one slab.
+
+        Returns ``(frame, token, logits)``: one row per valid token, in
+        slab order (frames by ascending valid-token count, tokens
+        ascending within a frame), with ``logits`` of shape
+        ``(N, p*p*K)``.
         """
         c = self.config
         if frames.ndim != 3:
             raise ValueError(f"expected (B, H, W) frames, got {frames.shape}")
-        batch = frames.shape[0]
+        k = c.num_classes
         tokens, valid = self._tokenize(frames, masks)
         counts = valid.sum(axis=1)
-        p = c.patch
-        gh, gw = c.height // p, c.width // p
-        # Empty patches carry all-zero logits, so their argmax is class 0
-        # (background) — exactly what a zero-initialized map encodes; only
-        # kept tokens need their argmax computed and scattered.
-        seg_tokens = np.zeros((batch, c.tokens, p * p), dtype=np.int64)
-        for count in np.unique(counts):
-            rows = np.nonzero(counts == count)[0]
-            if count == 0:
-                continue
-            # (G, count) keep indices per frame in the group.
-            keeps = np.stack([np.nonzero(valid[r])[0] for r in rows])
-            x = (
-                self.patch_embed(tokens[rows[:, None], keeps])
-                + self.pos_embed.data[0][keeps]
-            )
+        order = np.argsort(counts, kind="stable")
+        order = order[counts[order] > 0]
+        single = counts.sum() == 1
+        if single:
+            order = np.repeat(order, 2)  # never a one-row slab
+        lengths = counts[order]
+        slot, tok = np.nonzero(valid[order])  # slab rows, frame by frame
+        rows = order[slot]
+        if not order.size:
+            return rows, tok, np.zeros((0, self.head.out_features))
+        starts = np.cumsum(lengths) - lengths
+        groups = zip(*np.unique(lengths, return_index=True, return_counts=True))
+        runs, joint_runs = [], []
+        for length, first, members in groups:
+            start = int(starts[first])
+            runs.append((start, int(members), int(length)))
+            joint_runs.append((start + k * int(first), int(members), int(length) + k))
+        # In the joint slab each frame's tokens are followed by its k
+        # class tokens.
+        token_at = np.arange(slot.size) + k * slot
+        class_at = (starts + lengths + k * np.arange(order.size))[:, None]
+        class_at = class_at + np.arange(k)
+        with nn.inference():
+            x = self.patch_embed(tokens[rows, tok])
+            x += self.pos_embed.data[0][tok]
             for block in self.encoder:
-                x = block(x)
-            cls = np.broadcast_to(
-                self.class_embed.data, (len(rows), c.num_classes, c.dim)
-            ).copy()
-            joint = np.concatenate([x, cls], axis=1)
+                x = block(x, runs=runs)
+            joint = np.empty((slot.size + k * order.size, c.dim))
+            joint[token_at] = x
+            joint[class_at] = self.class_embed.data[0]
             for block in self.decoder:
-                joint = block(joint)
-            packed = self.head(self.final_norm(joint[:, : int(count)]))
-            # Per-token head layout is (pixel, class); argmax over classes
-            # on the packed tokens only, then scatter the integer labels.
-            labels = np.argmax(
-                packed.reshape(len(rows), int(count), p * p, c.num_classes),
-                axis=-1,
-            )
-            seg_tokens[rows[:, None], keeps] = labels
-        return (
-            seg_tokens.reshape(batch, gh, gw, p, p)
-            .transpose(0, 1, 3, 2, 4)
-            .reshape(batch, c.height, c.width)
-        )
+                joint = block(joint, runs=joint_runs)
+            logits = self.head(self.final_norm(joint[token_at]))
+        if single:
+            return rows[:1], tok[:1], logits[:1]
+        return rows, tok, logits
 
     # -- cost model ------------------------------------------------------------
     def mac_count(self, valid_tokens: int | None = None) -> int:

@@ -10,7 +10,7 @@ Three independent properties are pinned down, each exactly:
    reproduce the original monolithic ``evaluate`` loop (including the
    deleted ``sensor.roi_predictor`` monkeypatch mechanism for ROI reuse)
    frame for frame; the reference transcriptions live in this file.
-3. **fast paths == reference paths** — the grouped packed ViT matches
+3. **fast paths == reference paths** — the packed-slab ViT matches
    the single-frame ``forward_packed`` reference, and run-length
    accounting matches the materialized token stream, on randomized
    inputs.
@@ -298,19 +298,43 @@ class TestVectorizedKernels:
             assert codec.stream_stats(stream) == slow
 
     def test_packed_batch_matches_per_frame(self):
+        """The packed slab gives every frame the logits of its own width-1
+        call, bitwise, and ``forward_packed``'s labels.
+
+        The rank holds 11 distinct valid-token counts, a count collision
+        (frames 0 and 5), an empty lane (frame 2) and a frame with exactly
+        one valid token (frame 1), whose width-1 slab is padded to two
+        rows.
+        """
         rng = np.random.default_rng(11)
         vit = ViTSegmenter(
             ViTConfig(height=32, width=32, patch=8, dim=24, heads=3,
                       depth=1, decoder_depth=1),
             rng,
         )
-        frames = rng.random((6, 32, 32))
-        masks = rng.random((6, 32, 32)) < 0.15
-        masks[3] = False  # empty-mask lane
-        masks[4] = masks[1]  # force a token-count collision group
+        counts = [5, 1, 0, 3, 7, 5, 9, 12, 16, 2, 4, 11, 14]
+        frames = rng.random((len(counts), 32, 32))
+        masks = np.zeros((len(counts), 32, 32), dtype=bool)
+        for i, count in enumerate(counts):
+            for t in rng.choice(16, size=count, replace=False):
+                r, c = divmod(int(t), 4)
+                patch = rng.random((8, 8)) < 0.2
+                patch.flat[rng.integers(64)] = True
+                masks[i, r * 8 : (r + 1) * 8, c * 8 : (c + 1) * 8] = patch
+        assert len(set(counts) - {0}) >= 8
         batched = vit.predict_packed_batch(frames, masks)
-        for i in range(6):
-            logits, _ = vit.forward_packed(frames[i], masks[i])
+        rows, tokens, logits = vit._packed_logits(frames, masks)
+        for i, count in enumerate(counts):
+            reference, valid = vit.forward_packed(frames[i], masks[i])
+            assert valid.sum() == count
             assert np.array_equal(
-                batched[i], np.argmax(logits, axis=-1)
-            ), f"frame {i} diverged"
+                batched[i], np.argmax(reference, axis=-1)
+            ), f"frame {i} labels diverged"
+            solo_rows, solo_tokens, solo = vit._packed_logits(
+                frames[i : i + 1], masks[i : i + 1]
+            )
+            assert np.array_equal(solo_rows, np.zeros(count, dtype=int))
+            assert np.array_equal(tokens[rows == i], solo_tokens)
+            assert logits[rows == i].tobytes() == solo.tobytes(), (
+                f"frame {i} logits depend on its rank"
+            )

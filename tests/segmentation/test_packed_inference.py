@@ -72,3 +72,56 @@ class TestPackedInference:
         mask = roi_mask(box=(0, 0, 8, 8), rate=1.0)  # exactly one patch
         _, valid = vit.forward_packed(np.ones((32, 32)) * mask, mask)
         assert valid.sum() == 1
+
+
+class TestPredictBetweenForwardAndBackward:
+    """A predict call between a training forward and its backward leaves
+    the backward's gradients bitwise as they are without it."""
+
+    @pytest.mark.parametrize(
+        "predict", ["predict_packed_batch", "predict_batch", "predict_packed"]
+    )
+    def test_vit_gradients_unchanged(self, predict):
+        rng = np.random.default_rng(4)
+        frames = rng.random((2, 32, 32))
+        masks = rng.random((2, 32, 32)) < 0.3
+        other = rng.random((5, 32, 32))
+        other_masks = rng.random((5, 32, 32)) < 0.1
+        grad = rng.standard_normal((2, 32, 32, ViTConfig().num_classes))
+        runs = []
+        for interleave in (False, True):
+            net = ViTSegmenter(
+                ViTConfig(height=32, width=32, patch=8, dim=24, heads=3,
+                          depth=2, decoder_depth=1),
+                np.random.default_rng(0),
+            )
+            net.forward(frames * masks, masks)
+            if interleave:
+                call = getattr(net, predict)
+                if predict == "predict_packed":
+                    call(other[0] * other_masks[0], other_masks[0])
+                else:
+                    call(other * other_masks, other_masks)
+            grad_in = net.backward(grad)
+            runs.append([grad_in] + [p.grad.copy() for p in net.parameters()])
+        for a, b in zip(*runs):
+            assert a.tobytes() == b.tobytes()
+
+    def test_roi_gradients_unchanged(self):
+        from repro.sampling.roi import ROIPredictor
+
+        rng = np.random.default_rng(5)
+        x = rng.random((2, 2, 32, 32))
+        grad = rng.standard_normal((2, 4))
+        runs = []
+        for interleave in (False, True):
+            roi = ROIPredictor(32, 32, np.random.default_rng(0))
+            roi.forward(x)
+            if interleave:
+                roi.predict_box_batch(
+                    [rng.random((32, 32)) > 0.5 for _ in range(3)], [None] * 3
+                )
+            grad_in = roi.backward(grad)
+            runs.append([grad_in] + [p.grad.copy() for p in roi.parameters()])
+        for a, b in zip(*runs):
+            assert a.tobytes() == b.tobytes()
