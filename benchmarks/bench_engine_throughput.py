@@ -1,29 +1,30 @@
-"""Engine throughput: sequential vs batched vs sharded.
+"""Engine throughput: each sequence alone vs one rank vs sharded.
 
 Not a paper figure — this benchmark seeds the performance trajectory of
-the staged execution engine (``repro.engine``).  It runs three
-``evaluate`` specs through one ``repro.api`` session — the same front
-door the CLI uses — so the tracker trains once (session-memoized) and
-evaluates the same held-out sequences in each execution mode:
+the staged execution engine (``repro.engine``).  It trains the tracker
+of an ``evaluate`` spec once through a ``repro.api`` session (memoized)
+and evaluates the same held-out sequences with
+``BlissCamPipeline.evaluate`` three ways:
 
-* ``sequential`` — ranks of width 1;
-* ``batched`` — one vectorized lockstep rank (``execution.batched``);
-* ``sharded`` — ``workers: 2`` with batched kernels inside each worker,
-  work-stealing shards on the session's persistent pool with payloads
-  on its shared-memory transport channel, the only way anything shards.
+* ``sequential`` — each sequence evaluated alone, one call per sequence
+  (ranks of width 1, the reference the engine's width invariance is
+  pinned against);
+* ``batched`` — one call, one vectorized lockstep rank of every
+  sequence (what every in-process run does);
+* ``sharded`` — ``workers=2``: work-stealing shards, each one rank of
+  its own sequences, on the session's persistent pool with payloads on
+  its shared-memory transport channel, the only way anything shards.
 
-Each mode is timed around ``Session.run``, untraced (a tracer would make
-every sharded job capture and ship its spans home), best of ``REPEATS``
-after one warm-up run, which also forks the pool so the sharded time
-measures steady-state dispatch, not the first fork.  The timed window
-also holds the run's provenance stamping (a ``git describe``, ~5 ms on
-a 2-vCPU VM).  One traced run per mode afterwards gives that mode's
-per-stage wall-clock attribution from its ``engine.stage`` spans (the
-measured counterpart of the Figs. 13/14 breakdowns), and the sharded
-one what the engine executed from its ``engine.run`` span.  The bench
-checks the three modes' metrics are bitwise identical (aggregates only;
-per-frame identity is pinned by ``tests/engine/test_sharded.py``) and
-prints frames/sec plus the per-stage tables.
+Each mode is timed untraced (a tracer would make every sharded job
+capture and ship its spans home), best of ``REPEATS`` after one warm-up
+call, which also forks the pool so the sharded time measures
+steady-state dispatch, not the first fork.  One traced run per mode
+afterwards gives that mode's per-stage wall-clock attribution from its
+``engine.stage`` spans (the measured counterpart of the Figs. 13/14
+breakdowns), and the sharded one what the engine executed from its
+``engine.run`` span.  The bench checks the three modes' per-frame
+predictions and workload statistics are bitwise identical and prints
+frames/sec plus the per-stage tables.
 
 Appends to ``BENCH_engine.json`` at the repository root (a git-stamped
 ``trajectory`` entry) so successive PRs accumulate the perf history.
@@ -32,7 +33,10 @@ Appends to ``BENCH_engine.json`` at the repository root (a git-stamped
 from __future__ import annotations
 
 import time
+from dataclasses import fields
 from pathlib import Path
+
+import numpy as np
 
 from _helpers import (
     BENCH_EPOCHS,
@@ -44,6 +48,7 @@ from _helpers import (
 )
 from repro.api import ExperimentSpec, Session
 from repro.api.result import Table
+from repro.api.tracker import WorkloadStats
 from repro.obs import Tracer, install_tracer, summarize
 from repro.obs.cli import stage_table
 
@@ -65,8 +70,8 @@ TARGET_SPEEDUP = 1.3
 #: this much slower.  Ten runs of unchanged code on a 2-vCPU x86 VM
 #: spread 0.39-0.50 s (max/min 1.29) on a quiet host.
 BATCHED_REGRESSION_BOUND = 0.35
-#: Worker processes for the sharded mode.  Bitwise identity to the
-#: sequential loop is always enforced.
+#: Worker processes for the sharded mode.  Bitwise identity to each
+#: sequence evaluated alone is always enforced.
 WORKERS = 2
 #: Timed runs per mode; the fastest counts.
 REPEATS = 3
@@ -90,42 +95,53 @@ BENCH_SPEC = {
     "execution": {"eval_indices": EVAL_INDICES},
 }
 
-#: Execution-section overrides per mode.  The sharded mode sets
-#: ``batched`` explicitly: batched kernels inside each worker are the
-#: production sharded configuration (sharding width-1 ranks would
-#: measure pure dispatch overhead on single-core hosts).
-MODES = {
-    "sequential": {},
-    "batched": {"batched": True},
-    "sharded": {"batched": True, "workers": WORKERS},
-}
+MODES = ("sequential", "batched", "sharded")
 
 
-def _spec(mode: str, eval_indices: list[int]) -> ExperimentSpec:
-    execution = {**MODES[mode], "eval_indices": eval_indices}
-    return ExperimentSpec.from_dict({**BENCH_SPEC, "execution": execution})
+def _outputs(results) -> tuple:
+    """The per-frame predictions and workload statistics of one or more
+    evaluations, concatenated in sequence-major order."""
+    stats = {
+        f.name: [v for r in results for v in getattr(r.stats, f.name)]
+        for f in fields(WorkloadStats)
+    }
+    return np.concatenate([r.predictions for r in results]).tobytes(), stats
 
 
-def _best_run(session: Session, spec: ExperimentSpec):
-    """``(seconds, RunResult)`` of the fastest of ``REPEATS`` runs."""
+def _best_run(evaluate):
+    """``(seconds, outputs)`` of the fastest of ``REPEATS`` calls."""
     runs = []
     for _ in range(REPEATS):
         start = time.perf_counter()  # repro: allow[REP102] benchmark timing harness
-        result = session.run(spec)
+        results = evaluate(EVAL_INDICES)
         elapsed = time.perf_counter() - start  # repro: allow[REP102] benchmark timing harness
-        runs.append((elapsed, result))
-    return min(runs, key=lambda run: run[0])
+        runs.append((elapsed, results))
+    seconds, results = min(runs, key=lambda run: run[0])
+    return seconds, _outputs(results)
 
 
 def run_engine_throughput() -> tuple[dict, dict]:
     """The trajectory record and each mode's per-stage roll-up."""
+    spec = ExperimentSpec.from_dict(BENCH_SPEC)
     best = {}
     with Session() as session:
+        pipeline = session.pipeline(spec)
+        sharding = {
+            "workers": WORKERS,
+            "executor": session.executor(WORKERS),
+            "transport": session.transport(),
+        }
+        # Each returns a list of EvaluationResults.
+        evaluate = {
+            "sequential": lambda idx: [pipeline.evaluate([i]) for i in idx],
+            "batched": lambda idx: [pipeline.evaluate(idx)],
+            "sharded": lambda idx: [pipeline.evaluate(idx, **sharding)],
+        }
         for mode in MODES:
-            # Warm the memoized training, dataset cache, sensor template
-            # and (for the sharded mode) the pool's workers.
-            session.run(_spec(mode, EVAL_INDICES[:2]))
-            best[mode] = _best_run(session, _spec(mode, EVAL_INDICES))
+            # Warm the sensor template and (for the sharded mode) the
+            # pool's workers.
+            evaluate[mode](EVAL_INDICES[:2])
+            best[mode] = _best_run(evaluate[mode])
         # One traced run per mode: its engine.stage spans attribute
         # wall time per stage, and the sharded run's engine.run span
         # records what actually executed (the runner clamps workers to
@@ -133,7 +149,7 @@ def run_engine_throughput() -> tuple[dict, dict]:
         tracers = {mode: Tracer() for mode in MODES}
         for mode, tracer in tracers.items():
             with install_tracer(tracer):
-                session.run(_spec(mode, EVAL_INDICES))
+                evaluate[mode](EVAL_INDICES)
     stages = {
         mode: summarize(tracer.to_records())["stages"]
         for mode, tracer in tracers.items()
@@ -142,16 +158,16 @@ def run_engine_throughput() -> tuple[dict, dict]:
         s.attrs for s in tracers["sharded"].spans if s.name == "engine.run"
     )
 
-    _, seq_result = best["sequential"]
-    frames = seq_result.metrics["frames"]
+    _, reference = best["sequential"]
+    frames = len(reference[1]["roi_fractions"])
     record = {
         "sequences": len(EVAL_INDICES),
         "frames": frames,
         "bitwise_identical": all(
-            result.metrics == seq_result.metrics for _, result in best.values()
+            outputs == reference for _, outputs in best.values()
         ),
     }
-    for mode, (seconds, result) in best.items():
+    for mode, (seconds, _) in best.items():
         record[f"{mode}_s"] = seconds
         record[f"{mode}_fps"] = frames / seconds
         record[f"stage_seconds_{mode}"] = {
@@ -160,16 +176,12 @@ def run_engine_throughput() -> tuple[dict, dict]:
     record["speedup"] = record["sequential_s"] / record["batched_s"]
     record["sharded_speedup"] = record["sequential_s"] / record["sharded_s"]
     record["workers"] = shard_attrs["workers"]
-    record["sharded_batched"] = shard_attrs["batched"]
     record_bench(
         _RESULT_PATH,
         {
             "workload": "evaluate",
             "metrics": record,
-            "provenance": {
-                mode: result.provenance["spec_hash"]
-                for mode, (_, result) in best.items()
-            },
+            "provenance": {"spec_hash": spec.spec_hash()},
             "host": host_fingerprint(),
         },
     )
@@ -207,7 +219,7 @@ def test_engine_throughput(benchmark):
         print(stage_table(mode_stages, title).render())
 
     assert record["bitwise_identical"], (
-        "batched/sharded mode diverged from sequential"
+        "batched/sharded mode diverged from each sequence alone"
     )
     assert record["speedup"] >= TARGET_SPEEDUP, (
         f"batched mode only {record['speedup']:.2f}x over sequential "
@@ -220,11 +232,10 @@ def test_engine_throughput(benchmark):
             f"(newest same-host record {baseline['git']} "
             f"+{BATCHED_REGRESSION_BOUND:.0%})"
         )
-    # The sharded trajectory: with batched kernels in the workers and
+    # The sharded trajectory: with one rank per shard in the workers and
     # the zero-copy transport, `workers=N` must actually win over the
     # sequential loop — even on a single-core host.
     assert record["workers"] == WORKERS
-    assert record["sharded_batched"] is True
     assert record["sharded_speedup"] > 1.0, (
         f"sharded mode lost to sequential: {record['sharded_speedup']:.2f}x"
     )

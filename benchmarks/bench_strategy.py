@@ -1,36 +1,36 @@
 """Strategy-sweep throughput: full-rank lockstep vs ranks of width 1.
 
 Not a paper figure — this benchmark seeds the performance trajectory of
-the Fig. 15 strategy harness (``repro.api.tracker.evaluate_strategy``
-over the eventify/sample/segment/regress strategy graph).  Every stage
-has one kernel, ``process_batch``; the benchmark evaluates the same
-(strategy, segmenter) pair three ways:
+the Fig. 15 strategy harness (the eventify/sample/segment/regress
+strategy graph that ``repro.api.tracker.evaluate_strategy`` runs).
+Every stage has one kernel, ``process_batch``; the benchmark runs the
+same (strategy, segmenter) graph through the same runner three ways:
 
-* **per-row** — the sequential reference: each sequence stepped frame by
-  frame as ranks of width 1;
-* **batched** — full-rank lockstep (stacked eventification, batched
-  sampling draws, one dense segmenter forward per rank, vectorized
-  centroid regression);
+* **per-row** — the width-1 reference: each sequence run alone, stepped
+  frame by frame as ranks of width 1;
+* **batched** — one call, full-rank lockstep (stacked eventification,
+  batched sampling draws, one dense segmenter forward per rank,
+  vectorized centroid regression);
 * **sharded** — ``workers=2`` on a ``Session``'s persistent pool and
   shared-memory channel, the only way anything shards (reported for the
   trajectory; at this scale dispatch dominates, so no speedup bar is
   placed on it).
 
-Unlike the training bench, all three modes are bitwise-pinned: the
-``StrategyEvaluation`` metrics must be byte-identical, asserted inline
-before any timing is reported.  The geometry uses a wide rank of small
-frames — batching pays off in python/numpy dispatch amortization, so the
-sweep-shaped workload (many sequences, modest resolution, exactly the
-Fig. 15 shape) is where the kernels earn their keep.  Appends to
-``BENCH_strategy.json`` at the repository root (git-stamped
-``trajectory`` entries via the shared ``record_bench`` plumbing).
+Unlike the training bench, all three modes are bitwise-pinned: every
+evaluated frame's gaze prediction, reuse flag and compression must be
+byte-identical, asserted inline before any timing is reported.  The
+geometry uses a wide rank of small frames — batching pays off in
+python/numpy dispatch amortization, so the sweep-shaped workload (many
+sequences, modest resolution, exactly the Fig. 15 shape) is where the
+kernels earn their keep.  Appends to ``BENCH_strategy.json`` at the
+repository root (git-stamped ``trajectory`` entries via the shared
+``record_bench`` plumbing).
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +42,8 @@ from _helpers import (
     record_bench,
 )
 from repro.api import STRATEGIES, Session
-from repro.api.tracker import evaluate_strategy
+from repro.engine import build_strategy_graph, strategy_runner
+from repro.gaze.estimation import FittedGazeEstimator
 from repro.segmentation import ViTConfig, ViTSegmenter
 from repro.synth import DatasetConfig, SyntheticEyeDataset
 
@@ -59,7 +60,7 @@ EVAL_IDX = list(range(SEQUENCES))
 WORKERS = 2
 #: The PR acceptance bar for the batched strategy sweep at CI scale.
 TARGET_SPEEDUP = 1.5
-#: Best-of repeats per mode (fresh strategy + RNG each repeat).
+#: Best-of repeats per mode.
 REPEATS = 2
 
 _RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_strategy.json"
@@ -87,34 +88,55 @@ def _segmenter() -> ViTSegmenter:
     )
 
 
-def _metrics_bytes(evaluation) -> bytes:
-    """Canonical byte serialization of a ``StrategyEvaluation``."""
-    return json.dumps(asdict(evaluation), sort_keys=True).encode()
+def _runner(dataset, segmenter):
+    """The strategy graph's runner, built as ``evaluate_strategy`` builds
+    it: the gaze estimator calibrated on the evaluation sequences."""
+    strategy = STRATEGIES.get(STRATEGY)(COMPRESSION, dataset=dataset)
+    rng = np.random.default_rng(int(np.random.default_rng(7).integers(2**32)))
+    estimator = FittedGazeEstimator()
+    estimator.fit(
+        np.concatenate([dataset[i].segmentations for i in EVAL_IDX]),
+        np.concatenate([dataset[i].gazes for i in EVAL_IDX]),
+    )
+    graph = build_strategy_graph(
+        strategy=strategy, segmenter=segmenter, gaze_estimator=estimator,
+        rng=rng,
+    )
+    return strategy_runner(graph, retain_intermediates=False)
 
 
-def _time_mode(dataset, segmenter, **kwargs) -> tuple[float, object]:
-    """Best-of-REPEATS wall seconds for one execution mode."""
-    best, evaluation = None, None
+def _outputs_bytes(contexts) -> bytes:
+    """Canonical bytes of every evaluated frame's outputs."""
+    return json.dumps(
+        [
+            (c.seq_index, c.t, [float(v) for v in c.gaze_pred],
+             c.seg_reused, float(c.stats["compression"]))
+            for c in contexts
+            if not c.skipped
+        ]
+    ).encode()
+
+
+def _time_mode(run) -> tuple[float, list]:
+    """Best-of-REPEATS wall seconds of ``run()`` and its contexts."""
+    best, contexts = None, None
     for _ in range(REPEATS):
-        strategy = STRATEGIES.get(STRATEGY)(COMPRESSION, dataset=dataset)
-        rng = np.random.default_rng(
-            int(np.random.default_rng(7).integers(2**32))
-        )
         start = time.perf_counter()  # repro: allow[REP102] benchmark timing harness
-        result = evaluate_strategy(
-            strategy, segmenter, dataset, EVAL_IDX, rng, **kwargs
-        )
+        result = run()
         elapsed = time.perf_counter() - start  # repro: allow[REP102] benchmark timing harness
         if best is None or elapsed < best:
-            best, evaluation = elapsed, result
-    return best, evaluation
+            best, contexts = elapsed, result
+    return best, contexts
 
 
 def run_strategy_bench() -> dict:
     dataset = _dataset()
-    segmenter = _segmenter()
-    per_row_s, per_row = _time_mode(dataset, segmenter)
-    batched_s, batched = _time_mode(dataset, segmenter, batched=True)
+    runner = _runner(dataset, _segmenter())
+    sequences = [(i, dataset[i]) for i in EVAL_IDX]
+    per_row_s, per_row = _time_mode(
+        lambda: [c for seq in sequences for c in runner.run([seq]).contexts]
+    )
+    batched_s, batched = _time_mode(lambda: runner.run(sequences).contexts)
     with Session() as session:
         sharding = {
             "workers": WORKERS,
@@ -123,15 +145,17 @@ def run_strategy_bench() -> dict:
         }
         # Best-of-REPEATS: the first repeat forks the pool's workers,
         # later ones time steady-state dispatch.
-        sharded_s, sharded = _time_mode(dataset, segmenter, **sharding)
+        sharded_s, sharded = _time_mode(
+            lambda: runner.run(sequences, **sharding).contexts
+        )
 
-    # The speedup only counts if the metrics are byte-identical — a
+    # The speedup only counts if the outputs are byte-identical — a
     # faster sweep that drifts is a broken sweep.
-    reference = _metrics_bytes(per_row)
-    assert _metrics_bytes(batched) == reference, "batched sweep drifted"
-    assert _metrics_bytes(sharded) == reference, "sharded sweep drifted"
+    reference = _outputs_bytes(per_row)
+    assert _outputs_bytes(batched) == reference, "batched sweep drifted"
+    assert _outputs_bytes(sharded) == reference, "sharded sweep drifted"
 
-    frames = per_row.frames
+    frames = sum(not c.skipped for c in per_row)
     record = {
         "strategy": STRATEGY,
         "compression": COMPRESSION,

@@ -47,11 +47,12 @@ def main() -> None:
                 f"ROI loss {roi:.4f}"
             )
 
-        print("\n[2/3] evaluating on held-out sequences (batched lockstep)...")
+        print("\n[2/3] evaluating on held-out sequences (one lockstep rank)...")
         # The session reuses the pipeline trained above (same training
-        # hash) — run() only executes the staged engine, in vectorized
-        # lockstep, bitwise-identical to the sequential loop (see
-        # docs/architecture.md and benchmarks/bench_engine_throughput.py).
+        # hash) — run() only executes the staged engine, one vectorized
+        # lockstep rank, bitwise-identical to running each sequence alone
+        # (see docs/architecture.md and
+        # benchmarks/bench_engine_throughput.py).
         result = session.run(spec)
         assert session.stats()["train_cache_hits"] == 1, session.stats()
 

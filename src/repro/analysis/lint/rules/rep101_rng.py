@@ -6,7 +6,8 @@ sensor spawns, per-sample training streams, per-client serve streams).
 Module-level draws (``np.random.rand``), global seeding
 (``np.random.seed``) and the stdlib ``random`` module all read hidden
 process-global state — results then depend on call *order*, which every
-batched/sharded/serving mode reorders, breaking the bitwise pins.  An
+lockstep rank, shard and serving micro-batch reorders, breaking the
+bitwise pins.  An
 un-keyed ``default_rng()`` seeds from the OS entropy pool: different
 bits every run.
 """

@@ -197,13 +197,10 @@ class ServeSection:
 
 @dataclass(frozen=True)
 class ExecutionSection:
-    """*How* to run: engine mode, parallelism, model operating point."""
+    """*How* to run: parallelism, model operating point."""
 
     #: Worker processes; >= 2 shards the sequence rank.
     workers: int = 1
-    #: Vectorized lockstep mode: one rank of every sequence
-    #: (bitwise-identical to sequential).
-    batched: bool = False
     #: Evaluation sequence indices; ``None`` uses ``dataset.split()``.
     eval_indices: tuple[int, ...] | None = None
     #: Operating frame rate of the hardware energy/latency models.

@@ -260,8 +260,8 @@ class EvaluationResult:
     stats: WorkloadStats
     predictions: np.ndarray  # (N, 2)
     truths: np.ndarray  # (N, 2)
-    #: Shard-transport accounting from the engine run (``None`` for
-    #: in-process modes): mode, dispatches, per-dispatch payload bytes —
+    #: Shard-transport accounting from the engine run (``None``
+    #: in-process): mode, dispatches, per-dispatch payload bytes —
     #: see :attr:`repro.engine.EngineRun.transport`.
     transport: dict | None = None
 
@@ -415,7 +415,6 @@ class BlissCamPipeline:
         eval_indices: list[int] | None = None,
         reuse_window: int = 1,
         sensor_seed: int = 1234,
-        batched: bool = False,
         workers: int | None = None,
         executor=None,
         transport=None,
@@ -423,13 +422,12 @@ class BlissCamPipeline:
         """Run the functional sensor + host over held-out sequences.
 
         ``reuse_window`` > 1 enables the Table-I ROI-reuse policy (a
-        first-class engine stage).  ``batched`` runs the sequences in
-        vectorized lockstep, one rank of every sequence.
-        ``workers >= 2`` shards the sequence rank over ``executor``
-        with payloads on the ``transport`` channel (a
-        ``repro.api.Session``'s ``executor(n)`` and ``transport()``),
-        composable with ``batched``.  All modes produce
-        bitwise-identical results; see ``docs/architecture.md``.
+        first-class engine stage).  The sequences run in vectorized
+        lockstep, one rank of every sequence; ``workers >= 2`` shards
+        that rank over ``executor`` with payloads on the ``transport``
+        channel (a ``repro.api.Session``'s ``executor(n)`` and
+        ``transport()``).  Both modes produce bitwise-identical results;
+        see ``docs/architecture.md``.
         """
         if eval_indices is None:
             _, eval_indices = self.dataset.split()
@@ -446,7 +444,6 @@ class BlissCamPipeline:
         )
         run = runner.run(
             [(i, self.dataset[i]) for i in eval_indices],
-            batched=batched,
             workers=workers,
             executor=executor,
             transport=transport,
@@ -459,7 +456,7 @@ class BlissCamPipeline:
 
         Contexts arrive in sequence-major order from both execution modes,
         so every downstream reduction sees the same operand order — the
-        property behind the batched == sequential bitwise guarantee.
+        property behind the in-process == sharded bitwise guarantee.
         """
         stats = WorkloadStats()
         preds, truths = [], []
@@ -563,7 +560,6 @@ def evaluate_strategy(
     eval_indices: list[int],
     rng: np.random.Generator,
     gaze_estimator: FittedGazeEstimator | None = None,
-    batched: bool = False,
     workers: int | None = None,
     executor=None,
     transport=None,
@@ -578,10 +574,10 @@ def evaluate_strategy(
     strategy sampling -> segment-or-reuse -> gaze regression, the same
     runner the end-to-end tracker uses.  Each sequence samples from its
     own ``strategy.spawn`` stream keyed by sequence index (derived from
-    ``rng``), so all three execution modes — sequential, ``batched``
-    lockstep, and sharded (``workers >= 2`` on ``executor`` and the
-    ``transport`` channel, e.g. a ``repro.api.Session``'s) — produce
-    bitwise-identical results; Fig. 15 sweeps can fan out freely.
+    ``rng``), so both execution modes — one in-process lockstep rank,
+    and sharded (``workers >= 2`` on ``executor`` and the ``transport``
+    channel, e.g. a ``repro.api.Session``'s) — produce bitwise-identical
+    results; Fig. 15 sweeps can fan out freely.
     """
     if gaze_estimator is None:
         gaze_estimator = FittedGazeEstimator()
@@ -602,7 +598,6 @@ def evaluate_strategy(
     runner = strategy_runner(graph, retain_intermediates=False)
     run = runner.run(
         [(i, dataset[i]) for i in eval_indices],
-        batched=batched,
         workers=workers,
         executor=executor,
         transport=transport,

@@ -83,7 +83,6 @@ def run_evaluate(session: Session, spec: ExperimentSpec) -> RunResult:
         list(e.eval_indices) if e.eval_indices is not None else None,
         reuse_window=spec.sensor.reuse_window,
         sensor_seed=spec.sensor.sensor_seed,
-        batched=e.batched,
         workers=workers,
         executor=executor,
         transport=transport,
@@ -149,45 +148,59 @@ def _sweep_key(spec: ExperimentSpec, train_idx, name: str) -> tuple:
     )
 
 
-def _sweep_strategy_job(
-    config,
-    name: str,
-    compression: float,
-    train_epochs: int,
-    seed: int,
-    train_idx: list[int],
-    eval_idx: list[int],
-    use_gt_roi: bool,
-):
-    """Train + evaluate one strategy of a fanned-out sweep (worker side).
+def _train_strategy(config, dataset, st, name: str, train_idx):
+    """Build and train one strategy's segmenter: ``(strategy, segmenter,
+    rng)``, the RNG in its post-training state.
 
-    Module-level so the session pool can pickle it.  Per-strategy RNG
-    streams (:func:`strategy_rng`) are keyed by ``(seed, name)`` —
-    process-independent — and the engine's execution modes are bitwise
-    equivalent, so the result is identical to the serial sweep's.
-    Returns the trained triple *in its post-training RNG state* (the
-    evaluation consumes a deep copy) so the parent can cache it exactly
-    as the in-process path does.
+    The one training path of the sweep, in-process and in a pool
+    worker.  Per-strategy RNG streams (:func:`strategy_rng`) are keyed
+    by ``(seed, name)`` — process-independent — so both places train
+    identical triples.
     """
     from repro.segmentation import ViTSegmenter
-    from repro.synth import SyntheticEyeDataset
 
-    dataset = SyntheticEyeDataset(config.dataset)
-    rng = strategy_rng(seed, name)
-    strategy = STRATEGIES.get(name)(compression, dataset)
+    rng = strategy_rng(st.seed, name)
+    strategy = STRATEGIES.get(name)(st.compression, dataset)
     segmenter = ViTSegmenter(config.vit, rng)
     train_for_strategy(
-        segmenter, strategy, dataset, train_idx, train_epochs, rng
+        segmenter, strategy, dataset, train_idx, st.train_epochs, rng
     )
-    evaluation = evaluate_strategy(
+    return strategy, segmenter, rng
+
+
+def _evaluate_trained(
+    trained, dataset, st, eval_idx, workers=None, executor=None,
+    transport=None,
+):
+    """Evaluate a trained triple from :func:`_train_strategy`."""
+    strategy, segmenter, rng = trained
+    return evaluate_strategy(
         strategy,
         segmenter,
         dataset,
         eval_idx,
+        # Deep-copy the post-training RNG state: the cached generator
+        # stays pristine, so a cache-hit re-run replays bitwise.
         copy.deepcopy(rng),
-        use_gt_roi=use_gt_roi,
+        workers=workers,
+        executor=executor,
+        transport=transport,
+        use_gt_roi=st.use_gt_roi,
     )
-    return strategy, segmenter, rng, evaluation
+
+
+def _sweep_strategy_job(config, st, name: str, train_idx, eval_idx):
+    """Train + evaluate one strategy of a fanned-out sweep (worker side).
+
+    Module-level so the session pool can pickle it.  Returns the trained
+    triple *in its post-training RNG state* plus its evaluation, so the
+    parent caches the triple exactly as the in-process path does.
+    """
+    from repro.synth import SyntheticEyeDataset
+
+    dataset = SyntheticEyeDataset(config.dataset)
+    trained = _train_strategy(config, dataset, st, name, train_idx)
+    return trained, _evaluate_trained(trained, dataset, st, eval_idx)
 
 
 @register_workload("strategy_sweep")
@@ -201,7 +214,6 @@ def run_strategy_sweep(session: Session, spec: ExperimentSpec) -> RunResult:
     the parity tests pin this.  Cache hits always replay in-process.
     """
     from repro.sampling import STRATEGY_NAMES
-    from repro.segmentation import ViTSegmenter
     from repro.synth import SyntheticEyeDataset
 
     st = spec.strategy
@@ -226,23 +238,14 @@ def run_strategy_sweep(session: Session, spec: ExperimentSpec) -> RunResult:
         ]
         futures = {
             n: executor.submit(
-                _sweep_strategy_job,
-                config,
-                n,
-                st.compression,
-                st.train_epochs,
-                st.seed,
-                train_idx,
-                eval_idx,
-                st.use_gt_roi,
+                _sweep_strategy_job, config, st, n, train_idx, eval_idx
             )
             for n in missing
         }
         for n in missing:
-            strategy, segmenter, rng, evaluation = futures[n].result()
+            trained, evaluation = futures[n].result()
             session.memo(
-                _sweep_key(spec, train_idx, n),
-                lambda triple=(strategy, segmenter, rng): triple,
+                _sweep_key(spec, train_idx, n), lambda t=trained: t
             )
             evaluations[n] = evaluation
 
@@ -254,33 +257,14 @@ def run_strategy_sweep(session: Session, spec: ExperimentSpec) -> RunResult:
     for name in names:
         evaluation = evaluations.get(name)
         if evaluation is None:
-            key = _sweep_key(spec, train_idx, name)
-
-            def _train(name: str = name):
-                rng = strategy_rng(st.seed, name)
-                strategy = STRATEGIES.get(name)(st.compression, dataset)
-                segmenter = ViTSegmenter(config.vit, rng)
-                train_for_strategy(
-                    segmenter, strategy, dataset, train_idx, st.train_epochs,
-                    rng,
-                )
-                return strategy, segmenter, rng
-
-            strategy, segmenter, rng = session.memo(key, _train)
-            evaluation = evaluate_strategy(
-                strategy,
-                segmenter,
-                dataset,
-                eval_idx,
-                # Deep-copy the post-training RNG state: the cached
-                # generator stays pristine, so a cache-hit re-run
-                # replays bitwise.
-                copy.deepcopy(rng),
-                batched=spec.execution.batched,
-                workers=workers,
-                executor=executor,
-                transport=transport,
-                use_gt_roi=st.use_gt_roi,
+            trained = session.memo(
+                _sweep_key(spec, train_idx, name),
+                lambda name=name: _train_strategy(
+                    config, dataset, st, name, train_idx
+                ),
+            )
+            evaluation = _evaluate_trained(
+                trained, dataset, st, eval_idx, workers, executor, transport
             )
         per_strategy[name] = {
             "horizontal": asdict(evaluation.horizontal),

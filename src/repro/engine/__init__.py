@@ -5,8 +5,8 @@ The paper's system is a staged dataflow (eventification -> ROI prediction
 -> gaze regression).  This package makes that structure executable: a
 :class:`Stage` protocol, a :class:`FrameContext` carrying one frame's
 intermediate products, and a :class:`SequenceRunner` that
-executes stage graphs over batches of sequences — sequentially, in
-vectorized lockstep, or sharded over worker processes, all
+executes stage graphs over batches of sequences — as one vectorized
+lockstep rank in-process, or sharded over worker processes, both
 bitwise-identical.
 
 ``BlissCamPipeline.evaluate``, ``repro.api.tracker.evaluate_strategy``, the

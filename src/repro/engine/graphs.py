@@ -82,8 +82,8 @@ class SensorSpawnFactory:
 
     A plain class (not a closure) so sharded runners can pickle it to
     worker processes.  Runtime noise streams are keyed by
-    ``(sensor_seed, seq_index)`` — order- and process-insensitive, so
-    sequential, lockstep and sharded execution draw identical randomness.
+    ``(sensor_seed, seq_index)`` — order- and process-insensitive, so a
+    sequence draws identical randomness alone, in a full rank or sharded.
     """
 
     sensor_template: Any
@@ -108,8 +108,8 @@ def tracking_runner(
 
     Each sequence gets a clone of the calibrated template chip whose
     runtime noise streams are keyed by ``(sensor_seed, seq_index)`` —
-    order-insensitive, so sequential, lockstep and sharded execution draw
-    identical randomness.
+    order-insensitive, so a sequence draws identical randomness alone, in
+    a full rank or sharded.
     """
     return SequenceRunner(
         graph,
@@ -132,8 +132,8 @@ def build_strategy_graph(
     base seed and every sequence samples from its own
     ``strategy.spawn([base_seed, seq_index])`` stream (mirroring the
     sensor's spawn design).  Streams are keyed by sequence index, never
-    by execution order, so strategy graphs run sequentially, in lockstep,
-    or sharded with bitwise-identical results.
+    by execution order, so a sequence's results are bitwise-identical
+    alone, in a full rank or sharded.
     """
     strategy_seed = int(rng.integers(2**32))
     return StageGraph(
@@ -152,8 +152,8 @@ def strategy_runner(
     """A runner for strategy graphs.
 
     Per-sequence strategy spawns (see :func:`build_strategy_graph`) make
-    sequences independent, so all three execution modes — sequential,
-    batched lockstep, and sharded — are available and bitwise-equivalent.
+    sequences independent, so both execution modes — in-process and
+    sharded — are available and bitwise-equivalent.
     Pass ``retain_intermediates=False`` when only the per-frame scalars
     (gaze, stats) are consumed, e.g. ``evaluate_strategy``.
     """

@@ -1,35 +1,33 @@
 """The sequence runner: executes a stage graph over batches of sequences.
 
-Every mode runs the same loop over the same kernels: sequences advance
-in *lockstep* ranks, and at each timestep every stage's
-``process_batch`` handles the frames of the rank at once.  The modes
-differ only in the rank width:
+Sequences advance in *lockstep*: at each timestep every stage's
+``process_batch`` handles the frames of one rank at once.  There are
+two modes, and they run the same loop over the same kernels:
 
-* **sequential** — ``batched=False``: ranks of width 1, i.e. sequences
-  one after another, frames in order.
-* **batched** — one rank of every sequence: vectorized eventification,
-  packed-slab ViT inference, vectorized RLE accounting.  Because
-  every sequence owns its own sensor spawn (and all cross-frame state
-  lives in its ``SequenceState``), every width draws identical random
-  streams and produces bitwise-identical contexts — the engine test
-  suite asserts this end-to-end.
+* **in-process** — one rank of every sequence: vectorized
+  eventification, packed-slab ViT inference, vectorized RLE
+  accounting.  Every sequence owns its own sensor spawn (and all
+  cross-frame state lives in its ``SequenceState``), so a sequence's
+  contexts do not depend on which other sequences share its rank: the
+  full rank is bitwise-identical to running each sequence alone — the
+  engine test suite asserts this end-to-end.
 * **sharded** — ``workers >= 2`` partitions the sequences into
   contiguous shards and executes each shard on a caller-owned executor
-  (``repro.api.Session.executor(n)``) at the width above, the payloads
-  crossing as handles on the caller's transport channel
-  (``Session.transport()``).  Sequences share no mutable state
+  (``repro.api.Session.executor(n)``) as one rank of its own
+  sequences, the payloads crossing as handles on the caller's transport
+  channel (``Session.transport()``).  Sequences share no mutable state
   (per-sequence random streams are keyed by sequence index, never by
   execution order), so a shard's results do not depend on which process
   runs it: merged ``EngineRun``s are bitwise-identical to the
-  single-process modes.  Requires the graph, the state factory and the
+  in-process mode.  Requires the graph, the state factory and the
   sequences to be picklable — the canonical graphs keep their callables
   as plain classes for exactly this reason.
 
 Results come back as an :class:`EngineRun`: the completed frame contexts
-in *sequence-major* order (identical ordering in all modes, so
+in *sequence-major* order (identical ordering in both modes, so
 downstream accuracy statistics are reduction-order independent).  Wall
 time is observability, not a result: under an installed tracer the run
-opens an ``engine.run`` span and every :meth:`SequenceRunner._run_ranks`
+opens an ``engine.run`` span and every :meth:`SequenceRunner._run_rank`
 call — in-process, or in a shard worker under its capture tracer —
 emits one ``engine.stage`` span per stage carrying the stage's frames,
 calls and wall seconds.  Untraced runs never read the clock.
@@ -69,7 +67,6 @@ class EngineRun:
     """Everything one :meth:`SequenceRunner.run` produced."""
 
     contexts: list[FrameContext]
-    batched: bool
     #: Worker processes the run was sharded over (1 = in-process).
     workers: int = 1
     #: Transport accounting for sharded runs (``None`` in-process):
@@ -91,7 +88,6 @@ def _default_state_factory(seq_index: int) -> SequenceState:
 def _execute_shard_handles(
     runner_handle: ObjectHandle,
     shard_handle: ObjectHandle,
-    batched: bool,
 ) -> list[FrameContext]:
     """Worker-side entry point: resolve handles, then run the shard.
 
@@ -107,7 +103,7 @@ def _execute_shard_handles(
     """
     runner = resolve_payload(runner_handle)
     shard = resolve_payload(shard_handle)
-    return runner._run_ranks(shard, batched)
+    return runner._run_rank(shard)
 
 
 def contiguous_shards(items: list, n_shards: int) -> list[list]:
@@ -186,14 +182,13 @@ class SequenceRunner:
     def run(
         self,
         sequences: Sequence[tuple[int, Any]],
-        batched: bool = False,
         workers: int | None = None,
         executor: Executor | None = None,
         transport: TransportChannel | None = None,
     ) -> EngineRun:
         """Run the graph over ``[(seq_index, sequence), ...]``.
 
-        ``batched`` picks the rank width (every sequence instead of 1).
+        In-process, the sequences run as one lockstep rank.
         ``workers >= 2`` shards the sequences over ``executor`` — a
         persistent pool such as ``repro.api.Session.executor(n)`` — with
         the runner and the shards published on ``transport``, the caller's
@@ -201,11 +196,12 @@ class SequenceRunner:
         (``Session.transport()``), whose segments outlive the run so
         repeated runs ship each payload's bytes once.  Both are required
         to shard (:func:`~repro.engine.executors.check_dispatch`);
-        ``None``/``1`` runs in-process.  The rank is cut into ``workers
-        * STEAL_FACTOR`` contiguous shards so idle workers steal pending
-        shards when sequence lengths are unequal; shard boundaries never
-        affect results, only scheduling, and the merged result is
-        bitwise-identical to the single-process modes.  The run's
+        ``None``/``1`` runs in-process.  The sequences are cut into
+        ``workers * STEAL_FACTOR`` contiguous shards, each run as one
+        rank, so idle workers steal pending shards when sequence lengths
+        are unequal; shard boundaries never affect results, only
+        scheduling, and the merged result is bitwise-identical to the
+        in-process mode.  The run's
         :attr:`EngineRun.transport` records what actually moved.
         """
         n_workers = check_dispatch(workers, executor, transport)
@@ -216,7 +212,6 @@ class SequenceRunner:
             tracer.span(
                 "engine.run",
                 sequences=len(sequences),
-                batched=batched,
                 workers=n_workers,
             )
             if tracer is not None
@@ -226,10 +221,10 @@ class SequenceRunner:
         with run_span as span:
             if n_workers >= 2:
                 contexts, transport_info = self._run_sharded(
-                    sequences, batched, n_workers, executor, transport
+                    sequences, n_workers, executor, transport
                 )
             else:
-                contexts = self._run_ranks(sequences, batched)
+                contexts = self._run_rank(sequences)
             if span is not None:
                 span.attrs["frames"] = len(contexts)
         if tracer is not None:
@@ -237,7 +232,6 @@ class SequenceRunner:
             tracer.count("engine.frames", len(contexts))
         return EngineRun(
             contexts=contexts,
-            batched=batched,
             workers=n_workers,
             transport=transport_info,
         )
@@ -245,14 +239,13 @@ class SequenceRunner:
     def _run_sharded(
         self,
         sequences: list[tuple[int, Any]],
-        batched: bool,
         workers: int,
         executor: Executor,
         channel: TransportChannel,
     ) -> tuple[list[FrameContext], dict]:
         # Contiguous balanced shards, oversubscribed for work stealing:
         # concatenating shard outputs in shard order reproduces the
-        # sequence-major ordering of the in-process modes exactly.
+        # sequence-major ordering of the in-process mode exactly.
         shards = contiguous_shards(
             sequences, min(len(sequences), workers * STEAL_FACTOR)
         )
@@ -265,9 +258,7 @@ class SequenceRunner:
         # letting the pool hand the next pending shard to whichever
         # worker frees up first.
         futures = [
-            executor.submit(
-                _execute_shard_handles, runner_handle, handle, batched
-            )
+            executor.submit(_execute_shard_handles, runner_handle, handle)
             for handle in shard_handles
         ]
         results = [f.result() for f in futures]
@@ -293,7 +284,9 @@ class SequenceRunner:
         contexts = [ctx for shard in results for ctx in shard]
         return contexts, transport_info
 
-    def _run_ranks(self, sequences, batched) -> list[FrameContext]:
+    def _run_rank(self, sequences) -> list[FrameContext]:
+        """Run ``sequences`` as one lockstep rank (one sequence alone is
+        the width-1 case the width-invariance tests compare against)."""
         # Lanes are keyed by *position* in ``sequences``, not by sequence
         # index — a repeated index is two independent lanes.
         if not sequences:
@@ -306,45 +299,37 @@ class SequenceRunner:
             if tracer is not None
             else None
         )
-        lanes: dict[int, list[FrameContext]] = {}
-        width = len(sequences) if batched else 1
-        for chunk_start in range(0, len(sequences), width):
-            positions = range(
-                chunk_start, min(chunk_start + width, len(sequences))
-            )
-            states = {}
-            for pos in positions:
-                seq_index, seq = sequences[pos]
-                state = self.state_factory(seq_index)
-                for stage in self.graph:
-                    stage.start_sequence(state)
-                states[pos] = state
-                lanes[pos] = self._contexts_for(seq_index, seq)
-            horizon = max(len(lanes[pos]) for pos in positions)
-            for t in range(horizon):
-                live = [pos for pos in positions if t < len(lanes[pos])]
-                rank = ctxs = [lanes[pos][t] for pos in live]
-                seqs = [states[pos] for pos in live]
-                for stage in self.graph:
-                    # Frames only ever become skipped, so the live rank
-                    # shrinks monotonically through the graph.
-                    if any(c.skipped for c in ctxs):
-                        seqs = [s for c, s in zip(ctxs, seqs) if not c.skipped]
-                        ctxs = [c for c in ctxs if not c.skipped]
-                        if not ctxs:
-                            break
-                    if timings is None:
-                        stage.process_batch(ctxs, seqs)
-                        continue
-                    start = wall_now()
+        states, lanes = [], []
+        for seq_index, seq in sequences:
+            state = self.state_factory(seq_index)
+            for stage in self.graph:
+                stage.start_sequence(state)
+            states.append(state)
+            lanes.append(self._contexts_for(seq_index, seq))
+        for t in range(max(len(lane) for lane in lanes)):
+            live = [pos for pos, lane in enumerate(lanes) if t < len(lane)]
+            rank = ctxs = [lanes[pos][t] for pos in live]
+            seqs = [states[pos] for pos in live]
+            for stage in self.graph:
+                # Frames only ever become skipped, so the live rank
+                # shrinks monotonically through the graph.
+                if any(c.skipped for c in ctxs):
+                    seqs = [s for c, s in zip(ctxs, seqs) if not c.skipped]
+                    ctxs = [c for c in ctxs if not c.skipped]
+                    if not ctxs:
+                        break
+                if timings is None:
                     stage.process_batch(ctxs, seqs)
-                    timing = timings[stage.name]
-                    timing[0] += wall_now() - start
-                    timing[1] += len(ctxs)
-                    timing[2] += 1
-                if not self.retain_intermediates:
-                    for ctx in rank:
-                        ctx.release_intermediates()
+                    continue
+                start = wall_now()
+                stage.process_batch(ctxs, seqs)
+                timing = timings[stage.name]
+                timing[0] += wall_now() - start
+                timing[1] += len(ctxs)
+                timing[2] += 1
+            if not self.retain_intermediates:
+                for ctx in rank:
+                    ctx.release_intermediates()
         if tracer is not None:
             # Graph order; in a sharded run each shard job emits its own
             # set, so summing a stage's spans gives the run's totals.
@@ -356,5 +341,5 @@ class SequenceRunner:
                     frames=frames,
                     calls=calls,
                 )
-        # Sequence-major order at every width.
-        return [ctx for pos in range(len(sequences)) for ctx in lanes[pos]]
+        # Sequence-major order.
+        return [ctx for lane in lanes for ctx in lane]

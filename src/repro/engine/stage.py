@@ -10,8 +10,9 @@ single stage instance can serve many sequences in lockstep.
 several sequences at the same timestep (a *rank*).  There is no per-frame
 variant — a single frame is a rank of width 1 — so every execution mode
 runs the same code, and a kernel's output rows must not depend on the
-rank's width or on their neighbours (the engine test suite pins widths
-1, 3 and full rank against each other and against checked-in digests).
+rank's width or on their neighbours (the engine test suite pins each
+sequence run alone, sharded ranks and the full rank against each other
+and against checked-in digests).
 """
 
 from __future__ import annotations

@@ -10,8 +10,8 @@ Tracking graph (Sec. III/IV, extracted from the old monolithic
 ``SampleStage``         SRAM power-up RNG sampling inside the ROI
 ``ReadoutStage``        If-Skip ADC + column-major sparse readout + RLE,
                         then the host-side decode
-``SegmentStage``        packed sparse-ViT segmentation (batched mode
-                        groups frames by token count — bitwise identical)
+``SegmentStage``        packed sparse-ViT segmentation (one slab of the
+                        rank's valid tokens — bitwise identical per frame)
 ``GazeRegressStage``    calibrated centroid -> gaze regression
 ``StatsCollectorStage`` per-frame workload statistics (Figs. 13/14 inputs)
 

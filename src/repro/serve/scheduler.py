@@ -9,8 +9,8 @@ walks the virtual clock.  Each tick it
    policy) instead of wasting host compute on them;
 3. **dispatches** up to ``max_batch`` queued frames as one cross-client
    micro-batch through the tracking stage graph's ``process_batch``
-   kernels — the same vectorized kernels the offline engine's lockstep
-   mode uses.  Every client keeps its own
+   kernels — the same vectorized kernels the offline engine's ranks
+   use.  Every client keeps its own
    :class:`~repro.engine.context.SequenceState` (spawned sensor, fed-back
    segmentation, gaze fallback), and the kernels are bitwise
    batch-invariant, so a client's outputs are identical no matter which
@@ -147,7 +147,6 @@ class Scheduler:
         slo: SLOModel,
         max_batch: int | None = None,
         queue_capacity: int | None = None,
-        micro_batch: bool = True,
     ):
         if max_batch is not None and max_batch < 1:
             raise ValueError(f"max_batch must be >= 1: {max_batch}")
@@ -158,7 +157,6 @@ class Scheduler:
         self.slo = slo
         self.max_batch = max_batch
         self.queue_capacity = queue_capacity
-        self.micro_batch = micro_batch
         self._states: dict[int, SequenceState] = {}
 
     # -- client admission -----------------------------------------------------
@@ -260,19 +258,11 @@ class Scheduler:
             for job in jobs
         ]
         states = [self._state_for(job.client_id) for job in jobs]
-        pairs = list(zip(ctxs, states))
-        # One rank for the whole micro-batch, or — the per-client
-        # sequential baseline a naive per-stream loop would be — one
-        # width-1 rank per frame.  Same kernels either way.
-        ranks = [pairs] if self.micro_batch else [[pair] for pair in pairs]
-        for rank in ranks:
-            for stage in self.graph:
-                live = [(c, s) for c, s in rank if not c.skipped]
-                if not live:
-                    break
-                stage.process_batch(
-                    [c for c, _ in live], [s for _, s in live]
-                )
+        for stage in self.graph:
+            live = [(c, s) for c, s in zip(ctxs, states) if not c.skipped]
+            if not live:
+                break
+            stage.process_batch([c for c, _ in live], [s for _, s in live])
         for job, ctx in zip(jobs, ctxs):
             wait = tick - job.tick
             if ctx.skipped:
@@ -324,7 +314,6 @@ def _serve_partition(
     scenario,
     slo: SLOModel,
     client_ids: list[int],
-    micro_batch: bool,
 ) -> tuple[Telemetry, list]:
     """Run one scheduler replica over a client partition.
 
@@ -349,7 +338,6 @@ def _serve_partition(
         slo,
         max_batch=scenario.max_batch,
         queue_capacity=scenario.queue_capacity,
-        micro_batch=micro_batch,
     )
     return telemetry, scheduler.run(arrivals, telemetry)
 
@@ -358,8 +346,8 @@ def _serve_partition_handles(bundle_handle, client_ids: list[int]):
     """Shared-memory worker entry for one scheduler replica.
 
     The replica-invariant bundle — graph, state factory (carrying the
-    calibrated sensor template), dataset config, scenario, SLO model and
-    micro-batch flag — is published once per serve run and ships as one
+    calibrated sensor template), dataset config, scenario and SLO model
+    — is published once per serve run and ships as one
     tiny handle; only the partition's client ids travel per dispatch.
     Workers resolve the bundle through the digest-keyed payload cache,
     so a persistent pool serving repeated scenarios skips the
@@ -367,12 +355,11 @@ def _serve_partition_handles(bundle_handle, client_ids: list[int]):
     """
     from repro.engine.transport import resolve_payload
 
-    graph, state_factory, dataset_cfg, scenario, slo, micro_batch = (
-        resolve_payload(bundle_handle)
+    graph, state_factory, dataset_cfg, scenario, slo = resolve_payload(
+        bundle_handle
     )
     return _serve_partition(
-        graph, state_factory, dataset_cfg, scenario, slo, client_ids,
-        micro_batch,
+        graph, state_factory, dataset_cfg, scenario, slo, client_ids
     )
 
 
@@ -383,7 +370,6 @@ def simulate_serving(
     dataset_cfg,
     scenario,
     slo: SLOModel | None = None,
-    micro_batch: bool = True,
     workers: int | None = None,
     executor=None,
     transport=None,
@@ -392,9 +378,8 @@ def simulate_serving(
     """Serve ``scenario``'s client fleet through a tracking stage graph.
 
     ``scenario`` is a :class:`ServeScenario` or anything field-compatible
-    (the spec's ``execution.serve`` section).  ``micro_batch=False``
-    dispatches frames one at a time — the per-client-sequential baseline
-    the serving benchmark compares against.  ``workers >= 2`` partitions
+    (the spec's ``execution.serve`` section).  Each tick's due frames
+    are dispatched as one micro-batch.  ``workers >= 2`` partitions
     the fleet into that many independent scheduler replicas executed on
     ``executor`` (a persistent pool such as the session's), the
     replica-invariant bundle published on ``transport`` (the session's
@@ -422,7 +407,7 @@ def simulate_serving(
         # serve run on the same channel replaces this generation's
         # segments); only the partition's client ids travel per dispatch.
         bundle_handle = transport.publish(
-            (graph, state_factory, dataset_cfg, scenario, slo, micro_batch),
+            (graph, state_factory, dataset_cfg, scenario, slo),
             slot="serve_bundle",
         )
         futures = [
@@ -437,7 +422,6 @@ def simulate_serving(
     else:
         n_workers = 1
         telemetry, gaze_log = _serve_partition(
-            graph, state_factory, dataset_cfg, scenario, slo,
-            client_ids, micro_batch,
+            graph, state_factory, dataset_cfg, scenario, slo, client_ids
         )
     return ServeRun(telemetry=telemetry, gaze_log=gaze_log, workers=n_workers)

@@ -3,8 +3,8 @@
 Every other execution surface of this reproduction — evaluation, strategy
 sweeps, serving — runs on the engine's batched-rank design: fixed-width
 vectorized ranks, per-unit spawned RNG streams keyed by stable identity,
-and fixed-order reductions, which together make execution mode (scalar /
-batched / sharded) a pure performance knob.  This module holds the
+and fixed-order reductions, which together make a unit's results
+independent of its rank and of sharding.  This module holds the
 kernels that bring *training* onto the same design;
 :class:`~repro.training.joint.JointTrainer` forms minibatches of
 teacher-forced frame pairs and runs each as **one rank**

@@ -41,13 +41,13 @@ class TestMemoization:
         assert result.metrics["frames"] > 0
 
     def test_same_training_hash_shares_pipeline(self, tiny_session):
-        # A spec differing only in execution mode reuses the trained
-        # pipeline (training-relevant section hash is unchanged).
-        batched = ExperimentSpec.from_dict(
-            {**TINY, "execution": {"batched": True}}
+        # A spec differing only in its execution section reuses the
+        # trained pipeline (training-relevant section hash is unchanged).
+        other = ExperimentSpec.from_dict(
+            {**TINY, "execution": {"eval_indices": [1, 2]}}
         )
         before = tiny_session.stats()["train_cache_misses"]
-        tiny_session.run(batched)
+        tiny_session.run(other)
         assert tiny_session.stats()["train_cache_misses"] == before
 
     def test_changed_training_section_retrains(self, tiny_session):

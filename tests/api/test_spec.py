@@ -52,7 +52,6 @@ def _full_spec() -> ExperimentSpec:
             "training": {"epochs": 3, "train_indices": [0, 1, 2]},
             "execution": {
                 "workers": 2,
-                "batched": True,
                 "eval_indices": [3, 4, 5],
                 "fps": 240.0,
                 "serve": {
@@ -192,8 +191,8 @@ class TestValidation:
     def test_wrong_type_named(self):
         with pytest.raises(SpecError, match="dataset.num_sequences"):
             ExperimentSpec.from_dict({"dataset": {"num_sequences": "four"}})
-        with pytest.raises(SpecError, match="execution.batched"):
-            ExperimentSpec.from_dict({"execution": {"batched": 1}})
+        with pytest.raises(SpecError, match="strategy.use_gt_roi"):
+            ExperimentSpec.from_dict({"strategy": {"use_gt_roi": 1}})
 
     def test_int_widens_to_float_but_not_reverse(self):
         spec = ExperimentSpec.from_dict({"dataset": {"fps": 90}})
@@ -296,9 +295,13 @@ class TestValidation:
             ExperimentSpec.from_dict({"execution": dict(repeats=3)})
 
     def test_retired_trace_and_batch_size_fields_rejected(self):
-        # Tracing is switched on by Session(trace=); a batched run is
-        # always one rank of every sequence.
-        for field, value in (("trace", {"enabled": True}), ("batch_size", 2)):
+        # Tracing is switched on by Session(trace=); an in-process run
+        # is always one rank of every sequence.
+        for field, value in (
+            ("trace", {"enabled": True}),
+            ("batch_size", 2),
+            ("batched", True),
+        ):
             with pytest.raises(SpecError) as err:
                 ExperimentSpec.from_dict({"execution": {field: value}})
             assert err.value.field == f"execution.{field}"

@@ -212,8 +212,7 @@ class TestRunnerExecution:
             name = "probe"
 
             def process_batch(self, ctxs, seqs):
-                assert len(ctxs) == 1  # sequential = width-1 ranks
-                seen.append((seqs[0].seq_index, ctxs[0].t))
+                seen.extend((s.seq_index, c.t) for c, s in zip(ctxs, seqs))
 
         class Seq:
             frames = np.zeros((3, 4, 4))
@@ -222,7 +221,7 @@ class TestRunnerExecution:
             return SequenceState(seq_index=i)
 
         SequenceRunner([Probe()], factory).run([(5, Seq()), (9, Seq())])
-        assert seen == [(5, 0), (5, 1), (5, 2), (9, 0), (9, 1), (9, 2)]
+        assert seen == [(5, 0), (9, 0), (5, 1), (9, 1), (5, 2), (9, 2)]
 
     def test_batched_lockstep_handles_unequal_lengths(self):
         order = []
@@ -239,9 +238,7 @@ class TestRunnerExecution:
         class Long:
             frames = np.zeros((4, 4, 4))
 
-        run = SequenceRunner([Probe()]).run(
-            [(0, Short()), (1, Long())], batched=True
-        )
+        run = SequenceRunner([Probe()]).run([(0, Short()), (1, Long())])
         assert order == [
             [(0, 0), (1, 0)],
             [(0, 1), (1, 1)],
@@ -254,19 +251,17 @@ class TestRunnerExecution:
         ]
 
     def test_empty_sequence_list_is_symmetric(self):
-        runner = SequenceRunner([EventifyStage()])
-        for batched in (False, True):
-            run = runner.run([], batched=batched)
-            assert run.contexts == []
-            assert run.evaluated == []
+        run = SequenceRunner([EventifyStage()]).run([])
+        assert run.contexts == []
+        assert run.evaluated == []
 
     def test_duplicate_sequence_indices_are_independent_lanes(
-        self, trained_pipeline
+        self, trained_pipeline, evaluate_each_alone
     ):
         """A repeated index must be two lanes, not one double-processed
         lane (regression: lanes used to be keyed by sequence index)."""
-        seq_res = trained_pipeline.evaluate([2, 2, 3])
-        bat_res = trained_pipeline.evaluate([2, 2, 3], batched=True)
+        seq_res = evaluate_each_alone(trained_pipeline, [2, 2, 3])
+        bat_res = trained_pipeline.evaluate([2, 2, 3])
         assert np.array_equal(seq_res.predictions, bat_res.predictions)
         assert seq_res.stats.transmitted_bytes == bat_res.stats.transmitted_bytes
         # Both copies of sequence 2 ran identical spawned streams.

@@ -2,10 +2,10 @@
 
 Three independent properties are pinned down, each exactly:
 
-1. **batched == sequential** — full-rank lockstep must produce
-   bitwise-identical ``EvaluationResult`` contents to the sequential mode
-   (ranks of width 1): every stage has one kernel, whose rows must not
-   depend on the rank's width.
+1. **full rank == each sequence alone** — a full-rank lockstep run must
+   produce bitwise-identical ``EvaluationResult`` contents to running
+   each sequence alone (ranks of width 1): every stage has one kernel,
+   whose rows must not depend on the rank's width.
 2. **staged == pre-refactor loop** — the stage decomposition must
    reproduce the original monolithic ``evaluate`` loop (including the
    deleted ``sensor.roi_predictor`` monkeypatch mechanism for ROI reuse)
@@ -102,9 +102,11 @@ def reference_evaluate(pipeline, eval_indices, reuse_window=1, sensor_seed=1234)
 
 
 class TestBatchedEqualsSequential:
-    def test_full_result_bitwise_identical(self, trained_pipeline):
-        seq_res = trained_pipeline.evaluate([2, 3, 4])
-        bat_res = trained_pipeline.evaluate([2, 3, 4], batched=True)
+    def test_full_result_bitwise_identical(
+        self, trained_pipeline, evaluate_each_alone
+    ):
+        seq_res = evaluate_each_alone(trained_pipeline, [2, 3, 4])
+        bat_res = trained_pipeline.evaluate([2, 3, 4])
         assert np.array_equal(seq_res.predictions, bat_res.predictions)
         assert np.array_equal(seq_res.truths, bat_res.truths)
         assert seq_res.horizontal == bat_res.horizontal
@@ -117,11 +119,13 @@ class TestBatchedEqualsSequential:
         assert s.rle_ratios == b.rle_ratios
         assert s.roi_ious == b.roi_ious
 
-    def test_reuse_window_bitwise_identical(self, trained_pipeline):
-        seq_res = trained_pipeline.evaluate([2, 3, 4], reuse_window=4)
-        bat_res = trained_pipeline.evaluate(
-            [2, 3, 4], reuse_window=4, batched=True
+    def test_reuse_window_bitwise_identical(
+        self, trained_pipeline, evaluate_each_alone
+    ):
+        seq_res = evaluate_each_alone(
+            trained_pipeline, [2, 3, 4], reuse_window=4
         )
+        bat_res = trained_pipeline.evaluate([2, 3, 4], reuse_window=4)
         assert np.array_equal(seq_res.predictions, bat_res.predictions)
         assert seq_res.stats.transmitted_bytes == bat_res.stats.transmitted_bytes
 
@@ -252,7 +256,7 @@ class TestStagedEqualsPreRefactor:
 
             # Engine-backed harness with identically seeded inputs, in
             # every execution mode.
-            for mode in ({}, {"batched": True}, {"workers": 2, **sharding}):
+            for mode in ({}, {"workers": 2, **sharding}):
                 est_new = FittedGazeEstimator()
                 est_new.fit(segs, gazes)
                 result = evaluate_strategy(

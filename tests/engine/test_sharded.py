@@ -4,8 +4,8 @@ The sharded mode's contract is that partitioning the sequence rank over
 worker processes is invisible in the results: contexts come back in
 sequence-major order, per-shard ``engine.stage`` spans sum to the
 in-process stage counts, and the
-numeric content is bitwise-identical to the sequential reference (per-
-sequence random streams are keyed by sequence index, never by execution
+numeric content is bitwise-identical to the in-process run and to each
+sequence run alone (per-sequence random streams are keyed by sequence index, never by execution
 order or process placement).
 """
 
@@ -115,9 +115,13 @@ class TestShardedRunner:
         assert len(run.contexts) == 6
 
     def test_timings_summed_over_shards(self, sharding, traced_stages):
+        # Four sequences over 2 x STEAL_FACTOR shards: every shard is one
+        # sequence, so the shard spans must sum to each sequence run
+        # alone in-process.
         sequences = [(i, Seq()) for i in range(4)]
+        runner = SequenceRunner([Probe()])
         _, solo = traced_stages(
-            lambda: SequenceRunner([Probe()]).run(sequences)
+            lambda: [runner.run([seq]) for seq in sequences]
         )
         _, sharded = traced_stages(
             lambda: SequenceRunner([Probe()]).run(
@@ -209,19 +213,16 @@ class TestShardedRunner:
 
 class TestShardedTracking:
     def test_three_modes_cross_checked_bitwise(
-        self, trained_pipeline, sharding
+        self, trained_pipeline, sharding, evaluate_each_alone
     ):
-        """Sequential, batched lockstep and sharded (and their
-        composition) all produce identical evaluation results."""
+        """Each sequence alone, one full rank and sharded all produce
+        identical evaluation results."""
         indices = [2, 3, 4, 5]
-        seq = trained_pipeline.evaluate(indices)
+        seq = evaluate_each_alone(trained_pipeline, indices)
         runs = {
-            "batched": trained_pipeline.evaluate(indices, batched=True),
+            "full rank": trained_pipeline.evaluate(indices),
             "sharded": trained_pipeline.evaluate(
                 indices, workers=2, **sharding
-            ),
-            "sharded+batched": trained_pipeline.evaluate(
-                indices, workers=2, batched=True, **sharding
             ),
             "sharded x3": trained_pipeline.evaluate(
                 indices, workers=3, **sharding
@@ -264,8 +265,9 @@ class TestShardedStrategySweep:
         self, trained_pipeline, sharding
     ):
         """A Fig. 15-style sweep (several strategies, shared dataset) is
-        bitwise-reproducible batched and sharded — the per-sequence
-        strategy RNG spawns removed the sequential-only restriction."""
+        bitwise-reproducible in-process and sharded (three sequences over
+        2 x STEAL_FACTOR shards: each shard runs one sequence alone) —
+        the per-sequence strategy RNG spawns make it so."""
         dataset = trained_pipeline.dataset
         eval_idx = [2, 3, 4]
         for name in ("Ours (ROI+Random)", "Full+Random", "Skip", "ROI+Fixed"):
@@ -279,12 +281,11 @@ class TestShardedStrategySweep:
                     **kwargs,
                 )
                 for mode, kwargs in [
-                    ("sequential", {}),
-                    ("batched", {"batched": True}),
+                    ("in-process", {}),
                     ("sharded", {"workers": 2, **sharding}),
                 ]
             }
-            ref = results["sequential"]
+            ref = results["in-process"]
             for mode, result in results.items():
                 assert result.horizontal == ref.horizontal, (name, mode)
                 assert result.vertical == ref.vertical, (name, mode)

@@ -2,11 +2,10 @@
 
 The strategy graph's stages (eventify-pair, strategy-sample,
 segment-or-reuse, gaze-regress) each have one ``process_batch`` kernel;
-this module pins batched == sequential (width 1) == sharded for **every**
-registered strategy — including the stochastic ones (Full+Random,
-ROI+Learned tie-breaks, ROI+Random) and the stateful SKIP gate — at
-width 1 and full-rank lockstep, and for all three segmentation
-backends.
+this module pins full rank == each sequence alone (width 1) == sharded
+for **every** registered strategy — including the stochastic ones
+(Full+Random, ROI+Learned tie-breaks, ROI+Random) and the stateful SKIP
+gate — and for all three segmentation backends.
 """
 
 import numpy as np
@@ -14,6 +13,7 @@ import pytest
 
 from repro.api import STRATEGIES
 from repro.api.tracker import evaluate_strategy
+from repro.engine import build_strategy_graph, strategy_runner
 from repro.engine.stage import Stage
 from repro.engine.stages import (
     EventifyPairStage,
@@ -21,6 +21,7 @@ from repro.engine.stages import (
     SegmentOrReuseStage,
     StrategySampleStage,
 )
+from repro.gaze.estimation import FittedGazeEstimator
 from repro.sampling.strategies import STRATEGY_NAMES
 from repro.segmentation.edgaze import EdGazeNet
 from repro.segmentation.ritnet import RITNet
@@ -58,6 +59,25 @@ def _run(strategy_name, dataset, segmenter, **kwargs):
     )
 
 
+def _full_and_alone(strategy_name, dataset, segmenter, full_rank_and_alone):
+    """Per-frame signatures of the strategy graph over ``EVAL_IDX`` as one
+    rank and with each sequence run alone, from identical seeds."""
+    estimator = FittedGazeEstimator()
+    estimator.fit(
+        np.concatenate([dataset[i].segmentations for i in EVAL_IDX]),
+        np.concatenate([dataset[i].gazes for i in EVAL_IDX]),
+    )
+    graph = build_strategy_graph(
+        strategy=STRATEGIES.get(strategy_name)(COMPRESSION, dataset=dataset),
+        segmenter=segmenter,
+        gaze_estimator=estimator,
+        rng=np.random.default_rng(7),
+    )
+    return full_rank_and_alone(
+        strategy_runner(graph), [(i, dataset[i]) for i in EVAL_IDX]
+    )
+
+
 def _assert_same(a, b, label):
     assert a.horizontal == b.horizontal, label
     assert a.vertical == b.vertical, label
@@ -80,39 +100,44 @@ class TestBatchedStagesRegistered:
 class TestStrategyGraphParity:
     @pytest.mark.parametrize("name", STRATEGY_NAMES)
     def test_batched_and_sharded_equal_sequential(
-        self, name, dataset, vit, sharding
+        self, name, dataset, vit, sharding, full_rank_and_alone
     ):
-        """batched == sequential == sharded, bitwise, per strategy —
-        at width 1 (sequential) and in full-rank lockstep."""
-        ref = _run(name, dataset, vit)
-        for kwargs in (
-            {"batched": True},
-            {"workers": 2, **sharding},
-        ):
-            _assert_same(ref, _run(name, dataset, vit, **kwargs), (name, kwargs))
+        """full rank == each sequence alone == sharded, bitwise, per
+        strategy."""
+        full, alone = _full_and_alone(name, dataset, vit, full_rank_and_alone)
+        assert full == alone, name
+        _assert_same(
+            _run(name, dataset, vit),
+            _run(name, dataset, vit, workers=2, **sharding),
+            name,
+        )
 
 
 class TestDenseBackendParity:
     @pytest.mark.parametrize("net_cls", [EdGazeNet, RITNet])
     def test_dense_backend_batched_equals_sequential(
-        self, net_cls, dataset
+        self, net_cls, dataset, full_rank_and_alone
     ):
         """Eval-mode conv backends ride predict_batch through the
         segment-or-reuse stage; SKIP exercises the reuse/compute split."""
         net = net_cls(np.random.default_rng(3), base_channels=4).eval()
         for name in ("Skip", "Ours (ROI+Random)"):
-            ref = _run(name, dataset, net)
-            _assert_same(ref, _run(name, dataset, net, batched=True), name)
+            full, alone = _full_and_alone(
+                name, dataset, net, full_rank_and_alone
+            )
+            assert full == alone, name
 
     @pytest.mark.parametrize("net_cls", [EdGazeNet, RITNet])
-    def test_training_mode_falls_back_per_row(self, net_cls, dataset):
+    def test_training_mode_falls_back_per_row(
+        self, net_cls, dataset, full_rank_and_alone
+    ):
         """A net still in training mode must not be batch-stacked (batch
         norm would couple rows) — the stage runs its rows as width-1
-        ranks, keeping the run bitwise-equal to sequential even then."""
-        def fresh():
-            return net_cls(np.random.default_rng(3), base_channels=4)
-
-        assert fresh().training  # fresh nets start in training mode
-        ref = _run("Ours (ROI+Random)", dataset, fresh())
-        bat = _run("Ours (ROI+Random)", dataset, fresh(), batched=True)
-        _assert_same(ref, bat, net_cls.__name__)
+        ranks, keeping the full rank bitwise-equal to each sequence
+        alone even then."""
+        net = net_cls(np.random.default_rng(3), base_channels=4)
+        assert net.training  # fresh nets start in training mode
+        full, alone = _full_and_alone(
+            "Ours (ROI+Random)", dataset, net, full_rank_and_alone
+        )
+        assert full == alone, net_cls.__name__

@@ -376,8 +376,10 @@ class _RowLoopStrategy(SamplingStrategy):
 class TestExtensionContract:
     """A third-party strategy implements ``sample_batch`` only."""
 
-    def test_row_loop_kernel_runs_at_every_width(self):
+    def test_row_loop_kernel_runs_at_every_width(self, full_rank_and_alone):
         from repro.api.tracker import evaluate_strategy
+        from repro.engine import build_strategy_graph, strategy_runner
+        from repro.gaze.estimation import FittedGazeEstimator
         from repro.segmentation import ViTConfig, ViTSegmenter
         from repro.synth import DatasetConfig, SyntheticEyeDataset
 
@@ -390,15 +392,26 @@ class TestExtensionContract:
                       depth=1, decoder_depth=1),
             np.random.default_rng(0),
         )
-        results = [
-            evaluate_strategy(
-                _RowLoopStrategy(4.0), vit, dataset, [0, 1, 2],
-                np.random.default_rng(7), **mode,
-            )
-            for mode in ({}, {"batched": True})
-        ]
-        assert results[0] == results[1]
-        assert 3.0 < results[0].mean_compression < 5.5
+        estimator = FittedGazeEstimator()
+        estimator.fit(
+            np.concatenate([dataset[i].segmentations for i in range(3)]),
+            np.concatenate([dataset[i].gazes for i in range(3)]),
+        )
+        graph = build_strategy_graph(
+            strategy=_RowLoopStrategy(4.0),
+            segmenter=vit,
+            gaze_estimator=estimator,
+            rng=np.random.default_rng(7),
+        )
+        full, alone = full_rank_and_alone(
+            strategy_runner(graph), [(i, dataset[i]) for i in range(3)]
+        )
+        assert full == alone
+        result = evaluate_strategy(
+            _RowLoopStrategy(4.0), vit, dataset, [0, 1, 2],
+            np.random.default_rng(7),
+        )
+        assert 3.0 < result.mean_compression < 5.5
 
     def test_sample_alone_is_not_a_kernel(self):
         class SampleOnly(SamplingStrategy):

@@ -104,20 +104,22 @@ class TestDispatch:
         assert telemetry.queue_depths == [3, 1, 0]
 
     def test_scalar_dispatch_matches_batched(self):
-        ticks = lambda: [
-            [arrival(c, t, t) for c in range(3)] for t in range(2)
-        ]
-        batched = Scheduler(
-            StageGraph([EchoStage()]), SequenceState, slo()
-        )
+        """A fleet's micro-batches log what each client served alone
+        (one width-1 rank per frame) logs."""
+        def ticks(clients):
+            return [[arrival(c, t, t) for c in clients] for t in range(2)]
+
         stage = EchoStage()
-        scalar = Scheduler(
-            StageGraph([stage]), SequenceState, slo(), micro_batch=False
-        )
-        _, log_b = run(batched, ticks())
-        _, log_s = run(scalar, ticks())
-        assert log_b == log_s
-        assert stage.batch_sizes == [1] * 6  # one width-1 rank per frame
+        fleet = Scheduler(StageGraph([stage]), SequenceState, slo())
+        _, log = run(fleet, ticks(range(3)))
+        assert stage.batch_sizes == [3, 3]
+        alone = []
+        for client in range(3):
+            solo = EchoStage()
+            scheduler = Scheduler(StageGraph([solo]), SequenceState, slo())
+            alone.extend(run(scheduler, ticks([client]))[1])
+            assert solo.batch_sizes == [1, 1]
+        assert sorted(log) == sorted(alone)
 
     def test_queue_capacity_drops_admissions(self):
         scheduler = Scheduler(
