@@ -11,9 +11,10 @@ and evaluates the same held-out sequences with
   pinned against);
 * ``batched`` — one call, one vectorized lockstep rank of every
   sequence (what every in-process run does);
-* ``sharded`` — ``workers=2``: work-stealing shards, each one rank of
-  its own sequences, on the session's persistent pool with payloads on
-  its shared-memory transport channel, the only way anything shards.
+* ``sharded`` — ``workers=2``: one shard per worker, each one rank of
+  its own sequences, on the session's persistent pool with payloads
+  (per sequence: frames, gazes, ROI boxes) on its shared-memory
+  transport channel, the only way anything shards.
 
 Each mode is timed untraced (a tracer would make every sharded job
 capture and ship its spans home), best of ``REPEATS`` after one warm-up

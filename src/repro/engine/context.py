@@ -35,7 +35,6 @@ class FrameContext:
     prev_frame: np.ndarray | None = None
     # Ground truth (when available from the dataset).
     gaze_true: np.ndarray | None = None
-    seg_true: np.ndarray | None = None
     gt_box: tuple[int, int, int, int] | None = None
     # Stage products.
     event_map: np.ndarray | None = None
@@ -76,7 +75,6 @@ class FrameContext:
         self.sparse_frame = None
         self.mask = None
         self.seg_pred = None
-        self.seg_true = None
         self.prev_frame = None
 
     def validate(self) -> None:

@@ -11,17 +11,18 @@ two modes, and they run the same loop over the same kernels:
   contexts do not depend on which other sequences share its rank: the
   full rank is bitwise-identical to running each sequence alone — the
   engine test suite asserts this end-to-end.
-* **sharded** — ``workers >= 2`` partitions the sequences into
-  contiguous shards and executes each shard on a caller-owned executor
-  (``repro.api.Session.executor(n)``) as one rank of its own
-  sequences, the payloads crossing as handles on the caller's transport
-  channel (``Session.transport()``).  Sequences share no mutable state
+* **sharded** — ``workers >= 2`` runs one contiguous shard per worker
+  on a caller-owned executor (``repro.api.Session.executor(n)``), each
+  as one lockstep rank of its own sequences, the payloads — per
+  sequence only what the contexts read (:func:`_sequence_fields`) —
+  crossing as handles on the caller's transport channel
+  (``Session.transport()``).  Sequences share no mutable state
   (per-sequence random streams are keyed by sequence index, never by
   execution order), so a shard's results do not depend on which process
   runs it: merged ``EngineRun``s are bitwise-identical to the
-  in-process mode.  Requires the graph, the state factory and the
-  sequences to be picklable — the canonical graphs keep their callables
-  as plain classes for exactly this reason.
+  in-process mode.  Requires the graph and the state factory to be
+  picklable — the canonical graphs keep their callables as plain
+  classes for exactly this reason.
 
 Results come back as an :class:`EngineRun`: the completed frame contexts
 in *sequence-major* order (identical ordering in both modes, so
@@ -55,13 +56,6 @@ __all__ = [
     "contiguous_shards",
 ]
 
-#: Shard oversubscription: cutting the rank into ``workers *
-#: STEAL_FACTOR`` pieces lets an idle worker steal the next pending
-#: shard, so unequal sequence lengths no longer leave workers stalled
-#: behind one long contiguous shard.
-STEAL_FACTOR = 4
-
-
 @dataclass
 class EngineRun:
     """Everything one :meth:`SequenceRunner.run` produced."""
@@ -91,7 +85,7 @@ def _execute_shard_handles(
 ) -> list[FrameContext]:
     """Worker-side entry point: resolve handles, then run the shard.
 
-    The runner and the shard's sequences arrive as content-addressed
+    The runner and the shard's lanes arrive as content-addressed
     :class:`~repro.engine.transport.ObjectHandle`\\ s: big arrays map
     read-only from shared memory and repeated dispatches of identical
     payloads hit the worker's digest cache instead of re-deserializing.
@@ -104,6 +98,14 @@ def _execute_shard_handles(
     runner = resolve_payload(runner_handle)
     shard = resolve_payload(shard_handle)
     return runner._run_rank(shard)
+
+
+def _sequence_fields(seq: Any) -> tuple:
+    """What the frame contexts of ``seq`` read: ``(frames, gazes,
+    roi_boxes)``, ground truth ``None`` when absent.  A sharded run
+    publishes just this, so unread arrays (``clean_frames``,
+    ``segmentations``) never cross to a worker."""
+    return seq.frames, getattr(seq, "gazes", None), getattr(seq, "roi_boxes", None)
 
 
 def contiguous_shards(items: list, n_shards: int) -> list[list]:
@@ -153,30 +155,20 @@ class SequenceRunner:
 
     # -- context construction ------------------------------------------------
     @staticmethod
-    def _contexts_for(seq_index: int, seq: Any) -> list[FrameContext]:
-        """Build the frame contexts of one sequence.
-
-        ``seq`` needs ``frames`` (T, H, W); ground-truth attributes
-        (``gazes``, ``segmentations``, ``roi_boxes``) are optional.
-        """
-        frames = seq.frames
-        gazes = getattr(seq, "gazes", None)
-        segs = getattr(seq, "segmentations", None)
-        boxes = getattr(seq, "roi_boxes", None)
-        out = []
-        for t in range(frames.shape[0]):
-            out.append(
-                FrameContext(
-                    seq_index=seq_index,
-                    t=t,
-                    frame=frames[t],
-                    prev_frame=frames[t - 1] if t > 0 else None,
-                    gaze_true=gazes[t] if gazes is not None else None,
-                    seg_true=segs[t] if segs is not None else None,
-                    gt_box=boxes[t] if boxes is not None else None,
-                )
+    def _contexts_for(seq_index: int, fields: tuple) -> list[FrameContext]:
+        """One sequence's frame contexts, from its :func:`_sequence_fields`."""
+        frames, gazes, boxes = fields
+        return [
+            FrameContext(
+                seq_index=seq_index,
+                t=t,
+                frame=frames[t],
+                prev_frame=frames[t - 1] if t > 0 else None,
+                gaze_true=gazes[t] if gazes is not None else None,
+                gt_box=boxes[t] if boxes is not None else None,
             )
-        return out
+            for t in range(frames.shape[0])
+        ]
 
     # -- execution ----------------------------------------------------------
     def run(
@@ -196,22 +188,20 @@ class SequenceRunner:
         (``Session.transport()``), whose segments outlive the run so
         repeated runs ship each payload's bytes once.  Both are required
         to shard (:func:`~repro.engine.executors.check_dispatch`);
-        ``None``/``1`` runs in-process.  The sequences are cut into
-        ``workers * STEAL_FACTOR`` contiguous shards, each run as one
-        rank, so idle workers steal pending shards when sequence lengths
-        are unequal; shard boundaries never affect results, only
-        scheduling, and the merged result is bitwise-identical to the
-        in-process mode.  The run's
+        ``None``/``1`` runs in-process.  The sequences are cut into one
+        contiguous shard per worker, each run as one rank; shard
+        boundaries never affect results, only scheduling, and the merged
+        result is bitwise-identical to the in-process mode.  The run's
         :attr:`EngineRun.transport` records what actually moved.
         """
         n_workers = check_dispatch(workers, executor, transport)
-        sequences = list(sequences)
-        n_workers = max(1, min(n_workers, len(sequences)))
+        lanes = [(i, _sequence_fields(seq)) for i, seq in sequences]
+        n_workers = max(1, min(n_workers, len(lanes)))
         tracer = current_tracer()
         run_span = (
             tracer.span(
                 "engine.run",
-                sequences=len(sequences),
+                sequences=len(lanes),
                 workers=n_workers,
             )
             if tracer is not None
@@ -221,10 +211,10 @@ class SequenceRunner:
         with run_span as span:
             if n_workers >= 2:
                 contexts, transport_info = self._run_sharded(
-                    sequences, n_workers, executor, transport
+                    lanes, n_workers, executor, transport
                 )
             else:
-                contexts = self._run_rank(sequences)
+                contexts = self._run_rank(lanes)
             if span is not None:
                 span.attrs["frames"] = len(contexts)
         if tracer is not None:
@@ -238,34 +228,27 @@ class SequenceRunner:
 
     def _run_sharded(
         self,
-        sequences: list[tuple[int, Any]],
+        lanes: list[tuple[int, tuple]],
         workers: int,
         executor: Executor,
         channel: TransportChannel,
     ) -> tuple[list[FrameContext], dict]:
-        # Contiguous balanced shards, oversubscribed for work stealing:
-        # concatenating shard outputs in shard order reproduces the
-        # sequence-major ordering of the in-process mode exactly.
-        shards = contiguous_shards(
-            sequences, min(len(sequences), workers * STEAL_FACTOR)
-        )
+        # One contiguous shard per worker, each run as one lockstep
+        # rank: concatenating shard outputs in shard order reproduces
+        # the sequence-major ordering of the in-process mode exactly.
+        shards = contiguous_shards(lanes, workers)
         before = dict(channel.stats)
-        # The runner ships once per run; each shard ships as its own
-        # handle so the work-stealing dispatch stays per-shard.
         runner_handle = channel.publish(self)
-        shard_handles = [channel.publish(shard) for shard in shards]
-        # submit() preserves shard order through the futures list while
-        # letting the pool hand the next pending shard to whichever
-        # worker frees up first.
-        futures = [
-            executor.submit(_execute_shard_handles, runner_handle, handle)
-            for handle in shard_handles
-        ]
+        # Each shard is submitted as soon as it is published, so a worker
+        # starts while the parent still writes the next shard's segments.
+        futures, dispatch_bytes = [], 0
+        for shard in shards:
+            handle = channel.publish(shard)
+            futures.append(
+                executor.submit(_execute_shard_handles, runner_handle, handle)
+            )
+            dispatch_bytes += runner_handle.wire_bytes + handle.wire_bytes
         results = [f.result() for f in futures]
-        dispatch_bytes = sum(
-            runner_handle.wire_bytes + handle.wire_bytes
-            for handle in shard_handles
-        )
         transport_info = {
             "mode": "shm" if channel.use_shm else "pickle",
             "dispatches": len(shards),
@@ -284,12 +267,13 @@ class SequenceRunner:
         contexts = [ctx for shard in results for ctx in shard]
         return contexts, transport_info
 
-    def _run_rank(self, sequences) -> list[FrameContext]:
-        """Run ``sequences`` as one lockstep rank (one sequence alone is
-        the width-1 case the width-invariance tests compare against)."""
-        # Lanes are keyed by *position* in ``sequences``, not by sequence
-        # index — a repeated index is two independent lanes.
-        if not sequences:
+    def _run_rank(self, lanes) -> list[FrameContext]:
+        """Run ``[(seq_index, fields), ...]`` as one lockstep rank (one
+        sequence alone is the width-1 case the width-invariance tests
+        compare against)."""
+        # Lanes are keyed by *position*, not by sequence index — a
+        # repeated index is two independent lanes.
+        if not lanes:
             return []
         tracer = current_tracer()
         # Stage name -> [wall seconds, frames, calls], kept only while a
@@ -299,16 +283,16 @@ class SequenceRunner:
             if tracer is not None
             else None
         )
-        states, lanes = [], []
-        for seq_index, seq in sequences:
+        states, contexts = [], []
+        for seq_index, fields in lanes:
             state = self.state_factory(seq_index)
             for stage in self.graph:
                 stage.start_sequence(state)
             states.append(state)
-            lanes.append(self._contexts_for(seq_index, seq))
-        for t in range(max(len(lane) for lane in lanes)):
-            live = [pos for pos, lane in enumerate(lanes) if t < len(lane)]
-            rank = ctxs = [lanes[pos][t] for pos in live]
+            contexts.append(self._contexts_for(seq_index, fields))
+        for t in range(max(len(lane) for lane in contexts)):
+            live = [pos for pos, lane in enumerate(contexts) if t < len(lane)]
+            rank = ctxs = [contexts[pos][t] for pos in live]
             seqs = [states[pos] for pos in live]
             for stage in self.graph:
                 # Frames only ever become skipped, so the live rank
@@ -342,4 +326,4 @@ class SequenceRunner:
                     calls=calls,
                 )
         # Sequence-major order.
-        return [ctx for lane in lanes for ctx in lane]
+        return [ctx for lane in contexts for ctx in lane]

@@ -40,6 +40,7 @@ import numpy as np
 from repro.engine.context import FrameContext, SequenceState
 from repro.engine.stage import Stage
 from repro.gaze.estimation import pupil_centroid_batch
+from repro.hardware.sensor.sram_rng import popcount
 from repro.nn.functional import stack_rows
 from repro.sampling.eventification import eventify
 from repro.sampling.roi import ROIReusePolicy, box_iou, box_to_pixels, order_box
@@ -176,7 +177,7 @@ class SampleStage(Stage):
         # popcount reduction and threshold compare stack across the rank
         # (integer/boolean ops: exact under any batching).
         bits = stack_rows([seq.sensor.sram_rng.power_up_bits() for seq in seqs])
-        pops = bits.sum(axis=-1)  # (B, num_pixels)
+        pops = popcount(bits)  # (B, num_pixels)
         for i, (ctx, seq) in enumerate(zip(ctxs, seqs)):
             ctx.sample_mask = seq.sensor.mask_from_popcounts(
                 pops[i], ctx.roi_box

@@ -40,6 +40,7 @@ from repro.training.loop import _epoch_span, batched
 from repro.training.runtime import (
     _epoch_shard_job,
     _rank_backward,
+    _sample_fields,
     _sequence_gradients,
     collect_frame_pairs,
 )
@@ -440,7 +441,7 @@ class JointTrainer:
     # -- data-parallel schedule (grad_accum) ----------------------------------
     @staticmethod
     def _publish_shards(dataset, indices, n_workers, transport) -> list:
-        """Publish each shard's ``[(seq_index, sequence), ...]`` once.
+        """Publish each shard's ``[(seq_index, fields), ...]`` once.
 
         Contiguous shards of whole sequences, fixed for the whole run,
         into slots a later training run on the same channel recycles.
@@ -449,7 +450,8 @@ class JointTrainer:
 
         return [
             transport.publish(
-                [(i, dataset[i]) for i in shard], slot=("train_shard", k)
+                [(i, _sample_fields(dataset[i])) for i in shard],
+                slot=("train_shard", k),
             )
             for k, shard in enumerate(contiguous_shards(indices, n_workers))
         ]

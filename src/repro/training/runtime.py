@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -94,6 +95,12 @@ class TrainSample:
     gt_box: tuple | None
 
 
+def _sample_fields(seq) -> SimpleNamespace:
+    """What :func:`_sequence_samples` reads: all a training shard ships."""
+    fields = ("frames", "segmentations", "roi_boxes")
+    return SimpleNamespace(**{name: getattr(seq, name) for name in fields})
+
+
 def _sequence_samples(seq_index: int, seq) -> list[TrainSample]:
     """The frame pairs of one sequence, in time order.
 
@@ -110,7 +117,7 @@ def _sequence_samples(seq_index: int, seq) -> list[TrainSample]:
             target_seg=seq.segmentations[t],
             gt_box=seq.roi_boxes[t],
         )
-        for t in range(1, len(seq))
+        for t in range(1, len(seq.frames))
     ]
 
 
@@ -317,7 +324,7 @@ def _epoch_shard_job(models_handle, shard_handle, epoch: int):
     ``(roi_predictor, segmenter, config, seed)`` published per epoch
     into a slot (so epoch ``e``'s weights replace epoch ``e-1``'s
     segments); ``shard_handle`` carries the shard's ``[(seq_index,
-    sequence), ...]`` pairs, published once per run and digest-cached
+    fields), ...]`` pairs, published once per run and digest-cached
     worker-side.  Weight arrays arrive as read-only views over the
     mapped segments; ``Parameter.__setstate__`` recreates writable
     gradient buffers, and workers never write ``.data`` — they only

@@ -1,7 +1,8 @@
 """Sharded execution: multi-process shard merge == in-process modes.
 
-The sharded mode's contract is that partitioning the sequence rank over
-worker processes is invisible in the results: contexts come back in
+The sharded mode cuts one contiguous shard per worker and runs each
+shard as one lockstep rank.  Its contract is that this partition is
+invisible in the results: contexts come back in
 sequence-major order, per-shard ``engine.stage`` spans sum to the
 in-process stage counts, and the
 numeric content is bitwise-identical to the in-process run and to each
@@ -15,7 +16,6 @@ import pytest
 from repro.api import STRATEGIES
 from repro.api.tracker import BlissCamPipeline, ci, evaluate_strategy
 from repro.engine import SequenceRunner, Stage, contiguous_shards
-from repro.engine.runner import STEAL_FACTOR
 
 
 @pytest.fixture(scope="module")
@@ -26,11 +26,14 @@ def trained_pipeline():
 
 
 class Probe(Stage):
+    """Stamps each frame with its position and its rank's width."""
+
     name = "probe"
 
     def process_batch(self, ctxs, seqs):
         for ctx in ctxs:
             ctx.gaze_pred = (float(ctx.seq_index), float(ctx.t))
+            ctx.stats["rank_width"] = len(ctxs)
 
 
 class Seq:
@@ -114,22 +117,40 @@ class TestShardedRunner:
         assert run.workers == 2
         assert len(run.contexts) == 6
 
+    def test_one_rank_per_worker(self, sharding):
+        """A sharded run dispatches exactly one shard per worker and runs
+        each shard as one lockstep rank of its sequences."""
+        sequences = [(i, Seq()) for i in range(7)]
+        for workers in (2, 3):
+            run = SequenceRunner([Probe()]).run(
+                sequences, workers=workers, **sharding
+            )
+            assert run.transport["dispatches"] == workers
+            widths = [
+                len(shard)
+                for shard in contiguous_shards(sequences, workers)
+                for _ in shard
+                for _ in range(3)
+            ]
+            assert [c.stats["rank_width"] for c in run.contexts] == widths
+
     def test_timings_summed_over_shards(self, sharding, traced_stages):
-        # Four sequences over 2 x STEAL_FACTOR shards: every shard is one
-        # sequence, so the shard spans must sum to each sequence run
-        # alone in-process.
-        sequences = [(i, Seq()) for i in range(4)]
+        # Five sequences over two workers: the shard spans must sum to
+        # each shard's sequences run as one rank in-process.
+        sequences = [(i, Seq()) for i in range(5)]
         runner = SequenceRunner([Probe()])
-        _, solo = traced_stages(
-            lambda: [runner.run([seq]) for seq in sequences]
+        _, in_process = traced_stages(
+            lambda: [
+                runner.run(shard) for shard in contiguous_shards(sequences, 2)
+            ]
         )
         _, sharded = traced_stages(
             lambda: SequenceRunner([Probe()]).run(
                 sequences, workers=2, **sharding
             )
         )
-        assert sharded["probe"]["frames"] == solo["probe"]["frames"]
-        assert sharded["probe"]["calls"] == solo["probe"]["calls"]
+        assert sharded["probe"]["frames"] == in_process["probe"]["frames"]
+        assert sharded["probe"]["calls"] == in_process["probe"]["calls"]
         assert sharded["probe"]["wall_s"] > 0
 
     def test_empty_sequence_list(self, sharding):
@@ -151,7 +172,7 @@ class TestShardedRunner:
     def test_injected_executor_matches_in_process(
         self, sharding, traced_stages
     ):
-        """The persistent pool with work-stealing shards is invisible in
+        """The persistent pool with one shard per worker is invisible in
         the results: same sequence-major order, same contents, same
         summed stage-span counts as the in-process run — on first use
         and on reuse."""
@@ -170,25 +191,19 @@ class TestShardedRunner:
             ]
             assert stages["probe"]["frames"] == solo_stages["probe"]["frames"]
 
-    def test_steal_factor_oversubscription_preserves_merge_order(
-        self, sharding
-    ):
-        """Work-stealing shards (workers * STEAL_FACTOR pieces) over
-        sequences of *unequal* lengths still merge sequence-major: short
-        shards finish early and out of submission order, but the parent
-        reduces futures in shard order, so completion order is
-        invisible."""
+    def test_unequal_lengths_merge_sequence_major(self, sharding):
+        """One shard per worker over sequences of *unequal* lengths still
+        merges sequence-major: a shard's lanes drop out of its rank as
+        they end, and the parent reduces futures in shard order, so
+        completion order is invisible."""
         lengths = [9, 1, 7, 2, 8, 1, 6, 3, 5, 2, 4, 1]
         sequences = [(i, VarSeq(n)) for i, n in enumerate(lengths)]
         reference = SequenceRunner([Probe()]).run(sequences)
-        stolen = SequenceRunner([Probe()]).run(
+        sharded = SequenceRunner([Probe()]).run(
             sequences, workers=2, **sharding
         )
-        # Oversubscription actually engaged: more shards than workers.
-        assert stolen.transport["dispatches"] == min(
-            len(sequences), 2 * STEAL_FACTOR
-        )
-        assert [(c.seq_index, c.t) for c in stolen.contexts] == [
+        assert sharded.transport["dispatches"] == 2
+        assert [(c.seq_index, c.t) for c in sharded.contexts] == [
             (c.seq_index, c.t) for c in reference.contexts
         ]
         assert [(c.seq_index, c.t) for c in reference.contexts] == [
@@ -266,8 +281,8 @@ class TestShardedStrategySweep:
     ):
         """A Fig. 15-style sweep (several strategies, shared dataset) is
         bitwise-reproducible in-process and sharded (three sequences over
-        2 x STEAL_FACTOR shards: each shard runs one sequence alone) —
-        the per-sequence strategy RNG spawns make it so."""
+        two workers: shards of one and two sequences, each run as one
+        rank) — the per-sequence strategy RNG spawns make it so."""
         dataset = trained_pipeline.dataset
         eval_idx = [2, 3, 4]
         for name in ("Ours (ROI+Random)", "Full+Random", "Skip", "ROI+Fixed"):

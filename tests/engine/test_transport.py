@@ -27,7 +27,6 @@ from repro.engine import (
     TransportError,
     shm_available,
 )
-from repro.engine.runner import STEAL_FACTOR
 from repro.engine.transport import (
     MIN_SHM_ARRAY_BYTES,
     SEGMENT_PREFIX,
@@ -57,6 +56,16 @@ class Probe(Stage):
 
 class Seq:
     frames = np.zeros((3, 4, 4))
+
+
+class FramesSeq:
+    """A sequence of given frames, optionally carrying an array no stage
+    reads (like an ``EyeSequence``'s ``clean_frames``)."""
+
+    def __init__(self, frames, clean_frames=None):
+        self.frames = frames
+        if clean_frames is not None:
+            self.clean_frames = clean_frames
 
 
 class TestRoundTrip:
@@ -180,9 +189,31 @@ class TestEngineIntegration:
         info = run.transport
         assert info is not None
         assert info["mode"] in ("shm", "pickle")
-        # The work-stealing cut: min(n, workers * STEAL_FACTOR) shards.
-        assert info["dispatches"] == min(4, 2 * STEAL_FACTOR)
+        # One shard per worker.
+        assert info["dispatches"] == 2
         assert info["payload_bytes_per_dispatch"] > 0
+
+    @needs_shm
+    def test_unread_sequence_arrays_do_not_cross(self, sharding):
+        """A shard publishes only the fields the frame contexts read: a
+        1 MB array no stage reads adds no segment and no segment bytes."""
+        rng = np.random.default_rng(0)
+        frames = rng.random((3, 64, 64))
+        clean = rng.random((16, 128, 64))
+
+        def segments(seq):
+            with TransportChannel() as channel:
+                run = SequenceRunner([Probe()]).run(
+                    [(0, seq), (1, seq)],
+                    workers=2,
+                    executor=sharding["executor"],
+                    transport=channel,
+                )
+            info = run.transport
+            return info["segments_created"], info["segment_bytes_written"]
+
+        lean = segments(FramesSeq(frames))
+        assert segments(FramesSeq(frames, clean)) == lean
 
     def test_in_process_run_has_no_transport(self):
         run = SequenceRunner([Probe()]).run([(0, Seq())])

@@ -1,5 +1,7 @@
 """Tests for the sensor datapath: SRAM RNG, RLE, ADC, readout, composition."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,8 @@ from repro.hardware.sensor import (
     SparseReadout,
     SramPowerUpRNG,
 )
+from repro.hardware.sensor.sram_rng import popcount
+from repro.nn.functional import stack_rows
 
 
 class TestSramRNG:
@@ -21,6 +25,18 @@ class TestSramRNG:
         pop = rng.power_up_popcounts()
         assert pop.shape == (256,)
         assert pop.min() >= 0 and pop.max() <= 10
+
+    def test_calibration_lut_matches_sum_reference(self):
+        rng = SramPowerUpRNG(1024, seed=1)
+        reference = copy.deepcopy(rng)
+        counts = np.zeros(16)
+        for _ in range(8):
+            pop = reference.power_up_bits().sum(axis=-1)
+            for theta in range(16):
+                counts[theta] += np.count_nonzero(pop >= theta)
+        assert rng.calibrate(cycles=8).rate_for_theta == tuple(
+            float(c / (8 * 1024)) for c in counts
+        )
 
     def test_calibration_lut_monotone(self):
         rng = SramPowerUpRNG(1024, seed=1)
@@ -183,6 +199,24 @@ class TestBlissCamSensor:
             size, size, roi_predictor=self._center_predictor,
             sampling_rate=rate, seed=0,
         )
+
+    @pytest.mark.parametrize("width", [1, 3, 24])
+    def test_stacked_popcount_matches_sum_reference(self, width):
+        """The sample stage's popcount of a stacked rank equals
+        ``bits.sum(axis=-1)`` and thresholds to the same masks."""
+        template = self.make(size=64)
+        sensors = [template.spawn(i) for i in range(width)]
+        bits = stack_rows([s.sram_rng.power_up_bits() for s in sensors])
+        pops = popcount(bits)
+        reference = bits.sum(axis=-1)
+        assert pops.dtype == np.uint8
+        assert np.array_equal(pops, reference)
+        box = (8, 4, 50, 60)
+        for sensor, pop, ref in zip(sensors, pops, reference):
+            assert np.array_equal(
+                sensor.mask_from_popcounts(pop, box),
+                sensor.mask_from_popcounts(ref, box),
+            )
 
     def test_first_frame_bootstraps(self):
         sensor = self.make()

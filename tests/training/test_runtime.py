@@ -13,6 +13,7 @@
 import numpy as np
 import pytest
 
+from repro.engine import TransportChannel
 from repro.nn import Adam, CrossEntropyLoss, MSELoss
 from repro.nn.functional import grey_dilation, grey_erosion
 from repro.sampling import ROIPredictor
@@ -345,6 +346,21 @@ class TestShardedTraining:
         assert result.roi_losses == [0.0, 0.0]
         assert_states_equal(roi.state_dict(), before_roi)
         assert_states_equal(vit.state_dict(), before_vit)
+
+    def test_shards_publish_only_the_fields_samples_read(self):
+        # Workers read frames, segmentations and ROI boxes; the pre-noise
+        # clean_frames never cross.  The inline-pickle channel keeps
+        # every published byte in the handles' blobs.
+        dataset = tiny_dataset(num_sequences=3, frames=4)
+        with TransportChannel(use_shm=False) as channel:
+            handles = JointTrainer._publish_shards(
+                dataset, [0, 1, 2], 2, channel
+            )
+        published = b"".join(handle.blob for handle in handles)
+        for i in range(3):
+            assert dataset[i].frames.tobytes() in published
+            assert dataset[i].segmentations.tobytes() in published
+            assert dataset[i].clean_frames.tobytes() not in published
 
     def test_sharding_requires_grad_accum(self, sharding):
         roi, vit = tiny_components()
