@@ -5,10 +5,10 @@ Every cross-process dispatch in this repository (``executor.submit``,
 ``def``\\ s do not pickle, and ``self.method`` drags the whole instance
 across the pipe.  PR 2 converted the engine's closures to plain classes
 for exactly this reason, and every worker entry point since
-(``_execute_shard_handles`` in the engine runner, ``_epoch_shard_job``
-in the training runtime, ``_serve_partition_handles`` in the serving
-scheduler, ``_sweep_strategy_job`` in the strategy sweep) is a
-module-level function by convention.  The failure is especially
+(``_execute_shard_handles`` in the engine runner,
+``_serve_partition_handles`` in the serving scheduler,
+``_sweep_strategy_job`` in the strategy sweep) is a module-level
+function by convention.  The failure is especially
 treacherous because the in-process ``workers=1`` path never exercises
 pickling — the bug only detonates on a sharded host.
 """

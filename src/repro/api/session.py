@@ -106,7 +106,6 @@ def system_config(spec: ExperimentSpec):
         for name, value in (
             ("epochs", spec.training.epochs),
             ("batch_size", spec.training.batch_size),
-            ("grad_accum", spec.training.grad_accum),
         )
         if value is not None
     }
@@ -346,14 +345,13 @@ class Session:
         """A *trained* pipeline for the spec, memoized by its
         training-relevant inputs: the dataset and training sections plus
         the sensor fields baked into ``SystemConfig`` (compression, ROI
-        margin).  The training section hash now covers the training
-        schedule too (``batch_size``, ``grad_accum``), so overriding
-        either retrains.  Eval-time knobs (``sensor_seed``,
+        margin).  The training section hash covers the training
+        schedule too (``batch_size``), so overriding it retrains.
+        Training runs in-process; eval-time knobs (``sensor_seed``,
         ``reuse_window``, the whole execution section — including
-        ``workers``, which is bitwise-neutral for training) deliberately
-        stay out of the key — specs differing only in those share one
-        joint training and the calibrated sensor templates cached inside
-        the pipeline."""
+        ``workers``) deliberately stay out of the key — specs differing
+        only in those share one joint training and the calibrated sensor
+        templates cached inside the pipeline."""
         key = (
             "pipeline",
             spec.section_hash("dataset", "training"),
@@ -365,24 +363,7 @@ class Session:
             config = system_config(spec)
             pipeline = BlissCamPipeline(config)
             indices = spec.training.train_indices
-            workers = spec.execution.workers
-            # Sharded training needs the data-parallel schedule; the
-            # stepped schedule always trains in-process (workers only
-            # accelerate evaluation there).  Either way the result is
-            # independent of the worker count.
-            executor = self.executor(workers)
-            if config.joint.grad_accum and executor is not None:
-                shard_kwargs = {
-                    "workers": workers,
-                    "executor": executor,
-                    "transport": self.transport(),
-                }
-            else:
-                shard_kwargs = {}
-            pipeline.train(
-                list(indices) if indices is not None else None,
-                **shard_kwargs,
-            )
+            pipeline.train(list(indices) if indices is not None else None)
             return pipeline
 
         return self.memo(key, _train)

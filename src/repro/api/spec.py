@@ -136,12 +136,10 @@ class StrategySection:
 class TrainingSection:
     """Joint training of the ROI predictor + sparse ViT.
 
-    ``batch_size`` and ``grad_accum`` select the training *schedule*
-    (see ``docs/training.md``); both are semantic knobs, covered by the
-    training section hash, so overriding them retrains.  The worker
-    count stays in the execution section: with ``grad_accum`` on,
-    ``execution.workers >= 2`` shards the per-sequence gradient passes
-    with bitwise-identical results for any worker count.
+    ``batch_size`` selects the training *schedule* (see
+    ``docs/training.md``); it is a semantic knob, covered by the
+    training section hash, so overriding it retrains.  Training always
+    runs in-process: ``execution.workers`` never reaches it.
     """
 
     #: Joint-training epochs; ``None`` keeps the dataset preset's.
@@ -154,11 +152,6 @@ class TrainingSection:
     #: minibatch as one vectorized rank with one Adam step per minibatch
     #: — a documented semantic change.
     batch_size: int | None = None
-    #: The data-parallel schedule (``None`` keeps the preset's, False):
-    #: gradients accumulate over every rank of an epoch (reduced in
-    #: fixed sequence order) and each epoch takes one Adam step.
-    #: Required for sharded training.
-    grad_accum: bool | None = None
 
 
 @dataclass(frozen=True)

@@ -295,35 +295,19 @@ class BlissCamPipeline:
         self._sensor_templates: dict[int, BlissCamSensor] = {}
 
     # -- training ------------------------------------------------------------
-    def train(
-        self,
-        train_indices: list[int] | None = None,
-        workers: int | None = None,
-        executor=None,
-        transport=None,
-    ) -> JointTrainResult:
+    def train(self, train_indices: list[int] | None = None) -> JointTrainResult:
         """Joint training (Sec. III-C) + gaze calibration.
 
-        Runs on :class:`~repro.training.joint.JointTrainer`:
-        ``config.joint.batch_size`` sets the rank width / step
-        granularity and ``config.joint.grad_accum`` selects the
-        data-parallel epoch schedule, which ``workers >= 2`` shards over
-        ``executor`` with payloads on the ``transport`` channel (a
-        ``repro.api.Session``'s ``executor(n)`` and ``transport()``)
-        with bitwise-identical results for any worker count.
+        Runs in-process on :class:`~repro.training.joint.JointTrainer`;
+        ``config.joint.batch_size`` sets the rank width and the Adam step
+        granularity.
         """
         if train_indices is None:
             train_indices, _ = self.dataset.split()
         trainer = JointTrainer(
             self.roi_predictor, self.segmenter, self.config.joint, self.rng
         )
-        self._train_result = trainer.train(
-            self.dataset,
-            train_indices,
-            workers=workers,
-            executor=executor,
-            transport=transport,
-        )
+        self._train_result = trainer.train(self.dataset, train_indices)
         # Calibrate the gaze regression on ground-truth maps (per-user
         # calibration in a real system).
         segs, gazes = [], []
@@ -535,9 +519,11 @@ def train_for_strategy(
     training set (the same leaked-state bug the per-sequence ``spawn``
     design fixes on the evaluation side).
     """
+    if epochs < 1:
+        raise ValueError(f"epochs must be >= 1: {epochs}")
     result = None
     samples = None
-    for _ in range(max(1, epochs)):
+    for _ in range(epochs):
         if samples is None or strategy.stochastic:
             samples = collect_sampled_dataset(strategy, dataset, indices, rng)
         if not samples:

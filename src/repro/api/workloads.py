@@ -110,7 +110,6 @@ def run_evaluate(session: Session, spec: ExperimentSpec) -> RunResult:
         # that trained them.
         metrics["training"] = {
             "batch_size": pipeline.config.joint.batch_size,
-            "grad_accum": pipeline.config.joint.grad_accum,
             "seg_losses": list(train_result.seg_losses),
             "roi_losses": list(train_result.roi_losses),
             "improved": train_result.improved,

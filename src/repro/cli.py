@@ -6,8 +6,8 @@ Commands
                  ``--store DIR`` attaches a persistent artifact store and
                  ``--resume`` replays completed work from it bitwise
 ``quickstart``   train + evaluate the end-to-end pipeline (CI scale;
-                 ``--train-batch-size``/``--grad-accum`` select the
-                 training-runtime schedule, see docs/training.md)
+                 ``--train-batch-size`` selects the training
+                 schedule, see docs/training.md)
 ``serve``        streaming multi-client serving with cross-client
                  micro-batching (``--workers N`` partitions the fleet
                  into scheduler replicas; see docs/serving.md)
@@ -56,8 +56,6 @@ def _spec_quickstart(args: argparse.Namespace) -> ExperimentSpec:
     # `--train-batch-size 1` is a real override, not a no-op.
     if args.train_batch_size is not None:
         training["batch_size"] = args.train_batch_size
-    if args.grad_accum:
-        training["grad_accum"] = True
     spec: dict = {"workload": "evaluate"}
     if training:
         spec["training"] = training
@@ -202,12 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
                 "the preset's, 1 — the paper-faithful per-frame stepping; "
                 "> 1 batches the joint training, a documented semantic "
                 "change)",
-            )
-            cmd.add_argument(
-                "--grad-accum", action="store_true",
-                help="data-parallel training schedule: accumulate each "
-                "epoch's gradients (fixed reduction order) and take one "
-                "Adam step per epoch",
             )
         cmd.add_argument("--fps", type=float, default=120.0)
     # Registered for `repro --help` discoverability only; main()

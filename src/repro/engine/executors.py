@@ -1,10 +1,10 @@
 """The process pool every sharded path dispatches through.
 
 Every sharded path in the repository (engine sequence-rank sharding,
-strategy-sweep fan-out, data-parallel training epochs, serve scheduler
-replicas) dispatches module-level jobs through a single seam:
-``executor.submit(job, *args)`` with results collected in fixed futures
-order, the payloads travelling as handles on a caller-owned
+strategy-sweep fan-out, serve scheduler replicas) dispatches
+module-level jobs through a single seam: ``executor.submit(job,
+*args)`` with results collected in fixed futures order, the payloads
+travelling as handles on a caller-owned
 :class:`~repro.engine.transport.TransportChannel`.  There is one way to
 get both: ``repro.api.Session.executor(n)`` and ``Session.transport()``;
 :func:`check_dispatch` is the precondition every sharded entry point

@@ -114,9 +114,9 @@ def contiguous_shards(items: list, n_shards: int) -> list[list]:
     Empty pieces are dropped; concatenating the shards in order
     reproduces ``items`` exactly — the property every fixed-order merge
     in the repository relies on (the engine's sequence-rank sharding
-    below, the training runtime's per-sequence gradient reduction, and
-    the serve runtime's replica partitioning).  ``n_shards <= 0`` is a
-    caller bug and raises instead of silently dropping every item.
+    below and the serve runtime's replica partitioning).
+    ``n_shards <= 0`` is a caller bug and raises instead of silently
+    dropping every item.
     """
     if n_shards <= 0:
         raise ValueError(f"n_shards must be >= 1: {n_shards}")
@@ -252,7 +252,6 @@ class SequenceRunner:
         transport_info = {
             "mode": "shm" if channel.use_shm else "pickle",
             "dispatches": len(shards),
-            "payload_bytes": dispatch_bytes,
             "payload_bytes_per_dispatch": dispatch_bytes / len(shards),
             "segment_bytes_written": (
                 channel.stats["segment_bytes"] - before["segment_bytes"]

@@ -1,6 +1,6 @@
 """Zero-copy shard transport: ship bytes once, hand out handles after.
 
-The sharded execution paths (engine runner, training runtime, serve
+The sharded execution paths (engine runner, strategy sweep, serve
 replicas) historically pickled their whole payload — frame stacks, model
 weights, sensor templates — into every worker dispatch.  At CI scale
 that serialization *dominates* the kernels: ``BENCH_engine.json``
@@ -26,18 +26,18 @@ module attacks the bytes, not the kernels:
   (the only one the sharded paths use) unlinks on ``Session.close()``.
   Blob handles refcount the array segments they
   reference; slot-keyed publishes (``publish(obj, slot=...)``) release
-  the slot's previous generation — how per-epoch training weights avoid
-  accumulating one segment per epoch.
+  the slot's previous generation — how serve's per-run bundle avoids
+  accumulating one segment set per run.
 * **Plain-pickle fallback.**  When shared memory is unavailable (or
   explicitly disabled via ``REPRO_DISABLE_SHM=1`` /
   ``TransportChannel(use_shm=False)``) the blob ships inline inside the
   handle.  Resolution is bit-for-bit the same unpickle either way, so
-  results are bitwise-identical in both modes — the engine, training and
-  serve parity suites pin this.
+  results are bitwise-identical in both modes — the engine and serve
+  parity suites pin this.
 
 Mutation safety: segments are content-addressed by a BLAKE2 fingerprint
 of the array bytes, never by object identity, so mutating an array in
-place (the optimizer stepping epoch-start weights) and re-publishing
+place (a model trained further between runs) and re-publishing
 yields a *new* segment — stale-cache bugs are structurally impossible.
 Worker-side views are read-only; a kernel that tried to write a shipped
 array would raise instead of silently diverging from the in-process
@@ -71,7 +71,6 @@ __all__ = [
     "ArrayRef",
     "resolve_payload",
     "shm_available",
-    "payload_stats",
     "MIN_SHM_ARRAY_BYTES",
     "SEGMENT_PREFIX",
 ]
@@ -168,8 +167,6 @@ class ObjectHandle:
 #: the process created; on a pool worker it accumulates one attach per
 #: segment ever resolved.
 _SEGMENTS: "OrderedDict[str, Any]" = OrderedDict()
-#: Names this process *created* (and therefore owns unlinking of).
-_OWNED: set[str] = set()
 #: Resolved payloads by content digest (worker-side memo: repeated
 #: dispatches of an identical payload skip deserialization entirely).
 _OBJECTS: "OrderedDict[str, Any]" = OrderedDict()
@@ -212,8 +209,7 @@ def resolve_payload(handle: ObjectHandle) -> Any:
     Digest-memoized: the unpickle runs once per payload per process,
     every later dispatch of the same content returns the cached object.
     The cache is an LRU — bounded, so long sessions cycling through many
-    distinct payloads (per-epoch training weights) do not grow without
-    limit.
+    distinct payloads do not grow without limit.
     """
     obj = _OBJECTS.get(handle.digest)
     if obj is not None or handle.digest in _OBJECTS:
@@ -229,15 +225,6 @@ def resolve_payload(handle: ObjectHandle) -> Any:
     while len(_OBJECTS) > _OBJECTS_MAX:
         _OBJECTS.popitem(last=False)
     return obj
-
-
-def payload_stats() -> dict:
-    """Observability: this process's transport-cache occupancy."""
-    return {
-        "segments_mapped": len(_SEGMENTS),
-        "segments_owned": len(_OWNED),
-        "objects_cached": len(_OBJECTS),
-    }
 
 
 # -- dispatcher side ----------------------------------------------------------
@@ -281,14 +268,11 @@ class TransportChannel:
         #: Slot -> digest of the slot's current generation.
         self._slots: dict[Any, str] = {}
         self.stats = {
-            "objects_published": 0,
             "publish_reuses": 0,
             "arrays_hoisted": 0,
-            "array_reuses": 0,
             "segments_created": 0,
             "segment_bytes": 0,
             "segments_released": 0,
-            "handle_bytes": 0,
         }
 
     # -- segments -------------------------------------------------------------
@@ -296,14 +280,12 @@ class TransportChannel:
         name = _new_segment_name()
         seg = _shm.SharedMemory(name=name, create=True, size=max(nbytes, 1))
         _SEGMENTS[name] = seg
-        _OWNED.add(name)
         self.stats["segments_created"] += 1
         self.stats["segment_bytes"] += nbytes
         return seg
 
     def _release_segment(self, name: str) -> None:
         seg = _SEGMENTS.pop(name, None)
-        _OWNED.discard(name)
         if seg is not None:
             try:
                 seg.close()
@@ -312,7 +294,6 @@ class TransportChannel:
                 # the name back and unlink anyway (POSIX keeps existing
                 # mappings alive after unlink).
                 _SEGMENTS[name] = seg
-                _OWNED.add(name)
             try:
                 seg.unlink()
             except FileNotFoundError:  # pragma: no cover - already gone
@@ -324,8 +305,8 @@ class TransportChannel:
         """Hoist one ndarray into a segment; ``None`` keeps it inline.
 
         Content-addressed: the fingerprint covers the actual bytes, so
-        in-place mutation (optimizer steps between training epochs)
-        naturally produces a fresh segment instead of a stale cache hit.
+        in-place mutation (further training between runs) naturally
+        produces a fresh segment instead of a stale cache hit.
         """
         if not self.use_shm:
             return None
@@ -337,7 +318,6 @@ class TransportChannel:
         ).hexdigest()
         entry = self._arrays.get(fingerprint)
         if entry is not None:
-            self.stats["array_reuses"] += 1
             return entry[0]
         seg = self._create_segment(data.nbytes)
         view = np.ndarray(data.shape, dtype=data.dtype, buffer=seg.buf)
@@ -368,8 +348,8 @@ class TransportChannel:
         Identical content (by digest of the extracted pickle, which in
         turn content-addresses the hoisted arrays) reuses the existing
         segments — the steady-state dispatch cost is the handle itself.
-        ``slot`` names a logical mutable payload (e.g. one training
-        run's epoch-start weights): publishing a *different* digest into
+        ``slot`` names a logical mutable payload (e.g. serve's
+        per-run bundle): publishing a *different* digest into
         an occupied slot releases the previous generation's segments, so
         evolving payloads occupy one generation of storage, not one per
         step.  Callers must not resolve a superseded generation's handle
@@ -405,8 +385,6 @@ class TransportChannel:
             )
             self._blobs[digest] = (handle, list(pickler.array_segments))
             self._retain_arrays(pickler.array_segments, +1)
-            self.stats["objects_published"] += 1
-        self.stats["handle_bytes"] += handle.wire_bytes
         tracer = current_tracer()
         if tracer is not None:
             reused = cached is not None

@@ -82,11 +82,10 @@ class Parameter:
         """Pickle without the gradient buffer.
 
         Parameters travel across process boundaries constantly — the
-        engine ships whole stage graphs to shard workers, the training
-        runtime ships epoch-start weights every epoch — and no consumer
-        reads a *shipped* gradient (workers zero or overwrite it, and
-        gradient results return as plain arrays).  Dropping ``grad``
-        halves every such payload.
+        engine ships whole stage graphs to shard workers and the
+        artifact store persists trained pipelines — and no consumer
+        reads a *shipped* gradient (a receiver that trains zeroes it
+        first).  Dropping ``grad`` halves every such payload.
         """
         return {"data": self.data, "name": self.name}
 

@@ -42,7 +42,6 @@ COUNTER_REGISTRY = {
     "engine.frames": "frame contexts executed (all stages)",
     # training
     "train.epochs": "training epochs executed (joint + per-strategy)",
-    "train.shard_dispatches": "data-parallel epoch shards dispatched",
     # serve
     "serve.ticks": "scheduler virtual-clock ticks",
     "serve.admitted": "frames admitted to the queue",

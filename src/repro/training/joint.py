@@ -19,10 +19,9 @@ Gradient masking (the paper's explicit rule): only gradients at pixels
 Bernoulli mask multiplies the chain, zeroing everything else.
 
 :class:`JointTrainer` runs the procedure in batched ranks on the kernels
-of :mod:`repro.training.runtime`: per-frame stepping (``batch_size=1``,
-the paper's schedule), minibatched stepping (``batch_size > 1``) and the
-data-parallel schedule (``grad_accum``), which ``workers >= 2`` shards
-over processes.
+of :mod:`repro.training.runtime`, with one Adam step per minibatch:
+per-frame stepping (``batch_size=1``, the paper's schedule) or
+minibatched stepping (``batch_size > 1``).
 """
 
 from __future__ import annotations
@@ -33,17 +32,10 @@ from typing import Sequence
 import numpy as np
 
 from repro.nn import Adam, CrossEntropyLoss, MSELoss
-from repro.obs.tracer import current_tracer
 from repro.sampling.roi import ROIPredictor
 from repro.segmentation.vit import ViTSegmenter
 from repro.training.loop import _epoch_span, batched
-from repro.training.runtime import (
-    _epoch_shard_job,
-    _rank_backward,
-    _sample_fields,
-    _sequence_gradients,
-    collect_frame_pairs,
-)
+from repro.training.runtime import _rank_backward, collect_frame_pairs
 
 __all__ = ["SoftROIMask", "JointTrainer", "JointTrainConfig", "JointTrainResult"]
 
@@ -210,12 +202,6 @@ class JointTrainConfig:
     #: vectorized rank with one Adam step per minibatch — a documented
     #: semantic change (see ``docs/training.md``).
     batch_size: int = 1
-    #: Switch to the data-parallel schedule: gradients accumulate over
-    #: every rank of an epoch (reduced per sequence, in fixed sequence
-    #: order) and each epoch takes *one* Adam step.  Required for
-    #: sharded training (``workers >= 2``); the worker count itself
-    #: never changes the result.
-    grad_accum: bool = False
 
     def __post_init__(self):
         _check("epochs", self.epochs >= 1, ">= 1")
@@ -262,28 +248,10 @@ class JointTrainResult:
         return seg_improved and roi_held
 
 
-def joint_components(config: JointTrainConfig, segmenter: ViTSegmenter):
-    """The ``(seg_loss, roi_loss, soft_mask)`` a training pass runs on.
-
-    The one builder of these objects: the in-process schedules and the
-    sharded worker job (:func:`~repro.training.runtime._epoch_shard_job`)
-    both call it, so what a worker runs is built exactly as what the
-    parent runs.
-    """
-    return (
-        CrossEntropyLoss(),
-        MSELoss(),
-        SoftROIMask(
-            segmenter.config.height, segmenter.config.width, tau=config.tau
-        ),
-    )
-
-
 class JointTrainer:
     """Trains the ROI predictor and sparse ViT end to end.
 
-    ``config.batch_size`` sets the rank width / step granularity and
-    ``config.grad_accum`` selects the data-parallel epoch schedule.  One
+    ``config.batch_size`` sets the rank width / step granularity.  One
     integer drawn from ``rng`` per :meth:`train` call keys every
     per-sample stream (the spawn idiom: downstream streams derive from
     identity, not draw order).  The Adam optimizers are built once, over
@@ -306,89 +274,39 @@ class JointTrainer:
         self.opt_roi = Adam(roi_predictor.parameters(), lr=config.lr_roi)
 
     def train(
-        self,
-        dataset,
-        sequence_indices: Sequence[int],
-        workers: int | None = None,
-        executor=None,
-        transport=None,
+        self, dataset, sequence_indices: Sequence[int]
     ) -> JointTrainResult:
-        """Run ``config.epochs`` passes over the given sequences.
+        """Run ``config.epochs`` passes over the given sequences in-process.
 
-        ``workers >= 2`` shards the data-parallel schedule's per-sequence
-        gradient passes over ``executor`` — a persistent pool such as
-        ``repro.api.Session.executor(n)`` — with the models and sequences
-        published on ``transport``, the caller's
-        :class:`~repro.engine.transport.TransportChannel`
-        (``Session.transport()``); both are required to shard
-        (:func:`~repro.engine.executors.check_dispatch`).  Requires
-        ``config.grad_accum`` — the stepped schedule updates weights
-        every minibatch and is inherently sequential.  As with
-        :meth:`~repro.engine.SequenceRunner.run`, the worker count is
-        clamped to the sequence count: a single-sequence run stays
-        in-process (same bits — workers never change results) even when
-        an executor was injected.  Results are bitwise-identical for any
-        worker count.
+        Each epoch cuts the frame pairs sequence-major into
+        ``config.batch_size`` minibatches and takes one Adam step per
+        minibatch.
         """
-        from repro.engine.executors import check_dispatch
-
         cfg = self.config
-        n_workers = check_dispatch(workers, executor, transport)
-        if n_workers >= 2 and not cfg.grad_accum:
-            raise ValueError(
-                "sharded training requires grad_accum=True: the stepped "
-                "schedule takes an Adam step per minibatch, which is "
-                "inherently sequential; the data-parallel schedule "
-                "accumulates per-sequence gradients (fixed reduction "
-                "order) and steps once per epoch"
-            )
         indices = list(sequence_indices)
         self._check_geometry(dataset, indices)
         seed = int(self.rng.integers(2**63 - 1))
-        kernels = joint_components(cfg, self.segmenter)
-        if cfg.grad_accum:
-            n_workers = min(n_workers, len(indices))
-            shards = (
-                self._publish_shards(dataset, indices, n_workers, transport)
-                if n_workers >= 2
-                else None
-            )
-            attrs = {
-                "schedule": "accumulated",
-                "sequences": len(indices),
-                "workers": n_workers,
-            }
-
-            def run_epoch(epoch):
-                if shards is not None:
-                    return self._reduce_and_step(
-                        self._sharded_epoch(
-                            shards, executor, transport, seed, epoch
-                        )
-                    )
-                # Lazy in-process generation: only one sequence's
-                # gradient copies are alive at a time.
-                return self._reduce_and_step(
-                    _sequence_gradients(
-                        self.roi_predictor, self.segmenter, cfg, seed,
-                        epoch, i, dataset[i], *kernels,
-                    )
-                    for i in indices
-                )
-        else:
-            samples = collect_frame_pairs(dataset, indices)
-            attrs = {"schedule": "stepped", "samples": len(samples)}
-
-            def run_epoch(epoch):
-                return self._stepped_epoch(samples, seed, epoch, kernels)
-
+        kernels = (
+            CrossEntropyLoss(),
+            MSELoss(),
+            SoftROIMask(
+                self.segmenter.config.height,
+                self.segmenter.config.width,
+                tau=cfg.tau,
+            ),
+        )
+        samples = collect_frame_pairs(dataset, indices)
         result = JointTrainResult()
         self.segmenter.train()
         self.roi_predictor.train()
         try:
             for epoch in range(cfg.epochs):
-                with _epoch_span(epoch, **attrs):
-                    seg_loss, roi_loss = run_epoch(epoch)
+                with _epoch_span(
+                    epoch, schedule="stepped", samples=len(samples)
+                ):
+                    seg_loss, roi_loss = self._stepped_epoch(
+                        samples, seed, epoch, kernels
+                    )
                 result.seg_losses.append(seg_loss)
                 result.roi_losses.append(roi_loss)
         finally:
@@ -419,7 +337,6 @@ class JointTrainer:
         self.opt_roi.step()
         self.opt_seg.step()
 
-    # -- stepped schedule (legacy semantics at batch_size=1) ------------------
     def _stepped_epoch(
         self, samples: list, seed: int, epoch: int, kernels: tuple
     ) -> tuple[float, float]:
@@ -437,82 +354,3 @@ class JointTrainer:
             roi_total += roi_l
             steps += 1
         return seg_total / max(steps, 1), roi_total / max(steps, 1)
-
-    # -- data-parallel schedule (grad_accum) ----------------------------------
-    @staticmethod
-    def _publish_shards(dataset, indices, n_workers, transport) -> list:
-        """Publish each shard's ``[(seq_index, fields), ...]`` once.
-
-        Contiguous shards of whole sequences, fixed for the whole run,
-        into slots a later training run on the same channel recycles.
-        """
-        from repro.engine import contiguous_shards
-
-        return [
-            transport.publish(
-                [(i, _sample_fields(dataset[i])) for i in shard],
-                slot=("train_shard", k),
-            )
-            for k, shard in enumerate(contiguous_shards(indices, n_workers))
-        ]
-
-    def _reduce_and_step(self, per_seq) -> tuple[float, float]:
-        """One data-parallel epoch: reduce per-sequence sums, step once.
-
-        ``per_seq`` yields each sequence's gradients in sequence order,
-        computed in-process or by the workers.
-        """
-        # Fixed-order reduction: per-sequence sums added in sequence
-        # order — the bits cannot depend on which worker computed
-        # which shard (or on the worker count at all).  Each sum lands
-        # straight in its optimizer's arena, which is laid out in the
-        # network's parameters() order by construction.
-        roi_total = np.zeros_like(self.opt_roi.grad)
-        seg_total = np.zeros_like(self.opt_seg.grad)
-        seg_sum, roi_sum, ranks = 0.0, 0.0, 0
-        for grads in per_seq:
-            roi_total += grads.roi_grad
-            seg_total += grads.seg_grad
-            seg_sum += grads.seg_sum
-            roi_sum += grads.roi_sum
-            ranks += grads.ranks
-        if ranks == 0:
-            # No frame pairs at all (empty indices / single-frame
-            # sequences): no gradient, so no optimizer step — a warm
-            # Adam would otherwise move the weights on pure momentum,
-            # which the stepped schedule (and the retired loop) never
-            # did for empty input.
-            return 0.0, 0.0
-        scale = 1.0 / ranks
-        np.multiply(roi_total, scale, out=self.opt_roi.grad)
-        np.multiply(seg_total, scale, out=self.opt_seg.grad)
-        self._step()
-        return seg_sum / ranks, roi_sum / ranks
-
-    def _sharded_epoch(self, shards, executor, transport, seed, epoch):
-        """Per-sequence gradients of one epoch, sharded over processes.
-
-        The epoch-start weights (gradient buffers are stripped by
-        ``Parameter.__getstate__``) are published into the
-        ``"train_models"`` slot — each epoch's segments *replace* the
-        previous epoch's (safe: every epoch-``e`` task completes before
-        epoch ``e+1`` publishes) — and each dispatch ships two tiny
-        handles.  Yields shard results in shard order — exact sequence
-        order for the parent-side reduction.  Peak parent-side memory is
-        bounded by the worker count: shards that finish early sit
-        buffered in their futures until the in-order reduction reaches
-        them.
-        """
-        models = transport.publish(
-            (self.roi_predictor, self.segmenter, self.config, seed),
-            slot="train_models",
-        )
-        futures = [
-            executor.submit(_epoch_shard_job, models, shard, epoch)
-            for shard in shards
-        ]
-        tracer = current_tracer()
-        if tracer is not None:
-            tracer.count("train.shard_dispatches", len(futures))
-        for future in futures:
-            yield from future.result()

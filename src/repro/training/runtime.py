@@ -1,4 +1,4 @@
-"""The joint-training kernels: batched ranks and per-sequence gradients.
+"""The joint-training kernels: frame pairs, sample streams, batched ranks.
 
 Every other execution surface of this reproduction — evaluation, strategy
 sweeps, serving — runs on the engine's batched-rank design: fixed-width
@@ -19,7 +19,7 @@ teacher-forced frame pairs and runs each as **one rank**
 * per-sample RNG streams for the cue dropout / cue dilation draws and the
   Bernoulli sampling masks, keyed ``[seed, TRAIN_STREAM_TAG, epoch,
   seq_index, t]`` and drawn in fixed sample order — what a sample draws
-  never depends on which rank (or worker) it lands in.
+  never depends on which rank it lands in.
 
 Determinism contract (pinned by ``tests/training/``):
 
@@ -27,21 +27,13 @@ Determinism contract (pinned by ``tests/training/``):
   (against a transcription of the retired loop under the per-sample
   stream semantics — the PR 1/2 convention for redefined streams);
 * ``batch_size > 1`` is a **documented semantic change**: one Adam step
-  per minibatch instead of per frame pair (``docs/training.md``);
-* ``grad_accum=True`` is the data-parallel schedule: per-sequence
-  gradient sums (:func:`_sequence_gradients`), reduced in fixed sequence
-  order, one Adam step per epoch.  ``workers >= 2`` shards the
-  per-sequence gradient passes over processes
-  (:func:`_epoch_shard_job`); because the reduction order is fixed and
-  the streams are identity-keyed, **any** worker count produces
-  bitwise-identical results to the in-process accumulation.
+  per minibatch instead of per frame pair (``docs/training.md``).
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -50,7 +42,6 @@ from repro.nn.functional import grey_dilation, grey_erosion
 from repro.sampling.eventification import eventify
 from repro.sampling.random_sampling import random_mask_in_box
 from repro.sampling.roi import ROIPredictor, box_from_pixels, box_to_pixels
-from repro.training.loop import batched
 
 if TYPE_CHECKING:  # joint.py builds on this module
     from repro.training.joint import JointTrainConfig, SoftROIMask
@@ -95,37 +86,28 @@ class TrainSample:
     gt_box: tuple | None
 
 
-def _sample_fields(seq) -> SimpleNamespace:
-    """What :func:`_sequence_samples` reads: all a training shard ships."""
-    fields = ("frames", "segmentations", "roi_boxes")
-    return SimpleNamespace(**{name: getattr(seq, name) for name in fields})
-
-
-def _sequence_samples(seq_index: int, seq) -> list[TrainSample]:
-    """The frame pairs of one sequence, in time order.
+def collect_frame_pairs(dataset, sequence_indices: Sequence[int]) -> list[TrainSample]:
+    """All frame pairs of the given sequences, sequence-major and in
+    time order within a sequence.
 
     Teacher forcing: the previous frame's ground-truth segmentation
     stands in for the host's fed-back map.
     """
-    return [
-        TrainSample(
-            seq_index=seq_index,
-            t=t,
-            prev_frame=seq.frames[t - 1],
-            frame=seq.frames[t],
-            prev_seg=seq.segmentations[t - 1],
-            target_seg=seq.segmentations[t],
-            gt_box=seq.roi_boxes[t],
-        )
-        for t in range(1, len(seq.frames))
-    ]
-
-
-def collect_frame_pairs(dataset, sequence_indices: Sequence[int]) -> list[TrainSample]:
-    """All frame pairs of the given sequences, sequence-major."""
     samples: list[TrainSample] = []
     for seq_index in sequence_indices:
-        samples.extend(_sequence_samples(seq_index, dataset[seq_index]))
+        seq = dataset[seq_index]
+        samples.extend(
+            TrainSample(
+                seq_index=seq_index,
+                t=t,
+                prev_frame=seq.frames[t - 1],
+                frame=seq.frames[t],
+                prev_seg=seq.segmentations[t - 1],
+                target_seg=seq.segmentations[t],
+                gt_box=seq.roi_boxes[t],
+            )
+            for t in range(1, len(seq.frames))
+        )
     return samples
 
 
@@ -245,103 +227,3 @@ def _rank_backward(
     total_grad_box = grad_box_mse + config.seg_to_roi_weight * grad_box_seg
     roi_predictor.backward(total_grad_box)
     return seg_loss_val, float(roi_loss_val)
-
-
-@dataclass
-class _SequenceGrads:
-    """One sequence's accumulated epoch contribution (the reduction atom
-    of the data-parallel schedule — sequences are never split across
-    shards, so any shard geometry reduces identically)."""
-
-    seq_index: int
-    #: Each network's gradients, flattened and concatenated in
-    #: ``parameters()`` order (the layout of its optimizer's arena).
-    roi_grad: np.ndarray
-    seg_grad: np.ndarray
-    seg_sum: float
-    roi_sum: float
-    ranks: int
-
-
-def _sequence_gradients(
-    roi_predictor,
-    segmenter,
-    config: JointTrainConfig,
-    seed: int,
-    epoch: int,
-    seq_index: int,
-    seq,
-    seg_loss,
-    roi_loss,
-    soft_mask: SoftROIMask,
-) -> _SequenceGrads:
-    """Accumulate one sequence's gradients at the current weights.
-
-    Ranks never span sequences here: each sequence's frame pairs are cut
-    into ``batch_size`` minibatches and their gradients accumulate in
-    rank order — a pure function of (weights, config, seed, epoch,
-    sequence), which is what makes the per-sequence sums shard-placement
-    invariant.
-    """
-    samples = _sequence_samples(seq_index, seq)
-    roi_predictor.zero_grad()
-    segmenter.zero_grad()
-    seg_sum, roi_sum, ranks = 0.0, 0.0, 0
-    for rank in batched(samples, config.batch_size):
-        seg_l, roi_l = _rank_backward(
-            roi_predictor,
-            segmenter,
-            config,
-            seed,
-            epoch,
-            rank,
-            seg_loss,
-            roi_loss,
-            soft_mask,
-        )
-        seg_sum += seg_l
-        roi_sum += roi_l
-        ranks += 1
-    return _SequenceGrads(
-        seq_index=seq_index,
-        roi_grad=_flat_grad(roi_predictor),
-        seg_grad=_flat_grad(segmenter),
-        seg_sum=seg_sum,
-        roi_sum=roi_sum,
-        ranks=ranks,
-    )
-
-
-def _flat_grad(module) -> np.ndarray:
-    """A copy of ``module``'s gradients, concatenated in parameter order."""
-    return np.concatenate([p.grad.ravel() for p in module.parameters()])
-
-
-def _epoch_shard_job(models_handle, shard_handle, epoch: int):
-    """Worker-side entry point: per-sequence gradients for one shard.
-
-    Module-level so the pool can pickle it.  ``models_handle`` carries
-    ``(roi_predictor, segmenter, config, seed)`` published per epoch
-    into a slot (so epoch ``e``'s weights replace epoch ``e-1``'s
-    segments); ``shard_handle`` carries the shard's ``[(seq_index,
-    fields), ...]`` pairs, published once per run and digest-cached
-    worker-side.  Weight arrays arrive as read-only views over the
-    mapped segments; ``Parameter.__setstate__`` recreates writable
-    gradient buffers, and workers never write ``.data`` — they only
-    accumulate gradients — so read-only weights are exactly as safe as
-    pickled copies.  The losses and soft mask come from
-    :func:`~repro.training.joint.joint_components`, the same builder the
-    in-process path uses.
-    """
-    from repro.engine.transport import resolve_payload
-    from repro.training.joint import joint_components
-
-    roi_predictor, segmenter, config, seed = resolve_payload(models_handle)
-    kernels = joint_components(config, segmenter)
-    return [
-        _sequence_gradients(
-            roi_predictor, segmenter, config, seed, epoch, seq_index, seq,
-            *kernels,
-        )
-        for seq_index, seq in resolve_payload(shard_handle)
-    ]

@@ -306,6 +306,12 @@ class TestValidation:
                 ExperimentSpec.from_dict({"execution": {field: value}})
             assert err.value.field == f"execution.{field}"
 
+    def test_retired_grad_accum_field_rejected(self):
+        # Training has one schedule: one Adam step per minibatch.
+        with pytest.raises(SpecError) as err:
+            ExperimentSpec.from_dict({"training": {"grad_accum": True}})
+        assert err.value.field == "training.grad_accum"
+
     def test_invalid_json_text(self):
         with pytest.raises(SpecError, match="invalid JSON"):
             ExperimentSpec.from_json("{not json")

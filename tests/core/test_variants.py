@@ -28,20 +28,21 @@ def _vit(seed=0):
     )
 
 
+def _count_collections(monkeypatch):
+    calls = {"n": 0}
+    original = tracker.collect_sampled_dataset
+
+    def counting(*args, **kwargs):
+        calls["n"] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(tracker, "collect_sampled_dataset", counting)
+    return calls
+
+
 class TestDeterministicCollectOnce:
     """Deterministic strategies re-collected an *identical* sampled
     dataset every epoch (regression); now they collect exactly once."""
-
-    def _count_collections(self, monkeypatch):
-        calls = {"n": 0}
-        original = tracker.collect_sampled_dataset
-
-        def counting(*args, **kwargs):
-            calls["n"] += 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(tracker, "collect_sampled_dataset", counting)
-        return calls
 
     @pytest.mark.parametrize("name", ["Full+DS", "ROI+Fixed", "Skip", "ROI+DS"])
     def test_deterministic_strategies_collect_once(
@@ -49,7 +50,7 @@ class TestDeterministicCollectOnce:
     ):
         from repro.sampling.strategies import SkipStrategy
 
-        calls = self._count_collections(monkeypatch)
+        calls = _count_collections(monkeypatch)
         if name == "Skip":
             # A zero gate makes every frame a training sample — the tiny
             # fixture dataset is too quiet for the default threshold.
@@ -67,7 +68,7 @@ class TestDeterministicCollectOnce:
     def test_stochastic_strategies_resample_every_epoch(
         self, small_dataset, monkeypatch, name
     ):
-        calls = self._count_collections(monkeypatch)
+        calls = _count_collections(monkeypatch)
         strategy = STRATEGIES.get(name)(4.0, dataset=small_dataset)
         train_for_strategy(
             _vit(), strategy, small_dataset, [0], epochs=3,
@@ -91,3 +92,26 @@ class TestDeterministicCollectOnce:
             assert np.array_equal(fa, fb)
             assert np.array_equal(ma, mb)
             assert np.array_equal(ta, tb)
+
+
+class TestEpochsValidated:
+    @pytest.mark.parametrize("epochs", [0, -3])
+    def test_non_positive_epochs_refused_before_training(
+        self, small_dataset, monkeypatch, epochs
+    ):
+        # A non-positive epoch count used to train one epoch silently.
+        calls = _count_collections(monkeypatch)
+        strategy = STRATEGIES.get("Full+Random")(4.0, dataset=small_dataset)
+        vit = _vit()
+        before = vit.state_dict()
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="epochs"):
+            train_for_strategy(
+                vit, strategy, small_dataset, [0], epochs=epochs, rng=rng
+            )
+        assert calls["n"] == 0
+        after = vit.state_dict()
+        assert all(np.array_equal(before[k], after[k]) for k in before)
+        assert rng.bit_generator.state == (
+            np.random.default_rng(0).bit_generator.state
+        )

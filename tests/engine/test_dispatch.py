@@ -1,21 +1,17 @@
 """The one dispatch contract: sharding needs an executor and a channel.
 
-The engine (``SequenceRunner.run``), training (``JointTrainer.train``) and
-serving (``simulate_serving``) shard only on a caller-owned executor
-plus a :class:`~repro.engine.TransportChannel`.  Every other
-combination is refused by the same check, with the same message, before
-any work starts.
+The engine (``SequenceRunner.run``) and serving (``simulate_serving``)
+shard only on a caller-owned executor plus a
+:class:`~repro.engine.TransportChannel`.  Every other combination is
+refused by the same check, with the same message, before any work
+starts.
 """
 
 import numpy as np
 import pytest
 
 from repro.engine import SequenceRunner, Stage, TransportChannel
-from repro.sampling import ROIPredictor
-from repro.segmentation import ViTConfig, ViTSegmenter
 from repro.serve import simulate_serving
-from repro.synth import DatasetConfig, SyntheticEyeDataset
-from repro.training import JointTrainConfig, JointTrainer
 
 
 class Probe(Stage):
@@ -34,26 +30,6 @@ def _engine(**kwargs):
     SequenceRunner([Probe()]).run([(i, Seq()) for i in range(3)], **kwargs)
 
 
-def _training(**kwargs):
-    rng = np.random.default_rng(0)
-    vit = ViTSegmenter(
-        ViTConfig(height=16, width=16, patch=8, dim=8, heads=2, depth=1,
-                  decoder_depth=1),
-        rng,
-    )
-    trainer = JointTrainer(
-        ROIPredictor(16, 16, rng, base_channels=2),
-        vit,
-        JointTrainConfig(epochs=1, grad_accum=True),
-        rng,
-    )
-    dataset = SyntheticEyeDataset(
-        DatasetConfig(height=16, width=16, frames_per_sequence=2,
-                      num_sequences=3)
-    )
-    trainer.train(dataset, [0, 1, 2], **kwargs)
-
-
 def _serving(**kwargs):
     # The check precedes every use of the scenario arguments.
     simulate_serving(
@@ -62,7 +38,7 @@ def _serving(**kwargs):
     )
 
 
-SITES = {"engine": _engine, "training": _training, "serving": _serving}
+SITES = {"engine": _engine, "serving": _serving}
 
 
 @pytest.mark.parametrize("site", sorted(SITES))

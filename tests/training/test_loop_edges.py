@@ -131,7 +131,7 @@ class TestJointTrainConfigValidation:
         JointTrainConfig()
         JointTrainConfig(
             cue_dropout=0.0, cue_dilate_prob=1.0, roi_sampling_rate=1.0,
-            batch_size=64, grad_accum=True,
+            batch_size=64,
         )
 
 

@@ -1,19 +1,16 @@
-"""Pins for the batched + sharded training runtime (the PR's contract).
+"""Pins for the batched training runtime.
 
 * ``batch_size=1`` reproduces the retired per-frame stepping **bitwise**
   — against a transcription of the historical ``JointTrainer._train_step``
   loop under the runtime's per-sample stream semantics (the PR 1/2
   convention for deliberately redefined RNG streams);
 * the deterministic sub-kernels (vectorized eventification, the batched
-  soft ROI mask) are bitwise batch-invariant;
-* the data-parallel schedule (``grad_accum=True``) is bitwise-identical
-  between in-process accumulation and any sharded worker count.
+  soft ROI mask) are bitwise batch-invariant.
 """
 
 import numpy as np
 import pytest
 
-from repro.engine import TransportChannel
 from repro.nn import Adam, CrossEntropyLoss, MSELoss
 from repro.nn.functional import grey_dilation, grey_erosion
 from repro.sampling import ROIPredictor
@@ -260,14 +257,26 @@ class TestBatchedSchedule:
         b = train(4)
         assert any(not np.array_equal(a[k], b[k]) for k in a)
 
+    def test_empty_input_never_steps_a_warm_optimizer(self):
+        # Regression: with no frame pairs no Adam step is taken — a warm
+        # optimizer would move the weights on pure momentum, which the
+        # retired per-frame loop never did for empty input.
+        dataset = tiny_dataset(num_sequences=2, frames=4)
+        roi, vit = tiny_components()
+        cfg = JointTrainConfig(epochs=2)
+        trainer = JointTrainer(roi, vit, cfg, np.random.default_rng(0))
+        trainer.train(dataset, [0, 1])  # warm the Adam moments
+        before_roi = roi.state_dict()
+        before_vit = vit.state_dict()
+        result = trainer.train(dataset, [])
+        assert result.seg_losses == [0.0, 0.0]
+        assert result.roi_losses == [0.0, 0.0]
+        assert_states_equal(roi.state_dict(), before_roi)
+        assert_states_equal(vit.state_dict(), before_vit)
+
 
 class TestFrameGeometry:
-    @pytest.mark.parametrize(
-        "grad_accum,workers", [(False, None), (True, None), (True, 2)]
-    )
-    def test_frame_network_size_mismatch_is_refused_by_name(
-        self, grad_accum, workers, sharding
-    ):
+    def test_frame_network_size_mismatch_is_refused_by_name(self):
         # 32x32 frames into 64x64 networks: refused up front with both
         # shapes named, not deep in the ROI conv's matmul, and before
         # any epoch touches the weights or the trainer's RNG.
@@ -281,146 +290,11 @@ class TestFrameGeometry:
         before = roi.state_dict()
         trainer_rng = np.random.default_rng(0)
         trainer = JointTrainer(
-            roi, vit,
-            JointTrainConfig(epochs=1, grad_accum=grad_accum),
-            trainer_rng,
+            roi, vit, JointTrainConfig(epochs=1), trainer_rng
         )
         with pytest.raises(ValueError, match="32x32 frames.*64x64"):
-            trainer.train(
-                tiny_dataset(), [0, 1], **_shard_kwargs(workers, sharding)
-            )
+            trainer.train(tiny_dataset(), [0, 1])
         assert_states_equal(roi.state_dict(), before)
         assert trainer_rng.bit_generator.state == (
             np.random.default_rng(0).bit_generator.state
         )
-
-
-def _shard_kwargs(workers, sharding):
-    """``train()`` keyword arguments: in-process for ``None``, else the
-    shared pool and channel."""
-    return {} if workers is None else {"workers": workers, **sharding}
-
-
-class TestShardedTraining:
-    def _train(self, sharding, workers=None):
-        dataset = tiny_dataset(num_sequences=3, frames=4)
-        roi, vit = tiny_components()
-        cfg = JointTrainConfig(epochs=2, batch_size=2, grad_accum=True)
-        trainer = JointTrainer(
-            roi, vit, cfg, np.random.default_rng(SEED_RNG)
-        )
-        result = trainer.train(
-            dataset, [0, 1, 2], **_shard_kwargs(workers, sharding)
-        )
-        return roi.state_dict(), vit.state_dict(), result
-
-    def test_workers_two_bitwise_identical_to_in_process(self, sharding):
-        roi_a, vit_a, res_a = self._train(sharding, workers=None)
-        roi_b, vit_b, res_b = self._train(sharding, workers=2)
-        assert res_a.seg_losses == res_b.seg_losses
-        assert res_a.roi_losses == res_b.roi_losses
-        assert_states_equal(roi_a, roi_b)
-        assert_states_equal(vit_a, vit_b)
-
-    def test_worker_count_never_changes_results(self, sharding):
-        roi_a, vit_a, res_a = self._train(sharding, workers=2)
-        roi_b, vit_b, res_b = self._train(sharding, workers=3)
-        assert res_a.seg_losses == res_b.seg_losses
-        assert_states_equal(roi_a, roi_b)
-        assert_states_equal(vit_a, vit_b)
-
-    def test_empty_input_never_steps_a_warm_optimizer(self):
-        # Regression: with no frame pairs the accumulated schedule must
-        # not take an Adam step — a warm optimizer would move the
-        # weights on pure momentum, which the stepped schedule (and the
-        # retired loop) never did for empty input.
-        dataset = tiny_dataset(num_sequences=2, frames=4)
-        roi, vit = tiny_components()
-        cfg = JointTrainConfig(epochs=2, grad_accum=True)
-        trainer = JointTrainer(roi, vit, cfg, np.random.default_rng(0))
-        trainer.train(dataset, [0, 1])  # warm the Adam moments
-        before_roi = roi.state_dict()
-        before_vit = vit.state_dict()
-        result = trainer.train(dataset, [])
-        assert result.seg_losses == [0.0, 0.0]
-        assert result.roi_losses == [0.0, 0.0]
-        assert_states_equal(roi.state_dict(), before_roi)
-        assert_states_equal(vit.state_dict(), before_vit)
-
-    def test_shards_publish_only_the_fields_samples_read(self):
-        # Workers read frames, segmentations and ROI boxes; the pre-noise
-        # clean_frames never cross.  The inline-pickle channel keeps
-        # every published byte in the handles' blobs.
-        dataset = tiny_dataset(num_sequences=3, frames=4)
-        with TransportChannel(use_shm=False) as channel:
-            handles = JointTrainer._publish_shards(
-                dataset, [0, 1, 2], 2, channel
-            )
-        published = b"".join(handle.blob for handle in handles)
-        for i in range(3):
-            assert dataset[i].frames.tobytes() in published
-            assert dataset[i].segmentations.tobytes() in published
-            assert dataset[i].clean_frames.tobytes() not in published
-
-    def test_sharding_requires_grad_accum(self, sharding):
-        roi, vit = tiny_components()
-        trainer = JointTrainer(
-            roi, vit, JointTrainConfig(epochs=1), np.random.default_rng(0)
-        )
-        with pytest.raises(ValueError, match="grad_accum"):
-            trainer.train(tiny_dataset(), [0, 1], workers=2, **sharding)
-
-    def test_config_less_dataset_ships_inline_and_stays_bitwise(
-        self, sharding
-    ):
-        # Duck-typed datasets (anything indexable) shard like the real
-        # one: every shard ships its sequences inline — same bits.
-        class Wrapped:
-            def __init__(self, inner):
-                self._inner = inner
-
-            def __getitem__(self, index):
-                return self._inner[index]
-
-        def train(wrap, workers):
-            ds = tiny_dataset(num_sequences=3, frames=4)
-            dataset = Wrapped(ds) if wrap else ds
-            roi, vit = tiny_components()
-            cfg = JointTrainConfig(epochs=1, batch_size=2, grad_accum=True)
-            JointTrainer(roi, vit, cfg, np.random.default_rng(7)).train(
-                dataset, [0, 1, 2], **_shard_kwargs(workers, sharding)
-            )
-            return roi.state_dict()
-
-        assert_states_equal(train(True, 2), train(False, None))
-
-    def test_mutated_sequences_are_honored_when_sharded(self, sharding):
-        # A materialized-then-mutated sequence must reach the workers
-        # as-is, not re-rendered pristine from the config — sharded and
-        # in-process runs must train on the same data.
-        def train(workers):
-            ds = tiny_dataset(num_sequences=3, frames=4)
-            for t in range(len(ds[1])):
-                ds[1].roi_boxes[t] = None  # occlude one cached sequence
-            roi, vit = tiny_components()
-            cfg = JointTrainConfig(epochs=1, batch_size=2, grad_accum=True)
-            trainer = JointTrainer(roi, vit, cfg, np.random.default_rng(9))
-            result = trainer.train(
-                ds, [0, 1, 2], **_shard_kwargs(workers, sharding)
-            )
-            return roi.state_dict(), result
-
-        roi_a, res_a = train(None)
-        roi_b, res_b = train(2)
-        assert res_a.roi_losses == res_b.roi_losses
-        assert_states_equal(roi_a, roi_b)
-
-    def test_executor_without_workers_rejected(self):
-        roi, vit = tiny_components()
-        trainer = JointTrainer(
-            roi, vit,
-            JointTrainConfig(epochs=1, grad_accum=True),
-            np.random.default_rng(0),
-        )
-        with pytest.raises(ValueError, match="workers"):
-            trainer.train(tiny_dataset(), [0, 1], executor=object())
