@@ -47,8 +47,7 @@ from repro.sampling.eventification import eventify
 from repro.sampling.roi import (
     ROIPredictor,
     box_from_pixels,
-    box_to_pixels,
-    expand_box,
+    boxes_to_pixels,
 )
 from repro.sampling.strategies import SamplingStrategy
 from repro.segmentation.vit import ViTConfig, ViTSegmenter
@@ -163,7 +162,9 @@ class MarginExpandedPredictor:
     execution pickles the predictor to worker processes, and the batched
     ROI-predict stage needs the :meth:`predict_batch` fast path (bitwise
     row-independent, see :meth:`ROIPredictor.predict_box_batch`; the
-    margin expansion itself is exact integer arithmetic per box).
+    margin expansion itself is exact integer arithmetic on the rank's
+    ``(B, 4)`` box array; a non-finite box stays non-finite for the ROI
+    stage to refuse).
     """
 
     roi_predictor: ROIPredictor
@@ -171,23 +172,21 @@ class MarginExpandedPredictor:
     width: int
     margin: int
 
-    def _expand(self, box: np.ndarray) -> np.ndarray:
-        pixel_box = box_to_pixels(box, self.height, self.width)
-        pixel_box = expand_box(pixel_box, self.margin, self.height, self.width)
-        return box_from_pixels(pixel_box, self.height, self.width)
+    def _expand(self, boxes: np.ndarray) -> np.ndarray:
+        size = (self.height, self.width)
+        pixels = boxes_to_pixels(boxes, *size)
+        pixels[:, :2] = np.maximum(pixels[:, :2] - self.margin, 0)
+        pixels[:, 2:] = np.minimum(pixels[:, 2:] + self.margin, size)
+        return box_from_pixels(pixels, *size)
 
     def __call__(
         self, event_map: np.ndarray, prev_seg: np.ndarray | None
     ) -> np.ndarray:
-        return self._expand(self.roi_predictor.predict_box(event_map, prev_seg))
+        return self.predict_batch(event_map, prev_seg)[0]
 
-    def predict_batch(
-        self,
-        event_maps: list[np.ndarray],
-        prev_segs: list[np.ndarray | None],
-    ) -> list[np.ndarray]:
+    def predict_batch(self, event_maps, prev_segs) -> np.ndarray:
         boxes = self.roi_predictor.predict_box_batch(event_maps, prev_segs)
-        return [self._expand(box) for box in boxes]
+        return self._expand(boxes)
 
 
 @dataclass

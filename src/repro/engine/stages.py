@@ -24,11 +24,16 @@ Strategy graph (Fig. 12/15 harness, extracted from
                         previous map
 
 Each stage has exactly one kernel, ``process_batch``, over a lockstep
-rank of frames; a single frame is a rank of width 1.  Per-sequence random
-streams are drawn row by row in rank order, and everything else stacks,
-so every row is bitwise-independent of the rank's width (pinned by the
-engine equivalence tests against the original monolithic loops and by
-checked-in output digests).
+rank of frames; a single frame is a rank of width 1.  Only the
+per-sequence keyed random draws run row by row, in rank order; the four
+sensor stages are rank kernels of :class:`BlissCamSensor` (one stacked
+op per step: comparator decision, popcount and threshold, ADC, ROI
+gather, RLE accounting, host rebuild) and box ordering, pixel conversion
+and margin expansion are ``(B, 4)`` array ops.  So every row is
+bitwise-independent of the rank's width (pinned by the engine
+equivalence tests against the original monolithic loops, by
+``tests/hardware/test_sensor_rank.py`` against the retired per-row forms
+and by checked-in output digests).
 """
 
 from __future__ import annotations
@@ -40,10 +45,9 @@ import numpy as np
 from repro.engine.context import FrameContext, SequenceState
 from repro.engine.stage import Stage
 from repro.gaze.estimation import pupil_centroid_batch
-from repro.hardware.sensor.sram_rng import popcount
 from repro.nn.functional import stack_rows
 from repro.sampling.eventification import eventify
-from repro.sampling.roi import ROIReusePolicy, box_iou, box_to_pixels, order_box
+from repro.sampling.roi import ROIReusePolicy, box_iou, boxes_to_pixels, order_box
 
 __all__ = [
     "EventifyStage",
@@ -69,24 +73,32 @@ class EventifyStage(Stage):
     name = "eventify"
 
     def process_batch(self, ctxs, seqs) -> None:
-        # Per-sensor noise streams must be drawn from each sequence's own
-        # generator (that's what makes every rank width bitwise-equal);
-        # the pure comparator decision vectorizes across the rank.
-        live: list[tuple[FrameContext, np.ndarray, np.ndarray, float]] = []
-        for ctx, seq in zip(ctxs, seqs):
-            inputs = seq.sensor.eventify_inputs(ctx.frame)
-            if inputs is None:
-                ctx.skipped = True  # bootstrap frame: nothing to difference yet
-                continue
-            live.append((ctx, *inputs, seq.sensor.sigma))
-        if not live:
-            return
-        diffs = stack_rows([d for _, d, _, _ in live])
-        noises = stack_rows([n for _, _, n, _ in live])
-        sigmas = np.array([s for _, _, _, s in live])[:, None, None]
-        events = type(seqs[0].sensor).comparator_decide(diffs, noises, sigmas)
-        for i, (ctx, _, _, _) in enumerate(live):
-            ctx.event_map = events[i]
+        # Noise comes from each sequence's own generator, in rank order
+        # (what makes every rank width bitwise-equal); the rest stacks.
+        sensors = [seq.sensor for seq in seqs]
+        events = type(sensors[0]).eventify_rank(
+            sensors, [ctx.frame for ctx in ctxs]
+        )
+        for ctx, event_map in zip(ctxs, events):
+            ctx.event_map = event_map
+            ctx.skipped = event_map is None  # bootstrap: nothing to difference
+
+
+def _place_boxes(ctxs, boxes, height: int, width: int) -> None:
+    """Order a rank's ``(B, 4)`` normalized boxes and convert them to pixel
+    boxes, refusing a non-finite box by sequence and frame."""
+    boxes = order_box(boxes)
+    bad = ~np.isfinite(boxes).all(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(
+            f"non-finite ROI box {boxes[i].tolist()} for sequence "
+            f"{ctxs[i].seq_index} at frame t={ctxs[i].t}"
+        )
+    pixels = boxes_to_pixels(boxes, height, width).astype(np.int64).tolist()
+    for ctx, box, pixel_box in zip(ctxs, boxes, pixels):
+        ctx.roi_box_norm = box
+        ctx.roi_box = tuple(pixel_box)
 
 
 class ROIPredictStage(Stage):
@@ -116,10 +128,7 @@ class ROIPredictStage(Stage):
             boxes = [self.predictor(e, p) for e, p in zip(event_maps, prev_segs)]
         else:
             boxes = batch(event_maps, prev_segs)
-        for ctx, box in zip(ctxs, boxes):
-            box_norm = order_box(np.asarray(box))
-            ctx.roi_box_norm = box_norm
-            ctx.roi_box = box_to_pixels(box_norm, self.height, self.width)
+        _place_boxes(ctxs, np.asarray(boxes), self.height, self.width)
 
 
 class ROIReuseStage(Stage):
@@ -148,16 +157,19 @@ class ROIReuseStage(Stage):
         # the rest go to the inner stage as one sub-rank (its rows are
         # independent, so the split cannot change them).
         predict: list[tuple[FrameContext, SequenceState]] = []
+        reused: list[FrameContext] = []
         for ctx, seq in zip(ctxs, seqs):
             policy: ROIReusePolicy = seq.slots[self.name]
             if self.window > 1 and not policy.should_predict():
-                box_norm = order_box(np.asarray(policy.current()))
-                ctx.roi_box_norm = box_norm
-                ctx.roi_box = box_to_pixels(box_norm, *ctx.frame.shape)
+                reused.append(ctx)
+                ctx.roi_box_norm = policy.current()
                 ctx.roi_reused = True
                 policy.tick()
             else:
                 predict.append((ctx, seq))
+        if reused:
+            boxes = np.array([ctx.roi_box_norm for ctx in reused])
+            _place_boxes(reused, boxes, *reused[0].frame.shape)
         if not predict:
             return
         self.inner.process_batch(
@@ -173,15 +185,14 @@ class SampleStage(Stage):
     name = "sample"
 
     def process_batch(self, ctxs, seqs) -> None:
-        # Power-up bits must come from each sequence's own stream, but the
-        # popcount reduction and threshold compare stack across the rank
-        # (integer/boolean ops: exact under any batching).
-        bits = stack_rows([seq.sensor.sram_rng.power_up_bits() for seq in seqs])
-        pops = popcount(bits)  # (B, num_pixels)
-        for i, (ctx, seq) in enumerate(zip(ctxs, seqs)):
-            ctx.sample_mask = seq.sensor.mask_from_popcounts(
-                pops[i], ctx.roi_box
-            )
+        # Power-up bits come from each sequence's own stream, in rank
+        # order; popcount, threshold and ROI mask run once for the rank.
+        sensors = [seq.sensor for seq in seqs]
+        masks = type(sensors[0]).sample_rank(
+            sensors, np.array([ctx.roi_box for ctx in ctxs])
+        )
+        for ctx, mask in zip(ctxs, masks):
+            ctx.sample_mask = mask
 
 
 class ReadoutStage(Stage):
@@ -190,29 +201,20 @@ class ReadoutStage(Stage):
     name = "readout"
 
     def process_batch(self, ctxs, seqs) -> None:
-        # The RLE round-trip is lossless by construction (tested), so the
-        # host skips the per-token python scan: the sensor's readout step
-        # provides vectorized run-length accounting and the sparse frame
-        # is rebuilt from the codes it already holds — bitwise identical
-        # to decoding the token stream (``BlissCamSensor.host_decode``).
-        # The readout itself stays per-row (ADC state machine, per-sensor
-        # levels); the host-side rebuild stacks: the int64->float64 cast
-        # is exact and the divide/multiply are elementwise.
-        code_rows = []
-        for ctx, seq in zip(ctxs, seqs):
-            codes, readout, stats = seq.sensor.readout_step(
-                ctx.frame, ctx.sample_mask, ctx.roi_box
-            )
-            ctx.readout = readout
-            ctx.rle_stats = stats
-            code_rows.append(codes)
-        codes = np.array(code_rows, dtype=np.float64)
-        levels = np.array(
-            [float(seq.sensor.adc.levels - 1) for seq in seqs]
-        )[:, None, None]
-        masks = stack_rows([ctx.sample_mask for ctx in ctxs])
-        sparse_frames = (codes / levels) * masks
+        # One rank kernel: ROI gather, ADC, RLE accounting and the host's
+        # rebuild of the sparse frames, bitwise equal to decoding each
+        # token stream (``BlissCamSensor.host_decode``).
+        sensors = [seq.sensor for seq in seqs]
+        masks = np.array([ctx.sample_mask for ctx in ctxs])
+        sparse_frames, readouts, rle_stats = type(sensors[0]).readout_rank(
+            sensors,
+            np.array([ctx.frame for ctx in ctxs]),
+            masks,
+            np.array([ctx.roi_box for ctx in ctxs]),
+        )
         for i, ctx in enumerate(ctxs):
+            ctx.readout = readouts[i]
+            ctx.rle_stats = rle_stats[i]
             ctx.sparse_frame = sparse_frames[i]
             ctx.mask = masks[i]
 

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.sampling.roi import boxes_mask
+
 __all__ = ["SparseReadout", "ReadoutResult"]
 
 
@@ -59,24 +61,37 @@ class SparseReadout:
             raise ValueError(
                 f"shape mismatch: {codes.shape} vs {sample_mask.shape}"
             )
-        r0, c0, r1, c1 = roi_box
-        if not (0 <= r0 < r1 <= codes.shape[0] and 0 <= c0 < c1 <= codes.shape[1]):
-            raise ValueError(f"ROI {roi_box} outside frame {codes.shape}")
-        roi_codes = codes[r0:r1, c0:c1]
-        roi_mask = sample_mask[r0:r1, c0:c1]
-        sparse = np.where(roi_mask, roi_codes, 0)
-        # Column-major: Fig. 11 reads the ROI column by column.
-        stream = sparse.T.reshape(-1)
-        converted = int(np.count_nonzero(roi_mask))
-        total = roi_mask.size
-        time = self.setup_time_s + (c1 - c0) * self.column_time_s
-        return ReadoutResult(
-            stream=stream,
-            roi_box=roi_box,
-            converted_pixels=converted,
-            skipped_pixels=total - converted,
-            readout_time_s=time,
-        )
+        in_roi = boxes_mask([roi_box], *codes.shape)[0].T
+        stream = np.where(sample_mask, codes, 0).T[in_roi]
+        return self.read_rank(stream, sample_mask.T[in_roi], [roi_box])[0]
+
+    def read_rank(
+        self, stream: np.ndarray, sampled: np.ndarray, roi_boxes
+    ) -> list[ReadoutResult]:
+        """:meth:`read` for a rank of ``(B, 4)`` pixel boxes.
+
+        ``stream`` holds the lanes' column-major ROI streams end to end
+        (Fig. 11 reads the ROI column by column), zero at every skipped
+        pixel, and ``sampled`` flags the sampled entries.  Indexing the
+        transpose of a ``(B, H, W)`` plane with the transposed
+        ``boxes_mask`` gathers exactly that: boolean indexing walks lane,
+        column, row.  Each result's stream is a view of ``stream``.
+        """
+        boxes = np.asarray(roi_boxes)
+        sizes = (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
+        heads = np.cumsum(sizes) - sizes
+        converted = np.add.reduceat(sampled, heads, dtype=np.int64)
+        lanes = zip(boxes.tolist(), heads.tolist(), sizes.tolist(), converted.tolist())
+        return [
+            ReadoutResult(
+                stream=stream[head : head + size],
+                roi_box=(r0, c0, r1, c1),
+                converted_pixels=n,
+                skipped_pixels=size - n,
+                readout_time_s=self.setup_time_s + (c1 - c0) * self.column_time_s,
+            )
+            for (r0, c0, r1, c1), head, size, n in lanes
+        ]
 
     @staticmethod
     def reconstruct(

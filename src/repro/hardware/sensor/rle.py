@@ -95,28 +95,33 @@ class RunLengthCodec:
                 i += 1
         return tokens, RleStats(n, literals, runs)
 
-    def stream_stats(self, values: np.ndarray) -> RleStats:
-        """Size accounting without materializing the token list.
+    def rank_stats(self, stream: np.ndarray, sizes) -> list[RleStats]:
+        """Size accounting of a rank's streams laid end to end in
+        ``stream`` (``sizes[i]`` values each), without materializing tokens.
 
-        Vectorized equivalent of ``encode(values)[1]``: literal tokens are
-        the non-zero entries; run tokens are the zero-runs, with runs
-        longer than the 12-bit field split into ``ceil(len / 4095)``
-        tokens.  The batched engine's readout stage uses this to keep MIPI
-        accounting exact while skipping the per-pixel python scan.
+        Equals ``encode(v)[1]`` for each stream ``v``, counted in one pass:
+        literal tokens are the non-zero entries; run tokens are the zero
+        runs — a run never crosses into the next stream, and one longer
+        than the 12-bit field splits into ``ceil(len / 4095)`` tokens.  The
+        engine's readout stage uses this to keep MIPI accounting exact.
         """
-        values = self._validated(values)
-        zero = values == 0
-        literals = int(values.size - np.count_nonzero(zero))
-        if not zero.any():
-            return RleStats(int(values.size), literals, 0)
-        # Zero-run boundaries: starts where zero begins, ends where it stops.
-        padded = np.concatenate(([False], zero, [False]))
-        edges = np.diff(padded.astype(np.int8))
-        starts = np.nonzero(edges == 1)[0]
-        ends = np.nonzero(edges == -1)[0]
-        lengths = ends - starts
-        runs = int(np.sum((lengths + _MAX_RUN - 1) // _MAX_RUN))
-        return RleStats(int(values.size), literals, runs)
+        sizes = np.asarray(sizes, dtype=np.int64)
+        heads = np.cumsum(sizes) - sizes
+        zero = self._validated(stream) == 0
+        first, last = heads[sizes > 0], (heads + sizes - 1)[sizes > 0]
+        start = zero.copy()  # a run starts at a zero after a non-zero
+        start[1:] &= ~zero[:-1]
+        start[first] = zero[first]  # or at the head of a stream
+        stop = zero.copy()
+        stop[:-1] &= ~zero[1:]
+        stop[last] = zero[last]
+        at = np.flatnonzero(start)
+        tokens = np.zeros(zero.size + 1, dtype=np.int64)
+        tokens[at] = (np.flatnonzero(stop) - at + _MAX_RUN) // _MAX_RUN
+        counts = np.stack([np.append(zero, False), tokens])
+        sums = np.add.reduceat(counts, heads, axis=1)  # empty streams read 0 below
+        zeros, runs = np.where(sizes > 0, sums, 0).tolist()
+        return [RleStats(n, n - z, r) for n, z, r in zip(sizes.tolist(), zeros, runs)]
 
     def decode(self, tokens: list[tuple[str, int]]) -> np.ndarray:
         """Reconstruct the original stream exactly."""
@@ -135,8 +140,3 @@ class RunLengthCodec:
         if not out:
             return np.zeros(0, dtype=np.int64)
         return np.concatenate(out)
-
-    def encoded_bytes(self, values: np.ndarray) -> int:
-        """Transmission size of the encoded stream, in bytes."""
-        _, stats = self.encode(values)
-        return stats.encoded_bytes

@@ -35,7 +35,7 @@ from repro.hardware.sensor.readout import ReadoutResult, SparseReadout
 from repro.hardware.sensor.rle import RleStats, RunLengthCodec
 from repro.hardware.sensor.sram_rng import SramPowerUpRNG, ThresholdLUT
 from repro.sampling.eventification import DEFAULT_SIGMA
-from repro.sampling.roi import box_to_pixels, order_box
+from repro.sampling.roi import box_to_pixels, boxes_mask, order_box
 
 __all__ = ["BlissCamSensor", "SensorFrameOutput"]
 
@@ -125,58 +125,112 @@ class BlissCamSensor:
         clone._held_frame = None
         return clone
 
-    # -- stage models ------------------------------------------------------------
-    def draw_comparator_noise(self, shape: tuple[int, int]) -> np.ndarray:
-        """The two comparator offset-noise planes for one eventification."""
-        return self._noise_rng.normal(0.0, self.comparator_noise, size=(2, *shape))
-
-    def eventify_inputs(
-        self, frame: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray] | None:
-        """The (diff, noise) operands of one comparator decision, or None.
-
-        Returns None on the bootstrap frame.  Replaces the held
-        AZ-capacitor frame with ``frame`` either way and draws this
-        frame's comparator noise — i.e. it advances all per-frame sensor
-        state, so callers (the engine's eventify stage) can vectorize the
-        pure comparison ``|diff + noise| > sigma`` across sensors without
-        touching sensor internals.
-        """
-        if frame.shape != (self.height, self.width):
-            raise ValueError(
-                f"frame shape {frame.shape} != sensor {self.height}x{self.width}"
-            )
-        if self._held_frame is None:
-            self._held_frame = frame.copy()
-            return None
-        diff = frame - self._held_frame
-        noise = self.draw_comparator_noise(frame.shape)
-        self._held_frame = frame.copy()
-        return diff, noise
+    # -- stage models: rank kernels, one lane per sensor -------------------------
+    @staticmethod
+    def draw_comparator_noise(
+        sensors: list["BlissCamSensor"], shape: tuple[int, int]
+    ) -> np.ndarray:
+        """The two comparator offset-noise planes of each sensor of a rank,
+        ``(B, 2, *shape)``, drawn in rank order into one buffer as ``σ·z +
+        0.0``: numpy's ``normal(0, σ)`` bit for bit (it forms ``0.0 + σ·z``,
+        and ``+ 0.0`` turns a ``-0.0`` into ``+0.0``)."""
+        noise = np.empty((len(sensors), 2, *shape))
+        for out, sensor in zip(noise, sensors):
+            sensor._noise_rng.standard_normal(out=out)
+        noise *= np.array([s.comparator_noise for s in sensors])[:, None, None, None]
+        noise += 0.0
+        return noise
 
     @staticmethod
-    def comparator_decide(
-        diff: np.ndarray, noise: np.ndarray, sigma
-    ) -> np.ndarray:
-        """Comparator-based |diff| > sigma with offset noise.
+    def eventify_rank(
+        sensors: list["BlissCamSensor"], frames: list[np.ndarray]
+    ) -> list[np.ndarray | None]:
+        """Eventify one new frame per sensor of a rank: its event maps.
 
-        Two sequential decisions through Vth1/Vth2 (Fig. 9).  Pure and
-        elementwise, so the engine can apply it to stacked
-        ``eventify_inputs`` of many sensors with bitwise-identical
-        results.
+        Each sensor latches its frame as the held AZ-capacitor frame (a view
+        of one stacked copy, never written); a lane that held none yet gets
+        None.  The rest compare frame difference plus comparator noise with
+        +/- sigma: two decisions through Vth1/Vth2 (Fig. 9), rank-wide.
         """
-        above = diff + noise[..., 0, :, :] > sigma
-        below = diff + noise[..., 1, :, :] < -sigma
-        return above | below
+        for sensor, frame in zip(sensors, frames):
+            if frame.shape != (sensor.height, sensor.width):
+                raise ValueError(
+                    f"frame shape {frame.shape} != sensor "
+                    f"{sensor.height}x{sensor.width}"
+                )
+        frames = np.array(frames)
+        live = [i for i, s in enumerate(sensors) if s._held_frame is not None]
+        events: list[np.ndarray | None] = [None] * len(sensors)
+        if live:
+            lanes = [sensors[i] for i in live]
+            inputs = BlissCamSensor.draw_comparator_noise(lanes, frames.shape[1:])
+            diff = frames if len(live) == len(sensors) else frames[live]
+            inputs += (diff - np.array([s._held_frame for s in lanes]))[:, None]
+            sigma = np.array([s.sigma for s in lanes])[:, None, None]
+            decided = inputs[:, 0] > sigma
+            decided |= inputs[:, 1] < -sigma
+            for i, event_map in zip(live, decided):
+                events[i] = event_map
+        for sensor, frame in zip(sensors, frames):
+            sensor._held_frame = frame
+        return events
+
+    @staticmethod
+    def sample_rank(
+        sensors: list["BlissCamSensor"], pixel_boxes: np.ndarray
+    ) -> np.ndarray:
+        """The ``(B, H, W)`` sampling masks of a rank: one popcount and one
+        theta compare over every lane's in-ROI pixels, scattered through
+        one broadcast ROI mask.  Row ``i`` equals ``mask_from_popcounts``
+        of ``sensors[i]``'s power-up popcounts."""
+        shape = (sensors[0].height, sensors[0].width)
+        in_roi = boxes_mask(pixel_boxes, *shape)
+        pops = SramPowerUpRNG.rank_popcounts(
+            [s.sram_rng for s in sensors], pixel_boxes, shape
+        )
+        thetas = np.repeat([s.theta for s in sensors], in_roi.sum(axis=(1, 2)))
+        masks = np.zeros(in_roi.shape, dtype=bool)
+        masks[in_roi] = pops >= thetas
+        return masks
+
+    @staticmethod
+    def readout_rank(
+        sensors: list["BlissCamSensor"],
+        frames: np.ndarray,
+        sample_masks: np.ndarray,
+        pixel_boxes: np.ndarray,
+    ) -> tuple[np.ndarray, list[ReadoutResult], list[RleStats]]:
+        """ADC + sparse readout + RLE accounting of a rank, and the host's
+        rebuild: ``(sparse_frames, readouts, rle_stats)``.
+
+        One gather takes every lane's column-major ROI pixels; the ADC
+        quantizes them at once (lifted to >= 1 LSB so RLE zeros mean
+        "skipped") and the skipped ones are zeroed.  RLE is lossless, so
+        the host rebuilds each sparse frame from the stream, bitwise equal
+        to :meth:`host_decode`, and the token counts need no tokens.
+        """
+        adc, unit = sensors[0].adc, sensors[0].readout_unit
+        if any(s.adc != adc for s in sensors):
+            raise ValueError("the sensors of a rank must share one ADC design")
+        in_roi = boxes_mask(pixel_boxes, *frames.shape[1:]).transpose(0, 2, 1)
+        values = frames.transpose(0, 2, 1)[in_roi]
+        sampled = sample_masks.transpose(0, 2, 1)[in_roi]
+        stream = adc.quantize(values, clamp_min_lsb=1) * sampled
+        r0, c0, r1, c1 = np.asarray(pixel_boxes).T
+        sizes = (r1 - r0) * (c1 - c0)
+        readouts = unit.read_rank(stream, sampled, pixel_boxes)
+        stats = sensors[0].codec.rank_stats(stream, sizes)
+        sparse = np.zeros(frames.shape)
+        sparse.transpose(0, 2, 1)[in_roi] = stream / float(adc.levels - 1)
+        return sparse, readouts, stats
 
     def mask_from_popcounts(
         self, popcounts: np.ndarray, pixel_box: tuple[int, int, int, int]
     ) -> np.ndarray:
         """Threshold per-pixel popcounts and restrict to the ROI.
 
-        The deterministic half of the sampling decision: the engine's
-        sample stage stacks the power-up draws of many sensors before
-        thresholding each row here.
+        The deterministic half of :meth:`capture`'s sampling decision;
+        the engine's sample stage runs :meth:`sample_rank` instead.
         """
         rng_mask = (popcounts >= self.theta).reshape((self.height, self.width))
         sample_mask = np.zeros_like(rng_mask)
@@ -184,45 +238,15 @@ class BlissCamSensor:
         sample_mask[r0:r1, c0:c1] = rng_mask[r0:r1, c0:c1]
         return sample_mask
 
-    def _convert_and_read(
-        self,
-        frame: np.ndarray,
-        sample_mask: np.ndarray,
-        pixel_box: tuple[int, int, int, int],
-    ) -> tuple[np.ndarray, ReadoutResult]:
-        # ADC only at sampled pixels; 1-LSB lift so RLE zeros mean "skipped".
-        codes = np.zeros((self.height, self.width), dtype=np.int64)
-        if sample_mask.any():
-            codes[sample_mask] = self.adc.quantize(
-                frame[sample_mask], clamp_min_lsb=1
-            )
-        return codes, self.readout_unit.read(codes, sample_mask, pixel_box)
-
-    def readout_step(
-        self,
-        frame: np.ndarray,
-        sample_mask: np.ndarray,
-        pixel_box: tuple[int, int, int, int],
-    ) -> tuple[np.ndarray, ReadoutResult, RleStats]:
-        """ADC conversion + sparse readout + RLE accounting for one frame.
-
-        Returns ``(codes, readout, rle_stats)``.  The RLE round-trip is
-        lossless, so transmission-size accounting comes from the
-        vectorized :meth:`RunLengthCodec.stream_stats` and the host can
-        rebuild the sparse frame directly from ``codes`` — bitwise
-        identical to decoding the token stream, without materializing it.
-        """
-        codes, readout = self._convert_and_read(frame, sample_mask, pixel_box)
-        return codes, readout, self.codec.stream_stats(readout.stream)
-
     def capture(
         self, frame: np.ndarray, prev_segmentation: np.ndarray | None
     ) -> SensorFrameOutput | None:
         """Process one exposure; returns None for the very first frame.
 
-        The standalone chip model: the same per-sensor steps the engine's
-        tracking stages run (eventify -> ROI predict -> sample -> readout,
-        drawing comparator noise before the SRAM power-up bits), plus the
+        The standalone chip model: one frame through the steps the
+        engine's tracking stages run (eventify -> ROI predict -> sample ->
+        readout, drawing comparator noise before the SRAM power-up bits;
+        eventify and readout are the rank kernels at width 1), plus the
         RLE token stream a real chip puts on the MIPI link.
 
         Parameters
@@ -235,11 +259,9 @@ class BlissCamSensor:
             over MIPI (the Fig. 8 cross-frame dependency); None when not
             yet available.
         """
-        inputs = self.eventify_inputs(frame)
-        if inputs is None:
+        (event_map,) = self.eventify_rank([self], [frame])
+        if event_map is None:
             return None
-        event_map = self.comparator_decide(*inputs, self.sigma)
-
         box_norm = order_box(
             np.asarray(self.roi_predictor(event_map, prev_segmentation))
         )
@@ -250,7 +272,9 @@ class BlissCamSensor:
         sample_mask = self.mask_from_popcounts(
             self.sram_rng.power_up_popcounts(), pixel_box
         )
-        _, readout = self._convert_and_read(frame, sample_mask, pixel_box)
+        _, (readout,), _ = self.readout_rank(
+            [self], frame[None], sample_mask[None], [pixel_box]
+        )
         tokens, stats = self.codec.encode(readout.stream)
         return SensorFrameOutput(
             event_map=event_map,

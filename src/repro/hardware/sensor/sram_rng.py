@@ -63,11 +63,6 @@ class ThresholdLUT:
                 return theta
         return 15
 
-    def achieved_rate(self, theta: int) -> float:
-        if not 0 <= theta <= 15:
-            raise ValueError(f"theta must be a 4-bit value: {theta}")
-        return self.rate_for_theta[theta]
-
 
 class SramPowerUpRNG:
     """Per-pixel popcount-of-power-up-bits random source.
@@ -134,6 +129,33 @@ class SramPowerUpRNG:
     def power_up_popcounts(self) -> np.ndarray:
         """One power-up event: the 10-bit popcount of every pixel."""
         return popcount(self.power_up_bits())
+
+    @staticmethod
+    def rank_popcounts(
+        rngs: list["SramPowerUpRNG"], pixel_boxes: np.ndarray, shape: tuple[int, int]
+    ) -> np.ndarray:
+        """One power-up event of every RNG of a rank, popcounted in boxes.
+
+        Lane ``i`` contributes ``rngs[i].power_up_popcounts().reshape(shape)
+        [r0:r1, c0:c1]`` (bitwise, row-major), lanes end to end.  Each lane
+        draws its whole event from its own stream, in rank order, into one
+        cache-sized buffer and compares only its in-box cells against its
+        own biases (lanes of different chips mix freely); one popcount
+        serves the rank.
+        """
+        height, width = shape
+        boxes = np.asarray(pixel_boxes).tolist()
+        sizes = [(r1 - r0) * (c1 - c0) for r0, c0, r1, c1 in boxes]
+        draw = np.empty((height, width, BITS_PER_PIXEL), dtype=np.float32)
+        bits = np.empty((sum(sizes), BITS_PER_PIXEL), dtype=bool)
+        head = 0
+        for rng, (r0, c0, r1, c1), size in zip(rngs, boxes, sizes):
+            rng.rng.random(out=draw, dtype=np.float32)
+            bias = rng._bias_f32.reshape(draw.shape)
+            out = bits[head : head + size].reshape(r1 - r0, c1 - c0, -1)
+            np.less(draw[r0:r1, c0:c1], bias[r0:r1, c0:c1], out=out)
+            head += size
+        return popcount(bits)
 
     def calibrate(self, cycles: int = 64) -> ThresholdLUT:
         """Offline profiling: power up/down ``cycles`` times, build the LUT."""

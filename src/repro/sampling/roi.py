@@ -23,47 +23,72 @@ __all__ = [
     "ROIPredictor",
     "ROIReusePolicy",
     "box_to_pixels",
+    "boxes_to_pixels",
     "box_from_pixels",
     "box_area",
     "box_iou",
     "box_mask",
+    "boxes_mask",
     "expand_box",
     "order_box",
 ]
 
 
 def order_box(box: np.ndarray) -> np.ndarray:
-    """Sort corner coordinates so ``r0 <= r1`` and ``c0 <= c1``."""
-    r0, c0, r1, c1 = box
-    return np.array(
-        [min(r0, r1), min(c0, c1), max(r0, r1), max(c0, c1)], dtype=np.float64
+    """Sort corner coordinates so ``r0 <= r1`` and ``c0 <= c1``.
+
+    Takes one ``(4,)`` box or a ``(B, 4)`` rank; each corner pair keeps
+    Python's ``min``/``max`` choice, NaN and signed zeros included.
+    """
+    box = np.asarray(box, dtype=np.float64)
+    lo, hi = box[..., :2], box[..., 2:]
+    return np.concatenate(
+        [np.where(hi < lo, hi, lo), np.where(hi > lo, hi, lo)], axis=-1
     )
+
+
+def boxes_to_pixels(boxes: np.ndarray, height: int, width: int) -> np.ndarray:
+    """A ``(B, 4)`` rank of normalized boxes -> pixel boxes clipped to the
+    frame, as exact integers in float64: a non-finite box stays non-finite
+    for the caller to refuse (an integer cast would turn NaN into a
+    silently wrong corner).  A box thinner than a pixel grows to one."""
+    boxes = order_box(boxes)
+    size = np.array([height, width])
+    lo = np.clip(np.floor(boxes[:, :2] * size), 0, size)
+    hi = np.clip(np.ceil(boxes[:, 2:] * size), 0, size)
+    thin = hi <= lo
+    hi = np.where(thin, np.minimum(lo + 1, size), hi)
+    lo = np.where(thin, hi - 1, lo)
+    return np.concatenate([lo, hi], axis=1)
 
 
 def box_to_pixels(
     box: np.ndarray, height: int, width: int
 ) -> tuple[int, int, int, int]:
     """Normalized box -> integer pixel box, clipped to the frame."""
-    r0, c0, r1, c1 = order_box(np.asarray(box, dtype=np.float64))
-    pr0 = int(np.clip(np.floor(r0 * height), 0, height))
-    pc0 = int(np.clip(np.floor(c0 * width), 0, width))
-    pr1 = int(np.clip(np.ceil(r1 * height), 0, height))
-    pc1 = int(np.clip(np.ceil(c1 * width), 0, width))
-    if pr1 <= pr0:
-        pr1 = min(pr0 + 1, height)
-        pr0 = pr1 - 1
-    if pc1 <= pc0:
-        pc1 = min(pc0 + 1, width)
-        pc0 = pc1 - 1
-    return pr0, pc0, pr1, pc1
+    row = boxes_to_pixels(np.asarray(box)[None], height, width)[0]
+    return tuple(int(v) for v in row)
 
 
-def box_from_pixels(
-    pixel_box: tuple[int, int, int, int], height: int, width: int
-) -> np.ndarray:
-    """Integer pixel box -> normalized box."""
-    r0, c0, r1, c1 = pixel_box
-    return np.array([r0 / height, c0 / width, r1 / height, c1 / width])
+def box_from_pixels(pixel_box, height: int, width: int) -> np.ndarray:
+    """Integer pixel box (or a ``(B, 4)`` rank of them) -> normalized."""
+    return np.asarray(pixel_box) / np.array([height, width, height, width])
+
+
+def boxes_mask(pixel_boxes: np.ndarray, height: int, width: int) -> np.ndarray:
+    """``(B, H, W)`` masks of the pixels inside each box of a ``(B, 4)``
+    rank of pixel boxes (one broadcast compare per axis), refusing a box
+    that is empty or leaves the frame."""
+    boxes = np.asarray(pixel_boxes)
+    lo, hi = boxes[:, :2], boxes[:, 2:]
+    inside = ((0 <= lo) & (lo < hi) & (hi <= (height, width))).all(axis=1)
+    if not inside.all():
+        bad = boxes[~inside].tolist()
+        raise ValueError(f"ROI {bad} outside frame {(height, width)}")
+    r0, c0, r1, c1 = boxes[:, :, None].transpose(1, 0, 2)
+    rows, cols = np.arange(height), np.arange(width)
+    in_rows = (r0 <= rows) & (rows < r1)
+    return in_rows[:, :, None] & ((c0 <= cols) & (cols < c1))[:, None, :]
 
 
 def box_area(pixel_box: tuple[int, int, int, int]) -> int:
@@ -86,10 +111,7 @@ def box_mask(
     pixel_box: tuple[int, int, int, int], height: int, width: int
 ) -> np.ndarray:
     """Boolean mask of pixels inside the box."""
-    mask = np.zeros((height, width), dtype=bool)
-    r0, c0, r1, c1 = pixel_box
-    mask[r0:r1, c0:c1] = True
-    return mask
+    return boxes_mask([pixel_box], height, width)[0]
 
 
 def expand_box(
@@ -152,16 +174,19 @@ class ROIPredictor(nn.Module):
         self.out_act = nn.Sigmoid()
 
     @staticmethod
-    def make_input(
-        event_map: np.ndarray, prev_segmentation: np.ndarray | None
-    ) -> np.ndarray:
-        """Stack event map + previous segmentation into a (1, 2, H, W) batch."""
-        event = event_map.astype(np.float64)
-        if prev_segmentation is None:
-            seg = np.zeros_like(event)
-        else:
-            seg = prev_segmentation.astype(np.float64) / max(NUM_CLASSES - 1, 1)
-        return np.stack([event, seg])[None]
+    def make_input(event_maps, prev_segmentations) -> np.ndarray:
+        """Stack event maps + previous segmentations into a ``(B, 2, H, W)``
+        batch; a lone ``(H, W)`` event map and its segmentation (or None)
+        make a batch of one."""
+        if isinstance(event_maps, np.ndarray) and event_maps.ndim == 2:
+            event_maps, prev_segmentations = [event_maps], [prev_segmentations]
+        x = np.zeros((len(event_maps), 2, *np.shape(event_maps[0])))
+        np.stack(event_maps, out=x[:, 0])
+        for row, seg in zip(x[:, 1], prev_segmentations):
+            if seg is not None:
+                row[...] = seg
+        x[:, 1] /= max(NUM_CLASSES - 1, 1)
+        return x
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         h = self.act1(self.conv1(x))
@@ -185,10 +210,11 @@ class ROIPredictor(nn.Module):
 
     def predict_box_batch(
         self,
-        event_maps: list[np.ndarray],
+        event_maps,
         prev_segmentations: list[np.ndarray | None],
-    ) -> list[np.ndarray]:
-        """Ordered normalized boxes of a rank, each row independent of the rest.
+    ) -> np.ndarray:
+        """Ordered normalized ``(B, 4)`` boxes of a rank, each row
+        independent of the rest.
 
         The conv trunk is safe to stack: im2col is a pure gather and the
         conv GEMM is row-independent by construction (one fixed-shape
@@ -198,23 +224,19 @@ class ROIPredictor(nn.Module):
         per-row — it is a tiny fraction of the predictor's MACs.  The
         forward runs under :func:`repro.nn.inference`.
         """
-        x = np.concatenate(
-            [
-                self.make_input(event, seg)
-                for event, seg in zip(event_maps, prev_segmentations)
-            ]
-        )
+        x = self.make_input(event_maps, prev_segmentations)
         with nn.inference():
             h = self.act1(self.conv1(x))
             h = self.act2(self.conv2(h))
             h = self.act3(self.conv3(h))
             flat = self.flatten(h)
-            boxes = []
-            for b in range(flat.shape[0]):
-                row = self.act4(self.fc1(flat[b : b + 1]))
-                out = self.out_act(self.fc2(row))
-                boxes.append(order_box(out[0]))
-        return boxes
+            out = np.concatenate(
+                [
+                    self.out_act(self.fc2(self.act4(self.fc1(flat[b : b + 1]))))
+                    for b in range(flat.shape[0])
+                ]
+            )
+        return order_box(out)
 
     def mac_count(self) -> int:
         """Multiply-accumulates for one forward pass (paper: ~2.1e7)."""

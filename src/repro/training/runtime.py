@@ -177,12 +177,7 @@ def _rank_backward(
         _augmented_cue(sample, config, rng)
         for sample, rng in zip(batch, streams)
     ]
-    roi_in = np.concatenate(
-        [
-            ROIPredictor.make_input(event_maps[i], cues[i])
-            for i in range(len(batch))
-        ]
-    )
+    roi_in = ROIPredictor.make_input(event_maps, cues)
     box_pred = roi_predictor(roi_in)  # (B, 4), sigmoid-activated
 
     # ROI regression loss against the ground-truth foreground boxes.

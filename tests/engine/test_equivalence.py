@@ -299,7 +299,7 @@ class TestVectorizedKernels:
             )
         for stream in streams:
             _, slow = codec.encode(stream)
-            assert codec.stream_stats(stream) == slow
+            assert codec.rank_stats(stream, [stream.size]) == [slow]
 
     def test_packed_batch_matches_per_frame(self):
         """The packed slab gives every frame the logits of its own width-1
