@@ -11,10 +11,10 @@ and evaluates the same held-out sequences with
   pinned against);
 * ``batched`` — one call, one vectorized lockstep rank of every
   sequence (what every in-process run does);
-* ``sharded`` — ``workers=2``: one shard per worker, each one rank of
-  its own sequences, on the session's persistent pool with payloads
-  (per sequence: frames, gazes, ROI boxes) on its shared-memory
-  transport channel, the only way anything shards.
+* ``sharded`` — a 2-worker ``Shards`` handle: one shard per worker,
+  each one rank of its own sequences, on the session's persistent pool
+  with payloads (per sequence: frames, gazes, ROI boxes) on its
+  shared-memory transport channel, the only way anything shards.
 
 Each mode is timed untraced (a tracer would make every sharded job
 capture and ship its spans home), best of ``REPEATS`` after one warm-up
@@ -50,6 +50,7 @@ from _helpers import (
 from repro.api import ExperimentSpec, Session
 from repro.api.result import Table
 from repro.api.tracker import WorkloadStats
+from repro.engine import Shards
 from repro.obs import Tracer, install_tracer, summarize
 from repro.obs.cli import stage_table
 
@@ -127,16 +128,14 @@ def run_engine_throughput() -> tuple[dict, dict]:
     best = {}
     with Session() as session:
         pipeline = session.pipeline(spec)
-        sharding = {
-            "workers": WORKERS,
-            "executor": session.executor(WORKERS),
-            "transport": session.transport(),
-        }
+        shards = Shards(
+            session.executor(WORKERS), session.transport(), WORKERS
+        )
         # Each returns a list of EvaluationResults.
         evaluate = {
             "sequential": lambda idx: [pipeline.evaluate([i]) for i in idx],
             "batched": lambda idx: [pipeline.evaluate(idx)],
-            "sharded": lambda idx: [pipeline.evaluate(idx, **sharding)],
+            "sharded": lambda idx: [pipeline.evaluate(idx, shards=shards)],
         }
         for mode in MODES:
             # Warm the sensor template and (for the sharded mode) the

@@ -11,10 +11,10 @@ same (strategy, segmenter) graph through the same runner three ways:
 * **batched** — one call, full-rank lockstep (stacked eventification,
   batched sampling draws, one dense segmenter forward per rank,
   vectorized centroid regression);
-* **sharded** — ``workers=2`` on a ``Session``'s persistent pool and
-  shared-memory channel, the only way anything shards (reported for the
-  trajectory; at this scale dispatch dominates, so no speedup bar is
-  placed on it).
+* **sharded** — a 2-worker ``Shards`` handle over a ``Session``'s
+  persistent pool and shared-memory channel, the only way anything
+  shards (reported for the trajectory; at this scale dispatch
+  dominates, so no speedup bar is placed on it).
 
 Unlike the training bench, all three modes are bitwise-pinned: every
 evaluated frame's gaze prediction, reuse flag and compression must be
@@ -42,7 +42,7 @@ from _helpers import (
     record_bench,
 )
 from repro.api import STRATEGIES, Session
-from repro.engine import build_strategy_graph, strategy_runner
+from repro.engine import Shards, build_strategy_graph, strategy_runner
 from repro.gaze.estimation import FittedGazeEstimator
 from repro.segmentation import ViTConfig, ViTSegmenter
 from repro.synth import DatasetConfig, SyntheticEyeDataset
@@ -138,15 +138,13 @@ def run_strategy_bench() -> dict:
     )
     batched_s, batched = _time_mode(lambda: runner.run(sequences).contexts)
     with Session() as session:
-        sharding = {
-            "workers": WORKERS,
-            "executor": session.executor(WORKERS),
-            "transport": session.transport(),
-        }
+        shards = Shards(
+            session.executor(WORKERS), session.transport(), WORKERS
+        )
         # Best-of-REPEATS: the first repeat forks the pool's workers,
         # later ones time steady-state dispatch.
         sharded_s, sharded = _time_mode(
-            lambda: runner.run(sequences, **sharding).contexts
+            lambda: runner.run(sequences, shards=shards).contexts
         )
 
     # The speedup only counts if the outputs are byte-identical — a

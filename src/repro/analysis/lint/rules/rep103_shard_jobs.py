@@ -1,16 +1,17 @@
 """REP103: unpicklable shard jobs at executor dispatch seams.
 
-Every cross-process dispatch in this repository (``executor.submit``,
-``pool.map``) must ship a **module-level callable**: lambdas and nested
-``def``\\ s do not pickle, and ``self.method`` drags the whole instance
-across the pipe.  PR 2 converted the engine's closures to plain classes
-for exactly this reason, and every worker entry point since
-(``_execute_shard_handles`` in the engine runner,
-``_serve_partition_handles`` in the serving scheduler,
-``_sweep_strategy_job`` in the strategy sweep) is a module-level
-function by convention.  The failure is especially
-treacherous because the in-process ``workers=1`` path never exercises
-pickling — the bug only detonates on a sharded host.
+Every cross-process dispatch in this repository (``shards.map``,
+``executor.submit``, ``pool.map``) must ship a **module-level
+callable**: lambdas and nested ``def``\\ s do not pickle, and
+``self.method`` drags the whole instance across the pipe.  The engine's
+closures became plain classes for exactly this reason, and every
+worker entry point is a module-level function: the one submitted
+entry, ``_shard_worker`` in ``repro.engine.executors``, and the jobs
+each site passes to ``Shards.map`` (``_execute_shard`` in the engine
+runner, ``_serve_partition`` in the serving scheduler,
+``_sweep_strategy_job`` in the strategy sweep).  The failure is
+especially treacherous because the in-process ``workers=1`` path never
+exercises pickling — the bug only detonates on a sharded host.
 """
 
 from __future__ import annotations
@@ -24,8 +25,9 @@ from repro.analysis.lint.findings import Finding
 __all__ = ["ShardJobRule"]
 
 #: Receiver-name fragments that make a ``.map`` call a pool dispatch
-#: (``.submit`` is distinctive on its own; ``.map`` is not).
-_POOLISH = ("executor", "pool")
+#: (``.submit`` is distinctive on its own; ``.map`` is not).  ``shards``
+#: and ``sharding`` name :class:`repro.engine.executors.Shards` handles.
+_POOLISH = ("executor", "pool", "shards", "sharding")
 
 
 def _receiver_text(func: ast.Attribute) -> str:
@@ -87,9 +89,12 @@ class ShardJobRule(Rule):
                     pass
                 else:
                     continue
-                if not node.args:
-                    continue
-                yield from self._check_job(module, node.args[0], attr, local)
+                job = node.args[0] if node.args else next(
+                    (kw.value for kw in node.keywords if kw.arg == "job"),
+                    None,
+                )
+                if job is not None:
+                    yield from self._check_job(module, job, attr, local)
 
     def _check_job(
         self, module: ParsedModule, job: ast.expr, seam: str, local: set[str]

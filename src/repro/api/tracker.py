@@ -34,6 +34,7 @@ import numpy as np
 
 from repro.engine import (
     EngineRun,
+    Shards,
     build_strategy_graph,
     build_tracking_graph,
     strategy_runner,
@@ -398,19 +399,17 @@ class BlissCamPipeline:
         eval_indices: list[int] | None = None,
         reuse_window: int = 1,
         sensor_seed: int = 1234,
-        workers: int | None = None,
-        executor=None,
-        transport=None,
+        shards: Shards | None = None,
     ) -> EvaluationResult:
         """Run the functional sensor + host over held-out sequences.
 
         ``reuse_window`` > 1 enables the Table-I ROI-reuse policy (a
         first-class engine stage).  The sequences run in vectorized
-        lockstep, one rank of every sequence; ``workers >= 2`` shards
-        that rank over ``executor`` with payloads on the ``transport``
-        channel (a ``repro.api.Session``'s ``executor(n)`` and
-        ``transport()``).  Both modes produce bitwise-identical results;
-        see ``docs/architecture.md``.
+        lockstep, one rank of every sequence; a
+        :class:`~repro.engine.executors.Shards` handle (a
+        ``repro.api.Session``'s ``executor(n)`` and ``transport()``)
+        shards that rank over its pool.  Both modes produce
+        bitwise-identical results; see ``docs/architecture.md``.
         """
         if eval_indices is None:
             _, eval_indices = self.dataset.split()
@@ -426,10 +425,7 @@ class BlissCamPipeline:
             retain_intermediates=False,
         )
         run = runner.run(
-            [(i, self.dataset[i]) for i in eval_indices],
-            workers=workers,
-            executor=executor,
-            transport=transport,
+            [(i, self.dataset[i]) for i in eval_indices], shards=shards
         )
         return self._collect_evaluation(run)
 
@@ -545,9 +541,7 @@ def evaluate_strategy(
     eval_indices: list[int],
     rng: np.random.Generator,
     gaze_estimator: FittedGazeEstimator | None = None,
-    workers: int | None = None,
-    executor=None,
-    transport=None,
+    shards: Shards | None = None,
     use_gt_roi: bool = True,
 ) -> StrategyEvaluation:
     """Measure gaze error when the host sees ``strategy``-sampled frames.
@@ -560,9 +554,9 @@ def evaluate_strategy(
     runner the end-to-end tracker uses.  Each sequence samples from its
     own ``strategy.spawn`` stream keyed by sequence index (derived from
     ``rng``), so both execution modes — one in-process lockstep rank,
-    and sharded (``workers >= 2`` on ``executor`` and the ``transport``
-    channel, e.g. a ``repro.api.Session``'s) — produce bitwise-identical
-    results; Fig. 15 sweeps can fan out freely.
+    and sharded over a :class:`~repro.engine.executors.Shards` handle
+    (e.g. a ``repro.api.Session``'s pool and channel) — produce
+    bitwise-identical results; Fig. 15 sweeps can fan out freely.
     """
     if gaze_estimator is None:
         gaze_estimator = FittedGazeEstimator()
@@ -581,12 +575,7 @@ def evaluate_strategy(
     # O(frame size) intermediates as the run streams (and keep sharded
     # worker->parent transfers scalar-sized).
     runner = strategy_runner(graph, retain_intermediates=False)
-    run = runner.run(
-        [(i, dataset[i]) for i in eval_indices],
-        workers=workers,
-        executor=executor,
-        transport=transport,
-    )
+    run = runner.run([(i, dataset[i]) for i in eval_indices], shards=shards)
 
     preds, truths, compressions = [], [], []
     for ctx in run.evaluated:

@@ -3,9 +3,13 @@
 Each workload is ``(session, spec) -> RunResult`` and is registered
 under the spec string it answers to.  Accuracy workloads run the shared
 :mod:`repro.engine` stage runtime through the session's memoized
-pipelines and persistent pool; hardware workloads query the calibrated
-energy/latency/area/power models; the ``serve`` workload drives the
-:mod:`repro.serve` streaming runtime over a session-trained tracker.
+pipelines; with ``execution.workers >= 2`` every sharded workload
+(evaluation, the strategy sweep, serving) fans out through one
+:class:`~repro.engine.executors.Shards` handle over the session's pool
+and transport channel (:func:`_sharding`).  Hardware workloads query
+the calibrated energy/latency/area/power models; the ``serve`` workload
+drives the :mod:`repro.serve` streaming runtime over a session-trained
+tracker.
 The offline workloads delegate to the imperative surface of
 :mod:`repro.api.tracker` (``BlissCamPipeline.evaluate``,
 ``evaluate_strategy``), so their metrics are bitwise-identical to
@@ -25,6 +29,7 @@ from repro.api.result import RunResult, Table
 from repro.api.session import Session, system_config
 from repro.api.spec import ExperimentSpec
 from repro.api.tracker import evaluate_strategy, train_for_strategy
+from repro.engine.executors import Shards
 from repro.hardware import (
     AreaModel,
     ProcessNodes,
@@ -50,16 +55,16 @@ def _split_indices(spec: ExperimentSpec, dataset):
     return train_idx, eval_idx
 
 
-def _sharding(session: Session, spec: ExperimentSpec):
-    """(workers, executor, transport) for the engine: the session's pool
-    and its shared-memory transport channel when sharded.  ``workers <
-    2`` returns the all-``None`` triple — the serial reference path the
-    sharded runs are pinned against."""
+def _sharding(session: Session, spec: ExperimentSpec) -> Shards | None:
+    """The session's pool and shared-memory transport channel as one
+    :class:`~repro.engine.executors.Shards` handle.  ``workers < 2``
+    returns ``None`` — the serial reference path the sharded runs are
+    pinned against."""
     workers = spec.execution.workers
     executor = session.executor(workers)
     if executor is None:
-        return None, None, None
-    return workers, executor, session.transport()
+        return None
+    return Shards(executor, session.transport(), workers)
 
 
 def strategy_rng(base_seed: int, name: str) -> np.random.Generator:
@@ -77,15 +82,12 @@ def strategy_rng(base_seed: int, name: str) -> np.random.Generator:
 def run_evaluate(session: Session, spec: ExperimentSpec) -> RunResult:
     """Train (memoized) + evaluate the end-to-end tracker."""
     pipeline = session.pipeline(spec)
-    workers, executor, transport = _sharding(session, spec)
     e = spec.execution
     result = pipeline.evaluate(
         list(e.eval_indices) if e.eval_indices is not None else None,
         reuse_window=spec.sensor.reuse_window,
         sensor_seed=spec.sensor.sensor_seed,
-        workers=workers,
-        executor=executor,
-        transport=transport,
+        shards=_sharding(session, spec),
     )
     metrics = {
         "frames": result.horizontal.count,
@@ -167,10 +169,7 @@ def _train_strategy(config, dataset, st, name: str, train_idx):
     return strategy, segmenter, rng
 
 
-def _evaluate_trained(
-    trained, dataset, st, eval_idx, workers=None, executor=None,
-    transport=None,
-):
+def _evaluate_trained(trained, dataset, st, eval_idx, shards=None):
     """Evaluate a trained triple from :func:`_train_strategy`."""
     strategy, segmenter, rng = trained
     return evaluate_strategy(
@@ -181,22 +180,23 @@ def _evaluate_trained(
         # Deep-copy the post-training RNG state: the cached generator
         # stays pristine, so a cache-hit re-run replays bitwise.
         copy.deepcopy(rng),
-        workers=workers,
-        executor=executor,
-        transport=transport,
+        shards=shards,
         use_gt_roi=st.use_gt_roi,
     )
 
 
-def _sweep_strategy_job(config, st, name: str, train_idx, eval_idx):
+def _sweep_strategy_job(sweep: tuple, name: str):
     """Train + evaluate one strategy of a fanned-out sweep (worker side).
 
-    Module-level so the session pool can pickle it.  Returns the trained
-    triple *in its post-training RNG state* plus its evaluation, so the
-    parent caches the triple exactly as the in-process path does.
+    The :meth:`~repro.engine.executors.Shards.map` job: ``sweep`` is
+    ``(config, st, train_idx, eval_idx)``, shared by every strategy.
+    Returns the trained triple *in its post-training RNG state* plus its
+    evaluation, so the parent caches the triple exactly as the
+    in-process path does.
     """
     from repro.synth import SyntheticEyeDataset
 
+    config, st, train_idx, eval_idx = sweep
     dataset = SyntheticEyeDataset(config.dataset)
     trained = _train_strategy(config, dataset, st, name, train_idx)
     return trained, _evaluate_trained(trained, dataset, st, eval_idx)
@@ -226,23 +226,19 @@ def run_strategy_sweep(session: Session, spec: ExperimentSpec) -> RunResult:
         ("dataset", spec.section_hash("dataset")), _dataset, training=False
     )
     train_idx, eval_idx = _split_indices(spec, dataset)
-    workers, executor, transport = _sharding(session, spec)
+    shards = _sharding(session, spec)
 
     # Fan uncached strategies out across the pool; each worker returns
     # its trained triple plus the evaluation it already ran in-place.
     evaluations: dict[str, object] = {}
-    if executor is not None:
+    if shards is not None:
         missing = [
             n for n in names if not session.cached(_sweep_key(spec, train_idx, n))
         ]
-        futures = {
-            n: executor.submit(
-                _sweep_strategy_job, config, st, n, train_idx, eval_idx
-            )
-            for n in missing
-        }
-        for n in missing:
-            trained, evaluation = futures[n].result()
+        results = shards.map(
+            _sweep_strategy_job, (config, st, train_idx, eval_idx), missing
+        )
+        for n, (trained, evaluation) in zip(missing, results):
             session.memo(
                 _sweep_key(spec, train_idx, n), lambda t=trained: t
             )
@@ -263,7 +259,7 @@ def run_strategy_sweep(session: Session, spec: ExperimentSpec) -> RunResult:
                 ),
             )
             evaluation = _evaluate_trained(
-                trained, dataset, st, eval_idx, workers, executor, transport
+                trained, dataset, st, eval_idx, shards
             )
         per_strategy[name] = {
             "horizontal": asdict(evaluation.horizontal),
@@ -307,16 +303,13 @@ def run_serve(session: Session, spec: ExperimentSpec) -> RunResult:
         reuse_window=spec.sensor.reuse_window,
         sensor_seed=spec.sensor.sensor_seed,
     )
-    workers, executor, transport = _sharding(session, spec)
     scenario = spec.execution.serve
     run = simulate_serving(
         graph=graph,
         state_factory=ClientSensorFactory(template, spec.sensor.sensor_seed),
         dataset_cfg=pipeline.config.dataset,
         scenario=scenario,
-        workers=workers,
-        executor=executor,
-        transport=transport,
+        shards=_sharding(session, spec),
     )
     telemetry = run.summary
     frames = telemetry["frames"]

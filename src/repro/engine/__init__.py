@@ -6,8 +6,8 @@ The paper's system is a staged dataflow (eventification -> ROI prediction
 :class:`Stage` protocol, a :class:`FrameContext` carrying one frame's
 intermediate products, and a :class:`SequenceRunner` that
 executes stage graphs over batches of sequences — as one vectorized
-lockstep rank in-process, or sharded over worker processes, both
-bitwise-identical.
+lockstep rank in-process, or sharded over worker processes through one
+:class:`Shards` handle, both bitwise-identical.
 
 ``BlissCamPipeline.evaluate``, ``repro.api.tracker.evaluate_strategy``, the
 ablation runners, the CLI, and the figure benchmarks are all thin
@@ -23,7 +23,7 @@ from repro.engine.graphs import (
     tracking_runner,
 )
 from repro.engine.runner import EngineRun, SequenceRunner, contiguous_shards
-from repro.engine.executors import ProcessPoolBackend, check_dispatch
+from repro.engine.executors import ProcessPoolBackend, Shards
 from repro.engine.stage import Stage, StageGraph
 from repro.engine.transport import (
     ObjectHandle,
@@ -54,8 +54,8 @@ __all__ = [
     "SequenceRunner",
     "EngineRun",
     "contiguous_shards",
-    "check_dispatch",
     "ProcessPoolBackend",
+    "Shards",
     "TransportChannel",
     "TransportError",
     "ObjectHandle",

@@ -1,24 +1,27 @@
-"""The process pool every sharded path dispatches through.
+"""The process pool and the one fan-out every sharded path goes through.
 
 Every sharded path in the repository (engine sequence-rank sharding,
-strategy-sweep fan-out, serve scheduler replicas) dispatches
-module-level jobs through a single seam: ``executor.submit(job,
-*args)`` with results collected in fixed futures order, the payloads
-travelling as handles on a caller-owned
-:class:`~repro.engine.transport.TransportChannel`.  There is one way to
-get both: ``repro.api.Session.executor(n)`` and ``Session.transport()``;
-:func:`check_dispatch` is the precondition every sharded entry point
-runs.  The executor is a :class:`ProcessPoolBackend`, a fork-context
+strategy-sweep fan-out, serve scheduler replicas) is one
+:meth:`Shards.map` call: a :class:`Shards` handle bundles the pool, the
+:class:`~repro.engine.transport.TransportChannel` its payloads travel
+on, and the worker count, and refuses at construction any combination
+that could not shard.  ``repro.api.Session.executor(n)`` and
+``Session.transport()`` supply both halves.  ``map`` publishes the
+shared payload once and each part on the channel, submits one
+module-level worker entry per part, and returns the results in part
+order.  The executor is a :class:`ProcessPoolBackend`, a fork-context
 process pool.
 
 Tracing crosses the process boundary with the results.  When a tracer
 is installed at ``submit``, the job runs in the worker under
 :func:`repro.obs.capture_job`, which returns the job's span records
 with its result; the returned future merges them under the submit-side
-``executor.job`` span when its ``result()`` is consumed.  Every caller
-consumes futures in submission order, so the merged trace is
-deterministic however the workers interleaved.  Untraced submits hand
-the job function to the pool unchanged.
+``executor.job`` span (named after the site's job, not the shared
+entry) when its ``result()`` is consumed.  ``Shards.map`` consumes every
+future in submission order, also after a job failed, so the merged
+trace is deterministic however the workers interleaved and no worker's
+spans are dropped.  Untraced submits hand the job function to the pool
+unchanged.
 
 Determinism: sharded runs execute the same module-level job functions
 on the same payloads and results are consumed in submission order, so
@@ -32,42 +35,100 @@ from __future__ import annotations
 
 import multiprocessing
 from concurrent.futures import Future, ProcessPoolExecutor
+from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.engine.transport import TransportChannel
+from repro.engine.transport import TransportChannel, resolve_payload
 from repro.obs.capture import capture_job
 from repro.obs.tracer import SpanRecord, Tracer, current_tracer, finish_wall
 
-__all__ = ["ProcessPoolBackend", "check_dispatch"]
+__all__ = ["ProcessPoolBackend", "Shards"]
 
 
-def check_dispatch(workers: int | None, executor: Any, transport: Any) -> int:
-    """The precondition of every sharded entry point; returns the
-    requested worker count (``None`` -> 1).
+@dataclass(frozen=True)
+class Shards:
+    """Where sharded work runs: a pool, the channel its payloads travel
+    on, and how many parts to cut.
 
-    ``workers >= 2`` shards, which needs both a caller-owned executor
-    and a :class:`~repro.engine.transport.TransportChannel` —
-    ``repro.api.Session.executor(n)`` and ``Session.transport()``.  An
-    executor with ``workers < 2`` would be silently ignored by the
-    in-process loop, so it is refused too.
+    ``repro.api.Session.executor(n)`` and ``Session.transport()`` are
+    the one way to get both halves.  Construction refuses what could not
+    shard: ``workers < 2`` would run in-process and silently ignore the
+    pool, and sharding needs both a pool and a
+    :class:`~repro.engine.transport.TransportChannel`.
     """
-    if workers is not None and workers < 1:
-        raise ValueError(f"workers must be >= 1: {workers}")
-    n_workers = workers or 1
-    if n_workers >= 2 and (
-        executor is None or not isinstance(transport, TransportChannel)
-    ):
-        raise ValueError(
-            f"workers={n_workers} shards, which needs an executor and a "
-            "transport channel: pass executor=Session.executor(n) and "
-            "transport=Session.transport()"
-        )
-    if executor is not None and n_workers < 2:
-        raise ValueError(
-            "executor was injected but workers < 2 would run in-process "
-            "and silently ignore it; pass workers >= 2 to shard"
-        )
-    return n_workers
+
+    executor: Any
+    channel: TransportChannel
+    workers: int
+
+    def __post_init__(self) -> None:
+        if self.workers < 2:
+            raise ValueError(
+                f"workers={self.workers} would run in-process and silently "
+                "ignore the executor; pass workers >= 2 to shard"
+            )
+        if self.executor is None or not isinstance(
+            self.channel, TransportChannel
+        ):
+            raise ValueError(
+                f"workers={self.workers} shards, which needs an executor and "
+                "a transport channel: pass Session.executor(n) and "
+                "Session.transport()"
+            )
+
+    def map(self, job: Callable, shared: Any, parts: list) -> list:
+        """``[job(shared, part) for part in parts]``, one pool job per part.
+
+        ``job`` must be a module-level function (it pickles by name).
+        ``shared`` is published once and each part on its own; every
+        dispatch carries the two handles, and the channel's
+        ``dispatches`` and ``dispatch_bytes`` stats count what crossed.
+        Each part is submitted as soon as it is published, so a worker
+        starts while the parent still writes the next part's segments.
+        Every future is consumed, also after a failure, so no job is left
+        running unseen and every traced job's spans merge; then the first
+        failure re-raises.
+        """
+        if not parts:
+            return []
+        channel, stats = self.channel, self.channel.stats
+        futures, failure = [], None
+        try:
+            shared_handle = channel.publish(shared)
+            for part in parts:
+                handle = channel.publish(part)
+                futures.append(
+                    self.executor.submit(
+                        _shard_worker, job, shared_handle, handle
+                    )
+                )
+                stats["dispatches"] += 1
+                stats["dispatch_bytes"] += (
+                    shared_handle.wire_bytes + handle.wire_bytes
+                )
+        except Exception as exc:
+            failure = exc
+        results = []
+        for future in futures:
+            try:
+                results.append(future.result())
+            except Exception as exc:
+                failure = failure or exc
+        if failure is not None:
+            raise failure
+        return results
+
+
+def _shard_worker(job: Callable, shared_handle, part_handle) -> Any:
+    """Worker-side entry of :meth:`Shards.map`: resolve both handles,
+    then run the job.
+
+    Payloads resolve through the worker's digest-keyed cache
+    (:func:`~repro.engine.transport.resolve_payload`): big arrays map
+    read-only from shared memory, and a payload already resolved in this
+    process is not deserialized again.
+    """
+    return job(resolve_payload(shared_handle), resolve_payload(part_handle))
 
 
 def _pool_context():
@@ -165,7 +226,8 @@ class ProcessPoolBackend:
         span = tracer.point(
             "executor.job",
             seq=int(tracer.counters["executor.jobs"]),
-            job=_job_name(fn),
+            # A shard dispatch is named after the site's job.
+            job=_job_name(args[0] if fn is _shard_worker else fn),
         )
         future = self._pool.submit(capture_job, fn, args, kwargs)
         if span is not None:

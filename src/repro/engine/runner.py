@@ -11,12 +11,12 @@ two modes, and they run the same loop over the same kernels:
   contexts do not depend on which other sequences share its rank: the
   full rank is bitwise-identical to running each sequence alone — the
   engine test suite asserts this end-to-end.
-* **sharded** — ``workers >= 2`` runs one contiguous shard per worker
-  on a caller-owned executor (``repro.api.Session.executor(n)``), each
-  as one lockstep rank of its own sequences, the payloads — per
-  sequence only what the contexts read (:func:`_sequence_fields`) —
-  crossing as handles on the caller's transport channel
-  (``Session.transport()``).  Sequences share no mutable state
+* **sharded** — a :class:`~repro.engine.executors.Shards` handle runs
+  one contiguous shard per worker through ``Shards.map``, each as one
+  lockstep rank of its own sequences, the payloads — the runner once,
+  and per sequence only what the contexts read
+  (:func:`_sequence_fields`) — crossing as handles on the handle's
+  transport channel.  Sequences share no mutable state
   (per-sequence random streams are keyed by sequence index, never by
   execution order), so a shard's results do not depend on which process
   runs it: merged ``EngineRun``s are bitwise-identical to the
@@ -36,7 +36,6 @@ calls and wall seconds.  Untraced runs never read the clock.
 
 from __future__ import annotations
 
-from concurrent.futures import Executor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
@@ -44,9 +43,8 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from repro.engine.context import FrameContext, SequenceState
-from repro.engine.executors import check_dispatch
+from repro.engine.executors import Shards
 from repro.engine.stage import StageGraph
-from repro.engine.transport import ObjectHandle, TransportChannel, resolve_payload
 from repro.obs.tracer import current_tracer
 from repro.obs.wall import wall_now
 
@@ -79,24 +77,16 @@ def _default_state_factory(seq_index: int) -> SequenceState:
     return SequenceState(seq_index=seq_index)
 
 
-def _execute_shard_handles(
-    runner_handle: ObjectHandle,
-    shard_handle: ObjectHandle,
-) -> list[FrameContext]:
-    """Worker-side entry point: resolve handles, then run the shard.
+def _execute_shard(runner: "SequenceRunner", shard: list) -> list:
+    """The :meth:`~repro.engine.executors.Shards.map` job: run one shard
+    as one lockstep rank.
 
-    The runner and the shard's lanes arrive as content-addressed
-    :class:`~repro.engine.transport.ObjectHandle`\\ s: big arrays map
-    read-only from shared memory and repeated dispatches of identical
-    payloads hit the worker's digest cache instead of re-deserializing.
     Stages keep all cross-frame state in ``SequenceState`` (never on
-    themselves), so executing a cached runner object repeatedly is
-    exactly as stateless as unpickling a fresh copy per task — the
+    themselves), so running a worker's cached runner object repeatedly
+    is exactly as stateless as unpickling a fresh copy per task — the
     sharded parity suites pin this.  A traced job's ``engine.stage``
     spans come home with the result through the pool's span capture.
     """
-    runner = resolve_payload(runner_handle)
-    shard = resolve_payload(shard_handle)
     return runner._run_rank(shard)
 
 
@@ -174,29 +164,24 @@ class SequenceRunner:
     def run(
         self,
         sequences: Sequence[tuple[int, Any]],
-        workers: int | None = None,
-        executor: Executor | None = None,
-        transport: TransportChannel | None = None,
+        shards: Shards | None = None,
     ) -> EngineRun:
         """Run the graph over ``[(seq_index, sequence), ...]``.
 
-        In-process, the sequences run as one lockstep rank.
-        ``workers >= 2`` shards the sequences over ``executor`` — a
-        persistent pool such as ``repro.api.Session.executor(n)`` — with
-        the runner and the shards published on ``transport``, the caller's
-        :class:`~repro.engine.transport.TransportChannel`
-        (``Session.transport()``), whose segments outlive the run so
-        repeated runs ship each payload's bytes once.  Both are required
-        to shard (:func:`~repro.engine.executors.check_dispatch`);
-        ``None``/``1`` runs in-process.  The sequences are cut into one
-        contiguous shard per worker, each run as one rank; shard
-        boundaries never affect results, only scheduling, and the merged
-        result is bitwise-identical to the in-process mode.  The run's
+        In-process (``shards=None``), the sequences run as one lockstep
+        rank.  With a :class:`~repro.engine.executors.Shards` handle
+        (``Session.executor(n)`` and ``Session.transport()``) they are
+        cut into one contiguous shard per worker, each run as one rank
+        in a pool worker; the channel's segments outlive the run, so
+        repeated runs ship each payload's bytes once.  Shard boundaries
+        never affect results, only scheduling: the merged result is
+        bitwise-identical to the in-process mode.  The run's
         :attr:`EngineRun.transport` records what actually moved.
         """
-        n_workers = check_dispatch(workers, executor, transport)
         lanes = [(i, _sequence_fields(seq)) for i, seq in sequences]
-        n_workers = max(1, min(n_workers, len(lanes)))
+        n_workers = (
+            1 if shards is None else max(1, min(shards.workers, len(lanes)))
+        )
         tracer = current_tracer()
         run_span = (
             tracer.span(
@@ -211,7 +196,7 @@ class SequenceRunner:
         with run_span as span:
             if n_workers >= 2:
                 contexts, transport_info = self._run_sharded(
-                    lanes, n_workers, executor, transport
+                    lanes, n_workers, shards
                 )
             else:
                 contexts = self._run_rank(lanes)
@@ -227,41 +212,26 @@ class SequenceRunner:
         )
 
     def _run_sharded(
-        self,
-        lanes: list[tuple[int, tuple]],
-        workers: int,
-        executor: Executor,
-        channel: TransportChannel,
+        self, lanes: list[tuple[int, tuple]], workers: int, shards: Shards
     ) -> tuple[list[FrameContext], dict]:
         # One contiguous shard per worker, each run as one lockstep
         # rank: concatenating shard outputs in shard order reproduces
         # the sequence-major ordering of the in-process mode exactly.
-        shards = contiguous_shards(lanes, workers)
-        before = dict(channel.stats)
-        runner_handle = channel.publish(self)
-        # Each shard is submitted as soon as it is published, so a worker
-        # starts while the parent still writes the next shard's segments.
-        futures, dispatch_bytes = [], 0
-        for shard in shards:
-            handle = channel.publish(shard)
-            futures.append(
-                executor.submit(_execute_shard_handles, runner_handle, handle)
-            )
-            dispatch_bytes += runner_handle.wire_bytes + handle.wire_bytes
-        results = [f.result() for f in futures]
+        stats = shards.channel.stats
+        before = dict(stats)
+        results = shards.map(
+            _execute_shard, self, contiguous_shards(lanes, workers)
+        )
+        moved = {key: stats[key] - before[key] for key in before}
         transport_info = {
-            "mode": "shm" if channel.use_shm else "pickle",
-            "dispatches": len(shards),
-            "payload_bytes_per_dispatch": dispatch_bytes / len(shards),
-            "segment_bytes_written": (
-                channel.stats["segment_bytes"] - before["segment_bytes"]
+            "mode": "shm" if shards.channel.use_shm else "pickle",
+            "dispatches": moved["dispatches"],
+            "payload_bytes_per_dispatch": (
+                moved["dispatch_bytes"] / moved["dispatches"]
             ),
-            "segments_created": (
-                channel.stats["segments_created"] - before["segments_created"]
-            ),
-            "publish_reuses": (
-                channel.stats["publish_reuses"] - before["publish_reuses"]
-            ),
+            "segment_bytes_written": moved["segment_bytes"],
+            "segments_created": moved["segments_created"],
+            "publish_reuses": moved["publish_reuses"],
         }
         contexts = [ctx for shard in results for ctx in shard]
         return contexts, transport_info

@@ -24,10 +24,7 @@ module attacks the bytes, not the kernels:
 * **Explicit lifecycle.**  Segments are created by the dispatcher and
   unlinked deterministically: the channel owned by ``repro.api.Session``
   (the only one the sharded paths use) unlinks on ``Session.close()``.
-  Blob handles refcount the array segments they
-  reference; slot-keyed publishes (``publish(obj, slot=...)``) release
-  the slot's previous generation — how serve's per-run bundle avoids
-  accumulating one segment set per run.
+  Blob handles refcount the array segments they reference.
 * **Plain-pickle fallback.**  When shared memory is unavailable (or
   explicitly disabled via ``REPRO_DISABLE_SHM=1`` /
   ``TransportChannel(use_shm=False)``) the blob ships inline inside the
@@ -183,7 +180,7 @@ def _attach(name: str):
         except FileNotFoundError:
             raise TransportError(
                 f"shared-memory segment {name!r} is gone — it was released "
-                "(channel closed or slot superseded) while a handle to it "
+                "(channel closed) while a handle to it "
                 "was still in flight"
             ) from None
         _SEGMENTS[name] = seg
@@ -265,9 +262,12 @@ class TransportChannel:
         self._arrays: dict[str, list] = {}
         #: Blob dedup: digest -> (ObjectHandle, [array segment names]).
         self._blobs: dict[str, tuple[ObjectHandle, list[str]]] = {}
-        #: Slot -> digest of the slot's current generation.
-        self._slots: dict[Any, str] = {}
+        #: ``dispatches``/``dispatch_bytes`` count the pool jobs
+        #: :meth:`repro.engine.executors.Shards.map` sent with handles on
+        #: this channel and the handle bytes they carried.
         self.stats = {
+            "dispatches": 0,
+            "dispatch_bytes": 0,
             "publish_reuses": 0,
             "arrays_hoisted": 0,
             "segments_created": 0,
@@ -342,18 +342,12 @@ class TransportChannel:
                 self._release_segment(name)
 
     # -- publishing -----------------------------------------------------------
-    def publish(self, obj: Any, slot: Any = None) -> ObjectHandle:
+    def publish(self, obj: Any) -> ObjectHandle:
         """Ship ``obj`` once; return the handle every dispatch sends.
 
         Identical content (by digest of the extracted pickle, which in
         turn content-addresses the hoisted arrays) reuses the existing
         segments — the steady-state dispatch cost is the handle itself.
-        ``slot`` names a logical mutable payload (e.g. serve's
-        per-run bundle): publishing a *different* digest into
-        an occupied slot releases the previous generation's segments, so
-        evolving payloads occupy one generation of storage, not one per
-        step.  Callers must not resolve a superseded generation's handle
-        afterwards; dispatch/await cycles (the only users) never do.
         """
         self._check_open()
         buf = io.BytesIO()
@@ -393,11 +387,6 @@ class TransportChannel:
             if reused:
                 tracer.count("transport.publish_reuses")
             tracer.point("transport.publish", nbytes=len(blob), reused=reused)
-        if slot is not None:
-            previous = self._slots.get(slot)
-            if previous is not None and previous != digest:
-                self._release_blob(previous)
-            self._slots[slot] = digest
         return handle
 
     def _release_blob(self, digest: str) -> None:
@@ -446,7 +435,6 @@ class TransportChannel:
         for fingerprint in list(self._arrays):
             ref, _ = self._arrays.pop(fingerprint)
             self._release_segment(ref.segment)
-        self._slots.clear()
         self._closed = True
 
     def __enter__(self) -> "TransportChannel":

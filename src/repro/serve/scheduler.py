@@ -17,8 +17,9 @@ walks the virtual clock.  Each tick it
    other clients share its micro-batches — the serve parity tests pin
    this against serving each client alone.
 
-``workers >= 2`` partitions the client fleet into contiguous shards and
-runs one independent scheduler *replica* per worker process — the
+A :class:`~repro.engine.executors.Shards` handle partitions the client
+fleet into contiguous shards and runs one independent scheduler
+*replica* per worker process through ``Shards.map`` — the
 horizontal-scaling story: each replica has its own queue and per-tick
 batch budget, exactly like a fleet of serving processes behind a
 client-affine load balancer.  Per-client results are unchanged by
@@ -37,6 +38,8 @@ from typing import Any
 import numpy as np
 
 from repro.engine.context import FrameContext, SequenceState
+from repro.engine.executors import Shards
+from repro.engine.runner import contiguous_shards
 from repro.engine.stage import StageGraph
 from repro.obs.names import SERVE_QUEUE_DEPTH
 from repro.obs.tracer import current_tracer
@@ -307,19 +310,20 @@ class Scheduler:
 
 
 # -- simulation entry points --------------------------------------------------
-def _serve_partition(
-    graph: StageGraph,
-    state_factory,
-    dataset_cfg,
-    scenario,
-    slo: SLOModel,
-    client_ids: list[int],
-) -> tuple[Telemetry, list]:
+def _serve_partition(bundle: tuple, part: tuple) -> tuple[Telemetry, list]:
     """Run one scheduler replica over a client partition.
 
-    Streams are rebuilt from their client ids — in a sharded run that
-    happens in the worker, which is cheaper than pickling frames.
+    ``bundle`` is what every replica shares — ``(graph, state_factory,
+    dataset_cfg)``, the factory carrying the calibrated sensor template
+    — and ``part`` is ``(scenario, slo, client_ids)``.  A sharded run
+    passes this function to :meth:`~repro.engine.executors.Shards.map`,
+    so the bundle ships once and repeated serve runs of one tracker
+    reuse its segments.  Streams are rebuilt from their client ids —
+    in a sharded run that happens in the worker, which is cheaper than
+    pickling frames.
     """
+    graph, state_factory, dataset_cfg = bundle
+    scenario, slo, client_ids = part
     streams = build_streams(
         dataset_cfg,
         client_ids,
@@ -342,27 +346,6 @@ def _serve_partition(
     return telemetry, scheduler.run(arrivals, telemetry)
 
 
-def _serve_partition_handles(bundle_handle, client_ids: list[int]):
-    """Shared-memory worker entry for one scheduler replica.
-
-    The replica-invariant bundle — graph, state factory (carrying the
-    calibrated sensor template), dataset config, scenario and SLO model
-    — is published once per serve run and ships as one
-    tiny handle; only the partition's client ids travel per dispatch.
-    Workers resolve the bundle through the digest-keyed payload cache,
-    so a persistent pool serving repeated scenarios skips the
-    deserialization entirely.
-    """
-    from repro.engine.transport import resolve_payload
-
-    graph, state_factory, dataset_cfg, scenario, slo = resolve_payload(
-        bundle_handle
-    )
-    return _serve_partition(
-        graph, state_factory, dataset_cfg, scenario, slo, client_ids
-    )
-
-
 def simulate_serving(
     *,
     graph: StageGraph,
@@ -370,29 +353,21 @@ def simulate_serving(
     dataset_cfg,
     scenario,
     slo: SLOModel | None = None,
-    workers: int | None = None,
-    executor=None,
-    transport=None,
+    shards: Shards | None = None,
     client_ids: list[int] | None = None,
 ) -> ServeRun:
     """Serve ``scenario``'s client fleet through a tracking stage graph.
 
     ``scenario`` is a :class:`ServeScenario` or anything field-compatible
     (the spec's ``execution.serve`` section).  Each tick's due frames
-    are dispatched as one micro-batch.  ``workers >= 2`` partitions
-    the fleet into that many independent scheduler replicas executed on
-    ``executor`` (a persistent pool such as the session's), the
-    replica-invariant bundle published on ``transport`` (the session's
-    channel); both are required to shard
-    (:func:`~repro.engine.executors.check_dispatch`) and telemetry is
+    are dispatched as one micro-batch.  A
+    :class:`~repro.engine.executors.Shards` handle (the session's pool
+    and channel) partitions the fleet into that many independent
+    scheduler replicas run through ``Shards.map``; telemetry is
     identical either way.  Telemetry latencies are virtual-clock, hence
     deterministic; the real loop's wall time lives in the trace's
     ``serve.tick`` spans.
     """
-    from repro.engine.executors import check_dispatch
-    from repro.engine.runner import contiguous_shards
-
-    n_workers = check_dispatch(workers, executor, transport)
     if slo is None:
         slo = SLOModel.from_hardware(
             fps=dataset_cfg.fps,
@@ -401,27 +376,22 @@ def simulate_serving(
         )
     if client_ids is None:
         client_ids = list(range(scenario.num_clients))
-    n_workers = min(n_workers, len(client_ids))
-    if n_workers >= 2:
-        # The replica-invariant bundle ships once (slot-keyed, so a later
-        # serve run on the same channel replaces this generation's
-        # segments); only the partition's client ids travel per dispatch.
-        bundle_handle = transport.publish(
-            (graph, state_factory, dataset_cfg, scenario, slo),
-            slot="serve_bundle",
+    bundle = (graph, state_factory, dataset_cfg)
+    n_workers = 1 if shards is None else min(shards.workers, len(client_ids))
+    if n_workers < 2:
+        return ServeRun(
+            *_serve_partition(bundle, (scenario, slo, client_ids)), workers=1
         )
-        futures = [
-            executor.submit(_serve_partition_handles, bundle_handle, part)
+    results = shards.map(
+        _serve_partition,
+        bundle,
+        [
+            (scenario, slo, part)
             for part in contiguous_shards(client_ids, n_workers)
-        ]
-        results = [f.result() for f in futures]
-        telemetry, gaze_log = results[0]
-        for part_telemetry, part_log in results[1:]:
-            telemetry.merge(part_telemetry)
-            gaze_log = gaze_log + part_log
-    else:
-        n_workers = 1
-        telemetry, gaze_log = _serve_partition(
-            graph, state_factory, dataset_cfg, scenario, slo, client_ids
-        )
+        ],
+    )
+    telemetry, gaze_log = results[0]
+    for part_telemetry, part_log in results[1:]:
+        telemetry.merge(part_telemetry)
+        gaze_log = gaze_log + part_log
     return ServeRun(telemetry=telemetry, gaze_log=gaze_log, workers=n_workers)

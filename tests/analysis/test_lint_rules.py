@@ -224,6 +224,63 @@ class TestREP103ShardJobs:
             "REP103",
         )
 
+    def test_lambda_to_shards_map_fires(self):
+        found = findings_for(
+            """
+            def run(shards, runner, parts):
+                return shards.map(lambda r, p: r.go(p), runner, parts)
+            """,
+            "REP103",
+        )
+        assert len(found) == 1
+        assert "lambda" in found[0].message
+
+    def test_nested_def_to_shards_map_fires(self):
+        found = findings_for(
+            """
+            def run(shards, runner, parts):
+                def job(shared, part):
+                    return shared.go(part)
+                return shards.map(job, runner, parts)
+            """,
+            "REP103",
+        )
+        assert len(found) == 1
+        assert "job" in found[0].message
+
+    def test_bound_method_to_shards_map_fires(self):
+        found = findings_for(
+            """
+            class Runner:
+                def go(self, sharding, parts):
+                    return sharding.map(self.execute, self, parts)
+            """,
+            "REP103",
+        )
+        assert len(found) == 1
+        assert "instance" in found[0].message
+
+    def test_lambda_as_job_keyword_fires(self):
+        assert findings_for(
+            """
+            def run(shards, parts):
+                return shards.map(job=lambda s, p: p, shared=None, parts=parts)
+            """,
+            "REP103",
+        )
+
+    def test_module_level_job_to_shards_map_passes(self):
+        assert not findings_for(
+            """
+            def _execute_shard(runner, shard):
+                return runner.go(shard)
+
+            def run(shards, runner, parts):
+                return shards.map(_execute_shard, runner, parts)
+            """,
+            "REP103",
+        )
+
     def test_non_pool_map_ignored(self):
         # ``.map`` on something that is not an executor/pool is not a
         # dispatch seam.

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.api import ExperimentSpec, Session, SpecError
-from repro.engine import SequenceRunner, Stage
+from repro.engine import SequenceRunner, Shards, Stage
 
 #: The cheapest spec that exercises training + evaluation.
 TINY = {
@@ -203,9 +203,9 @@ class TestPersistentPool:
             run, stages = traced_stages(
                 lambda: SequenceRunner([Probe()]).run(
                     sequences,
-                    workers=2,
-                    executor=session.executor(2),
-                    transport=session.transport(),
+                    shards=Shards(
+                        session.executor(2), session.transport(), 2
+                    ),
                 )
             )
         assert [(c.seq_index, c.t, c.gaze_pred) for c in run.contexts] == [

@@ -3,8 +3,9 @@ the traced-run helper that reads per-stage engine measurements, and the
 run-each-sequence-alone references the width-invariance tests compare a
 full rank against.
 
-Sharding takes a caller-owned executor and transport channel (the only
-dispatch path), so the sharded tests share one ``Session``'s
+Sharding takes one :class:`~repro.engine.Shards` handle over a
+caller-owned executor and transport channel (the only dispatch path),
+so the sharded tests share one built from a ``Session``'s
 ``executor(2)`` and ``transport()`` instead of forking pools of their
 own.  The session closes when the test run ends, which unlinks the
 channel's shared-memory segments.
@@ -17,18 +18,18 @@ import pytest
 
 from repro.api import Session
 from repro.api.tracker import EvaluationResult, WorkloadStats
+from repro.engine import Shards
 from repro.gaze.metrics import angular_errors
 from repro.obs import Tracer, install_tracer, summarize
 
 
 @pytest.fixture(scope="session")
 def sharding():
-    """``{"executor": ..., "transport": ...}`` for ``run(workers=2, ...)``."""
+    """A 2-worker :class:`~repro.engine.Shards` for ``run(..., shards=...)``;
+    ``dataclasses.replace(sharding, workers=n)`` cuts ``n`` parts on the
+    same pool."""
     with Session() as session:
-        yield {
-            "executor": session.executor(2),
-            "transport": session.transport(),
-        }
+        yield Shards(session.executor(2), session.transport(), 2)
 
 
 @pytest.fixture

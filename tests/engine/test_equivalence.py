@@ -256,7 +256,7 @@ class TestStagedEqualsPreRefactor:
 
             # Engine-backed harness with identically seeded inputs, in
             # every execution mode.
-            for mode in ({}, {"workers": 2, **sharding}):
+            for mode in ({}, {"shards": sharding}):
                 est_new = FittedGazeEstimator()
                 est_new.fit(segs, gazes)
                 result = evaluate_strategy(

@@ -1,9 +1,10 @@
 """The process pool: sharded runs bitwise == the serial run.
 
-:class:`~repro.engine.executors.ProcessPoolBackend` is the seam every
-sharded path dispatches through; these tests pin its contract
-(submit/shutdown/max_workers), its parity on a real staged-engine run,
-and how a traced job's worker spans come home with its result.
+:class:`~repro.engine.executors.ProcessPoolBackend` is the pool every
+sharded path dispatches through (via ``Shards.map``); these tests pin
+its contract (submit/shutdown/max_workers), the fan-out's part order,
+its parity on a real staged-engine run, and how a traced job's worker
+spans come home with its result.
 """
 
 from concurrent.futures import Future
@@ -21,6 +22,10 @@ def _square(x):
 
 def _boom():
     raise ValueError("worker-side failure")
+
+
+def _scaled(factor, part):
+    return [factor * x for x in part]
 
 
 def _traced_square(x):
@@ -66,11 +71,22 @@ class TestProtocolContract:
 
     def test_worker_exception_reaches_the_future(self, sharding):
         with pytest.raises(ValueError, match="worker-side failure"):
-            sharding["executor"].submit(_boom).result(timeout=30)
+            sharding.executor.submit(_boom).result(timeout=30)
 
     def test_results_arrive_in_submission_order(self, sharding):
-        futures = [sharding["executor"].submit(_square, i) for i in range(10)]
+        futures = [sharding.executor.submit(_square, i) for i in range(10)]
         assert [f.result(30) for f in futures] == [i * i for i in range(10)]
+
+
+class TestShardsMap:
+    def test_results_arrive_in_part_order(self, sharding):
+        stats = sharding.channel.stats
+        dispatches = stats["dispatches"]
+        parts = [[1, 2], [3], [4, 5, 6]]
+        assert sharding.map(_scaled, 10, parts) == [
+            [10, 20], [30], [40, 50, 60]
+        ]
+        assert stats["dispatches"] == dispatches + len(parts)
 
 
 class TestEngineParity:
@@ -82,7 +98,7 @@ class TestEngineParity:
         expected = _contexts(SequenceRunner([Probe()]).run(sequences))
         run, stages = traced_stages(
             lambda: SequenceRunner([Probe()]).run(
-                sequences, workers=2, **sharding
+                sequences, shards=sharding
             )
         )
         assert _contexts(run) == expected
@@ -91,14 +107,14 @@ class TestEngineParity:
 
 class TestTracedJobs:
     def test_untraced_submit_is_a_plain_pool_future(self, sharding):
-        future = sharding["executor"].submit(_square, 3)
+        future = sharding.executor.submit(_square, 3)
         assert type(future) is Future
         assert future.result(30) == 9
 
     def test_worker_spans_merge_under_their_job_in_submission_order(
         self, sharding
     ):
-        ex = sharding["executor"]
+        ex = sharding.executor
         tracer = Tracer()
         with install_tracer(tracer):
             futures = [ex.submit(_traced_square, i) for i in (3, 4)]
@@ -114,7 +130,7 @@ class TestTracedJobs:
         assert tracer.counters["executor.worker_spans_merged"] == 2
 
     def test_failed_job_merges_partial_spans_then_reraises(self, sharding):
-        ex = sharding["executor"]
+        ex = sharding.executor
         tracer = Tracer()
         with install_tracer(tracer):
             future = ex.submit(_traced_boom)

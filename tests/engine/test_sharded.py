@@ -10,12 +10,15 @@ sequence run alone (per-sequence random streams are keyed by sequence index, nev
 order or process placement).
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.api import STRATEGIES
 from repro.api.tracker import BlissCamPipeline, ci, evaluate_strategy
-from repro.engine import SequenceRunner, Stage, contiguous_shards
+from repro.engine import SequenceRunner, Shards, Stage, contiguous_shards
+from repro.obs import Tracer, install_tracer
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +61,18 @@ class FatProbe(Stage):
             ctx.readout = np.full((64, 64), float(ctx.t))
 
 
+class FailSequenceZero(Stage):
+    """Raises in the rank that holds sequence 0 (the first shard)."""
+
+    name = "fail"
+
+    def process_batch(self, ctxs, seqs):
+        if any(ctx.seq_index == 0 for ctx in ctxs):
+            raise RuntimeError("stage failed on sequence 0")
+        for ctx in ctxs:
+            ctx.gaze_pred = (float(ctx.seq_index), float(ctx.t))
+
+
 class TestContiguousShards:
     def test_more_shards_than_items_drops_empty_pieces(self):
         shards = contiguous_shards([1, 2, 3], 8)
@@ -91,19 +106,18 @@ class TestContiguousShards:
 
 
 class TestShardedRunner:
-    def test_invalid_workers_rejected(self):
-        runner = SequenceRunner([Probe()])
+    def test_invalid_workers_rejected(self, sharding):
         with pytest.raises(ValueError):
-            runner.run([(0, Seq())], workers=0)
+            replace(sharding, workers=0)
 
     def test_workers_one_runs_in_process(self):
-        run = SequenceRunner([Probe()]).run([(0, Seq())], workers=1)
+        run = SequenceRunner([Probe()]).run([(0, Seq())], shards=None)
         assert run.workers == 1
         assert len(run.contexts) == 3
 
     def test_sequence_major_order_across_shards(self, sharding):
         run = SequenceRunner([Probe()]).run(
-            [(i, Seq()) for i in (7, 3, 9, 5, 2)], workers=2, **sharding
+            [(i, Seq()) for i in (7, 3, 9, 5, 2)], shards=sharding
         )
         assert run.workers == 2
         assert [(c.seq_index, c.t) for c in run.contexts] == [
@@ -112,7 +126,7 @@ class TestShardedRunner:
 
     def test_workers_clamped_to_sequence_count(self, sharding):
         run = SequenceRunner([Probe()]).run(
-            [(0, Seq()), (1, Seq())], workers=8, **sharding
+            [(0, Seq()), (1, Seq())], shards=replace(sharding, workers=8)
         )
         assert run.workers == 2
         assert len(run.contexts) == 6
@@ -123,7 +137,7 @@ class TestShardedRunner:
         sequences = [(i, Seq()) for i in range(7)]
         for workers in (2, 3):
             run = SequenceRunner([Probe()]).run(
-                sequences, workers=workers, **sharding
+                sequences, shards=replace(sharding, workers=workers)
             )
             assert run.transport["dispatches"] == workers
             widths = [
@@ -146,7 +160,7 @@ class TestShardedRunner:
         )
         _, sharded = traced_stages(
             lambda: SequenceRunner([Probe()]).run(
-                sequences, workers=2, **sharding
+                sequences, shards=sharding
             )
         )
         assert sharded["probe"]["frames"] == in_process["probe"]["frames"]
@@ -154,20 +168,17 @@ class TestShardedRunner:
         assert sharded["probe"]["wall_s"] > 0
 
     def test_empty_sequence_list(self, sharding):
-        run = SequenceRunner([Probe()]).run([], workers=4, **sharding)
+        run = SequenceRunner([Probe()]).run(
+            [], shards=replace(sharding, workers=4)
+        )
         assert run.contexts == []
         assert run.workers == 1
 
     def test_injected_executor_without_workers_rejected(self, sharding):
         # Silently ignoring an injected pool (and running in-process)
         # would defeat the caller's parallelism intent — fail loudly.
-        pool = sharding["executor"]
         with pytest.raises(ValueError, match="workers >= 2"):
-            SequenceRunner([Probe()]).run([(0, Seq())], executor=pool)
-        with pytest.raises(ValueError, match="workers >= 2"):
-            SequenceRunner([Probe()]).run(
-                [(0, Seq())], workers=1, executor=pool
-            )
+            Shards(sharding.executor, sharding.channel, 1)
 
     def test_injected_executor_matches_in_process(
         self, sharding, traced_stages
@@ -183,7 +194,7 @@ class TestShardedRunner:
         for _ in range(2):
             run, stages = traced_stages(
                 lambda: SequenceRunner([Probe()]).run(
-                    sequences, workers=2, **sharding
+                    sequences, shards=sharding
                 )
             )
             assert [(c.seq_index, c.t, c.gaze_pred) for c in run.contexts] == [
@@ -200,7 +211,7 @@ class TestShardedRunner:
         sequences = [(i, VarSeq(n)) for i, n in enumerate(lengths)]
         reference = SequenceRunner([Probe()]).run(sequences)
         sharded = SequenceRunner([Probe()]).run(
-            sequences, workers=2, **sharding
+            sequences, shards=sharding
         )
         assert sharded.transport["dispatches"] == 2
         assert [(c.seq_index, c.t) for c in sharded.contexts] == [
@@ -216,14 +227,31 @@ class TestShardedRunner:
         back to the parent, so merges ship results, not frame data."""
         sequences = [(i, Seq()) for i in range(4)]
         slim = SequenceRunner([FatProbe()], retain_intermediates=False).run(
-            sequences, workers=2, **sharding
+            sequences, shards=sharding
         )
         fat = SequenceRunner([FatProbe()]).run(
-            sequences, workers=2, **sharding
+            sequences, shards=sharding
         )
         assert all(c.readout is None for c in slim.contexts)
         assert all(c.gaze_pred is not None for c in slim.contexts)
         assert all(c.readout is not None for c in fat.contexts)
+
+
+    def test_failed_shard_still_consumes_every_shard(self, sharding):
+        """A shard that raises fails the run only after every other
+        shard's result was consumed: no job is left unmerged and the
+        healthy shard's stage spans come home."""
+        executor = sharding.executor
+        unmerged = executor.unmerged_jobs
+        tracer = Tracer()
+        with install_tracer(tracer):
+            with pytest.raises(RuntimeError, match="sequence 0"):
+                SequenceRunner([FailSequenceZero()]).run(
+                    [(i, Seq()) for i in range(4)], shards=sharding
+                )
+        assert executor.unmerged_jobs == unmerged
+        (stage,) = [s for s in tracer.spans if s.name == "engine.stage"]
+        assert stage.attrs["frames"] == 2 * 3
 
 
 class TestShardedTracking:
@@ -237,10 +265,10 @@ class TestShardedTracking:
         runs = {
             "full rank": trained_pipeline.evaluate(indices),
             "sharded": trained_pipeline.evaluate(
-                indices, workers=2, **sharding
+                indices, shards=sharding
             ),
             "sharded x3": trained_pipeline.evaluate(
-                indices, workers=3, **sharding
+                indices, shards=replace(sharding, workers=3)
             ),
         }
         for name, other in runs.items():
@@ -257,7 +285,7 @@ class TestShardedTracking:
     def test_sharded_with_reuse_window(self, trained_pipeline, sharding):
         seq = trained_pipeline.evaluate([2, 3, 4], reuse_window=4)
         shard = trained_pipeline.evaluate(
-            [2, 3, 4], reuse_window=4, workers=2, **sharding
+            [2, 3, 4], reuse_window=4, shards=sharding
         )
         assert np.array_equal(seq.predictions, shard.predictions)
         assert seq.stats.transmitted_bytes == shard.stats.transmitted_bytes
@@ -266,7 +294,7 @@ class TestShardedTracking:
         self, trained_pipeline, sharding, traced_stages
     ):
         result, stages = traced_stages(
-            lambda: trained_pipeline.evaluate([2, 3, 4], workers=2, **sharding)
+            lambda: trained_pipeline.evaluate([2, 3, 4], shards=sharding)
         )
         assert set(stages) == {
             "eventify", "roi", "sample", "readout", "segment", "gaze", "stats",
@@ -297,7 +325,7 @@ class TestShardedStrategySweep:
                 )
                 for mode, kwargs in [
                     ("in-process", {}),
-                    ("sharded", {"workers": 2, **sharding}),
+                    ("sharded", {"shards": sharding}),
                 ]
             }
             ref = results["in-process"]

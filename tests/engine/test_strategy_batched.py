@@ -108,7 +108,7 @@ class TestStrategyGraphParity:
         assert full == alone, name
         _assert_same(
             _run(name, dataset, vit),
-            _run(name, dataset, vit, workers=2, **sharding),
+            _run(name, dataset, vit, shards=sharding),
             name,
         )
 

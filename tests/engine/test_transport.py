@@ -15,6 +15,7 @@ What the transport layer guarantees (``repro.engine.transport``):
 
 import glob
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -146,21 +147,6 @@ class TestDedupAndMutation:
                 resolve_payload(second)["w"], np.full(arr.shape, 2.0)
             )
 
-    @needs_shm
-    def test_slot_publish_releases_previous_generation(self):
-        # Per-epoch weights: publishing generation e+1 into the slot
-        # frees generation e's segments instead of accumulating.
-        with TransportChannel() as channel:
-            channel.publish(
-                {"w": np.full(MIN_SHM_ARRAY_BYTES, 1.0)}, slot="models"
-            )
-            live_after_first = len(channel.segment_names())
-            channel.publish(
-                {"w": np.full(MIN_SHM_ARRAY_BYTES, 2.0)}, slot="models"
-            )
-            assert len(channel.segment_names()) == live_after_first
-            assert channel.stats["segments_released"] > 0
-
 
 class TestLifecycle:
     @needs_shm
@@ -184,7 +170,7 @@ class TestLifecycle:
 class TestEngineIntegration:
     def test_sharded_run_records_transport(self, sharding):
         run = SequenceRunner([Probe()]).run(
-            [(i, Seq()) for i in range(4)], workers=2, **sharding
+            [(i, Seq()) for i in range(4)], shards=sharding
         )
         info = run.transport
         assert info is not None
@@ -205,9 +191,7 @@ class TestEngineIntegration:
             with TransportChannel() as channel:
                 run = SequenceRunner([Probe()]).run(
                     [(0, seq), (1, seq)],
-                    workers=2,
-                    executor=sharding["executor"],
-                    transport=channel,
+                    shards=replace(sharding, channel=channel),
                 )
             info = run.transport
             return info["segments_created"], info["segment_bytes_written"]
@@ -224,13 +208,11 @@ class TestEngineIntegration:
         # is missing) on the same injected executor.
         sequences = [(i, Seq()) for i in (7, 3, 9, 5)]
         reference = SequenceRunner([Probe()]).run(sequences)
-        shm = SequenceRunner([Probe()]).run(sequences, workers=2, **sharding)
+        shm = SequenceRunner([Probe()]).run(sequences, shards=sharding)
         with TransportChannel(use_shm=False) as channel:
             pickled = SequenceRunner([Probe()]).run(
                 sequences,
-                workers=2,
-                executor=sharding["executor"],
-                transport=channel,
+                shards=replace(sharding, channel=channel),
             )
         assert pickled.transport["mode"] == "pickle"
         assert pickled.transport["segment_bytes_written"] == 0
@@ -243,10 +225,10 @@ class TestEngineIntegration:
     def test_persistent_channel_reuses_payload_bytes(self, sharding):
         sequences = [(i, Seq()) for i in range(4)]
         first = SequenceRunner([Probe()]).run(
-            sequences, workers=2, **sharding
+            sequences, shards=sharding
         )
         second = SequenceRunner([Probe()]).run(
-            sequences, workers=2, **sharding
+            sequences, shards=sharding
         )
         # Steady state: every publish is a dedup hit, no new bytes move.
         assert second.transport["publish_reuses"] > 0

@@ -8,6 +8,7 @@ worker spans that pool jobs bring home with their results.
 import pytest
 
 from repro.api import ExperimentSpec, Session, SpecError
+from repro.engine import Shards
 from repro.obs import Tracer, deterministic_bytes, install_tracer, read_trace
 
 #: Cheapest spec that trains + evaluates.
@@ -45,6 +46,16 @@ SERVE_TINY = {
 
 def _span_names(records):
     return [r["name"] for r in records if r.get("type") == "span"]
+
+
+def _job_names(records):
+    """The ``job`` attr of every ``executor.job`` span: each site's own
+    job, never the shared worker entry."""
+    return [
+        r["attrs"]["job"]
+        for r in records
+        if r.get("type") == "span" and r["name"] == "executor.job"
+    ]
 
 
 def _counters(records):
@@ -181,8 +192,7 @@ class TestDeterminism:
         left = self._traced_run(SWEEP_SHARDED, tmp_path / "a.jsonl")
         right = self._traced_run(SWEEP_SHARDED, tmp_path / "b.jsonl")
         assert deterministic_bytes(left) == deterministic_bytes(right)
-        names = _span_names(left)
-        assert "executor.job" in names
+        assert _job_names(left) == ["_sweep_strategy_job"] * 2
         counters = _counters(left)
         assert counters["executor.jobs"] == 2
         assert counters["executor.worker_spans_merged"] > 0
@@ -227,6 +237,7 @@ class TestDeterminism:
             session.run(spec)
         records = read_trace(sink)
         assert "serve.tick" in _span_names(records)
+        assert _job_names(records) == ["_serve_partition"] * 2
         counters = _counters(records)
         assert counters["executor.jobs"] == 2
         # Each replica runs every tick; their counters merged home.
@@ -247,12 +258,12 @@ class TestTraceOutsideSession:
             with install_tracer(tracer):
                 pipeline.evaluate(
                     [0, 1, 2],
-                    workers=2,
-                    executor=executor,
-                    transport=session.transport(),
+                    shards=Shards(executor, session.transport(), 2),
                 )
             assert executor.unmerged_jobs == 0
-        return deterministic_bytes(tracer.to_records())
+        records = tracer.to_records()
+        assert _job_names(records) == ["_execute_shard"] * 2
+        return deterministic_bytes(records)
 
     def test_traced_sharded_evaluate_is_deterministic(self):
         first = self._traced_evaluate()

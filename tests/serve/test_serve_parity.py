@@ -74,7 +74,7 @@ def test_micro_batch_dispatch_has_no_per_row_stage(serving):
 
 def test_replica_partitioning_preserves_results(serving, sharding):
     single = serve(serving)
-    sharded = serve(serving, workers=2, **sharding)
+    sharded = serve(serving, shards=sharding)
     assert sharded.workers == 2
     assert sorted(sharded.gaze_log) == sorted(single.gaze_log)
     # Uncontended fleet (no queueing interaction): merged replica
