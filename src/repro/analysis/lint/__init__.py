@@ -7,8 +7,9 @@ repository is pinned against (see docs/linting.md for the catalog):
 * **REP102** wall-clock reads in deterministic modules
 * **REP103** unpicklable callables at executor dispatch seams
 * **REP104** float reductions over unordered operands
-* **REP105** mutation of transport-resolved shared-memory payloads
 * **REP106** ExperimentSpec fields outside validation/hash coverage
+* **REP107** identity-derived artifact-store keys
+* **REP108** wall-clock reads in ``repro.obs`` outside ``wall.py``
 
 Exposed as ``repro lint [paths]`` in the CLI and run as a gating CI
 step before the tier-1 suite.  Deliberate exceptions carry inline
@@ -16,11 +17,6 @@ step before the tier-1 suite.  Deliberate exceptions carry inline
 """
 
 from repro.analysis.lint.base import ParsedModule, Rule
-from repro.analysis.lint.baseline import (
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
 from repro.analysis.lint.findings import JSON_VERSION, Finding, LintReport
 from repro.analysis.lint.rules import ALL_RULES
 from repro.analysis.lint.runner import (
@@ -41,12 +37,9 @@ __all__ = [
     "MALFORMED",
     "ParsedModule",
     "Rule",
-    "apply_baseline",
     "collect_files",
     "collect_suppressions",
     "lint_source",
-    "load_baseline",
     "main",
     "run_lint",
-    "write_baseline",
 ]

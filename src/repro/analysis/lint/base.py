@@ -27,7 +27,6 @@ __all__ = [
     "ImportMap",
     "ParsedModule",
     "Rule",
-    "base_name",
     "resolve_call",
     "resolve_name",
 ]
@@ -120,18 +119,12 @@ def resolve_call(call: ast.Call, imports: ImportMap) -> str | None:
     return resolve_name(call.func, imports)
 
 
-def base_name(node: ast.expr) -> str | None:
-    """The root ``Name`` of a ``Subscript``/``Attribute`` chain."""
-    while isinstance(node, (ast.Subscript, ast.Attribute)):
-        node = node.value
-    return node.id if isinstance(node, ast.Name) else None
-
-
 class Rule:
     """Base class: one hazard class, one stable ID."""
 
-    #: Stable identifier (``REP101`` ...); suppression comments and the
-    #: baseline key on it, so it must never be reused for a new meaning.
+    #: Stable identifier (``REP101`` ...); suppression comments key on
+    #: it, so it must never be reused for a new meaning (a retired ID
+    #: stays retired).
     rule_id: str = ""
     #: One-line summary shown by ``repro lint --list-rules``.
     title: str = ""

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 __all__ = ["Finding", "LintReport", "JSON_VERSION"]
 
 #: Version of the ``--json`` record shape.
-JSON_VERSION = 1
+JSON_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -27,16 +27,6 @@ class Finding:
     line: int
     col: int
     message: str
-
-    @property
-    def fingerprint(self) -> str:
-        """Location-independent identity used by the baseline file.
-
-        Line/column are deliberately excluded: unrelated edits shift
-        them, and a baseline that churns on every edit is a baseline
-        nobody trusts.
-        """
-        return f"{self.rule}:{self.path}:{self.message}"
 
     def render(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
@@ -55,12 +45,10 @@ class Finding:
 class LintReport:
     """Everything one lint run produced."""
 
-    #: Unsuppressed, non-baselined findings — what gates CI.
+    #: Unsuppressed findings — what gates CI.
     findings: list[Finding] = field(default_factory=list)
     #: Findings waived by an inline ``# repro: allow[...]`` comment.
     suppressed: list[Finding] = field(default_factory=list)
-    #: Findings absorbed by the baseline file (when one was given).
-    baselined: list[Finding] = field(default_factory=list)
     files_scanned: int = 0
 
     @property
@@ -81,8 +69,6 @@ class LintReport:
         extras = []
         if self.suppressed:
             extras.append(f"{len(self.suppressed)} waived")
-        if self.baselined:
-            extras.append(f"{len(self.baselined)} baselined")
         tail = f" ({', '.join(extras)})" if extras else ""
         if not lines:
             return f"clean: 0 findings in {m} file(s){tail}"
@@ -95,7 +81,6 @@ class LintReport:
             "findings": [f.to_dict() for f in self.findings],
             "counts": self.counts(),
             "suppressed": len(self.suppressed),
-            "baselined": len(self.baselined),
             "files_scanned": self.files_scanned,
             "exit_code": self.exit_code,
         }

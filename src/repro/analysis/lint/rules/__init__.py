@@ -1,6 +1,7 @@
 """The rule registry: one instance of every shipped rule.
 
 Rules are ordered by ID; the runner applies all of them to every file.
+A retired ID (REP105) stays unused.
 Adding a rule = adding a module here and registering its instance, with
 a catalog entry in docs/linting.md and fixture tests in
 ``tests/analysis/``.
@@ -12,7 +13,6 @@ from repro.analysis.lint.rules.rep101_rng import NakedRNGRule
 from repro.analysis.lint.rules.rep102_wallclock import WallClockRule
 from repro.analysis.lint.rules.rep103_shard_jobs import ShardJobRule
 from repro.analysis.lint.rules.rep104_reductions import UnorderedReductionRule
-from repro.analysis.lint.rules.rep105_shared_mutation import SharedMutationRule
 from repro.analysis.lint.rules.rep106_spec_drift import SpecDriftRule
 from repro.analysis.lint.rules.rep107_store_keys import StoreKeyRule
 from repro.analysis.lint.rules.rep108_obs_plane import ObsPlaneRule
@@ -24,7 +24,6 @@ ALL_RULES = (
     WallClockRule(),
     ShardJobRule(),
     UnorderedReductionRule(),
-    SharedMutationRule(),
     SpecDriftRule(),
     StoreKeyRule(),
     ObsPlaneRule(),

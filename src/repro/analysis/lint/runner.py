@@ -5,9 +5,9 @@ programmatic caller), ``lint_source(source)`` lints one in-memory
 snippet (the fixture tests), and ``main(argv)`` is the CLI behind
 ``repro lint`` with the documented exit-code convention:
 
-* **0** — clean (no unsuppressed, non-baselined findings)
+* **0** — clean (no unsuppressed findings)
 * **1** — findings
-* **2** — usage error (missing path, unreadable baseline, bad flags)
+* **2** — usage error (missing path, bad flags)
 """
 
 from __future__ import annotations
@@ -17,11 +17,6 @@ import sys
 from pathlib import Path
 
 from repro.analysis.lint.base import ParsedModule, Rule
-from repro.analysis.lint.baseline import (
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
 from repro.analysis.lint.findings import Finding, LintReport
 from repro.analysis.lint.rules import ALL_RULES
 from repro.analysis.lint.suppress import collect_suppressions
@@ -36,9 +31,8 @@ class LintUsageError(ValueError):
 def collect_files(paths: list[str | Path]) -> list[Path]:
     """Expand files/directories into a sorted list of ``.py`` files.
 
-    Sorted traversal keeps report order (and baseline consumption
-    order) independent of filesystem enumeration — the linter holds
-    itself to its own REP104 discipline.
+    Sorted traversal keeps report order independent of filesystem
+    enumeration — the linter holds itself to its own REP104 discipline.
     """
     out: list[Path] = []
     for raw in paths:
@@ -92,17 +86,15 @@ def lint_source(
 def run_lint(
     paths: list[str | Path],
     rules: tuple[Rule, ...] = ALL_RULES,
-    baseline: str | Path | None = None,
 ) -> LintReport:
     """Lint files/directories and return the full report."""
     report = LintReport()
-    findings: list[Finding] = []
     for path in collect_files(paths):
         try:
             source = path.read_text()
             module = ParsedModule.parse(path, str(path), source)
         except (OSError, SyntaxError, ValueError) as exc:
-            findings.append(
+            report.findings.append(
                 Finding(
                     rule="REP000",
                     path=str(path),
@@ -114,17 +106,9 @@ def run_lint(
             report.files_scanned += 1
             continue
         live, suppressed = _lint_module(module, rules)
-        findings.extend(live)
+        report.findings.extend(live)
         report.suppressed.extend(suppressed)
         report.files_scanned += 1
-    if baseline is not None:
-        try:
-            known = load_baseline(baseline)
-        except (OSError, ValueError) as exc:
-            raise LintUsageError(f"baseline: {exc}") from exc
-        findings, absorbed = apply_baseline(findings, known)
-        report.baselined.extend(absorbed)
-    report.findings = findings
     return report
 
 
@@ -133,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro lint",
         description=(
             "Static determinism & cross-process-safety checks "
-            "(REP101-REP108; see docs/linting.md)"
+            "(REP101-REP104, REP106-REP108; see docs/linting.md)"
         ),
     )
     parser.add_argument(
@@ -147,18 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         default=None,
         help="write the machine-readable findings record ('-' = stdout)",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="PATH",
-        default=None,
-        help="ignore findings recorded in this baseline file",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        metavar="PATH",
-        default=None,
-        help="record current findings as the new baseline and exit 0",
     )
     parser.add_argument(
         "--list-rules",
@@ -180,17 +152,10 @@ def main(argv: list[str] | None = None) -> int:
             print(f"        {rule.rationale}")
         return 0
     try:
-        report = run_lint(args.paths, baseline=args.baseline)
+        report = run_lint(args.paths)
     except LintUsageError as exc:
         print(f"lint usage error: {exc}", file=sys.stderr)
         return 2
-    if args.write_baseline:
-        write_baseline(args.write_baseline, report.findings)
-        print(
-            f"baseline: recorded {len(report.findings)} finding(s) "
-            f"to {args.write_baseline}"
-        )
-        return 0
     if args.json == "-":
         print(report.to_json(), end="")
     else:

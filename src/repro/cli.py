@@ -18,7 +18,8 @@ Commands
 ``sweep-fps``    energy saving vs frame rate
 ``sweep-node``   energy saving vs process nodes
 ``lint``         static determinism & cross-process-safety checks
-                 (REP101-REP108, see docs/linting.md; gating in CI)
+                 (REP101-REP104, REP106-REP108, see docs/linting.md;
+                 gating in CI)
 ``store``        inspect/maintain a persistent artifact store
                  (``ls``/``rm``/``gc``; see docs/architecture.md)
 ``trace``        inspect an exported run trace (``summary``/``export``
@@ -207,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser(
         "lint",
         add_help=False,
-        help="static determinism checks (REP101-REP108); "
+        help="static determinism checks (REP101-REP104, REP106-REP108); "
         "see `repro lint --help`",
     )
     sub.add_parser(

@@ -22,27 +22,29 @@ module attacks the bytes, not the kernels:
   its content digest, so repeated dispatches of the same payload skip
   deserialization entirely.
 * **Explicit lifecycle.**  Segments are created by the dispatcher and
-  unlinked deterministically: the channel owned by ``repro.api.Session``
-  (the only one the sharded paths use) unlinks on ``Session.close()``.
-  Blob handles refcount the array segments they reference.
+  live until the channel closes: the channel owned by
+  ``repro.api.Session`` (the only one the sharded paths use) unlinks
+  every segment on ``Session.close()``.  A full ``/dev/shm`` raises a
+  :class:`TransportError` that names the cause.
 * **Plain-pickle fallback.**  When shared memory is unavailable (or
-  explicitly disabled via ``REPRO_DISABLE_SHM=1`` /
-  ``TransportChannel(use_shm=False)``) the blob ships inline inside the
-  handle.  Resolution is bit-for-bit the same unpickle either way, so
-  results are bitwise-identical in both modes — the engine and serve
-  parity suites pin this.
+  explicitly disabled via ``REPRO_DISABLE_SHM=1``) the blob ships
+  inline inside the handle.  Resolution is bit-for-bit the same
+  unpickle either way, so results are bitwise-identical in both modes —
+  the engine and serve parity suites pin this.
 
 Mutation safety: segments are content-addressed by a BLAKE2 fingerprint
 of the array bytes, never by object identity, so mutating an array in
 place (a model trained further between runs) and re-publishing
-yields a *new* segment — stale-cache bugs are structurally impossible.
-Worker-side views are read-only; a kernel that tried to write a shipped
-array would raise instead of silently diverging from the in-process
-modes.
+yields a *new* segment beside the old one (both live until ``close()``)
+— stale-cache bugs are structurally impossible.  Worker-side views are
+read-only; a kernel that tried to write a shipped array would raise
+instead of silently diverging from the in-process modes.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import errno
 import hashlib
 import io
 import os
@@ -89,7 +91,8 @@ DISABLE_ENV = "REPRO_DISABLE_SHM"
 
 
 class TransportError(RuntimeError):
-    """A handle could not be resolved (segment gone or channel closed)."""
+    """A payload could not be shipped or resolved (``/dev/shm`` full,
+    segment gone or channel closed)."""
 
 
 _SHM_PROBE: bool | None = None
@@ -134,11 +137,6 @@ class ArrayRef:
     segment: str
     dtype: str
     shape: tuple
-
-    @property
-    def nbytes(self) -> int:
-        n = int(np.prod(self.shape)) if self.shape else 1
-        return n * np.dtype(self.dtype).itemsize
 
 
 @dataclass(frozen=True)
@@ -231,15 +229,11 @@ class _ExtractingPickler(pickle.Pickler):
     def __init__(self, file, channel: "TransportChannel"):
         super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
         self._channel = channel
-        #: Segment names of every array this blob references (for the
-        #: channel's blob -> array refcounting).
-        self.array_segments: list[str] = []
 
     def reducer_override(self, obj):
         if type(obj) is np.ndarray:
             ref = self._channel._put_array(obj)
             if ref is not None:
-                self.array_segments.append(ref.segment)
                 return (_load_array, (ref,))
         return NotImplemented
 
@@ -249,19 +243,17 @@ class TransportChannel:
 
     ``repro.api.Session.transport()`` owns the one channel the sharded
     paths publish on; its segments live until ``Session.close()``.
-    ``use_shm=None`` auto-detects; ``use_shm=False`` forces the
-    inline-pickle fallback with identical semantics and results.
+    :func:`shm_available` picks the mode; the inline-pickle fallback has
+    identical semantics and results.
     """
 
-    def __init__(self, use_shm: bool | None = None):
-        self.use_shm = (
-            shm_available() if use_shm is None else bool(use_shm) and shm_available()
-        )
+    def __init__(self):
+        self.use_shm = shm_available()
         self._closed = False
-        #: Array dedup: content fingerprint -> (ArrayRef, refcount).
-        self._arrays: dict[str, list] = {}
-        #: Blob dedup: digest -> (ObjectHandle, [array segment names]).
-        self._blobs: dict[str, tuple[ObjectHandle, list[str]]] = {}
+        #: Array dedup: content fingerprint -> ArrayRef.
+        self._arrays: dict[str, ArrayRef] = {}
+        #: Blob dedup: digest -> ObjectHandle.
+        self._blobs: dict[str, ObjectHandle] = {}
         #: ``dispatches``/``dispatch_bytes`` count the pool jobs
         #: :meth:`repro.engine.executors.Shards.map` sent with handles on
         #: this channel and the handle bytes they carried.
@@ -272,13 +264,21 @@ class TransportChannel:
             "arrays_hoisted": 0,
             "segments_created": 0,
             "segment_bytes": 0,
-            "segments_released": 0,
         }
 
     # -- segments -------------------------------------------------------------
     def _create_segment(self, nbytes: int):
         name = _new_segment_name()
-        seg = _shm.SharedMemory(name=name, create=True, size=max(nbytes, 1))
+        try:
+            seg = _shm.SharedMemory(name=name, create=True, size=max(nbytes, 1))
+        except OSError as exc:
+            if exc.errno != errno.ENOSPC:
+                raise
+            raise TransportError(
+                f"/dev/shm has no room for a {nbytes}-byte shared-memory "
+                "segment; enlarge /dev/shm (e.g. docker --shm-size) or set "
+                f"{DISABLE_ENV}=1 to ship payloads inline"
+            ) from exc
         _SEGMENTS[name] = seg
         self.stats["segments_created"] += 1
         self.stats["segment_bytes"] += nbytes
@@ -298,7 +298,6 @@ class TransportChannel:
                 seg.unlink()
             except FileNotFoundError:  # pragma: no cover - already gone
                 pass
-            self.stats["segments_released"] += 1
 
     # -- arrays ---------------------------------------------------------------
     def _put_array(self, arr: np.ndarray) -> ArrayRef | None:
@@ -316,30 +315,16 @@ class TransportChannel:
         fingerprint = hashlib.blake2b(
             data.view(np.uint8).reshape(-1).data, digest_size=16
         ).hexdigest()
-        entry = self._arrays.get(fingerprint)
-        if entry is not None:
-            return entry[0]
+        ref = self._arrays.get(fingerprint)
+        if ref is not None:
+            return ref
         seg = self._create_segment(data.nbytes)
         view = np.ndarray(data.shape, dtype=data.dtype, buffer=seg.buf)
         view[...] = data
         ref = ArrayRef(seg.name, data.dtype.str, data.shape)
-        self._arrays[fingerprint] = [ref, 0]
+        self._arrays[fingerprint] = ref
         self.stats["arrays_hoisted"] += 1
         return ref
-
-    def _retain_arrays(self, segments: list[str], delta: int) -> None:
-        by_segment = {
-            entry[0].segment: (fp, entry) for fp, entry in self._arrays.items()
-        }
-        for name in segments:
-            found = by_segment.get(name)
-            if found is None:
-                continue
-            fingerprint, entry = found
-            entry[1] += delta
-            if entry[1] <= 0:
-                del self._arrays[fingerprint]
-                self._release_segment(name)
 
     # -- publishing -----------------------------------------------------------
     def publish(self, obj: Any) -> ObjectHandle:
@@ -351,53 +336,34 @@ class TransportChannel:
         """
         self._check_open()
         buf = io.BytesIO()
-        pickler = _ExtractingPickler(buf, self)
-        pickler.dump(obj)
+        _ExtractingPickler(buf, self).dump(obj)
         blob = buf.getvalue()
         digest = hashlib.blake2b(blob, digest_size=16).hexdigest()
-        cached = self._blobs.get(digest)
-        if cached is not None:
-            handle = cached[0]
+        handle = self._blobs.get(digest)
+        reused = handle is not None
+        if reused:
             self.stats["publish_reuses"] += 1
-            # The new pickling pass bumped no refcounts (same arrays,
-            # dedup hits); nothing to retain.
         else:
             if self.use_shm:
                 seg = self._create_segment(len(blob))
                 seg.buf[: len(blob)] = blob
-                handle = ObjectHandle(
-                    digest=digest, nbytes=len(blob), segment=seg.name
-                )
+                place = {"segment": seg.name}
             else:
-                handle = ObjectHandle(digest=digest, nbytes=len(blob), blob=blob)
-            handle = ObjectHandle(
-                digest=handle.digest,
-                nbytes=handle.nbytes,
-                segment=handle.segment,
-                blob=handle.blob,
+                place = {"blob": blob}
+            handle = ObjectHandle(digest=digest, nbytes=len(blob), **place)
+            handle = dataclasses.replace(
+                handle,
                 wire_bytes=len(pickle.dumps(handle, pickle.HIGHEST_PROTOCOL)),
             )
-            self._blobs[digest] = (handle, list(pickler.array_segments))
-            self._retain_arrays(pickler.array_segments, +1)
+            self._blobs[digest] = handle
         tracer = current_tracer()
         if tracer is not None:
-            reused = cached is not None
             tracer.count("transport.publishes")
             tracer.count("transport.publish_bytes", len(blob))
             if reused:
                 tracer.count("transport.publish_reuses")
             tracer.point("transport.publish", nbytes=len(blob), reused=reused)
         return handle
-
-    def _release_blob(self, digest: str) -> None:
-        cached = self._blobs.pop(digest, None)
-        if cached is None:
-            return
-        handle, array_segments = cached
-        if handle.segment is not None:
-            self._release_segment(handle.segment)
-        self._retain_arrays(array_segments, -1)
-        _OBJECTS.pop(digest, None)
 
     # -- lifecycle ------------------------------------------------------------
     def _check_open(self) -> None:
@@ -412,10 +378,8 @@ class TransportChannel:
 
     def segment_names(self) -> list[str]:
         """Names of every live segment this channel created (leak checks)."""
-        names = [
-            h.segment for h, _ in self._blobs.values() if h.segment is not None
-        ]
-        names.extend(entry[0].segment for entry in self._arrays.values())
+        names = [h.segment for h in self._blobs.values() if h.segment is not None]
+        names.extend(ref.segment for ref in self._arrays.values())
         return names
 
     def close(self) -> None:
@@ -430,11 +394,12 @@ class TransportChannel:
         """
         if self._closed:
             return
-        for digest in list(self._blobs):
-            self._release_blob(digest)
-        for fingerprint in list(self._arrays):
-            ref, _ = self._arrays.pop(fingerprint)
-            self._release_segment(ref.segment)
+        for name in self.segment_names():
+            self._release_segment(name)
+        for digest in self._blobs:
+            _OBJECTS.pop(digest, None)
+        self._blobs.clear()
+        self._arrays.clear()
         self._closed = True
 
     def __enter__(self) -> "TransportChannel":

@@ -10,8 +10,9 @@ The dispatcher merges them with
 ``executor.job`` span as each result is consumed, in submission order —
 so a cross-process run still reads as one deterministic tree.
 
-This module *is* the sanctioned cross-process path REP108 points worker
-code at; :class:`repro.engine.executors.ProcessPoolBackend` wires it in.
+Inside a traced job, :func:`~repro.obs.tracer.current_tracer` returns
+the capture tracer, so job code traces the way in-process code does;
+:class:`repro.engine.executors.ProcessPoolBackend` wires this in.
 """
 
 from __future__ import annotations

@@ -23,8 +23,7 @@ Instrumented seams reach the tracer ambiently via :func:`current_tracer`
 global read).  The ambient tracer is pinned to the installing process
 *and thread*: a fork-pool worker or a thread-pool job sees ``None``
 instead of interleaving spans nondeterministically — cross-process spans
-travel home with each job's result (:mod:`repro.obs.capture`) instead,
-which REP108 also enforces at the worker-entry seams.
+travel home with each job's result (:mod:`repro.obs.capture`) instead.
 """
 
 from __future__ import annotations

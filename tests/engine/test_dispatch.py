@@ -48,13 +48,15 @@ SITES = {"engine": _engine, "serving": _serving}
 CASES = ["bare", "no_channel", "pickle_flag", "no_executor", "no_workers"]
 
 
-def _case(case, sharding):
-    """``(executor, channel, workers)`` of one refused combination."""
+def _case(case, sharding, monkeypatch):
+    """``(executor, channel, workers)`` of one refused combination; the
+    ``no_executor`` channel is an inline-pickle one."""
+    monkeypatch.setenv("REPRO_DISABLE_SHM", "1")
     return {
         "bare": (None, None, 2),
         "no_channel": (sharding.executor, None, 2),
         "pickle_flag": (sharding.executor, False, 2),
-        "no_executor": (None, TransportChannel(use_shm=False), 2),
+        "no_executor": (None, TransportChannel(), 2),
         "no_workers": (sharding.executor, sharding.channel, 1),
     }[case]
 
@@ -70,18 +72,20 @@ def _match(case):
 @pytest.mark.parametrize("site", sorted(SITES))
 @pytest.mark.parametrize("case", CASES)
 def test_sharding_without_executor_and_channel_is_refused(
-    site, case, sharding
+    site, case, sharding, monkeypatch
 ):
     with pytest.raises(ValueError, match=_match(case)):
-        SITES[site](*_case(case, sharding))
+        SITES[site](*_case(case, sharding, monkeypatch))
 
 
 @pytest.mark.parametrize("case", CASES)
-def test_core_shim_translates_the_triple_into_shards(case, sharding):
+def test_core_shim_translates_the_triple_into_shards(
+    case, sharding, monkeypatch
+):
     """perfbench's ``evaluate(workers=, executor=, transport=)`` builds
     the handle before anything runs, so an untrained pipeline is enough:
     a refused triple raises, a serial one reaches the training check."""
-    executor, channel, workers = _case(case, sharding)
+    executor, channel, workers = _case(case, sharding, monkeypatch)
     pipeline = BlissCamPipeline(ci(num_sequences=2, frames_per_sequence=2))
     with pytest.raises(ValueError, match=_match(case)):
         pipeline.evaluate(

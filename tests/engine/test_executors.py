@@ -33,6 +33,10 @@ def _traced_square(x):
         return x * x
 
 
+def _ambient_tracer_is_none():
+    return current_tracer() is None
+
+
 def _traced_boom():
     current_tracer().point("job.before_failure")
     raise KeyError("worker-side failure")
@@ -128,6 +132,18 @@ class TestTracedJobs:
         assert [w.parent for w in work] == [j.id for j in jobs]
         assert tracer.counters["executor.jobs"] == 2
         assert tracer.counters["executor.worker_spans_merged"] == 2
+
+    def test_untraced_job_after_a_traced_fork_sees_no_tracer(self):
+        # The workers fork inside the traced submit and inherit the
+        # dispatcher's ambient tracer; it stays invisible to later jobs.
+        ex = ProcessPoolBackend(2)
+        try:
+            with install_tracer(Tracer()):
+                assert ex.submit(_traced_square, 3).result(30) == 9
+            futures = [ex.submit(_ambient_tracer_is_none) for _ in range(2)]
+            assert [f.result(30) for f in futures] == [True, True]
+        finally:
+            ex.shutdown()
 
     def test_failed_job_merges_partial_spans_then_reraises(self, sharding):
         ex = sharding.executor

@@ -8,11 +8,13 @@ What the transport layer guarantees (``repro.engine.transport``):
 * identical content is deduplicated (publish again -> same handle, no
   new segments) while in-place mutation — being *content*-addressed —
   naturally produces a fresh segment instead of a stale cache hit;
-* segment lifecycle is explicit: ``repro.api.Session``'s channel (the
-  one the sharded paths publish on) unlinks on ``close()``, and nothing
-  is left behind in ``/dev/shm``.
+* segment lifecycle is explicit: every segment lives until the channel
+  closes — ``repro.api.Session``'s channel (the one the sharded paths
+  publish on) unlinks on ``close()``, and nothing is left behind in
+  ``/dev/shm``; a full ``/dev/shm`` fails with a named cause.
 """
 
+import errno
 import glob
 import os
 from dataclasses import replace
@@ -100,11 +102,11 @@ class TestRoundTrip:
             handle = channel.publish(self.payload())
             resolved = resolve_payload(handle)
             with pytest.raises(ValueError):
-                # repro: allow[REP105] deliberately asserts the write raises
                 resolved["big"][0] = -1.0
 
-    def test_pickle_fallback_round_trip_is_exact(self):
-        with TransportChannel(use_shm=False) as channel:
+    def test_pickle_fallback_round_trip_is_exact(self, monkeypatch):
+        monkeypatch.setenv("REPRO_DISABLE_SHM", "1")
+        with TransportChannel() as channel:
             assert not channel.use_shm
             handle = channel.publish(self.payload())
             assert handle.segment is None and handle.blob is not None
@@ -146,6 +148,12 @@ class TestDedupAndMutation:
             assert np.array_equal(
                 resolve_payload(second)["w"], np.full(arr.shape, 2.0)
             )
+            # Both generations (blob + array each) stay live until close.
+            assert first.segment in channel.segment_names()
+            names = set(channel.segment_names())
+            assert len(names) == 4 and names <= _live_segments()
+        assert channel.segment_names() == []
+        assert not names & _live_segments()
 
 
 class TestLifecycle:
@@ -158,6 +166,35 @@ class TestLifecycle:
         channel.close()
         assert not names & _live_segments()
         channel.close()  # idempotent
+
+    @needs_shm
+    def test_full_dev_shm_names_its_cause(self, monkeypatch):
+        from multiprocessing import shared_memory
+
+        real = shared_memory.SharedMemory
+        creates = []
+
+        def second_create_fails(*args, create=False, size=0, **kwargs):
+            if create:
+                creates.append(size)
+                if len(creates) == 2:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+            return real(*args, create=create, size=size, **kwargs)
+
+        monkeypatch.setattr(shared_memory, "SharedMemory", second_create_fails)
+        channel = TransportChannel()
+        payload = {"w": np.zeros(MIN_SHM_ARRAY_BYTES)}
+        with pytest.raises(TransportError) as info:
+            channel.publish(payload)
+        message = str(info.value)
+        assert "/dev/shm" in message
+        assert f"{creates[1]}-byte" in message
+        assert "REPRO_DISABLE_SHM=1" in message
+        names = set(channel.segment_names())
+        assert len(names) == 1  # the array segment made before the failure
+        channel.close()
+        assert channel.segment_names() == []
+        assert not names & _live_segments()
 
     @needs_shm
     def test_publish_after_close_raises(self):
@@ -203,13 +240,14 @@ class TestEngineIntegration:
         run = SequenceRunner([Probe()]).run([(0, Seq())])
         assert run.transport is None
 
-    def test_forced_pickle_transport_matches_shm(self, sharding):
+    def test_forced_pickle_transport_matches_shm(self, sharding, monkeypatch):
         # The channel's inline-pickle fallback (what runs where /dev/shm
         # is missing) on the same injected executor.
         sequences = [(i, Seq()) for i in (7, 3, 9, 5)]
         reference = SequenceRunner([Probe()]).run(sequences)
         shm = SequenceRunner([Probe()]).run(sequences, shards=sharding)
-        with TransportChannel(use_shm=False) as channel:
+        monkeypatch.setenv("REPRO_DISABLE_SHM", "1")
+        with TransportChannel() as channel:
             pickled = SequenceRunner([Probe()]).run(
                 sequences,
                 shards=replace(sharding, channel=channel),
