@@ -16,14 +16,8 @@ production code path, not a parallel harness.
 
 from __future__ import annotations
 
-import json
-import os
-import platform
-from pathlib import Path
-
 import numpy as np
 
-from repro.api.result import git_describe
 from repro.api.session import LIVELY_DYNAMICS
 from repro.api.tracker import ci
 from repro.segmentation import ViTConfig, ViTSegmenter
@@ -121,67 +115,3 @@ def once(benchmark, fn):
     """Run an expensive experiment exactly once under pytest-benchmark."""
     return benchmark.pedantic(fn, rounds=1, iterations=1)
 
-
-def host_fingerprint() -> dict:
-    """The host facts a wall-clock record is only comparable under."""
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return {
-        "nproc": os.cpu_count(),
-        "machine": platform.machine(),
-        "numpy": np.__version__,
-        "blas": " ".join(str(blas.get("openblas configuration", "")).split()),
-        "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
-    }
-
-
-def same_host_baseline(path: str | Path) -> dict | None:
-    """Newest trajectory entry of ``path`` recorded on this host, if any.
-
-    Wall-clock gates compare against it: a record from another host (a
-    CI runner, a different BLAS build) says nothing about this one, so
-    without a same-host entry there is no baseline.
-    """
-    try:
-        trajectory = json.loads(Path(path).read_text()).get("trajectory", [])
-    except (OSError, json.JSONDecodeError):
-        return None
-    host = host_fingerprint()
-    for entry in reversed(trajectory):
-        if entry.get("host") == host:
-            return entry
-    return None
-
-
-def record_bench(path: str | Path, record: dict) -> dict:
-    """Append a benchmark run to ``path``'s performance trajectory.
-
-    ``BENCH_*.json`` files are the perf history successive PRs track:
-    ``latest`` holds this run's record and ``trajectory`` accumulates
-    every run, each entry stamped with ``git describe`` — appending
-    instead of overwriting is what makes the history non-empty across
-    PRs.  Entries from a dirty working tree carry an explicit
-    ``"dirty": true`` flag (not just the ``-dirty`` describe suffix), so
-    trajectory consumers can filter uncommitted-state runs without
-    string-parsing the stamp.  A re-run whose git stamp *and* record are
-    identical to the previous trajectory entry refreshes ``latest`` but
-    appends nothing — deterministic benches re-run at the same commit
-    must not inflate the history.  Unrecognized existing content (the
-    pre-trajectory flat ``RunResult`` envelope) is absorbed as the first
-    trajectory entry rather than discarded.
-    """
-    path = Path(path)
-    git = git_describe()
-    entry = {"git": git, "dirty": git.endswith("-dirty"), **record}
-    try:
-        data = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError):
-        data = {}
-    trajectory = data.get("trajectory")
-    if trajectory is None:
-        # Migrate a legacy flat record into the history it belongs to.
-        trajectory = [data] if data else []
-    if not trajectory or trajectory[-1] != entry:
-        trajectory.append(entry)
-    out = {"latest": entry, "trajectory": trajectory}
-    path.write_text(json.dumps(out, indent=2) + "\n")
-    return out

@@ -1,8 +1,8 @@
 """Artifact-store resume: cold sweep vs store replay vs whole-run reuse.
 
-Not a paper figure — this benchmark seeds the performance trajectory of
-the persistence layer (``repro.store``).  It runs one declarative
-``strategy_sweep`` spec three ways through ``repro.api``:
+Not a paper figure — this benchmark times the persistence layer
+(``repro.store``).  It runs one declarative ``strategy_sweep`` spec
+three ways through ``repro.api``:
 
 1. **cold** — a fresh ``Session(store=...)`` against an empty store:
    every strategy trains and writes through to disk;
@@ -18,18 +18,19 @@ asserted here and pinned by ``tests/store/test_resume.py``; the
 wall-clock ratios are advisory on shared runners but replay must not
 *lose* to retraining.
 
-Appends to ``BENCH_store.json`` at the repository root (git-stamped
-``trajectory`` entries) so successive PRs accumulate the history.
+Each session runs with a :class:`~repro.obs.Tracer`, and each time is
+that run's ``session.run`` span, so the trace is the clock.  The record
+is printed, not stored: perfbench is the repository's speed record.
 """
 
 from __future__ import annotations
 
 import json
-import time
 from pathlib import Path
 
-from _helpers import once, record_bench
+from _helpers import once
 from repro.api import ExperimentSpec, Session
+from repro.obs import Tracer
 from repro.store import ArtifactStore
 
 STRATEGIES = ["Full+Random", "ROI+DS", "Ours (ROI+Random)"]
@@ -46,21 +47,21 @@ BENCH_SPEC = {
     "execution": {"eval_indices": [2]},
 }
 
-_RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_store.json"
-
 
 def _metrics_bytes(result) -> bytes:
     return json.dumps(result.metrics, sort_keys=True).encode()
 
 
 def _timed_run(store_root, resume=False):
+    """(result, stats, seconds) of one fresh traced session; the seconds
+    are the wall duration of its ``session.run`` span."""
     spec = ExperimentSpec.from_dict(BENCH_SPEC)
-    start = time.perf_counter()  # repro: allow[REP102] benchmark timing harness
-    with Session(store=store_root, resume=resume) as session:
+    tracer = Tracer()
+    with Session(store=store_root, resume=resume, trace=tracer) as session:
         result = session.run(spec)
         stats = session.stats()
-    elapsed = time.perf_counter() - start  # repro: allow[REP102] benchmark timing harness
-    return result, stats, elapsed
+    (run_span,) = [s for s in tracer.spans if s.name == "session.run"]
+    return result, stats, run_span.wall["dur_s"]
 
 
 def run_store_resume(tmp_root: Path) -> dict:
@@ -92,7 +93,6 @@ def run_store_resume(tmp_root: Path) -> dict:
         "store_bytes": occupancy["bytes"],
         "bitwise_identical": True,
     }
-    record_bench(_RESULT_PATH, record)
     return record
 
 
@@ -100,6 +100,7 @@ def test_store_resume(benchmark, tmp_path):
     record = once(benchmark, lambda: run_store_resume(tmp_path))
 
     print()
+    print(json.dumps(record, sort_keys=True))
     print(
         f"cold {record['cold_seconds']:.2f}s  "
         f"replay {record['replay_seconds']:.2f}s "

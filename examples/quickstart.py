@@ -51,8 +51,7 @@ def main() -> None:
         # The session reuses the pipeline trained above (same training
         # hash) — run() only executes the staged engine, one vectorized
         # lockstep rank, bitwise-identical to running each sequence alone
-        # (see docs/architecture.md and
-        # benchmarks/bench_engine_throughput.py).
+        # (see docs/architecture.md and tests/engine/test_equivalence.py).
         result = session.run(spec)
         assert session.stats()["train_cache_hits"] == 1, session.stats()
 

@@ -3,9 +3,9 @@
 Every path through the front door — CLI subcommands, ``repro run``,
 benchmarks, examples — ends in one :class:`RunResult`, and there is
 exactly one JSON serializer (:meth:`RunResult.to_dict` /
-:meth:`write_json`), so ``--json`` output, ``BENCH_engine.json`` and
-programmatic consumers can never drift apart.  The human-facing half
-lives here too: :class:`Table` renders every workload's tables, and
+:meth:`write_json`), so ``--json`` output and programmatic consumers
+can never drift apart.  The human-facing half lives here too:
+:class:`Table` renders every workload's tables, and
 :class:`PaperComparison` prints the benchmarks' paper-vs-measured
 blocks.
 """

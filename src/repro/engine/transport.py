@@ -3,9 +3,9 @@
 The sharded execution paths (engine runner, strategy sweep, serve
 replicas) historically pickled their whole payload — frame stacks, model
 weights, sensor templates — into every worker dispatch.  At CI scale
-that serialization *dominates* the kernels: ``BENCH_engine.json``
-recorded the process pool losing to single-process execution.  This
-module attacks the bytes, not the kernels:
+that serialization *dominated* the kernels: the process pool lost to
+single-process execution.  This module attacks the bytes, not the
+kernels:
 
 * **Content-addressed shared-memory segments.**  A dispatcher-side
   :class:`TransportChannel` pickles each payload once with an extracting

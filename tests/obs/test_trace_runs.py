@@ -5,6 +5,8 @@ each) must produce byte-identical deterministic planes, including the
 worker spans that pool jobs bring home with their results.
 """
 
+import json
+
 import pytest
 
 from repro.api import ExperimentSpec, Session, SpecError
@@ -30,6 +32,25 @@ SWEEP_SHARDED = {
     "strategy": {"names": ["ROI+DS", "Ours (ROI+Random)"], "train_epochs": 1},
     "training": {"train_indices": [0, 1]},
     "execution": {"eval_indices": [2], "workers": 2},
+}
+
+#: A 4x4 CI dataset, sharded over two workers: two training sequences,
+#: two held-out ones, so evaluation and the sweep both really fan out.
+_CI_4X4 = {
+    "dataset": {"num_sequences": 4, "frames_per_sequence": 4},
+    "training": {"epochs": 1, "train_indices": [0, 1]},
+    "execution": {"workers": 2, "eval_indices": [2, 3]},
+}
+TRACE_PARITY_SPECS = {
+    "evaluate": {**_CI_4X4, "workload": "evaluate"},
+    "strategy_sweep": {
+        **_CI_4X4,
+        "workload": "strategy_sweep",
+        "strategy": {
+            "names": ["ROI+DS", "Ours (ROI+Random)"],
+            "train_epochs": 1,
+        },
+    },
 }
 
 SERVE_TINY = {
@@ -138,6 +159,19 @@ class TestSessionWiring:
         assert [h["kind"] for h in resumed.provenance["cache_hits"]] == [
             "run_result"
         ]
+
+    @pytest.mark.parametrize("workload", sorted(TRACE_PARITY_SPECS))
+    def test_tracing_never_changes_a_result(self, workload):
+        # Tracing is measurement, never behaviour: fresh sessions with
+        # and without a tracer serialize byte-identical metrics.
+        spec = TRACE_PARITY_SPECS[workload]
+        with Session() as session:
+            untraced = session.run(spec)
+        with Session(trace=Tracer()) as session:
+            traced = session.run(spec)
+        assert traced.provenance["workers"] == 2
+        blob = lambda r: json.dumps(r.metrics, sort_keys=True).encode()
+        assert blob(traced) == blob(untraced)
 
     def test_trace_spec_validation(self):
         # Tracing is a Session switch, never a spec field.
