@@ -41,6 +41,8 @@ class FrameContext:
     roi_box_norm: np.ndarray | None = None
     roi_box: tuple[int, int, int, int] | None = None
     roi_reused: bool = False
+    #: ``(H, W)`` pixels inside ``roi_box``, built once by the sample stage.
+    roi_mask: np.ndarray | None = None
     sample_mask: np.ndarray | None = None
     readout: Any = None
     rle_stats: Any = None
@@ -70,6 +72,7 @@ class FrameContext:
         """
         self.frame = None
         self.event_map = None
+        self.roi_mask = None
         self.sample_mask = None
         self.readout = None
         self.sparse_frame = None

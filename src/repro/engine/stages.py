@@ -186,13 +186,15 @@ class SampleStage(Stage):
 
     def process_batch(self, ctxs, seqs) -> None:
         # Power-up bits come from each sequence's own stream, in rank
-        # order; popcount, threshold and ROI mask run once for the rank.
+        # order; popcount, threshold and ROI mask run once for the rank,
+        # and the ROI masks stay on the frames for the readout.
         sensors = [seq.sensor for seq in seqs]
-        masks = type(sensors[0]).sample_rank(
+        masks, roi_masks = type(sensors[0]).sample_rank(
             sensors, np.array([ctx.roi_box for ctx in ctxs])
         )
-        for ctx, mask in zip(ctxs, masks):
+        for ctx, mask, roi_mask in zip(ctxs, masks, roi_masks):
             ctx.sample_mask = mask
+            ctx.roi_mask = roi_mask
 
 
 class ReadoutStage(Stage):
@@ -211,6 +213,7 @@ class ReadoutStage(Stage):
             np.array([ctx.frame for ctx in ctxs]),
             masks,
             np.array([ctx.roi_box for ctx in ctxs]),
+            np.array([ctx.roi_mask for ctx in ctxs]),
         )
         for i, ctx in enumerate(ctxs):
             ctx.readout = readouts[i]

@@ -2,7 +2,6 @@
 run-length coding, and the composed functional sensor simulator."""
 
 from repro.hardware.sensor.adc import SingleSlopeADC
-from repro.hardware.sensor.defects import DefectMap
 from repro.hardware.sensor.noise_analysis import (
     EventificationErrorModel,
     adc_code_error_probability,
@@ -19,7 +18,6 @@ from repro.hardware.sensor.sram_rng import (
 
 __all__ = [
     "SingleSlopeADC",
-    "DefectMap",
     "EventificationErrorModel",
     "adc_code_error_probability",
     "PixelCircuit",

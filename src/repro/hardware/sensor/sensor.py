@@ -25,6 +25,7 @@ sparse frame + mask the segmentation network consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable
 
 import numpy as np
@@ -33,7 +34,13 @@ from repro.hardware.sensor.adc import SingleSlopeADC
 from repro.hardware.sensor.pixel import BLISSCAM_DPS, PixelCircuit
 from repro.hardware.sensor.readout import ReadoutResult, SparseReadout
 from repro.hardware.sensor.rle import RleStats, RunLengthCodec
-from repro.hardware.sensor.sram_rng import SramPowerUpRNG, ThresholdLUT
+from repro.hardware.sensor.sram_rng import (
+    SramPowerUpRNG,
+    ThresholdLUT,
+    draw_ahead,
+    settled,
+    take_events,
+)
 from repro.sampling.eventification import DEFAULT_SIGMA
 from repro.sampling.roi import box_to_pixels, boxes_mask, order_box
 
@@ -41,6 +48,20 @@ __all__ = ["BlissCamSensor", "SensorFrameOutput"]
 
 #: A predictor maps (event_map, prev_segmentation | None) -> normalized box.
 RoiPredictorFn = Callable[[np.ndarray, np.ndarray | None], np.ndarray]
+
+
+def _normal_planes(generators, shape, out=None) -> np.ndarray:
+    """Two standard-normal planes per generator, ``(B, 2, *shape)``: one
+    draw call each, in order, into ``out`` when it has that shape (the
+    helper's job, or the inline draw; see ``sram_rng``)."""
+    shape = (len(generators), 2, *shape)
+    z = out if out is not None and out.shape == shape else np.empty(shape)
+    for planes, generator in zip(z, generators):
+        generator.standard_normal(out=planes)
+    return z
+
+
+_noise_stream = attrgetter("_noise_rng")
 
 
 @dataclass
@@ -100,6 +121,15 @@ class BlissCamSensor:
         self.theta = self.lut.theta_for_rate(sampling_rate)
         #: Analog memory: frame t-1 held on the AZ capacitors.
         self._held_frame: np.ndarray | None = None
+        #: The next comparator-noise event when drawn ahead: ``(block, row)``.
+        self._noise_ahead = None
+
+    def __getstate__(self):
+        # Copies and pickles carry the pending event, so they continue the
+        # same stream.
+        state = self.__dict__.copy()
+        state["_noise_ahead"] = settled(self._noise_ahead)
+        return state
 
     def reset(self) -> None:
         """Drop the held frame (e.g. at sequence boundaries)."""
@@ -121,6 +151,7 @@ class BlissCamSensor:
         key = list(seed_key) if np.iterable(seed_key) else [int(seed_key)]
         clone = copy.copy(self)
         clone._noise_rng = np.random.default_rng(key + [0])
+        clone._noise_ahead = None
         clone.sram_rng = self.sram_rng.spawn(key + [1])
         clone._held_frame = None
         return clone
@@ -131,12 +162,19 @@ class BlissCamSensor:
         sensors: list["BlissCamSensor"], shape: tuple[int, int]
     ) -> np.ndarray:
         """The two comparator offset-noise planes of each sensor of a rank,
-        ``(B, 2, *shape)``, drawn in rank order into one buffer as ``σ·z +
-        0.0``: numpy's ``normal(0, σ)`` bit for bit (it forms ``0.0 + σ·z``,
-        and ``+ 0.0`` turns a ``-0.0`` into ``+0.0``)."""
-        noise = np.empty((len(sensors), 2, *shape))
-        for out, sensor in zip(noise, sensors):
-            sensor._noise_rng.standard_normal(out=out)
+        ``(B, 2, *shape)``, as ``σ·z + 0.0``: numpy's ``normal(0, σ)`` bit
+        for bit (it forms ``0.0 + σ·z``, and ``+ 0.0`` turns a ``-0.0``
+        into ``+0.0``).
+
+        The one take of the noise streams: a lane's standard-normal planes
+        ``z`` drawn ahead by :meth:`eventify_rank` are used as drawn (the
+        block itself, written in place, when the rank is exactly its
+        lanes), the rest are drawn now; ``σ`` is read at the take, so a
+        changed ``comparator_noise`` applies from the next frame.
+        """
+        noise = take_events(
+            sensors, "_noise_ahead", _noise_stream, _normal_planes, shape
+        )
         noise *= np.array([s.comparator_noise for s in sensors])[:, None, None, None]
         noise += 0.0
         return noise
@@ -151,6 +189,8 @@ class BlissCamSensor:
         of one stacked copy, never written); a lane that held none yet gets
         None.  The rest compare frame difference plus comparator noise with
         +/- sigma: two decisions through Vth1/Vth2 (Fig. 9), rank-wide.
+        Then every lane's next noise planes are drawn ahead, as one helper
+        job into the spent noise buffer, while the host runs the frame.
         """
         for sensor, frame in zip(sensors, frames):
             if frame.shape != (sensor.height, sensor.width):
@@ -161,6 +201,7 @@ class BlissCamSensor:
         frames = np.array(frames)
         live = [i for i, s in enumerate(sensors) if s._held_frame is not None]
         events: list[np.ndarray | None] = [None] * len(sensors)
+        inputs = None
         if live:
             lanes = [sensors[i] for i in live]
             inputs = BlissCamSensor.draw_comparator_noise(lanes, frames.shape[1:])
@@ -173,25 +214,35 @@ class BlissCamSensor:
                 events[i] = event_map
         for sensor, frame in zip(sensors, frames):
             sensor._held_frame = frame
+        draw_ahead(
+            sensors, "_noise_ahead", _noise_stream, _normal_planes,
+            frames.shape[1:], inputs,
+        )
         return events
 
     @staticmethod
     def sample_rank(
         sensors: list["BlissCamSensor"], pixel_boxes: np.ndarray
-    ) -> np.ndarray:
-        """The ``(B, H, W)`` sampling masks of a rank: one popcount and one
-        theta compare over every lane's in-ROI pixels, scattered through
-        one broadcast ROI mask.  Row ``i`` equals ``mask_from_popcounts``
-        of ``sensors[i]``'s power-up popcounts."""
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The ``(B, H, W)`` sampling masks of a rank and its ``(B, H, W)``
+        ROI masks (one broadcast compare, kept for :meth:`readout_rank`).
+
+        Row ``i`` equals ``mask_from_popcounts`` of ``sensors[i]``'s
+        power-up popcounts: one theta compare of the rank's popcounts
+        (:meth:`SramPowerUpRNG.rank_popcounts`, the events drawn ahead at
+        the previous frame where there are any), restricted to each ROI.
+        Then every lane's next power-up event is drawn ahead, as one
+        helper job, while the host runs the frame; theta is read here,
+        never by the helper.
+        """
         shape = (sensors[0].height, sensors[0].width)
         in_roi = boxes_mask(pixel_boxes, *shape)
-        pops = SramPowerUpRNG.rank_popcounts(
-            [s.sram_rng for s in sensors], pixel_boxes, shape
-        )
-        thetas = np.repeat([s.theta for s in sensors], in_roi.sum(axis=(1, 2)))
-        masks = np.zeros(in_roi.shape, dtype=bool)
-        masks[in_roi] = pops >= thetas
-        return masks
+        rngs = [s.sram_rng for s in sensors]
+        pops = SramPowerUpRNG.rank_popcounts(rngs).reshape(in_roi.shape)
+        SramPowerUpRNG.draw_rank_ahead(rngs)
+        masks = pops >= np.array([s.theta for s in sensors])[:, None, None]
+        masks &= in_roi
+        return masks, in_roi
 
     @staticmethod
     def readout_rank(
@@ -199,20 +250,22 @@ class BlissCamSensor:
         frames: np.ndarray,
         sample_masks: np.ndarray,
         pixel_boxes: np.ndarray,
+        roi_masks: np.ndarray,
     ) -> tuple[np.ndarray, list[ReadoutResult], list[RleStats]]:
         """ADC + sparse readout + RLE accounting of a rank, and the host's
         rebuild: ``(sparse_frames, readouts, rle_stats)``.
 
-        One gather takes every lane's column-major ROI pixels; the ADC
-        quantizes them at once (lifted to >= 1 LSB so RLE zeros mean
-        "skipped") and the skipped ones are zeroed.  RLE is lossless, so
+        One gather through the boxes' ``(B, H, W)`` ROI masks (as
+        :meth:`sample_rank` returns them) takes every lane's column-major
+        ROI pixels; the ADC quantizes them at once (lifted to >= 1 LSB so
+        RLE zeros mean "skipped") and the skipped ones are zeroed.  RLE is lossless, so
         the host rebuilds each sparse frame from the stream, bitwise equal
         to :meth:`host_decode`, and the token counts need no tokens.
         """
         adc, unit = sensors[0].adc, sensors[0].readout_unit
         if any(s.adc != adc for s in sensors):
             raise ValueError("the sensors of a rank must share one ADC design")
-        in_roi = boxes_mask(pixel_boxes, *frames.shape[1:]).transpose(0, 2, 1)
+        in_roi = roi_masks.transpose(0, 2, 1)
         values = frames.transpose(0, 2, 1)[in_roi]
         sampled = sample_masks.transpose(0, 2, 1)[in_roi]
         stream = adc.quantize(values, clamp_min_lsb=1) * sampled
@@ -273,7 +326,8 @@ class BlissCamSensor:
             self.sram_rng.power_up_popcounts(), pixel_box
         )
         _, (readout,), _ = self.readout_rank(
-            [self], frame[None], sample_mask[None], [pixel_box]
+            [self], frame[None], sample_mask[None], [pixel_box],
+            boxes_mask([pixel_box], self.height, self.width),
         )
         tokens, stats = self.codec.encode(readout.stream)
         return SensorFrameOutput(

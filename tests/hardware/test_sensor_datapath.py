@@ -15,8 +15,15 @@ from repro.hardware.sensor import (
     SparseReadout,
     SramPowerUpRNG,
 )
-from repro.hardware.sensor.sram_rng import popcount
+from repro.hardware.sensor.sram_rng import BITS_PER_PIXEL, popcount
 from repro.nn.functional import stack_rows
+
+
+def power_up_bits(rng):
+    """The retired ``SramPowerUpRNG.power_up_bits``: one float32 draw of
+    the whole cell array, compared with the cell biases."""
+    draw = rng.rng.random((rng.num_pixels, BITS_PER_PIXEL), dtype=np.float32)
+    return draw < rng._bias_f32
 
 
 class TestSramRNG:
@@ -31,7 +38,7 @@ class TestSramRNG:
         reference = copy.deepcopy(rng)
         counts = np.zeros(16)
         for _ in range(8):
-            pop = reference.power_up_bits().sum(axis=-1)
+            pop = power_up_bits(reference).sum(axis=-1)
             for theta in range(16):
                 counts[theta] += np.count_nonzero(pop >= theta)
         assert rng.calibrate(cycles=8).rate_for_theta == tuple(
@@ -206,7 +213,7 @@ class TestBlissCamSensor:
         ``bits.sum(axis=-1)`` and thresholds to the same masks."""
         template = self.make(size=64)
         sensors = [template.spawn(i) for i in range(width)]
-        bits = stack_rows([s.sram_rng.power_up_bits() for s in sensors])
+        bits = stack_rows([power_up_bits(s.sram_rng) for s in sensors])
         pops = popcount(bits)
         reference = bits.sum(axis=-1)
         assert pops.dtype == np.uint8

@@ -9,7 +9,17 @@ eventify/comparator pair, the per-lane ``mask_from_popcounts`` loop, the
 sensor's ``readout_step`` with ``RunLengthCodec.stream_stats``, and the
 per-box ``box_to_pixels`` and margin expansion.  The golden digests rest
 on this width invariance.
+
+The rank kernels draw each lane's next comparator-noise and power-up
+events ahead on a helper thread; the retired inline draws are the
+references that every order of ranks, copies and ``capture`` calls must
+still equal, bit for bit.
 """
+
+import copy
+import pickle
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -17,10 +27,10 @@ import pytest
 from repro.api.tracker import MarginExpandedPredictor
 from repro.engine.context import FrameContext, SequenceState
 from repro.engine.stages import ROIPredictStage
-from repro.hardware.sensor import BlissCamSensor, SingleSlopeADC
+from repro.hardware.sensor import BlissCamSensor, SingleSlopeADC, SramPowerUpRNG
 from repro.hardware.sensor.rle import RleStats, RunLengthCodec
-from repro.hardware.sensor.sram_rng import popcount
-from repro.sampling.roi import ROIPredictor, boxes_to_pixels, order_box
+from repro.hardware.sensor.sram_rng import BITS_PER_PIXEL, popcount
+from repro.sampling.roi import ROIPredictor, boxes_mask, boxes_to_pixels, order_box
 
 WIDTHS = [1, 3, 24]
 SIZE = 64
@@ -86,10 +96,35 @@ def reference_eventify(sensor, frame):
     return above | below
 
 
+def power_up_bits(rng):
+    """The retired ``SramPowerUpRNG.power_up_bits``: one float32 draw of
+    the whole cell array, compared with the cell biases."""
+    draw = rng.rng.random((rng.num_pixels, BITS_PER_PIXEL), dtype=np.float32)
+    return draw < rng._bias_f32
+
+
+def reference_rank_popcounts(rngs, boxes, shape):
+    """The retired inline ``SramPowerUpRNG.rank_popcounts``: each lane draws
+    its whole event into one cache-sized buffer and compares only its
+    in-box cells; one popcount serves the rank, lanes end to end."""
+    height, width = shape
+    sizes = [(r1 - r0) * (c1 - c0) for r0, c0, r1, c1 in boxes]
+    draw = np.empty((height, width, BITS_PER_PIXEL), dtype=np.float32)
+    bits = np.empty((sum(sizes), BITS_PER_PIXEL), dtype=bool)
+    head = 0
+    for rng, (r0, c0, r1, c1), size in zip(rngs, boxes, sizes):
+        rng.rng.random(out=draw, dtype=np.float32)
+        bias = rng._bias_f32.reshape(draw.shape)
+        out = bits[head : head + size].reshape(r1 - r0, c1 - c0, -1)
+        np.less(draw[r0:r1, c0:c1], bias[r0:r1, c0:c1], out=out)
+        head += size
+    return popcount(bits)
+
+
 def reference_masks(sensors, boxes):
     """The retired sample stage: stacked power-up bits, one popcount, then
     the per-lane ``mask_from_popcounts`` loop."""
-    pops = popcount(np.array([s.sram_rng.power_up_bits() for s in sensors]))
+    pops = popcount(np.array([power_up_bits(s.sram_rng) for s in sensors]))
     masks = []
     for sensor, pop, (r0, c0, r1, c1) in zip(sensors, pops, boxes):
         rng_mask = (pop >= sensor.theta).reshape((sensor.height, sensor.width))
@@ -215,11 +250,35 @@ def test_sample_rank_matches_mask_loop(width):
     sensors, refs = rank_of(width), rank_of(width)
     boxes = cycle(PIXEL_BOXES, width)
     for _ in range(2):
-        masks = BlissCamSensor.sample_rank(sensors, np.array(boxes))
+        masks, roi_masks = BlissCamSensor.sample_rank(sensors, np.array(boxes))
         expected = reference_masks(refs, boxes)
         assert masks.shape == (width, SIZE, SIZE)
         for mask, ref in zip(masks, expected):
             assert bitwise(mask, ref)
+        assert bitwise(roi_masks, boxes_mask(np.array(boxes), SIZE, SIZE))
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+def test_rank_popcounts_match_retired_inline_draw(width):
+    """Drawn inline or ahead, a rank's popcounts sliced to its boxes equal
+    the retired in-box draw; a lane listed twice draws two events."""
+    boxes = cycle(PIXEL_BOXES, width)
+    rngs = [s.sram_rng for s in rank_of(width)]
+    refs = [s.sram_rng for s in rank_of(width)]
+    in_roi = boxes_mask(np.array(boxes), SIZE, SIZE)
+    for step in range(3):
+        pops = SramPowerUpRNG.rank_popcounts(rngs)
+        if step < 2:
+            SramPowerUpRNG.draw_rank_ahead(rngs)
+        expected = reference_rank_popcounts(refs, boxes, (SIZE, SIZE))
+        assert bitwise(pops.reshape(in_roi.shape)[in_roi], expected)
+    # The first lane's next event is pending: listed twice, it takes that
+    # event, then draws its following one inline.
+    SramPowerUpRNG.draw_rank_ahead(rngs)
+    twice = SramPowerUpRNG.rank_popcounts([rngs[0], rngs[0]])
+    full = [(0, 0, SIZE, SIZE)] * 2
+    expected = reference_rank_popcounts([refs[0], refs[0]], full, (SIZE, SIZE))
+    assert bitwise(twice.reshape(-1), expected)
 
 
 def test_sample_rank_refuses_box_outside_frame():
@@ -232,7 +291,8 @@ def test_sample_rank_refuses_box_outside_frame():
 
 def check_readout(sensors, frames, masks, boxes):
     sparse, readouts, stats = BlissCamSensor.readout_rank(
-        sensors, np.array(frames), np.array(masks), np.array(boxes)
+        sensors, np.array(frames), np.array(masks), np.array(boxes),
+        boxes_mask(np.array(boxes), SIZE, SIZE),
     )
     for lane, (sensor, frame, mask, box) in enumerate(
         zip(sensors, frames, masks, boxes)
@@ -259,7 +319,7 @@ def test_readout_rank_matches_readout_step(width):
     # Values past both ends of [0, 1] exercise the ADC's clip and the
     # 1-LSB lift of sampled black pixels.
     frames = [rng.uniform(-0.1, 1.1, (SIZE, SIZE)) for _ in range(width)]
-    masks = BlissCamSensor.sample_rank(sensors, np.array(boxes))
+    masks, _ = BlissCamSensor.sample_rank(sensors, np.array(boxes))
     check_readout(sensors, frames, list(masks), boxes)
 
 
@@ -279,7 +339,7 @@ def test_readout_rank_refuses_codes_past_ten_bits():
     sensor = BlissCamSensor(8, 8, roi_predictor=predictor, seed=0, adc=adc)
     frames, masks = np.ones((1, 8, 8)), np.ones((1, 8, 8), dtype=bool)
     with pytest.raises(ValueError, match="10 bits"):
-        BlissCamSensor.readout_rank([sensor], frames, masks, [(0, 0, 8, 8)])
+        BlissCamSensor.readout_rank([sensor], frames, masks, [(0, 0, 8, 8)], masks)
 
 
 def test_readout_rank_refuses_mixed_adc_designs():
@@ -290,7 +350,7 @@ def test_readout_rank_refuses_mixed_adc_designs():
     ]
     frames, masks = np.ones((2, 8, 8)), np.ones((2, 8, 8), dtype=bool)
     with pytest.raises(ValueError, match="share one ADC design"):
-        BlissCamSensor.readout_rank(lanes, frames, masks, [(0, 0, 8, 8)] * 2)
+        BlissCamSensor.readout_rank(lanes, frames, masks, [(0, 0, 8, 8)] * 2, masks)
 
 
 # -- a rank of two chips -----------------------------------------------------------
@@ -314,19 +374,22 @@ def test_mixed_chip_rank_equals_each_lane_alone():
     for _ in range(3):
         frames = [rng.random((SIZE, SIZE)) for _ in range(width)]
         events = BlissCamSensor.eventify_rank(rank, frames)
-        masks = BlissCamSensor.sample_rank(rank, np.array(boxes))
+        masks, roi_masks = BlissCamSensor.sample_rank(rank, np.array(boxes))
         sparse, readouts, stats = BlissCamSensor.readout_rank(
-            rank, np.array(frames), masks, np.array(boxes)
+            rank, np.array(frames), masks, np.array(boxes), roi_masks
         )
         for lane, sensor in enumerate(alone):
             (event_map,) = BlissCamSensor.eventify_rank([sensor], [frames[lane]])
             assert (event_map is None) == (events[lane] is None)
             if event_map is not None:
                 assert bitwise(events[lane], event_map)
-            (mask,) = BlissCamSensor.sample_rank([sensor], np.array([boxes[lane]]))
+            (mask,), roi_mask = BlissCamSensor.sample_rank(
+                [sensor], np.array([boxes[lane]])
+            )
             assert bitwise(masks[lane], mask)
             solo = BlissCamSensor.readout_rank(
-                [sensor], np.array([frames[lane]]), mask[None], np.array([boxes[lane]])
+                [sensor], np.array([frames[lane]]), mask[None],
+                np.array([boxes[lane]]), roi_mask,
             )
             assert bitwise(sparse[lane], solo[0][0])
             assert bitwise(readouts[lane].stream, solo[1][0].stream)
@@ -392,3 +455,168 @@ def test_roi_stage_refuses_nan_from_the_roi_network_by_name():
     named = "non-finite ROI box .* for sequence 7 at frame t=3"
     with pytest.raises(ValueError, match=named):
         stage.process_batch(ctxs, seqs)
+
+
+# -- drawing ahead --------------------------------------------------------------
+
+
+def reference_step(refs, frames, boxes):
+    """One frame of lanes through the retired inline draws: the event maps,
+    and the sampling masks of the lanes that had a held frame."""
+    events = [reference_eventify(ref, frame) for ref, frame in zip(refs, frames)]
+    live = [i for i, e in enumerate(events) if e is not None]
+    if not live:
+        return events, live, []
+    masks = reference_masks([refs[i] for i in live], [boxes[i] for i in live])
+    return events, live, masks
+
+
+def check_step(sensors, refs, frames, boxes):
+    """Eventify and sample one frame of ``sensors`` as the engine does
+    (bootstrapping lanes skip sampling) against ``refs``."""
+    events = BlissCamSensor.eventify_rank(sensors, frames)
+    ref_events, live, ref_masks = reference_step(refs, frames, boxes)
+    for event_map, expected in zip(events, ref_events):
+        assert (event_map is None) == (expected is None)
+        if expected is not None:
+            assert bitwise(event_map, expected)
+    if live:
+        masks, _ = BlissCamSensor.sample_rank(
+            [sensors[i] for i in live], np.array([boxes[i] for i in live])
+        )
+        for mask, expected in zip(masks, ref_masks):
+            assert bitwise(mask, expected)
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+def test_changing_ranks_match_inline_draws(width):
+    """Serve-like ticks: each rank is a shuffled subset of the lanes, so
+    ranks shrink, reorder and skip lanes that hold a pending block; a lane
+    restarts, and one lane's sigma and theta change between frames."""
+    run_changing_ranks(width)
+
+
+def test_draw_ahead_under_fast_thread_switching():
+    """With the interpreter switching threads about every microsecond the
+    helper's jobs interleave with the host at nearly every bytecode; the
+    streams stay those of the inline draws."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            run_changing_ranks(24)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def run_changing_ranks(width):
+    sensors, refs = rank_of(width), rank_of(width)
+    rng = np.random.default_rng(5)
+    # Whole ranks, in order and then reversed (a pending block's lanes in
+    # another order), before random subsets.
+    whole = [list(range(width)), list(range(width)), list(range(width))[::-1]]
+    for step in range(10):
+        if step < len(whole):
+            lanes = whole[step]
+        else:
+            size = int(rng.integers(1, width + 1))
+            lanes = [int(i) for i in rng.permutation(width)[:size]]
+        if step == 6:
+            sensors[lanes[0]].reset()
+            refs[lanes[0]].reset()
+        if step == 7:
+            for sensor in (sensors[lanes[-1]], refs[lanes[-1]]):
+                sensor.comparator_noise = 3 / 1023
+                sensor.theta = 7
+        frames = [rng.random((SIZE, SIZE)) for _ in lanes]
+        boxes = [PIXEL_BOXES[i % len(PIXEL_BOXES)] for i in lanes]
+        check_step(
+            [sensors[i] for i in lanes], [refs[i] for i in lanes], frames, boxes
+        )
+
+
+COPIES = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda sensor: pickle.loads(pickle.dumps(sensor)),
+}
+
+
+@pytest.mark.parametrize("how", sorted(COPIES))
+def test_copies_continue_the_pending_stream(how):
+    """A copy taken while both of a lane's next events are pending carries
+    them along and continues the lane's stream uninterrupted."""
+    sensors, refs = rank_of(3), rank_of(3)
+    rng = np.random.default_rng(6)
+    boxes = PIXEL_BOXES[:3]
+    for _ in range(3):
+        check_step(sensors, refs, [rng.random((SIZE, SIZE)) for _ in range(3)], boxes)
+    assert sensors[1]._noise_ahead is not None
+    assert sensors[1].sram_rng._ahead is not None
+    twin = COPIES[how](sensors[1])
+    for _ in range(3):
+        check_step([twin], [refs[1]], [rng.random((SIZE, SIZE))], boxes[1:2])
+
+
+def test_spawn_of_a_sensor_with_pending_blocks_starts_fresh():
+    """A spawn keys fresh streams and starts with nothing pending; the
+    parent's own streams go on uninterrupted."""
+    template = rank_of(1)[0]
+    ref = rank_of(1)[0]
+    rng = np.random.default_rng(7)
+    box = PIXEL_BOXES[4:5]
+    for _ in range(2):
+        check_step([template], [ref], [rng.random((SIZE, SIZE))], box)
+    clone = template.spawn([9, 1])
+    assert clone._noise_ahead is None and clone.sram_rng._ahead is None
+    fresh = rank_of(2)[1]
+    for _ in range(3):
+        frame = rng.random((SIZE, SIZE))
+        check_step([clone], [fresh], [frame], box)
+        check_step([template], [ref], [frame], box)
+
+
+def test_capture_interleaved_with_rank_kernels():
+    """``capture`` takes the same events the rank kernels drew ahead."""
+    sensor, ref = rank_of(1)[0], rank_of(1)[0]
+    rng = np.random.default_rng(8)
+    box = (16, 16, 48, 48)  # the predictor's box
+    for step in range(6):
+        frame = rng.random((SIZE, SIZE))
+        if step % 2:
+            check_step([sensor], [ref], [frame], [box])
+            continue
+        out = sensor.capture(frame, None)
+        expected = reference_eventify(ref, frame)
+        assert (out is None) == (expected is None)
+        if out is not None:
+            assert out.roi_box == box
+            assert bitwise(out.event_map, expected)
+            assert bitwise(out.sample_mask, reference_masks([ref], [box])[0])
+
+
+def run_rank_in_worker(shared, part):
+    """Pool job: run a few frames of a rank; report the process's threads
+    and whether anything was left drawn ahead."""
+    sensors = rank_of(3)
+    rng = np.random.default_rng(part)
+    for _ in range(3):
+        frames = [rng.random((SIZE, SIZE)) for _ in sensors]
+        BlissCamSensor.eventify_rank(sensors, frames)
+        BlissCamSensor.sample_rank(sensors, np.array(PIXEL_BOXES[:3]))
+    pending = [s._noise_ahead or s.sram_rng._ahead for s in sensors]
+    return [t.name for t in threading.enumerate()], any(pending)
+
+
+def test_pool_workers_draw_inline(sharding):
+    """Forked pool workers (whose pool already fills the cores) start no
+    helper thread and leave nothing pending, even when the parent had a
+    helper running when they were forked."""
+    sensors = rank_of(2)
+    for _ in range(2):
+        BlissCamSensor.eventify_rank(sensors, [np.zeros((SIZE, SIZE))] * 2)
+    assert sensors[0]._noise_ahead is not None
+    assert any(t.name.startswith("sensor-draw-ahead") for t in threading.enumerate())
+    for threads, pending in sharding.map(run_rank_in_worker, None, [0, 1]):
+        assert not any(name.startswith("sensor-draw-ahead") for name in threads)
+        assert not pending
