@@ -14,13 +14,6 @@ setup(
     packages=find_packages("src"),
     python_requires=">=3.10",
     install_requires=["numpy"],
-    extras_require={
-        # Only the offline eventification noise analysis
-        # (repro.hardware.sensor.noise_analysis) uses scipy; the
-        # training hot path's grey morphology is a numpy helper
-        # (repro.nn.functional.grey_dilation / grey_erosion).
-        "analysis": ["scipy"],
-    },
     entry_points={
         "console_scripts": [
             "repro=repro.cli:main",

@@ -239,12 +239,6 @@ class EnergyBreakdown:
         )
         return sum(self.components.get(k, 0.0) for k in keys)
 
-    @property
-    def communication(self) -> float:
-        return self.components.get("mipi", 0.0) + self.components.get(
-            "seg_map_backhaul", 0.0
-        )
-
     def fraction(self, key: str) -> float:
         return self.components.get(key, 0.0) / self.total
 

@@ -75,12 +75,6 @@ class LongPacket:
         """Total bytes on the wire: 4 header + payload + 2 CRC."""
         return 4 + len(self.payload) + 2
 
-    @property
-    def overhead_fraction(self) -> float:
-        if not self.payload:
-            return float("inf")
-        return (self.wire_bytes - len(self.payload)) / len(self.payload)
-
 
 class CsiPacketizer:
     """Packs pixel streams into CSI-2 packets and unpacks/verifies them."""

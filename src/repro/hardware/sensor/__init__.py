@@ -2,10 +2,6 @@
 run-length coding, and the composed functional sensor simulator."""
 
 from repro.hardware.sensor.adc import SingleSlopeADC
-from repro.hardware.sensor.noise_analysis import (
-    EventificationErrorModel,
-    adc_code_error_probability,
-)
 from repro.hardware.sensor.pixel import BLISSCAM_DPS, CONVENTIONAL_DPS, PixelCircuit
 from repro.hardware.sensor.readout import ReadoutResult, SparseReadout
 from repro.hardware.sensor.rle import RleStats, RunLengthCodec
@@ -18,8 +14,6 @@ from repro.hardware.sensor.sram_rng import (
 
 __all__ = [
     "SingleSlopeADC",
-    "EventificationErrorModel",
-    "adc_code_error_probability",
     "PixelCircuit",
     "CONVENTIONAL_DPS",
     "BLISSCAM_DPS",

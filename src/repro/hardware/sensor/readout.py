@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.sampling.roi import boxes_mask
-
 __all__ = ["SparseReadout", "ReadoutResult"]
 
 
@@ -39,36 +37,10 @@ class SparseReadout:
     #: Fixed decoder/sequencer setup per frame.
     setup_time_s: float = 2e-6
 
-    def read(
-        self,
-        codes: np.ndarray,
-        sample_mask: np.ndarray,
-        roi_box: tuple[int, int, int, int],
-    ) -> ReadoutResult:
-        """Extract the column-major sparse stream of the ROI.
-
-        Parameters
-        ----------
-        codes:
-            (H, W) integer pixel codes (already quantized for sampled
-            pixels; values at unsampled locations are ignored).
-        sample_mask:
-            (H, W) boolean; True where the pixel was sampled.
-        roi_box:
-            Pixel box (r0, c0, r1, c1), half-open.
-        """
-        if codes.shape != sample_mask.shape:
-            raise ValueError(
-                f"shape mismatch: {codes.shape} vs {sample_mask.shape}"
-            )
-        in_roi = boxes_mask([roi_box], *codes.shape)[0].T
-        stream = np.where(sample_mask, codes, 0).T[in_roi]
-        return self.read_rank(stream, sample_mask.T[in_roi], [roi_box])[0]
-
     def read_rank(
         self, stream: np.ndarray, sampled: np.ndarray, roi_boxes
     ) -> list[ReadoutResult]:
-        """:meth:`read` for a rank of ``(B, 4)`` pixel boxes.
+        """The readouts of a rank of ``(B, 4)`` pixel boxes.
 
         ``stream`` holds the lanes' column-major ROI streams end to end
         (Fig. 11 reads the ROI column by column), zero at every skipped

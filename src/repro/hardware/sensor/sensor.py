@@ -227,10 +227,10 @@ class BlissCamSensor:
         """The ``(B, H, W)`` sampling masks of a rank and its ``(B, H, W)``
         ROI masks (one broadcast compare, kept for :meth:`readout_rank`).
 
-        Row ``i`` equals ``mask_from_popcounts`` of ``sensors[i]``'s
-        power-up popcounts: one theta compare of the rank's popcounts
-        (:meth:`SramPowerUpRNG.rank_popcounts`, the events drawn ahead at
-        the previous frame where there are any), restricted to each ROI.
+        Row ``i`` is ``sensors[i]``'s power-up popcounts at or above its
+        theta, restricted to its ROI: one theta compare of the rank's
+        popcounts (:meth:`SramPowerUpRNG.rank_popcounts`, the events drawn
+        ahead at the previous frame where there are any).
         Then every lane's next power-up event is drawn ahead, as one
         helper job, while the host runs the frame; theta is read here,
         never by the helper.
@@ -277,20 +277,6 @@ class BlissCamSensor:
         sparse.transpose(0, 2, 1)[in_roi] = stream / float(adc.levels - 1)
         return sparse, readouts, stats
 
-    def mask_from_popcounts(
-        self, popcounts: np.ndarray, pixel_box: tuple[int, int, int, int]
-    ) -> np.ndarray:
-        """Threshold per-pixel popcounts and restrict to the ROI.
-
-        The deterministic half of :meth:`capture`'s sampling decision;
-        the engine's sample stage runs :meth:`sample_rank` instead.
-        """
-        rng_mask = (popcounts >= self.theta).reshape((self.height, self.width))
-        sample_mask = np.zeros_like(rng_mask)
-        r0, c0, r1, c1 = pixel_box
-        sample_mask[r0:r1, c0:c1] = rng_mask[r0:r1, c0:c1]
-        return sample_mask
-
     def capture(
         self, frame: np.ndarray, prev_segmentation: np.ndarray | None
     ) -> SensorFrameOutput | None:
@@ -299,8 +285,8 @@ class BlissCamSensor:
         The standalone chip model: one frame through the steps the
         engine's tracking stages run (eventify -> ROI predict -> sample ->
         readout, drawing comparator noise before the SRAM power-up bits;
-        eventify and readout are the rank kernels at width 1), plus the
-        RLE token stream a real chip puts on the MIPI link.
+        eventify, sample and readout are the rank kernels at width 1),
+        plus the RLE token stream a real chip puts on the MIPI link.
 
         Parameters
         ----------
@@ -319,22 +305,16 @@ class BlissCamSensor:
             np.asarray(self.roi_predictor(event_map, prev_segmentation))
         )
         pixel_box = box_to_pixels(box_norm, self.height, self.width)
-
-        # SRAM power-up RNG decides sampling for every pixel; only those
-        # inside the ROI are read out.
-        sample_mask = self.mask_from_popcounts(
-            self.sram_rng.power_up_popcounts(), pixel_box
-        )
+        sample_masks, roi_masks = self.sample_rank([self], [pixel_box])
         _, (readout,), _ = self.readout_rank(
-            [self], frame[None], sample_mask[None], [pixel_box],
-            boxes_mask([pixel_box], self.height, self.width),
+            [self], frame[None], sample_masks, [pixel_box], roi_masks
         )
         tokens, stats = self.codec.encode(readout.stream)
         return SensorFrameOutput(
             event_map=event_map,
             roi_box_norm=box_norm,
             roi_box=pixel_box,
-            sample_mask=sample_mask,
+            sample_mask=sample_masks[0],
             readout=readout,
             rle_tokens=tokens,
             rle_stats=stats,

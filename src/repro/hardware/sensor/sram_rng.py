@@ -310,14 +310,3 @@ class SramPowerUpRNG:
                 counts[theta] += np.count_nonzero(pop >= theta)
             total += self.num_pixels
         return ThresholdLUT(tuple(float(c / total) for c in counts))
-
-    def sample_mask(self, shape: tuple[int, int], theta: int) -> np.ndarray:
-        """Runtime sampling decision for every pixel, as a (H, W) mask."""
-        if shape[0] * shape[1] != self.num_pixels:
-            raise ValueError(
-                f"shape {shape} does not match {self.num_pixels} pixels"
-            )
-        if not 0 <= theta <= 15:
-            raise ValueError(f"theta must be a 4-bit value: {theta}")
-        pop = self.power_up_popcounts()
-        return (pop >= theta).reshape(shape)

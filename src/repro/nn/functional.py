@@ -219,8 +219,7 @@ def grey_dilation(x: np.ndarray, size: int) -> np.ndarray:
 
     A minimal numpy replacement for ``scipy.ndimage.grey_dilation`` with a
     flat square structuring element — used by the joint-training cue
-    augmentation so the training hot path carries no scipy dependency
-    (scipy remains an *optional* extra for the offline noise analysis).
+    augmentation.
     """
     return _morphology_windows(x, size).max(axis=(-2, -1))
 

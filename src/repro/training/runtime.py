@@ -118,8 +118,7 @@ def _augmented_cue(
 
     The draw order transcribes the retired per-frame loop exactly; the
     grey morphology is the numpy helper (:func:`repro.nn.functional.
-    grey_dilation`), so the training hot path carries no scipy
-    dependency.  Symmetric corruption makes the cue's *area*
+    grey_dilation`).  Symmetric corruption makes the cue's *area*
     uninformative about the true box, forcing the predictor to take the
     extent from the event map and use the cue only for coarse
     localization.

@@ -1,4 +1,4 @@
-"""Tests for the analog phase sequencer and CSI-2 packet framing."""
+"""Tests for CSI-2 packet framing."""
 
 import numpy as np
 import pytest
@@ -10,76 +10,6 @@ from repro.hardware.mipi_packet import (
     crc16_x25,
     header_ecc,
 )
-from repro.hardware.sensor.phase_controller import (
-    PHASE_SWITCHES,
-    Phase,
-    PhaseController,
-)
-
-
-class TestPhaseController:
-    def test_starts_in_hold_with_feedback_closed(self):
-        controller = PhaseController()
-        assert controller.phase is Phase.HOLD
-        assert controller.switches.hold_closed
-
-    def test_legal_frame_sequence(self):
-        controller = PhaseController()
-        total = controller.run_frame(
-            exposure_s=8.3e-3,
-            eventify_s=5e-6,
-            roi_s=150e-6,
-            adc_s=5e-6,
-            readout_s=30e-6,
-        )
-        assert controller.phase is Phase.HOLD
-        assert total == pytest.approx(8.3e-3 + 5e-6 + 150e-6 + 5e-6 + 30e-6)
-        assert controller.frames_completed() == 1
-
-    def test_illegal_transition_rejected(self):
-        controller = PhaseController()
-        with pytest.raises(ValueError):
-            controller.advance(Phase.ADC, 1e-6)  # HOLD -> ADC skips stages
-
-    def test_cannot_start_frame_mid_sequence(self):
-        controller = PhaseController()
-        controller.advance(Phase.EVENTIFY_POS, 1e-6)
-        with pytest.raises(RuntimeError):
-            controller.run_frame(1e-3, 1e-6, 1e-6, 1e-6, 1e-6)
-
-    def test_negative_dwell_rejected(self):
-        controller = PhaseController()
-        with pytest.raises(ValueError):
-            controller.advance(Phase.EVENTIFY_POS, -1.0)
-
-    def test_switch_states_match_fig10(self):
-        """HOLD buffers (feedback closed); eventify applies +/-sigma; ADC
-        connects the ramp and runs the counter."""
-        assert PHASE_SWITCHES[Phase.HOLD].hold_closed
-        assert PHASE_SWITCHES[Phase.EVENTIFY_POS].caz_plus_source == "vth1"
-        assert PHASE_SWITCHES[Phase.EVENTIFY_NEG].caz_plus_source == "vth2"
-        adc = PHASE_SWITCHES[Phase.ADC]
-        assert adc.caz_plus_source == "ramp" and adc.counter_enabled
-        # SRAM is power-gated during HOLD (that duty cycle is the RNG).
-        assert not PHASE_SWITCHES[Phase.HOLD].sram_powered
-
-    def test_sustained_rate_validation(self):
-        controller = PhaseController()
-        for _ in range(3):
-            controller.run_frame(8e-3, 5e-6, 150e-6, 5e-6, 30e-6)
-        assert controller.validate_against_period(1 / 120)
-        assert not controller.validate_against_period(1 / 200)
-
-    def test_validation_needs_complete_frames(self):
-        with pytest.raises(RuntimeError):
-            PhaseController().validate_against_period(1 / 120)
-
-    def test_history_records_sequence(self):
-        controller = PhaseController()
-        controller.run_frame(1e-3, 1e-6, 1e-6, 1e-6, 1e-6)
-        assert controller.history[0] is Phase.HOLD
-        assert controller.history[-1] is Phase.HOLD
-        assert Phase.EVENTIFY_POS in controller.history
 
 
 class TestCrcAndEcc:

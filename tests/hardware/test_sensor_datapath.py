@@ -17,6 +17,7 @@ from repro.hardware.sensor import (
 )
 from repro.hardware.sensor.sram_rng import BITS_PER_PIXEL, popcount
 from repro.nn.functional import stack_rows
+from repro.sampling.roi import boxes_mask
 
 
 def power_up_bits(rng):
@@ -59,7 +60,7 @@ class TestSramRNG:
         lut = rng.calibrate(cycles=64)
         theta = lut.theta_for_rate(0.2)
         achieved = np.mean(
-            [rng.sample_mask((64, 64), theta).mean() for _ in range(16)]
+            [(rng.power_up_popcounts() >= theta).mean() for _ in range(16)]
         )
         assert achieved <= 0.25  # never exceeds target band
         assert achieved > 0.02  # and is not degenerate
@@ -70,7 +71,7 @@ class TestSramRNG:
         rng = SramPowerUpRNG(4096, variation=0.1, seed=3)
         lut = rng.calibrate(cycles=32)
         theta = lut.theta_for_rate(0.5)
-        mask = rng.sample_mask((64, 64), theta).astype(float)
+        mask = (rng.power_up_popcounts() >= theta).reshape(64, 64).astype(float)
         a = mask[:, :-1].ravel() - mask[:, :-1].mean()
         b = mask[:, 1:].ravel() - mask[:, 1:].mean()
         corr = float(np.sum(a * b) / np.sqrt(np.sum(a * a) * np.sum(b * b)))
@@ -80,8 +81,8 @@ class TestSramRNG:
         rng = SramPowerUpRNG(1024, seed=4)
         lut = rng.calibrate()
         theta = lut.theta_for_rate(0.3)
-        m1 = rng.sample_mask((32, 32), theta)
-        m2 = rng.sample_mask((32, 32), theta)
+        m1 = rng.power_up_popcounts() >= theta
+        m2 = rng.power_up_popcounts() >= theta
         assert (m1 != m2).any()
 
     def test_validation(self):
@@ -89,12 +90,7 @@ class TestSramRNG:
             SramPowerUpRNG(0)
         with pytest.raises(ValueError):
             SramPowerUpRNG(16, variation=0.6)
-        rng = SramPowerUpRNG(16, seed=0)
-        with pytest.raises(ValueError):
-            rng.sample_mask((5, 5), 3)
-        with pytest.raises(ValueError):
-            rng.sample_mask((4, 4), 99)
-        lut = rng.calibrate(cycles=4)
+        lut = SramPowerUpRNG(16, seed=0).calibrate(cycles=4)
         with pytest.raises(ValueError):
             lut.theta_for_rate(1.5)
 
@@ -163,10 +159,22 @@ class TestADCAndReadout:
         sparse = adc.readout_energy(50, 950)
         assert sparse < 0.1 * full
 
+    @staticmethod
+    def read_codes(codes, mask, box):
+        """One frame of integer ``codes`` through the sensor's readout
+        kernel (the ADC maps ``codes / 1023`` back to ``codes``)."""
+        height, width = codes.shape
+        sensor = BlissCamSensor(height, width, roi_predictor=None)
+        _, (result,), _ = BlissCamSensor.readout_rank(
+            [sensor], codes[None] / 1023, mask[None], [box],
+            boxes_mask([box], height, width),
+        )
+        return result
+
     def test_readout_column_major_order(self):
-        codes = np.arange(16).reshape(4, 4)
+        codes = np.arange(1, 17).reshape(4, 4)
         mask = np.ones((4, 4), dtype=bool)
-        result = SparseReadout().read(codes, mask, (0, 0, 4, 4))
+        result = self.read_codes(codes, mask, (0, 0, 4, 4))
         np.testing.assert_array_equal(result.stream[:4], codes[:, 0])
 
     def test_readout_reconstruct_roundtrip(self):
@@ -174,7 +182,7 @@ class TestADCAndReadout:
         codes = rng.integers(1, 1024, size=(16, 16))
         mask = rng.random((16, 16)) < 0.3
         box = (2, 3, 12, 14)
-        result = SparseReadout().read(codes, mask, box)
+        result = self.read_codes(codes, mask, box)
         rec_codes, rec_mask = SparseReadout.reconstruct(result.stream, box, (16, 16))
         inside = np.zeros((16, 16), dtype=bool)
         inside[2:12, 3:14] = True
@@ -182,18 +190,16 @@ class TestADCAndReadout:
         np.testing.assert_array_equal(rec_codes[rec_mask], codes[mask & inside])
 
     def test_readout_counts(self):
-        codes = np.ones((8, 8), dtype=np.int64)
-        mask = np.zeros((8, 8), dtype=bool)
-        mask[0, 0] = True
-        result = SparseReadout().read(codes, mask, (0, 0, 8, 8))
-        assert result.converted_pixels == 1
-        assert result.skipped_pixels == 63
-
-    def test_readout_validates_roi(self):
-        with pytest.raises(ValueError):
-            SparseReadout().read(
-                np.zeros((4, 4)), np.zeros((4, 4), dtype=bool), (0, 0, 9, 9)
-            )
+        """Converted and skipped counts per lane of a rank's stream."""
+        sampled = np.zeros(64 + 6, dtype=bool)
+        sampled[0] = True
+        sampled[64:67] = True
+        stream = sampled.astype(np.int64)
+        first, second = SparseReadout().read_rank(
+            stream, sampled, [(0, 0, 8, 8), (1, 2, 3, 5)]
+        )
+        assert (first.converted_pixels, first.skipped_pixels) == (1, 63)
+        assert (second.converted_pixels, second.skipped_pixels) == (3, 3)
 
 
 class TestBlissCamSensor:
@@ -218,12 +224,8 @@ class TestBlissCamSensor:
         reference = bits.sum(axis=-1)
         assert pops.dtype == np.uint8
         assert np.array_equal(pops, reference)
-        box = (8, 4, 50, 60)
         for sensor, pop, ref in zip(sensors, pops, reference):
-            assert np.array_equal(
-                sensor.mask_from_popcounts(pop, box),
-                sensor.mask_from_popcounts(ref, box),
-            )
+            assert np.array_equal(pop >= sensor.theta, ref >= sensor.theta)
 
     def test_first_frame_bootstraps(self):
         sensor = self.make()
