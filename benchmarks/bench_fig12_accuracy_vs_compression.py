@@ -43,7 +43,7 @@ def run_fig12():
         for compression in COMPRESSIONS:
             rng = np.random.default_rng(zlib.crc32(f"{name}|{compression}".encode()))
             segmenter = factory(rng)
-            strategy = STRATEGIES.get(strategy_name)(compression, dataset)
+            strategy = STRATEGIES[strategy_name](compression, dataset)
             train_for_strategy(
                 segmenter, strategy, dataset, train_idx, BENCH_EPOCHS, rng
             )

@@ -35,7 +35,7 @@ def run_fig15():
                 zlib.crc32(f"fig15|{name}|{compression}".encode())
             )
             segmenter = bench_vit(int(compression))
-            strategy = STRATEGIES.get(name)(compression, dataset)
+            strategy = STRATEGIES[name](compression, dataset)
             train_for_strategy(
                 segmenter, strategy, dataset, train_idx, BENCH_EPOCHS, rng
             )

@@ -12,9 +12,9 @@ Three sweeps a sensor architect would run before committing silicon:
 3. **Process-node grid** — the ``node_sweep`` workload (Fig. 17), plus a
    finer-grained grid straight from the model.
 
-Sweeps 1 and 3 run through ``repro.api`` — the same specs the CLI's
-``sweep-fps`` / ``sweep-node`` subcommands build — so their numbers are
-the front door's numbers; the custom sweeps query the models directly.
+Sweeps 1 and 3 run through ``repro.api`` — the same specs ``repro run``
+takes — so their numbers are the front door's numbers; the custom sweeps
+query the models directly.
 
 Run:  python examples/hardware_design_space.py
 """

@@ -9,9 +9,9 @@ the telemetry shows the SLO story (latency percentiles, goodput, drops)
 
 Two runs are compared: a comfortable fleet (every frame served the tick
 it arrives) and an overloaded one (batch budget at half the arrival
-rate).  Both go through the same ``serve`` workload the CLI exposes
-(``repro serve``), so the printed scorecards are the uniform
-``RunResult`` tables.
+rate).  Both go through the same ``serve`` workload the CLI runs
+(``repro run examples/specs/serve.json``), so the printed scorecards are
+the uniform ``RunResult`` tables.
 
 Run:  python examples/live_serving_demo.py
 """

@@ -64,7 +64,7 @@ def main() -> None:
     print(result.render_tables())
 
     # The sweep's numbers came from the engine; the panels below sample
-    # one demo frame directly through the same registry factories.
+    # one demo frame directly through the same STRATEGIES factories.
     from repro.api.session import system_config
     from repro.api.workloads import strategy_rng
 
@@ -80,7 +80,7 @@ def main() -> None:
         # Name-keyed stream (not Python's per-process hash()): the
         # panels render identically on every run.
         rng = strategy_rng(0, name)
-        strategy = STRATEGIES.get(name)(compression, dataset)
+        strategy = STRATEGIES[name](compression, dataset)
         decision = strategy.sample(demo_frame, demo_event, demo_box, rng)
         panels[name] = mask_ascii(decision.mask, decision.roi_box)
 

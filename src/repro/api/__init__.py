@@ -12,22 +12,15 @@ One spec, one session, one result type::
 
 Everything the repo can run — accuracy evaluation, Fig. 15 strategy
 sweeps, streaming serving, the energy/latency/area/power models and
-their sweeps — is a *workload kind* named in the spec and resolved
-through the :mod:`~repro.api.registry` registries; third parties add
-scenarios with ``@register_workload`` (and new strategies with
-``@register_strategy``) without touching core.
-The CLI, the benchmarks and the examples are all thin layers over this
-package (see ``docs/api.md`` and ``docs/architecture.md``).
+their sweeps — is a *workload kind* named in the spec: a key of
+:data:`WORKLOADS` (defined in :mod:`repro.api.workloads`).  Sweeps name
+their sampling strategies by the keys of :data:`STRATEGIES` (defined
+beside the strategy classes in :mod:`repro.sampling.strategies`).
+The CLI's ``repro run <spec.json>``, the benchmarks and the examples are
+all thin layers over this package (see ``docs/api.md`` and
+``docs/architecture.md``).
 """
 
-from repro.api.registry import (
-    Registry,
-    RegistryError,
-    STRATEGIES,
-    WORKLOADS,
-    register_strategy,
-    register_workload,
-)
 from repro.api.spec import (
     DatasetSection,
     ExecutionSection,
@@ -39,7 +32,8 @@ from repro.api.spec import (
 )
 from repro.api.result import RunResult, git_describe
 from repro.api.session import Session, system_config
-import repro.api.builtin  # noqa: F401  (populates the registries)
+from repro.api.workloads import WORKLOADS
+from repro.sampling.strategies import STRATEGIES
 
 __all__ = [
     "ExperimentSpec",
@@ -53,10 +47,6 @@ __all__ = [
     "system_config",
     "RunResult",
     "git_describe",
-    "Registry",
-    "RegistryError",
     "STRATEGIES",
     "WORKLOADS",
-    "register_strategy",
-    "register_workload",
 ]

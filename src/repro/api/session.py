@@ -21,10 +21,11 @@ entry points used to rebuild per call:
   actually missing.  ``resume=True`` additionally reuses whole stored
   ``RunResult``\\ s keyed by the spec hash.
 
-``Session.run`` validates the spec, dispatches to the registered
-workload, and stamps provenance (spec hash, seed, workers, git
-describe, the ``cache_hits`` the run skipped work for, the full spec)
-onto the returned :class:`~repro.api.result.RunResult`.
+``Session.run`` validates the spec, runs the workload its name indexes
+in :data:`~repro.api.workloads.WORKLOADS`, and stamps provenance (spec
+hash, seed, workers, git describe, the ``cache_hits`` the run skipped
+work for, the full spec) onto the returned
+:class:`~repro.api.result.RunResult`.
 """
 
 from __future__ import annotations
@@ -420,7 +421,7 @@ class Session:
         return result
 
     def _run_impl(self, spec: ExperimentSpec) -> RunResult:
-        from repro.api.registry import WORKLOADS
+        from repro.api.workloads import WORKLOADS
 
         self._cache_hits = []
         run_key = ("run_result", spec.spec_hash())
@@ -441,8 +442,7 @@ class Session:
                 }
                 self._counters["runs"] += 1
                 return result
-        workload = WORKLOADS.get(spec.workload)
-        result = workload(self, spec)
+        result = WORKLOADS[spec.workload](self, spec)
         result.provenance = {
             "spec_hash": spec.spec_hash(),
             "seed": spec.dataset.seed,

@@ -11,8 +11,8 @@ JSON, and every :class:`~repro.api.result.RunResult` embeds the spec it
 ran.
 
 Validation is eager and *names the bad field*: unknown keys, wrong
-types, out-of-range values, and unregistered workload/strategy strings
-all raise :class:`SpecError` with a dotted field path
+types, out-of-range values, and unknown or repeated workload/strategy
+names all raise :class:`SpecError` with a dotted field path
 (``execution.workers``) and, for typos, a did-you-mean suggestion.
 """
 
@@ -42,9 +42,9 @@ __all__ = [
 
 #: Dataset size presets; both flow through identical code paths.
 DATASET_PRESETS = ("ci", "paper")
-#: Sequence count each preset defaults to (mirrors ``repro.api.tracker``
-#: ``ci()``/``paper()``; used to range-check indices at validate time
-#: without importing the tracker).
+#: Sequence count each preset defaults to: ``repro.api.tracker``'s
+#: ``ci()``/``paper()`` read it, and validation range-checks indices
+#: against it without importing the tracker.
 PRESET_NUM_SEQUENCES = {"ci": 4, "paper": 32}
 #: Oculomotor-statistics presets.
 DYNAMICS_PRESETS = ("default", "lively")
@@ -121,7 +121,8 @@ class SensorSection:
 class StrategySection:
     """The Fig. 15 strategy sweep: which strategies, at what budget."""
 
-    #: Strategy registry names; empty sweeps the full built-in zoo.
+    #: :data:`~repro.sampling.strategies.STRATEGIES` names, each at most
+    #: once; empty sweeps the full zoo.
     names: tuple[str, ...] = ()
     compression: float = 16.0
     #: Per-strategy segmenter training epochs.
@@ -218,7 +219,7 @@ _SECTIONS = {
 class ExperimentSpec:
     """A complete, serializable description of one experiment."""
 
-    #: Workload kind (a :data:`~repro.api.registry.WORKLOADS` name).
+    #: Workload kind (a :data:`~repro.api.workloads.WORKLOADS` name).
     workload: str = "evaluate"
     dataset: DatasetSection = field(default_factory=DatasetSection)
     sensor: SensorSection = field(default_factory=SensorSection)
@@ -295,12 +296,10 @@ class ExperimentSpec:
 
     # -- validation ----------------------------------------------------------
     def validate(self) -> "ExperimentSpec":
-        """Check enums, registries and value ranges; returns ``self``."""
-        # Built-in strategies/stages/workloads register on import; pull
-        # them in here so a standalone ``repro.api.spec`` import still
-        # validates against the populated registries.
-        import repro.api.builtin  # noqa: F401  (registration side effect)
-        from repro.api.registry import STRATEGIES, WORKLOADS
+        """Check enums, names and value ranges; returns ``self``."""
+        # Imported here: the workloads module imports this one.
+        from repro.api.workloads import WORKLOADS
+        from repro.sampling.strategies import STRATEGIES
 
         if not self.workload:
             raise SpecError("workload", "must be a non-empty workload name")
@@ -308,7 +307,7 @@ class ExperimentSpec:
             raise SpecError(
                 "workload",
                 f"unknown workload {self.workload!r}; "
-                f"choose from {WORKLOADS.names()}",
+                f"choose from {sorted(WORKLOADS)}",
             )
         d = self.dataset
         if d.preset not in DATASET_PRESETS:
@@ -369,7 +368,13 @@ class ExperimentSpec:
                 raise SpecError(
                     f"strategy.names[{i}]",
                     f"unknown strategy {name!r}; "
-                    f"choose from {STRATEGIES.names()}",
+                    f"choose from {sorted(STRATEGIES)}",
+                )
+            if name in st.names[:i]:
+                raise SpecError(
+                    f"strategy.names[{i}]",
+                    f"{name!r} repeats strategy.names"
+                    f"[{st.names.index(name)}]",
                 )
         _require("strategy.compression", st.compression >= 1, ">= 1")
         _require("strategy.train_epochs", st.train_epochs >= 1, ">= 1")

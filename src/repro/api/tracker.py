@@ -19,8 +19,8 @@ Three parts, one module:
   frames sampled by strategy S, then measure gaze error on held-out
   frames sampled by S* (:func:`train_for_strategy`,
   :func:`evaluate_strategy`).  Strategies come from the
-  :data:`~repro.api.registry.STRATEGIES` registry:
-  ``STRATEGIES.get(name)(compression, dataset)``.
+  :data:`~repro.sampling.strategies.STRATEGIES` table:
+  ``STRATEGIES[name](compression, dataset)``.
 
 The ``evaluate`` and ``strategy_sweep`` workloads run on these; callers
 that want the imperative surface import it from here.
@@ -32,6 +32,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from repro.api.spec import PRESET_NUM_SEQUENCES
 from repro.engine import (
     EngineRun,
     Shards,
@@ -99,7 +100,7 @@ class SystemConfig:
 
 def ci(
     seed: int = 0,
-    num_sequences: int = 4,
+    num_sequences: int = PRESET_NUM_SEQUENCES["ci"],
     frames_per_sequence: int = 10,
     fps: float = 120.0,
 ) -> SystemConfig:
@@ -143,7 +144,7 @@ def paper(seed: int = 0) -> SystemConfig:
             width=640,
             fps=120.0,
             frames_per_sequence=60,
-            num_sequences=32,
+            num_sequences=PRESET_NUM_SEQUENCES["paper"],
             seed=seed,
         ),
         vit=ViTConfig.paper(height=400, width=640),

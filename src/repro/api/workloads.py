@@ -1,7 +1,7 @@
 """The built-in workload kinds: every reachable experiment, by name.
 
-Each workload is ``(session, spec) -> RunResult`` and is registered
-under the spec string it answers to.  Accuracy workloads run the shared
+Each workload is ``(session, spec) -> RunResult``; :data:`WORKLOADS`
+at the foot of this module maps the spec string it answers to onto it.  Accuracy workloads run the shared
 :mod:`repro.engine` stage runtime through the session's memoized
 pipelines; with ``execution.workers >= 2`` every sharded workload
 (evaluation, the strategy sweep, serving) fans out through one
@@ -24,7 +24,6 @@ from dataclasses import asdict
 
 import numpy as np
 
-from repro.api.registry import STRATEGIES, register_workload
 from repro.api.result import RunResult, Table
 from repro.api.session import Session, system_config
 from repro.api.spec import ExperimentSpec
@@ -41,8 +40,9 @@ from repro.hardware import (
 from repro.hardware.power_budget import HeadsetBudget
 from repro.obs.names import QUEUE_DEPTH_FIELDS, serve_queue_depth_gauge
 from repro.obs.tracer import current_tracer
+from repro.sampling.strategies import STRATEGIES, STRATEGY_NAMES
 
-__all__ = ["strategy_rng"]
+__all__ = ["WORKLOADS", "strategy_rng"]
 
 
 def _split_indices(spec: ExperimentSpec, dataset):
@@ -78,7 +78,6 @@ def strategy_rng(base_seed: int, name: str) -> np.random.Generator:
 
 
 # -- accuracy workloads ------------------------------------------------------
-@register_workload("evaluate")
 def run_evaluate(session: Session, spec: ExperimentSpec) -> RunResult:
     """Train (memoized) + evaluate the end-to-end tracker."""
     pipeline = session.pipeline(spec)
@@ -161,7 +160,7 @@ def _train_strategy(config, dataset, st, name: str, train_idx):
     from repro.segmentation import ViTSegmenter
 
     rng = strategy_rng(st.seed, name)
-    strategy = STRATEGIES.get(name)(st.compression, dataset)
+    strategy = STRATEGIES[name](st.compression, dataset)
     segmenter = ViTSegmenter(config.vit, rng)
     train_for_strategy(
         segmenter, strategy, dataset, train_idx, st.train_epochs, rng
@@ -202,7 +201,6 @@ def _sweep_strategy_job(sweep: tuple, name: str):
     return trained, _evaluate_trained(trained, dataset, st, eval_idx)
 
 
-@register_workload("strategy_sweep")
 def run_strategy_sweep(session: Session, spec: ExperimentSpec) -> RunResult:
     """Fig. 15: train a segmenter per sampling strategy, measure gaze error.
 
@@ -212,7 +210,6 @@ def run_strategy_sweep(session: Session, spec: ExperimentSpec) -> RunResult:
     are process-independent), bitwise-identical to the serial sweep —
     the parity tests pin this.  Cache hits always replay in-process.
     """
-    from repro.sampling import STRATEGY_NAMES
     from repro.synth import SyntheticEyeDataset
 
     st = spec.strategy
@@ -282,7 +279,6 @@ def run_strategy_sweep(session: Session, spec: ExperimentSpec) -> RunResult:
     )
 
 
-@register_workload("serve")
 def run_serve(session: Session, spec: ExperimentSpec) -> RunResult:
     """Streaming multi-client serving: the ``execution.serve`` scenario.
 
@@ -354,7 +350,6 @@ def run_serve(session: Session, spec: ExperimentSpec) -> RunResult:
 
 
 # -- hardware-model workloads ------------------------------------------------
-@register_workload("energy")
 def run_energy(session: Session, spec: ExperimentSpec) -> RunResult:
     """Fig. 13 operating point: per-frame energy of the four variants."""
     fps = spec.execution.fps
@@ -381,7 +376,6 @@ def run_energy(session: Session, spec: ExperimentSpec) -> RunResult:
     )
 
 
-@register_workload("latency")
 def run_latency(session: Session, spec: ExperimentSpec) -> RunResult:
     """Fig. 14 operating point: tracking latency of the four variants."""
     fps = spec.execution.fps
@@ -408,7 +402,6 @@ def run_latency(session: Session, spec: ExperimentSpec) -> RunResult:
     )
 
 
-@register_workload("area")
 def run_area(session: Session, spec: ExperimentSpec) -> RunResult:
     """Sec. VI-D: area estimate of the paper's 640x400 sensor."""
     report = AreaModel().estimate(400, 640)
@@ -426,7 +419,6 @@ def run_area(session: Session, spec: ExperimentSpec) -> RunResult:
     return RunResult(workload="area", metrics=metrics, tables=[table])
 
 
-@register_workload("power")
 def run_power(session: Session, spec: ExperimentSpec) -> RunResult:
     """Headset power budget of the four variants."""
     fps = spec.execution.fps
@@ -454,7 +446,6 @@ def run_power(session: Session, spec: ExperimentSpec) -> RunResult:
 FPS_SWEEP_DEFAULT = (30.0, 60.0, 120.0, 240.0, 500.0)
 
 
-@register_workload("fps_sweep")
 def run_fps_sweep(session: Session, spec: ExperimentSpec) -> RunResult:
     """Fig. 16: BlissCam's energy saving vs frame rate."""
     model = SystemEnergyModel()
@@ -473,7 +464,6 @@ def run_fps_sweep(session: Session, spec: ExperimentSpec) -> RunResult:
     )
 
 
-@register_workload("node_sweep")
 def run_node_sweep(session: Session, spec: ExperimentSpec) -> RunResult:
     """Fig. 17: BlissCam's energy saving vs process nodes."""
     fps = spec.execution.fps
@@ -502,3 +492,17 @@ def run_node_sweep(session: Session, spec: ExperimentSpec) -> RunResult:
         metrics={"fps": fps, "savings_by_node": savings},
         tables=[table],
     )
+
+
+#: Every workload kind by its spec name (``ExperimentSpec.workload``).
+WORKLOADS = {
+    "evaluate": run_evaluate,
+    "strategy_sweep": run_strategy_sweep,
+    "serve": run_serve,
+    "energy": run_energy,
+    "latency": run_latency,
+    "area": run_area,
+    "power": run_power,
+    "fps_sweep": run_fps_sweep,
+    "node_sweep": run_node_sweep,
+}

@@ -25,6 +25,7 @@ from repro.sampling.roi import (
     order_box,
 )
 from repro.sampling.strategies import (
+    STRATEGIES,
     STRATEGY_NAMES,
     FullDownsample,
     FullRandom,
@@ -65,5 +66,6 @@ __all__ = [
     "ROIFixed",
     "ROILearned",
     "ROIRandom",
+    "STRATEGIES",
     "STRATEGY_NAMES",
 ]

@@ -43,6 +43,7 @@ __all__ = [
     "ROIFixed",
     "ROILearned",
     "ROIRandom",
+    "STRATEGIES",
     "STRATEGY_NAMES",
 ]
 
@@ -100,6 +101,12 @@ class SamplingStrategy:
         #: stream so execution order (lockstep, sharding) can't change
         #: what each sequence draws.
         self.rng: np.random.Generator | None = None
+
+    @classmethod
+    def build(cls, compression: float, dataset=None) -> "SamplingStrategy":
+        """The :data:`STRATEGIES` factory: a strategy at ``compression``
+        (``dataset`` is read only by strategies fit to it)."""
+        return cls(compression)
 
     def spawn(self, seed_key) -> "SamplingStrategy":
         """A per-sequence clone with fresh adaptive state and RNG stream.
@@ -297,6 +304,21 @@ class ROIFixed(SamplingStrategy):
     def __post_init__(self):
         SamplingStrategy.__init__(self, self.compression)
 
+    @classmethod
+    def build(cls, compression: float, dataset=None) -> "ROIFixed":
+        """Fit the mask to ``dataset``'s ground-truth foreground."""
+        from repro.synth.eye_model import SEG_CLASSES
+
+        if dataset is None:
+            raise ValueError("ROI+Fixed needs a dataset to fit its mask")
+        strategy = cls(compression)
+        strategy.fit(
+            np.concatenate(
+                [seq.segmentations != SEG_CLASSES["background"] for seq in dataset]
+            )
+        )
+        return strategy
+
     def fit(self, foreground_masks: np.ndarray) -> None:
         """``foreground_masks``: (N, H, W) boolean ground-truth foreground."""
         if foreground_masks.ndim != 3:
@@ -430,12 +452,18 @@ class ROIRandom(SamplingStrategy):
         ]
 
 
-STRATEGY_NAMES = [
-    FullRandom.name,
-    FullDownsample.name,
-    SkipStrategy.name,
-    ROIDownsample.name,
-    ROIFixed.name,
-    ROILearned.name,
-    ROIRandom.name,
-]
+#: The Fig. 15 zoo by spec name: ``name -> factory(compression,
+#: dataset=None)``, in the order a full sweep runs them.
+STRATEGIES = {
+    cls.name: cls.build
+    for cls in (
+        FullRandom,
+        FullDownsample,
+        SkipStrategy,
+        ROIDownsample,
+        ROIFixed,
+        ROILearned,
+        ROIRandom,
+    )
+}
+STRATEGY_NAMES = list(STRATEGIES)

@@ -141,14 +141,19 @@ class ViTSegmenter(nn.Module):
             joint = block(joint, key_mask=joint_valid)
         patch_tokens = joint[:, : c.tokens]
         normed = self.final_norm(patch_tokens)
-        logits_flat = self.head(normed)  # (B, T, p*p*K)
+        return self._logits_image(self.head(normed))
+
+    def _logits_image(self, logits_flat: np.ndarray) -> np.ndarray:
+        """Head logits ``(B, T, p*p*K)`` -> per-pixel logits ``(B, H, W, K)``."""
+        c = self.config
+        batch = logits_flat.shape[0]
         per_pixel = logits_flat.reshape(batch, c.tokens, c.patch * c.patch, c.num_classes)
         # Rearrange to (B, H, W, K) via unpatchify on each class channel.
         per_pixel = per_pixel.transpose(0, 1, 3, 2).reshape(
             batch, c.tokens, c.num_classes * c.patch * c.patch
         )
         img = F.unpatchify(per_pixel, c.patch, c.num_classes, c.height, c.width)
-        return img.transpose(0, 2, 3, 1)  # (B, H, W, K)
+        return img.transpose(0, 2, 3, 1)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         c = self.config
@@ -228,28 +233,16 @@ class ViTSegmenter(nn.Module):
 
         Returns ``(logits (H, W, K), token_valid (T,))``; patches without
         sampled pixels receive all-zero logits (argmax -> background).
+        A width-1 :meth:`_packed_logits` rank under
+        :func:`repro.nn.inference`.
         """
-        c = self.config
-        tokens, valid = self._tokenize(frame[None], mask[None])
-        keep = np.nonzero(valid[0])[0]
-        logits = np.zeros((c.tokens, c.patch * c.patch * c.num_classes))
-        if keep.size:
-            x = self.patch_embed(tokens[:, keep]) + self.pos_embed.data[:, keep]
-            for block in self.encoder:
-                x = block(x)
-            cls = self.class_embed.data.copy()
-            joint = np.concatenate([x, cls], axis=1)
-            for block in self.decoder:
-                joint = block(joint)
-            packed = self.head(self.final_norm(joint[:, : keep.size]))
-            logits[keep] = packed[0]
-        per_pixel = logits.reshape(
-            1, c.tokens, c.patch * c.patch, c.num_classes
-        ).transpose(0, 1, 3, 2).reshape(
-            1, c.tokens, c.num_classes * c.patch * c.patch
-        )
-        img = F.unpatchify(per_pixel, c.patch, c.num_classes, c.height, c.width)
-        return img[0].transpose(1, 2, 0), valid[0]
+        tokens = self.config.tokens
+        _, tok, packed = self._packed_logits(frame[None], mask[None])
+        logits = np.zeros((1, tokens, packed.shape[1]))
+        logits[0, tok] = packed
+        valid = np.zeros(tokens, dtype=bool)
+        valid[tok] = True
+        return self._logits_image(logits)[0], valid
 
     def predict_packed(self, frame: np.ndarray, mask: np.ndarray) -> np.ndarray:
         """Like :meth:`predict` but with dropped-token (fast) inference."""

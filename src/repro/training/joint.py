@@ -49,11 +49,11 @@ class SoftROIMask:
     approaches the hard box indicator; gradients w.r.t. the box corners
     are analytic.
 
-    :meth:`forward`/:meth:`backward` handle one box; the training
-    runtime's batched ranks use :meth:`forward_batch`/
-    :meth:`backward_batch` over ``(B, 4)`` boxes — elementwise over the
-    stacked batch, so each row's mask and gradient are bitwise identical
-    to the scalar methods (pinned by the batch-invariance tests).
+    :meth:`forward_batch`/:meth:`backward_batch` work on ``(B, 4)``
+    boxes, elementwise over the stacked batch, so each row's mask and
+    gradient are bitwise those of its own box alone (pinned by the
+    batch-invariance tests); :meth:`forward`/:meth:`backward` are their
+    width-1 calls.
     """
 
     def __init__(self, height: int, width: int, tau: float = 0.05):
@@ -74,42 +74,21 @@ class SoftROIMask:
         return out
 
     def forward(self, box: np.ndarray) -> np.ndarray:
-        """Box (r0, c0, r1, c1) -> soft mask (H, W)."""
-        r0, c0, r1, c1 = box
-        tau = self.tau
-        self._sr0 = self._sigmoid((self._rows - r0) / tau)
-        self._sr1 = self._sigmoid((r1 - self._rows) / tau)
-        self._sc0 = self._sigmoid((self._cols - c0) / tau)
-        self._sc1 = self._sigmoid((c1 - self._cols) / tau)
-        self._row_term = self._sr0 * self._sr1  # (H,)
-        self._col_term = self._sc0 * self._sc1  # (W,)
-        return np.outer(self._row_term, self._col_term)
+        """Box (r0, c0, r1, c1) -> soft mask (H, W): a width-1
+        :meth:`forward_batch`."""
+        return self.forward_batch(np.asarray(box)[None])[0]
 
     def backward(self, grad_mask: np.ndarray) -> np.ndarray:
-        """Gradient of a scalar loss w.r.t. the four box coordinates."""
-        tau = self.tau
-        # d sigmoid(u)/du = s(1-s); chain through the signs of the edges.
-        d_sr0 = -self._sr0 * (1 - self._sr0) / tau  # d/d r0
-        d_sr1 = self._sr1 * (1 - self._sr1) / tau  # d/d r1
-        d_sc0 = -self._sc0 * (1 - self._sc0) / tau  # d/d c0
-        d_sc1 = self._sc1 * (1 - self._sc1) / tau  # d/d c1
-        row_dot = grad_mask @ self._col_term  # (H,)
-        col_dot = grad_mask.T @ self._row_term  # (W,)
-        return np.array(
-            [
-                float(np.sum(row_dot * d_sr0 * self._sr1)),
-                float(np.sum(col_dot * d_sc0 * self._sc1)),
-                float(np.sum(row_dot * d_sr1 * self._sr0)),
-                float(np.sum(col_dot * d_sc1 * self._sc0)),
-            ]
-        )
+        """Gradient of a scalar loss w.r.t. the four box coordinates: a
+        width-1 :meth:`backward_batch`."""
+        return self.backward_batch(grad_mask[None])[0]
 
     def forward_batch(self, boxes: np.ndarray) -> np.ndarray:
         """Boxes ``(B, 4)`` -> soft masks ``(B, H, W)`` in one rank.
 
         Every operation is elementwise over the stacked batch (broadcast
         subtraction, the piecewise sigmoid, per-row outer products), so
-        row ``b`` equals ``forward(boxes[b])`` bitwise.
+        row ``b`` does not depend on the other rows.
         """
         r0 = boxes[:, 0:1]
         c0 = boxes[:, 1:2]
@@ -128,8 +107,8 @@ class SoftROIMask:
         """Mask gradients ``(B, H, W)`` -> box gradients ``(B, 4)``.
 
         The per-sample reductions (mask @ col_term, the edge sums) run as
-        stacked matvecs / per-row sums with the same inner shapes as
-        :meth:`backward`, so each row is bitwise-equal to the scalar path.
+        stacked matvecs / per-row sums whose inner shapes do not depend
+        on ``B``, so each row is bitwise-equal at every batch width.
         """
         tau = self.tau
         d_sr0 = -self._b_sr0 * (1 - self._b_sr0) / tau

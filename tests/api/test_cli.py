@@ -1,46 +1,48 @@
 """CLI over the declarative API: specs in, uniform JSON out, exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.api import ExperimentSpec
 from repro.cli import build_parser, main
 
+SPECS = Path(__file__).resolve().parents[2] / "examples" / "specs"
 
-class TestSpecBuilders:
+
+def write_spec(tmp_path, data: dict):
+    path = tmp_path / "spec.json"
+    path.write_text(ExperimentSpec.from_dict(data).to_json())
+    return path
+
+
+class TestRunCommand:
     @pytest.mark.parametrize(
-        "command, workload",
-        [
-            ("energy", "energy"),
-            ("latency", "latency"),
-            ("area", "area"),
-            ("power", "power"),
-            ("sweep-fps", "fps_sweep"),
-            ("sweep-node", "node_sweep"),
-        ],
+        "workload",
+        ["energy", "latency", "area", "power", "fps_sweep", "node_sweep"],
     )
-    def test_hardware_commands_emit_json(
-        self, command, workload, capsys, tmp_path
-    ):
+    def test_hardware_workload_emits_json(self, workload, capsys, tmp_path):
+        spec_path = write_spec(tmp_path, {"workload": workload})
         out_path = tmp_path / "out.json"
-        assert main([command, "--json", str(out_path)]) == 0
+        assert main(["run", str(spec_path), "--json", str(out_path)]) == 0
         assert len(capsys.readouterr().out.splitlines()) >= 3
         data = json.loads(out_path.read_text())
         assert data["workload"] == workload
         assert data["provenance"]["spec_hash"]
         assert data["metrics"]
 
-    def test_fps_flag_reaches_spec_and_output(self, capsys, tmp_path):
+    def test_fps_field_reaches_output(self, capsys, tmp_path):
+        spec_path = write_spec(
+            tmp_path, {"workload": "energy", "execution": {"fps": 60}}
+        )
         out_path = tmp_path / "out.json"
-        assert main(["energy", "--fps", "60", "--json", str(out_path)]) == 0
+        assert main(["run", str(spec_path), "--json", str(out_path)]) == 0
         assert "60" in capsys.readouterr().out
         data = json.loads(out_path.read_text())
         assert data["metrics"]["fps"] == 60.0
         assert data["provenance"]["spec"]["execution"]["fps"] == 60.0
 
-
-class TestRunCommand:
     def test_run_executes_spec_file(self, capsys, tmp_path):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(
@@ -97,53 +99,18 @@ class TestRunCommand:
         assert main(["run", str(spec_path)]) == 2
         assert "execution.workerz" in capsys.readouterr().err
 
-    def test_shipped_quickstart_spec_is_valid(self):
-        from pathlib import Path
-
-        path = (
-            Path(__file__).resolve().parents[2]
-            / "examples"
-            / "specs"
-            / "quickstart.json"
-        )
+    @pytest.mark.parametrize(
+        "path", sorted(SPECS.glob("*.json")), ids=lambda path: path.stem
+    )
+    def test_shipped_spec_is_valid(self, path):
         spec = ExperimentSpec.from_file(path)
-        assert spec.workload == "evaluate"
+        assert ExperimentSpec.from_json(spec.to_json()) == spec
 
-
-class TestServeCommand:
-    def test_serve_flags_reach_spec(self):
-        from repro.cli import _SPEC_BUILDERS
-
-        args = build_parser().parse_args(
-            [
-                "serve",
-                "--clients", "6",
-                "--ticks", "9",
-                "--arrival", "poisson",
-                "--deadline-policy", "best_effort",
-                "--max-batch", "3",
-            ]
-        )
-        spec = _SPEC_BUILDERS["serve"](args)
-        serve = spec.execution.serve
-        assert spec.workload == "serve"
-        assert serve.num_clients == 6
-        assert serve.duration_ticks == 9
-        assert serve.arrival == "poisson"
-        assert serve.deadline_policy == "best_effort"
-        assert serve.max_batch == 3
-
-    def test_serve_defaults_leave_batch_unbounded(self):
-        from repro.cli import _SPEC_BUILDERS
-
-        args = build_parser().parse_args(["serve"])
-        spec = _SPEC_BUILDERS["serve"](args)
-        assert spec.execution.serve.max_batch is None
-        assert args.workers == 0
-
-    def test_bad_arrival_rejected_by_parser(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["serve", "--arrival", "bursty"])
+    def test_serve_spec_is_the_scenario_ci_serves(self):
+        # The spec `repro serve --clients 4 --ticks 8` built before the
+        # CLI kept only `run`: the same hash is the same run.
+        spec = ExperimentSpec.from_file(SPECS / "serve.json")
+        assert spec.spec_hash() == "b983f0b6909ed148"
 
 
 class TestParser:
@@ -158,3 +125,20 @@ class TestParser:
     def test_run_requires_spec_path(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run"])
+
+    @pytest.mark.parametrize(
+        "command",
+        ["quickstart", "serve", "energy", "latency", "area", "power",
+         "sweep-fps", "sweep-node"],
+    )
+    def test_retired_commands_rejected(self, command, capsys):
+        # Their settings are spec fields now; `run` is the one way in.
+        with pytest.raises(SystemExit) as exit_info:
+            main([command])
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_commands_are_run_lint_store_trace(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["--help"])
+        assert "{run,lint,store,trace}" in capsys.readouterr().out

@@ -100,7 +100,7 @@ class TestStrategySweepParity:
             # strategy keyed by (sweep seed, name), training and
             # evaluation drawing from it in order.
             rng = strategy_rng(spec.strategy.seed, name)
-            strategy = STRATEGIES.get(name)(4.0, dataset)
+            strategy = STRATEGIES[name](4.0, dataset)
             segmenter = ViTSegmenter(config.vit, rng)
             train_for_strategy(
                 segmenter, strategy, dataset, train_idx, 1, rng

@@ -180,6 +180,16 @@ class TestValidation:
             )
         assert err.value.field == "strategy.names[1]"
 
+    def test_repeated_strategy_named_by_index(self):
+        # A repeat would sweep one strategy twice: one metrics entry
+        # but two table rows, a phantom cache hit, and two trainings
+        # when the sweep fans out.
+        with pytest.raises(SpecError, match=r"repeats strategy.names\[0\]") as err:
+            ExperimentSpec.from_dict(
+                {"strategy": {"names": ["ROI+DS", "Skip", "ROI+DS"]}}
+            )
+        assert err.value.field == "strategy.names[2]"
+
     def test_bad_enum_preset(self):
         with pytest.raises(SpecError, match="dataset.preset"):
             ExperimentSpec.from_dict({"dataset": {"preset": "huge"}})

@@ -82,7 +82,7 @@ class TestStrategyHarness:
 
     def test_train_and_evaluate_ours(self, setup):
         ds, rng, vit = setup
-        strategy = STRATEGIES.get("Ours (ROI+Random)")(compression=4.0)
+        strategy = STRATEGIES["Ours (ROI+Random)"](compression=4.0)
         train_for_strategy(vit, strategy, ds, [0, 1], epochs=2, rng=rng)
         result = evaluate_strategy(strategy, vit, ds, [2], rng)
         assert result.frames > 0
@@ -90,7 +90,7 @@ class TestStrategyHarness:
 
     def test_skip_strategy_reuses_segmentations(self, setup):
         ds, rng, vit = setup
-        strategy = STRATEGIES.get("Skip")(compression=4.0)
+        strategy = STRATEGIES["Skip"](compression=4.0)
         result = evaluate_strategy(strategy, vit, ds, [2], rng)
         assert result.frames > 0
 
@@ -99,16 +99,16 @@ class TestStrategyHarness:
         from repro.sampling import STRATEGY_NAMES
 
         for name in STRATEGY_NAMES:
-            strategy = STRATEGIES.get(name)(compression=8.0, dataset=ds)
+            strategy = STRATEGIES[name](compression=8.0, dataset=ds)
             assert strategy.name == name
 
     def test_unknown_strategy_raises(self):
-        with pytest.raises(ValueError):
-            STRATEGIES.get("nope")(4.0)
+        with pytest.raises(KeyError):
+            STRATEGIES["nope"](4.0)
 
     def test_roi_fixed_needs_dataset(self):
         with pytest.raises(ValueError):
-            STRATEGIES.get("ROI+Fixed")(4.0)
+            STRATEGIES["ROI+Fixed"](4.0)
 
 
 class TestResultsFormatting:

@@ -56,7 +56,7 @@ class TestDeterministicCollectOnce:
             # fixture dataset is too quiet for the default threshold.
             strategy = SkipStrategy(4.0, density_threshold=0.0)
         else:
-            strategy = STRATEGIES.get(name)(4.0, dataset=small_dataset)
+            strategy = STRATEGIES[name](4.0, dataset=small_dataset)
         result = train_for_strategy(
             _vit(), strategy, small_dataset, [0], epochs=3,
             rng=np.random.default_rng(0),
@@ -69,7 +69,7 @@ class TestDeterministicCollectOnce:
         self, small_dataset, monkeypatch, name
     ):
         calls = _count_collections(monkeypatch)
-        strategy = STRATEGIES.get(name)(4.0, dataset=small_dataset)
+        strategy = STRATEGIES[name](4.0, dataset=small_dataset)
         train_for_strategy(
             _vit(), strategy, small_dataset, [0], epochs=3,
             rng=np.random.default_rng(0),
@@ -83,7 +83,7 @@ class TestDeterministicCollectOnce:
         strategies: the trained weights match per-epoch re-collection."""
         from repro.api.tracker import collect_sampled_dataset
 
-        strategy = STRATEGIES.get("Full+DS")(4.0, dataset=small_dataset)
+        strategy = STRATEGIES["Full+DS"](4.0, dataset=small_dataset)
         rng = np.random.default_rng(3)
         a = collect_sampled_dataset(strategy, small_dataset, [0], rng)
         b = collect_sampled_dataset(strategy, small_dataset, [0], rng)
@@ -101,7 +101,7 @@ class TestEpochsValidated:
     ):
         # A non-positive epoch count used to train one epoch silently.
         calls = _count_collections(monkeypatch)
-        strategy = STRATEGIES.get("Full+Random")(4.0, dataset=small_dataset)
+        strategy = STRATEGIES["Full+Random"](4.0, dataset=small_dataset)
         vit = _vit()
         before = vit.state_dict()
         rng = np.random.default_rng(0)

@@ -224,7 +224,7 @@ class TestStagedEqualsPreRefactor:
             # derivation mirrors build_strategy_graph exactly.
             est_ref = FittedGazeEstimator()
             est_ref.fit(segs, gazes)
-            template = STRATEGIES.get(name)(4.0, dataset=dataset)
+            template = STRATEGIES[name](4.0, dataset=dataset)
             seed = int(np.random.default_rng(7).integers(2**32))
             preds_ref, truths_ref, comps_ref = [], [], []
             for seq_index in eval_idx:
@@ -260,7 +260,7 @@ class TestStagedEqualsPreRefactor:
                 est_new = FittedGazeEstimator()
                 est_new.fit(segs, gazes)
                 result = evaluate_strategy(
-                    STRATEGIES.get(name)(4.0, dataset=dataset),
+                    STRATEGIES[name](4.0, dataset=dataset),
                     vit,
                     dataset,
                     eval_idx,

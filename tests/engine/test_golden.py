@@ -128,7 +128,7 @@ def strategy_record(name: str, dataset, segmenter) -> dict:
         np.concatenate([dataset[i].gazes for i in EVAL_IDX]),
     )
     graph = build_strategy_graph(
-        strategy=STRATEGIES.get(name)(4.0, dataset=dataset),
+        strategy=STRATEGIES[name](4.0, dataset=dataset),
         segmenter=segmenter,
         gaze_estimator=estimator,
         rng=np.random.default_rng(7),

@@ -316,7 +316,7 @@ class TestShardedStrategySweep:
         for name in ("Ours (ROI+Random)", "Full+Random", "Skip", "ROI+Fixed"):
             results = {
                 mode: evaluate_strategy(
-                    STRATEGIES.get(name)(4.0, dataset=dataset),
+                    STRATEGIES[name](4.0, dataset=dataset),
                     trained_pipeline.segmenter,
                     dataset,
                     eval_idx,

@@ -52,7 +52,7 @@ def vit():
 
 
 def _run(strategy_name, dataset, segmenter, **kwargs):
-    strategy = STRATEGIES.get(strategy_name)(COMPRESSION, dataset=dataset)
+    strategy = STRATEGIES[strategy_name](COMPRESSION, dataset=dataset)
     rng = np.random.default_rng(int(np.random.default_rng(7).integers(2**32)))
     return evaluate_strategy(
         strategy, segmenter, dataset, EVAL_IDX, rng, **kwargs
@@ -68,7 +68,7 @@ def _full_and_alone(strategy_name, dataset, segmenter, full_rank_and_alone):
         np.concatenate([dataset[i].gazes for i in EVAL_IDX]),
     )
     graph = build_strategy_graph(
-        strategy=STRATEGIES.get(strategy_name)(COMPRESSION, dataset=dataset),
+        strategy=STRATEGIES[strategy_name](COMPRESSION, dataset=dataset),
         segmenter=segmenter,
         gaze_estimator=estimator,
         rng=np.random.default_rng(7),

@@ -108,7 +108,7 @@ class TestOpenEDSAdapter:
                       depth=1, decoder_depth=1),
             rng,
         )
-        strategy = STRATEGIES.get("Ours (ROI+Random)")(8.0)
+        strategy = STRATEGIES["Ours (ROI+Random)"](8.0)
         result = evaluate_strategy(strategy, vit, adapter, [1], rng)
         assert result.frames == 4
 

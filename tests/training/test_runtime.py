@@ -5,7 +5,8 @@
   loop under the runtime's per-sample stream semantics (the PR 1/2
   convention for deliberately redefined RNG streams);
 * the deterministic sub-kernels (vectorized eventification, the batched
-  soft ROI mask) are bitwise batch-invariant.
+  soft ROI mask) are bitwise batch-invariant; the soft mask is compared
+  with the retired one-box forms (:class:`ScalarSoftROIMask`).
 """
 
 import numpy as np
@@ -52,6 +53,40 @@ def tiny_dataset(num_sequences=2, frames=5):
     )
 
 
+class ScalarSoftROIMask(SoftROIMask):
+    """The retired one-box ``SoftROIMask.forward``/``backward`` bodies:
+    ``np.outer`` masks and plain vector reductions, which the ``(B, 4)``
+    kernels reproduce bitwise row by row."""
+
+    def forward(self, box):
+        r0, c0, r1, c1 = box
+        tau = self.tau
+        self._sr0 = self._sigmoid((self._rows - r0) / tau)
+        self._sr1 = self._sigmoid((r1 - self._rows) / tau)
+        self._sc0 = self._sigmoid((self._cols - c0) / tau)
+        self._sc1 = self._sigmoid((c1 - self._cols) / tau)
+        self._row_term = self._sr0 * self._sr1  # (H,)
+        self._col_term = self._sc0 * self._sc1  # (W,)
+        return np.outer(self._row_term, self._col_term)
+
+    def backward(self, grad_mask):
+        tau = self.tau
+        d_sr0 = -self._sr0 * (1 - self._sr0) / tau  # d/d r0
+        d_sr1 = self._sr1 * (1 - self._sr1) / tau  # d/d r1
+        d_sc0 = -self._sc0 * (1 - self._sc0) / tau  # d/d c0
+        d_sc1 = self._sc1 * (1 - self._sc1) / tau  # d/d c1
+        row_dot = grad_mask @ self._col_term  # (H,)
+        col_dot = grad_mask.T @ self._row_term  # (W,)
+        return np.array(
+            [
+                float(np.sum(row_dot * d_sr0 * self._sr1)),
+                float(np.sum(col_dot * d_sc0 * self._sc1)),
+                float(np.sum(row_dot * d_sr1 * self._sr0)),
+                float(np.sum(col_dot * d_sc1 * self._sc0)),
+            ]
+        )
+
+
 def clip_grad_norm(params, max_norm):
     """The retired per-parameter gradient clip (``Optimizer.clip_grad_norm``
     reproduces its bits over the flat arena)."""
@@ -77,7 +112,7 @@ def reference_joint_train(roi, vit, cfg, dataset, indices, seed):
     roi_loss = MSELoss()
     opt_seg = Adam(vit.parameters(), lr=cfg.lr_segmenter)
     opt_roi = Adam(roi.parameters(), lr=cfg.lr_roi)
-    soft_mask = SoftROIMask(SIZE, SIZE, tau=cfg.tau)
+    soft_mask = ScalarSoftROIMask(SIZE, SIZE, tau=cfg.tau)
     seg_losses, roi_losses = [], []
     vit.train()
     roi.train()
@@ -210,8 +245,10 @@ class TestSubKernelBatchInvariance:
         soft = SoftROIMask(SIZE, SIZE, tau=0.05)
         stacked = soft.forward_batch(boxes)
         for i in range(4):
-            scalar = SoftROIMask(SIZE, SIZE, tau=0.05)
-            assert np.array_equal(stacked[i], scalar.forward(boxes[i]))
+            scalar = ScalarSoftROIMask(SIZE, SIZE, tau=0.05)
+            reference = scalar.forward(boxes[i])
+            assert np.array_equal(stacked[i], reference)
+            assert np.array_equal(soft.forward(boxes[i]), reference)
 
     def test_soft_mask_backward_batch_matches_scalar(self):
         rng = np.random.default_rng(2)
@@ -221,9 +258,13 @@ class TestSubKernelBatchInvariance:
         soft.forward_batch(boxes)
         stacked = soft.backward_batch(grads)
         for i in range(3):
-            scalar = SoftROIMask(SIZE, SIZE, tau=0.05)
+            scalar = ScalarSoftROIMask(SIZE, SIZE, tau=0.05)
             scalar.forward(boxes[i])
-            assert np.array_equal(stacked[i], scalar.backward(grads[i]))
+            reference = scalar.backward(grads[i])
+            assert np.array_equal(stacked[i], reference)
+            one = SoftROIMask(SIZE, SIZE, tau=0.05)
+            one.forward(boxes[i])
+            assert np.array_equal(one.backward(grads[i]), reference)
 
 
 class TestBatchedSchedule:
