@@ -25,7 +25,6 @@ from repro.sampling.roi import (
     order_box,
 )
 from repro.sampling.strategies import (
-    STRATEGIES,
     STRATEGY_NAMES,
     FullDownsample,
     FullRandom,
@@ -66,6 +65,5 @@ __all__ = [
     "ROIFixed",
     "ROILearned",
     "ROIRandom",
-    "STRATEGIES",
     "STRATEGY_NAMES",
 ]

@@ -1,7 +1,8 @@
 """Suite-wide fixtures: one worker pool and channel for every sharded test,
 the traced-run helper that reads per-stage engine measurements, and the
 run-each-sequence-alone references the width-invariance tests compare a
-full rank against.
+full rank against, and the unpacked one-frame ViT forward the packed
+kernel is compared against.
 
 Sharding takes one :class:`~repro.engine.Shards` handle over a
 caller-owned executor and transport channel (the only dispatch path),
@@ -20,6 +21,7 @@ from repro.api import Session
 from repro.api.tracker import EvaluationResult, WorkloadStats
 from repro.engine import Shards
 from repro.gaze.metrics import angular_errors
+from repro.nn import functional as F
 from repro.obs import Tracer, install_tracer, summarize
 
 
@@ -106,5 +108,39 @@ def evaluate_each_alone():
             predictions=predictions,
             truths=truths,
         )
+
+    return run
+
+
+@pytest.fixture(scope="session")
+def unpacked_reference():
+    """``(vit, frame, mask) -> (logits, valid)``: the retired one-frame
+    ``ViTSegmenter.forward_packed`` body, an independent form of the packed
+    kernel.  The valid tokens of one frame run as a ``(1, n, D)`` batch
+    through the blocks' unpacked path, with no slab and no ``runs``;
+    ``logits`` is ``(H, W, classes)`` and ``valid`` the frame's token mask."""
+
+    def run(vit, frame, mask):
+        c = vit.config
+        tokens, valid = vit._tokenize(frame[None], mask[None])
+        keep = np.nonzero(valid[0])[0]
+        logits = np.zeros((c.tokens, c.patch * c.patch * c.num_classes))
+        if keep.size:
+            x = vit.patch_embed(tokens[:, keep]) + vit.pos_embed.data[:, keep]
+            for block in vit.encoder:
+                x = block(x)
+            cls = vit.class_embed.data.copy()
+            joint = np.concatenate([x, cls], axis=1)
+            for block in vit.decoder:
+                joint = block(joint)
+            packed = vit.head(vit.final_norm(joint[:, : keep.size]))
+            logits[keep] = packed[0]
+        per_pixel = logits.reshape(
+            1, c.tokens, c.patch * c.patch, c.num_classes
+        ).transpose(0, 1, 3, 2).reshape(
+            1, c.tokens, c.num_classes * c.patch * c.patch
+        )
+        img = F.unpatchify(per_pixel, c.patch, c.num_classes, c.height, c.width)
+        return img[0].transpose(1, 2, 0), valid[0]
 
     return run

@@ -10,8 +10,9 @@ Three independent properties are pinned down, each exactly:
    reproduce the original monolithic ``evaluate`` loop (including the
    deleted ``sensor.roi_predictor`` monkeypatch mechanism for ROI reuse)
    frame for frame; the reference transcriptions live in this file.
-3. **fast paths == reference paths** — the packed-slab ViT matches
-   the single-frame ``forward_packed`` reference, and run-length
+3. **fast paths == reference paths** — the packed-slab ViT's labels
+   match the unpacked one-frame forward (the ``unpacked_reference``
+   fixture, the retired ``forward_packed`` body), and run-length
    accounting matches the materialized token stream, on randomized
    inputs.
 """
@@ -301,9 +302,9 @@ class TestVectorizedKernels:
             _, slow = codec.encode(stream)
             assert codec.rank_stats(stream, [stream.size]) == [slow]
 
-    def test_packed_batch_matches_per_frame(self):
+    def test_packed_batch_matches_per_frame(self, unpacked_reference):
         """The packed slab gives every frame the logits of its own width-1
-        call, bitwise, and ``forward_packed``'s labels.
+        call, bitwise, and the labels of the unpacked one-frame forward.
 
         The rank holds 11 distinct valid-token counts, a count collision
         (frames 0 and 5), an empty lane (frame 2) and a frame with exactly
@@ -329,7 +330,7 @@ class TestVectorizedKernels:
         batched = vit.predict_packed_batch(frames, masks)
         rows, tokens, logits = vit._packed_logits(frames, masks)
         for i, count in enumerate(counts):
-            reference, valid = vit.forward_packed(frames[i], masks[i])
+            reference, valid = unpacked_reference(vit, frames[i], masks[i])
             assert valid.sum() == count
             assert np.array_equal(
                 batched[i], np.argmax(reference, axis=-1)

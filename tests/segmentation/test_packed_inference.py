@@ -15,35 +15,6 @@ def vit():
     )
 
 
-def unpacked_reference(vit, frame, mask):
-    """The retired one-frame ``forward_packed`` body: the valid tokens of
-    one frame run as a ``(1, n, D)`` batch through the blocks' unpacked
-    path, with no slab and no ``runs``."""
-    from repro.nn import functional as F
-
-    c = vit.config
-    tokens, valid = vit._tokenize(frame[None], mask[None])
-    keep = np.nonzero(valid[0])[0]
-    logits = np.zeros((c.tokens, c.patch * c.patch * c.num_classes))
-    if keep.size:
-        x = vit.patch_embed(tokens[:, keep]) + vit.pos_embed.data[:, keep]
-        for block in vit.encoder:
-            x = block(x)
-        cls = vit.class_embed.data.copy()
-        joint = np.concatenate([x, cls], axis=1)
-        for block in vit.decoder:
-            joint = block(joint)
-        packed = vit.head(vit.final_norm(joint[:, : keep.size]))
-        logits[keep] = packed[0]
-    per_pixel = logits.reshape(
-        1, c.tokens, c.patch * c.patch, c.num_classes
-    ).transpose(0, 1, 3, 2).reshape(
-        1, c.tokens, c.num_classes * c.patch * c.patch
-    )
-    img = F.unpatchify(per_pixel, c.patch, c.num_classes, c.height, c.width)
-    return img[0].transpose(1, 2, 0), valid[0]
-
-
 def roi_mask(shape=(32, 32), box=(8, 8, 24, 24), rate=0.3, seed=1):
     rng = np.random.default_rng(seed)
     mask = np.zeros(shape, dtype=bool)
@@ -73,7 +44,9 @@ class TestPackedInference:
         "box, rate", [((8, 8, 24, 24), 0.3), ((0, 0, 8, 8), 1.0),
                       ((0, 0, 32, 32), 0.1), ((0, 0, 32, 32), 0.0)]
     )
-    def test_forward_packed_matches_unpacked_reference(self, vit, box, rate):
+    def test_forward_packed_matches_unpacked_reference(
+        self, vit, box, rate, unpacked_reference
+    ):
         rng = np.random.default_rng(6)
         frame = rng.random((32, 32))
         mask = roi_mask(box=box, rate=rate)
