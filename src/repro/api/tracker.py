@@ -35,11 +35,11 @@ import numpy as np
 from repro.api.spec import PRESET_NUM_SEQUENCES
 from repro.engine import (
     EngineRun,
+    SensorSpawnFactory,
+    SequenceRunner,
     Shards,
     build_strategy_graph,
     build_tracking_graph,
-    strategy_runner,
-    tracking_runner,
 )
 from repro.gaze.estimation import FittedGazeEstimator
 from repro.gaze.metrics import AngularErrorStats, angular_errors
@@ -292,7 +292,6 @@ class BlissCamPipeline:
         self.segmenter = ViTSegmenter(config.vit, self.rng)
         self.gaze_estimator = FittedGazeEstimator()
         self._train_result: JointTrainResult | None = None
-        self._roi_fraction_cache: float | None = None
         self._sensor_templates: dict[int, BlissCamSensor] = {}
 
     # -- training ------------------------------------------------------------
@@ -325,17 +324,13 @@ class BlissCamPipeline:
         return self._train_result
 
     def _typical_roi_fraction(self) -> float:
-        """Mean ground-truth foreground-box fraction over the first sequence.
-
-        Memoized (both here and in the dataset): ``build_sensor`` asks for
-        it on every call and the answer is fixed for a given dataset.
-        """
-        if self._roi_fraction_cache is None:
-            fraction = self.dataset.typical_roi_fraction(0)
-            if fraction is None:
-                fraction = WorkloadProfile().roi_fraction
-            self._roi_fraction_cache = fraction
-        return self._roi_fraction_cache
+        """Mean ground-truth foreground-box fraction over the first
+        sequence (memoized by the dataset), or the hardware model's
+        default when that sequence has no foreground box."""
+        fraction = self.dataset.typical_roi_fraction(0)
+        if fraction is None:
+            return WorkloadProfile().roi_fraction
+        return fraction
 
     # -- evaluation ----------------------------------------------------------
     def build_sensor(self, seed: int = 1234) -> BlissCamSensor:
@@ -375,10 +370,11 @@ class BlissCamPipeline:
     ) -> tuple:
         """``(stage graph, calibrated sensor template)`` for this tracker.
 
-        The unit streaming consumers build on: :meth:`evaluate` wraps it
-        in a :func:`~repro.engine.tracking_runner` over dataset
+        The unit streaming consumers build on: :meth:`evaluate` runs it
+        in a :class:`~repro.engine.SequenceRunner` over dataset
         sequences, while ``repro.serve`` drives the same graph frame by
-        frame with per-client sensor spawns from the template.  Requires
+        frame; both spawn each lane's sensor from the template through
+        :class:`~repro.engine.SensorSpawnFactory`.  Requires
         a trained pipeline (the graph closes over the trained predictor,
         segmenter and calibrated gaze estimator).
         """
@@ -417,10 +413,9 @@ class BlissCamPipeline:
         graph, template = self.tracking_setup(
             reuse_window=reuse_window, sensor_seed=sensor_seed
         )
-        runner = tracking_runner(
-            sensor_template=template,
-            sensor_seed=sensor_seed,
-            graph=graph,
+        runner = SequenceRunner(
+            graph,
+            SensorSpawnFactory(template, (sensor_seed,)),
             # The collector below only needs gaze + stats per frame; drop
             # the O(frame size) intermediates as the run streams.
             retain_intermediates=False,
@@ -575,7 +570,7 @@ def evaluate_strategy(
     # The collector below only needs gaze + stats scalars; drop the
     # O(frame size) intermediates as the run streams (and keep sharded
     # worker->parent transfers scalar-sized).
-    runner = strategy_runner(graph, retain_intermediates=False)
+    runner = SequenceRunner(graph, retain_intermediates=False)
     run = runner.run([(i, dataset[i]) for i in eval_indices], shards=shards)
 
     preds, truths, compressions = [], [], []

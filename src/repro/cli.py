@@ -129,7 +129,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         spec = ExperimentSpec.from_file(args.spec)
-        if args.workers:  # None or 0 keep the spec's value
+        if args.workers is not None:
             # Re-validate: the override must fail here (exit 2), not as
             # a traceback out of Session.run.
             spec = spec.with_workers(args.workers).validate()

@@ -4,14 +4,17 @@ The paper's system is a staged dataflow (eventification -> ROI prediction
 -> in-ROI sampling -> RLE/MIPI readout -> packed sparse-ViT segmentation
 -> gaze regression).  This package makes that structure executable: a
 :class:`Stage` protocol, a :class:`FrameContext` carrying one frame's
-intermediate products, and a :class:`SequenceRunner` that
+intermediate products, a :class:`StageGraph` that starts lanes and
+steps ranks through its stages, and a :class:`SequenceRunner` that
 executes stage graphs over batches of sequences — as one vectorized
 lockstep rank in-process, or sharded over worker processes through one
-:class:`Shards` handle, both bitwise-identical.
+:class:`Shards` handle, both bitwise-identical.  Lanes get their
+sensors from one factory, :class:`SensorSpawnFactory`.
 
 ``BlissCamPipeline.evaluate``, ``repro.api.tracker.evaluate_strategy``, the
 ablation runners, the CLI, and the figure benchmarks are all thin
-configurations over this one runtime (see ``docs/architecture.md``).
+configurations over this one runtime, and ``repro.serve``'s scheduler
+drives the same ``StageGraph`` calls (see ``docs/architecture.md``).
 """
 
 from repro.engine.context import FrameContext, SequenceState
@@ -19,8 +22,6 @@ from repro.engine.graphs import (
     SensorSpawnFactory,
     build_strategy_graph,
     build_tracking_graph,
-    strategy_runner,
-    tracking_runner,
 )
 from repro.engine.runner import EngineRun, SequenceRunner, contiguous_shards
 from repro.engine.executors import ProcessPoolBackend, Shards
@@ -74,7 +75,5 @@ __all__ = [
     "SegmentOrReuseStage",
     "build_tracking_graph",
     "build_strategy_graph",
-    "tracking_runner",
-    "strategy_runner",
     "SensorSpawnFactory",
 ]

@@ -1,10 +1,11 @@
 """Canonical stage-graph configurations.
 
 The tracking graph is the full in-sensor/host dataflow of Fig. 8 — what
-``BlissCamPipeline.evaluate`` runs.  The strategy graph is the Fig. 12/15
-harness — what ``repro.api.tracker.evaluate_strategy`` runs.  Both are plain
-:class:`~repro.engine.stage.StageGraph` instances over the same runner, so
-every figure benchmark and the CLI exercise one code path.
+``BlissCamPipeline.evaluate`` runs and ``repro.serve`` serves.  The
+strategy graph is the Fig. 12/15 harness — what
+``repro.api.tracker.evaluate_strategy`` runs.  Both are plain
+:class:`~repro.engine.stage.StageGraph` instances, so every figure
+benchmark and the CLI exercise one code path.
 
 Everything a graph closes over (predictors, state factories) is kept as a
 plain picklable class rather than a closure: the sharded execution mode
@@ -20,7 +21,6 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.engine.context import SequenceState
-from repro.engine.runner import SequenceRunner
 from repro.engine.stage import StageGraph
 from repro.engine.stages import (
     EventifyPairStage,
@@ -39,8 +39,6 @@ from repro.engine.stages import (
 __all__ = [
     "build_tracking_graph",
     "build_strategy_graph",
-    "tracking_runner",
-    "strategy_runner",
     "SensorSpawnFactory",
 ]
 
@@ -78,44 +76,24 @@ def build_tracking_graph(
 
 @dataclass
 class SensorSpawnFactory:
-    """``seq_index -> SequenceState`` with a per-sequence sensor spawn.
+    """``lane -> SequenceState`` with a per-lane sensor spawn: the one
+    lane factory of every driver of a tracking graph.
 
-    A plain class (not a closure) so sharded runners can pickle it to
-    worker processes.  Runtime noise streams are keyed by
-    ``(sensor_seed, seq_index)`` — order- and process-insensitive, so a
-    sequence draws identical randomness alone, in a full rank or sharded.
+    Lane ``i``'s runtime noise streams are keyed ``[*key, i]`` — order-
+    and process-insensitive, so a lane draws identical randomness alone,
+    in a full rank, sharded or micro-batched.  Offline tracking keys by
+    ``(sensor_seed,)`` and serving by ``(sensor_seed, SERVE_STREAM_TAG)``
+    (see ``repro.serve.ClientSensorFactory``).  A plain class (not a
+    closure) so sharded runners and serve replicas can pickle it.
     """
 
     sensor_template: Any
-    sensor_seed: int
+    key: tuple[int, ...]
 
-    def __call__(self, seq_index: int) -> SequenceState:
-        state = SequenceState(seq_index=seq_index)
-        state.sensor = self.sensor_template.spawn(
-            [self.sensor_seed, seq_index]
-        )
+    def __call__(self, lane: int) -> SequenceState:
+        state = SequenceState(seq_index=lane)
+        state.sensor = self.sensor_template.spawn([*self.key, lane])
         return state
-
-
-def tracking_runner(
-    *,
-    sensor_template,
-    sensor_seed: int,
-    graph: StageGraph,
-    retain_intermediates: bool = True,
-) -> SequenceRunner:
-    """A runner that spawns one sensor stream per evaluated sequence.
-
-    Each sequence gets a clone of the calibrated template chip whose
-    runtime noise streams are keyed by ``(sensor_seed, seq_index)`` —
-    order-insensitive, so a sequence draws identical randomness alone, in
-    a full rank or sharded.
-    """
-    return SequenceRunner(
-        graph,
-        SensorSpawnFactory(sensor_template, sensor_seed),
-        retain_intermediates=retain_intermediates,
-    )
 
 
 def build_strategy_graph(
@@ -144,17 +122,3 @@ def build_strategy_graph(
             GazeRegressStage(gaze_estimator),
         ]
     )
-
-
-def strategy_runner(
-    graph: StageGraph, retain_intermediates: bool = True
-) -> SequenceRunner:
-    """A runner for strategy graphs.
-
-    Per-sequence strategy spawns (see :func:`build_strategy_graph`) make
-    sequences independent, so both execution modes — in-process and
-    sharded — are available and bitwise-equivalent.
-    Pass ``retain_intermediates=False`` when only the per-frame scalars
-    (gaze, stats) are consumed, e.g. ``evaluate_strategy``.
-    """
-    return SequenceRunner(graph, retain_intermediates=retain_intermediates)

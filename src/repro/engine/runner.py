@@ -46,7 +46,6 @@ from repro.engine.context import FrameContext, SequenceState
 from repro.engine.executors import Shards
 from repro.engine.stage import StageGraph
 from repro.obs.tracer import current_tracer
-from repro.obs.wall import wall_now
 
 __all__ = [
     "SequenceRunner",
@@ -252,34 +251,17 @@ class SequenceRunner:
             if tracer is not None
             else None
         )
-        states, contexts = [], []
-        for seq_index, fields in lanes:
-            state = self.state_factory(seq_index)
-            for stage in self.graph:
-                stage.start_sequence(state)
-            states.append(state)
-            contexts.append(self._contexts_for(seq_index, fields))
+        states = [
+            self.graph.start_lane(self.state_factory(seq_index))
+            for seq_index, _ in lanes
+        ]
+        contexts = [
+            self._contexts_for(seq_index, fields) for seq_index, fields in lanes
+        ]
         for t in range(max(len(lane) for lane in contexts)):
             live = [pos for pos, lane in enumerate(contexts) if t < len(lane)]
-            rank = ctxs = [contexts[pos][t] for pos in live]
-            seqs = [states[pos] for pos in live]
-            for stage in self.graph:
-                # Frames only ever become skipped, so the live rank
-                # shrinks monotonically through the graph.
-                if any(c.skipped for c in ctxs):
-                    seqs = [s for c, s in zip(ctxs, seqs) if not c.skipped]
-                    ctxs = [c for c in ctxs if not c.skipped]
-                    if not ctxs:
-                        break
-                if timings is None:
-                    stage.process_batch(ctxs, seqs)
-                    continue
-                start = wall_now()
-                stage.process_batch(ctxs, seqs)
-                timing = timings[stage.name]
-                timing[0] += wall_now() - start
-                timing[1] += len(ctxs)
-                timing[2] += 1
+            rank = [contexts[pos][t] for pos in live]
+            self.graph.step(rank, [states[pos] for pos in live], timings)
             if not self.retain_intermediates:
                 for ctx in rank:
                     ctx.release_intermediates()

@@ -13,6 +13,13 @@ runs the same code, and a kernel's output rows must not depend on the
 rank's width or on their neighbours (the engine test suite pins each
 sequence run alone, sharded ranks and the full rank against each other
 and against checked-in digests).
+
+:class:`StageGraph` also holds the two things every driver of a graph
+does — start a lane (:meth:`~StageGraph.start_lane`) and step one rank
+through the stages (:meth:`~StageGraph.step`).  The offline
+:class:`~repro.engine.runner.SequenceRunner` and the serving
+:class:`~repro.serve.scheduler.Scheduler` are two schedulers over these
+two calls: they differ only in which frames form a rank.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ from __future__ import annotations
 from typing import Iterator, Sequence
 
 from repro.engine.context import FrameContext, SequenceState
+from repro.obs.wall import wall_now
 
 __all__ = ["Stage", "StageGraph"]
 
@@ -80,3 +88,41 @@ class StageGraph:
     @property
     def stage_names(self) -> list[str]:
         return [s.name for s in self.stages]
+
+    def start_lane(self, state: SequenceState) -> SequenceState:
+        """Run every stage's ``start_sequence`` on a new lane's state."""
+        for stage in self.stages:
+            stage.start_sequence(state)
+        return state
+
+    def step(
+        self,
+        ctxs: Sequence[FrameContext],
+        seqs: Sequence[SequenceState],
+        timings: dict[str, list] | None = None,
+    ) -> None:
+        """Run one rank (``ctxs[i]`` of lane ``seqs[i]``) through the stages.
+
+        A frame a stage marks skipped drops out of the rank for every
+        later stage, and an emptied rank stops, so no stage sees a
+        skipped frame or an empty rank.  ``timings`` (stage name ->
+        ``[wall seconds, frames, calls]``), when given, accumulates each
+        stage's share; without it the clock is never read.
+        """
+        for stage in self.stages:
+            # Frames only ever become skipped, so the live rank shrinks
+            # monotonically through the graph.
+            if any(c.skipped for c in ctxs):
+                seqs = [s for c, s in zip(ctxs, seqs) if not c.skipped]
+                ctxs = [c for c in ctxs if not c.skipped]
+                if not ctxs:
+                    return
+            if timings is None:
+                stage.process_batch(ctxs, seqs)
+                continue
+            start = wall_now()
+            stage.process_batch(ctxs, seqs)
+            timing = timings[stage.name]
+            timing[0] += wall_now() - start
+            timing[1] += len(ctxs)
+            timing[2] += 1

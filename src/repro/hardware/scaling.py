@@ -25,7 +25,6 @@ __all__ = [
     "delay_factor",
     "leakage_factor",
     "scale_energy",
-    "scale_delay",
     "scale_leakage",
 ]
 
@@ -86,11 +85,6 @@ def leakage_factor(node_nm: float) -> float:
 def scale_energy(value_at_16nm: float, node_nm: float) -> float:
     """Scale an energy synthesized at 16 nm to another node."""
     return value_at_16nm * energy_factor(node_nm)
-
-
-def scale_delay(value_at_16nm: float, node_nm: float) -> float:
-    """Scale a delay synthesized at 16 nm to another node."""
-    return value_at_16nm * delay_factor(node_nm)
 
 
 def scale_leakage(value_at_16nm: float, node_nm: float) -> float:

@@ -131,10 +131,6 @@ class BlissCamSensor:
         state["_noise_ahead"] = settled(self._noise_ahead)
         return state
 
-    def reset(self) -> None:
-        """Drop the held frame (e.g. at sequence boundaries)."""
-        self._held_frame = None
-
     def spawn(self, seed_key) -> "BlissCamSensor":
         """A clone of the *same manufactured chip* with fresh runtime noise.
 

@@ -8,16 +8,10 @@ purely in numpy.  Forwards run inside :func:`inference` keep no backward
 caches.
 """
 
-from repro.nn.activations import GELU, Identity, LeakyReLU, ReLU, Sigmoid, Tanh
+from repro.nn.activations import GELU, ReLU, Sigmoid
 from repro.nn.attention import MLP, MultiHeadAttention, TransformerBlock
-from repro.nn.conv import (
-    AvgPool2d,
-    Conv2d,
-    DepthwiseConv2d,
-    MaxPool2d,
-    UpsampleNearest2d,
-)
-from repro.nn.layers import Dropout, Flatten, Linear, Residual
+from repro.nn.conv import Conv2d, DepthwiseConv2d, MaxPool2d, UpsampleNearest2d
+from repro.nn.layers import Flatten, Linear
 from repro.nn.losses import CrossEntropyLoss, MSELoss
 from repro.nn.module import Module, Parameter, Sequential, inference
 from repro.nn.norm import BatchNorm2d, LayerNorm
@@ -30,21 +24,15 @@ __all__ = [
     "inference",
     "Linear",
     "Flatten",
-    "Dropout",
-    "Residual",
     "Conv2d",
     "DepthwiseConv2d",
     "MaxPool2d",
-    "AvgPool2d",
     "UpsampleNearest2d",
     "LayerNorm",
     "BatchNorm2d",
     "ReLU",
-    "LeakyReLU",
     "GELU",
     "Sigmoid",
-    "Tanh",
-    "Identity",
     "MultiHeadAttention",
     "MLP",
     "TransformerBlock",

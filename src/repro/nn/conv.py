@@ -12,7 +12,7 @@ from repro.nn import functional as F
 from repro.nn import init
 from repro.nn.module import Module, Parameter, caching
 
-__all__ = ["Conv2d", "DepthwiseConv2d", "MaxPool2d", "AvgPool2d", "UpsampleNearest2d"]
+__all__ = ["Conv2d", "DepthwiseConv2d", "MaxPool2d", "UpsampleNearest2d"]
 
 
 class Conv2d(Module):
@@ -169,29 +169,6 @@ class MaxPool2d(Module):
         b, c, i, j = np.ogrid[:batch, :channels, :oh, :ow]
         out[b, c, i, j, self._argmax] = grad
         out = out.reshape(batch, channels, oh, ow, k, k).transpose(0, 1, 2, 4, 3, 5)
-        return out.reshape(self._input_shape)
-
-
-class AvgPool2d(Module):
-    """Non-overlapping average pooling (kernel == stride)."""
-
-    def __init__(self, kernel_size: int):
-        super().__init__()
-        self.kernel_size = kernel_size
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        batch, channels, height, width = x.shape
-        k = self.kernel_size
-        if height % k or width % k:
-            raise ValueError(f"input {height}x{width} not divisible by pool {k}")
-        if caching():
-            self._input_shape = x.shape
-        windows = x.reshape(batch, channels, height // k, k, width // k, k)
-        return windows.mean(axis=(3, 5))
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        k = self.kernel_size
-        out = np.repeat(np.repeat(grad, k, axis=2), k, axis=3) / (k * k)
         return out.reshape(self._input_shape)
 
 

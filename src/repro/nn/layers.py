@@ -1,4 +1,4 @@
-"""Dense and utility layers: Linear, Flatten, Dropout, Residual wrapper."""
+"""Dense and utility layers: Linear, Flatten."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import numpy as np
 from repro.nn import init
 from repro.nn.module import Module, Parameter, caching
 
-__all__ = ["Linear", "Flatten", "Dropout", "Residual"]
+__all__ = ["Linear", "Flatten"]
 
 
 class Linear(Module):
@@ -62,42 +62,3 @@ class Flatten(Module):
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         return grad.reshape(self._shape)
-
-
-class Dropout(Module):
-    """Inverted dropout; identity in eval mode."""
-
-    def __init__(self, p: float, rng: np.random.Generator):
-        super().__init__()
-        if not 0.0 <= p < 1.0:
-            raise ValueError(f"dropout probability must be in [0, 1): {p}")
-        self.p = p
-        self.rng = rng
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        mask = None
-        if self.training and self.p != 0.0:
-            keep = 1.0 - self.p
-            mask = (self.rng.random(x.shape) < keep) / keep
-        if caching():
-            self._mask = mask
-        return x if mask is None else x * mask
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            return grad
-        return grad * self._mask
-
-
-class Residual(Module):
-    """``y = x + inner(x)`` with the matching backward pass."""
-
-    def __init__(self, inner: Module):
-        super().__init__()
-        self.inner = inner
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        return x + self.inner(x)
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        return grad + self.inner.backward(grad)

@@ -6,9 +6,7 @@ uniform pixel sampling, and the full strategy zoo of the Fig. 15 ablation.
 
 from repro.sampling.eventification import DEFAULT_SIGMA, event_density, eventify
 from repro.sampling.random_sampling import (
-    apply_mask,
     effective_compression,
-    random_mask,
     random_mask_in_box,
     uniform_grid_mask,
     uniform_mask_in_box,
@@ -19,9 +17,7 @@ from repro.sampling.roi import (
     box_area,
     box_from_pixels,
     box_iou,
-    box_mask,
     box_to_pixels,
-    expand_box,
     order_box,
 )
 from repro.sampling.strategies import (
@@ -41,11 +37,9 @@ __all__ = [
     "DEFAULT_SIGMA",
     "eventify",
     "event_density",
-    "random_mask",
     "uniform_grid_mask",
     "random_mask_in_box",
     "uniform_mask_in_box",
-    "apply_mask",
     "effective_compression",
     "ROIPredictor",
     "ROIReusePolicy",
@@ -54,8 +48,6 @@ __all__ = [
     "box_from_pixels",
     "box_area",
     "box_iou",
-    "box_mask",
-    "expand_box",
     "SamplingDecision",
     "SamplingStrategy",
     "FullRandom",

@@ -27,9 +27,7 @@ __all__ = [
     "box_from_pixels",
     "box_area",
     "box_iou",
-    "box_mask",
     "boxes_mask",
-    "expand_box",
     "order_box",
 ]
 
@@ -105,29 +103,6 @@ def box_iou(
     inter = max(0, ir1 - ir0) * max(0, ic1 - ic0)
     union = box_area(a) + box_area(b) - inter
     return inter / union if union else 0.0
-
-
-def box_mask(
-    pixel_box: tuple[int, int, int, int], height: int, width: int
-) -> np.ndarray:
-    """Boolean mask of pixels inside the box."""
-    return boxes_mask([pixel_box], height, width)[0]
-
-
-def expand_box(
-    pixel_box: tuple[int, int, int, int],
-    margin: int,
-    height: int,
-    width: int,
-) -> tuple[int, int, int, int]:
-    """Grow a pixel box by ``margin`` on all sides, clipped to the frame."""
-    r0, c0, r1, c1 = pixel_box
-    return (
-        max(0, r0 - margin),
-        max(0, c0 - margin),
-        min(height, r1 + margin),
-        min(width, c1 + margin),
-    )
 
 
 class ROIPredictor(nn.Module):

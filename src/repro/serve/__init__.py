@@ -6,9 +6,11 @@ turns the same trained tracker into an *online service*: many concurrent
 client eye-streams arrive against a deterministic virtual clock, the
 scheduler admits them through a bounded queue, collects the frames due
 at each tick, and dispatches them as **cross-client micro-batches**
-through the engine's existing batched stage kernels — per-client
-``SequenceState`` feedback stays isolated, so every client's results are
-bitwise-identical to serving that client alone.
+through the engine's own rank step (``StageGraph.step``) — per-client
+``SequenceState`` feedback, started by ``StageGraph.start_lane`` with a
+sensor from the engine's ``SensorSpawnFactory``, stays isolated, so
+every client's results are bitwise-identical to serving that client
+alone.
 
 The pieces:
 

@@ -8,9 +8,9 @@ walks the virtual clock.  Each tick it
 2. **sheds** frames that can no longer meet their deadline (``drop``
    policy) instead of wasting host compute on them;
 3. **dispatches** up to ``max_batch`` queued frames as one cross-client
-   micro-batch through the tracking stage graph's ``process_batch``
-   kernels — the same vectorized kernels the offline engine's ranks
-   use.  Every client keeps its own
+   micro-batch through ``StageGraph.step`` — the rank step the offline
+   engine's runner uses, over the same vectorized kernels.  Every
+   client keeps its own
    :class:`~repro.engine.context.SequenceState` (spawned sensor, fed-back
    segmentation, gaze fallback), and the kernels are bitwise
    batch-invariant, so a client's outputs are identical no matter which
@@ -33,12 +33,12 @@ from __future__ import annotations
 from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
 from repro.engine.context import FrameContext, SequenceState
 from repro.engine.executors import Shards
+from repro.engine.graphs import SensorSpawnFactory
 from repro.engine.runner import contiguous_shards
 from repro.engine.stage import StageGraph
 from repro.obs.names import SERVE_QUEUE_DEPTH
@@ -102,26 +102,14 @@ class ServeScenario:
             )
 
 
-@dataclass
-class ClientSensorFactory:
-    """``client_id -> SequenceState`` with a per-client sensor spawn.
-
-    Mirrors the engine's ``SensorSpawnFactory`` but in the serve RNG
-    namespace: runtime noise streams are keyed ``[sensor_seed,
-    SERVE_STREAM_TAG, client_id]``, so a client's sensor draws are
-    independent of admission order, micro-batch composition and shard
-    placement.  A plain class so sharded replicas can pickle it.
-    """
-
-    sensor_template: Any
-    sensor_seed: int
-
-    def __call__(self, client_id: int) -> SequenceState:
-        state = SequenceState(seq_index=client_id)
-        state.sensor = self.sensor_template.spawn(
-            [self.sensor_seed, SERVE_STREAM_TAG, client_id]
-        )
-        return state
+def ClientSensorFactory(
+    sensor_template, sensor_seed: int
+) -> SensorSpawnFactory:
+    """The engine's lane factory in the serve RNG namespace: client
+    ``c``'s sensor spawns at ``[sensor_seed, SERVE_STREAM_TAG, c]``."""
+    return SensorSpawnFactory(
+        sensor_template, (sensor_seed, SERVE_STREAM_TAG)
+    )
 
 
 @dataclass
@@ -165,10 +153,9 @@ class Scheduler:
     # -- client admission -----------------------------------------------------
     def _state_for(self, client_id: int) -> SequenceState:
         if client_id not in self._states:
-            state = self.state_factory(client_id)
-            for stage in self.graph:
-                stage.start_sequence(state)
-            self._states[client_id] = state
+            self._states[client_id] = self.graph.start_lane(
+                self.state_factory(client_id)
+            )
         return self._states[client_id]
 
     # -- the loop -------------------------------------------------------------
@@ -261,42 +248,15 @@ class Scheduler:
             for job in jobs
         ]
         states = [self._state_for(job.client_id) for job in jobs]
-        for stage in self.graph:
-            live = [(c, s) for c, s in zip(ctxs, states) if not c.skipped]
-            if not live:
-                break
-            stage.process_batch([c for c, _ in live], [s for _, s in live])
+        self.graph.step(ctxs, states)
         for job, ctx in zip(jobs, ctxs):
             wait = tick - job.tick
-            if ctx.skipped:
-                # Bootstrap: the sensor latched its first analog frame.
-                telemetry.record_frame(
-                    FrameRecord(
-                        client_id=job.client_id,
-                        arrival_tick=job.tick,
-                        dispatch_tick=tick,
-                        latency_s=self.slo.latency_s(wait),
-                        met_deadline=self.slo.meets_deadline(wait),
-                        bootstrap=True,
-                        gaze_error_deg=None,
-                    )
-                )
-            else:
+            error = None
+            if not ctx.skipped:
                 error = float(
                     np.hypot(
                         ctx.gaze_pred[0] - job.gaze_true[0],
                         ctx.gaze_pred[1] - job.gaze_true[1],
-                    )
-                )
-                telemetry.record_frame(
-                    FrameRecord(
-                        client_id=job.client_id,
-                        arrival_tick=job.tick,
-                        dispatch_tick=tick,
-                        latency_s=self.slo.latency_s(wait),
-                        met_deadline=self.slo.meets_deadline(wait),
-                        bootstrap=False,
-                        gaze_error_deg=error,
                     )
                 )
                 gaze_log.append(
@@ -306,6 +266,19 @@ class Scheduler:
                         (float(ctx.gaze_pred[0]), float(ctx.gaze_pred[1])),
                     )
                 )
+            # A skipped frame is the bootstrap: the sensor latched its
+            # first analog frame and produced no gaze.
+            telemetry.record_frame(
+                FrameRecord(
+                    client_id=job.client_id,
+                    arrival_tick=job.tick,
+                    dispatch_tick=tick,
+                    latency_s=self.slo.latency_s(wait),
+                    met_deadline=self.slo.meets_deadline(wait),
+                    bootstrap=ctx.skipped,
+                    gaze_error_deg=error,
+                )
+            )
             ctx.release_intermediates()
 
 

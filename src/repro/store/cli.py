@@ -59,9 +59,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _open_store(root: str) -> ArtifactStore | None:
+    """The store at ``root``; ``None`` (after naming the path on stderr)
+    when there is no directory there — a mistyped root must not be
+    created and reported as an empty store."""
     path = Path(root)
-    if path.exists() and not path.is_dir():
-        print(f"store error: {root} is not a directory", file=sys.stderr)
+    if not path.is_dir():
+        problem = "is not a directory" if path.exists() else "does not exist"
+        print(f"store error: {root} {problem}", file=sys.stderr)
         return None
     return ArtifactStore(path)
 
@@ -70,11 +74,7 @@ def _cmd_ls(args: argparse.Namespace) -> int:
     store = _open_store(args.root)
     if store is None:
         return 2
-    records = [
-        record
-        for record, _ in store.records()
-        if args.kind is None or record.kind == args.kind
-    ]
+    records = list(store.find(args.kind))
     table = Table(
         ["digest", "kind", "bytes", "format", "key"],
         title=f"artifact store {args.root}",

@@ -70,8 +70,9 @@ class TestRunCommand:
         spec_path.write_text(
             ExperimentSpec.from_dict({"workload": "area"}).to_json()
         )
-        assert main(["run", str(spec_path), "--workers", "-2"]) == 2
-        assert "execution.workers" in capsys.readouterr().err
+        for workers in ("-2", "0"):
+            assert main(["run", str(spec_path), "--workers", workers]) == 2
+            assert "execution.workers" in capsys.readouterr().err
 
     def test_spec_naming_a_backend_exits_2(self, capsys, tmp_path):
         # execution.backend and --backend are gone; a spec file that

@@ -7,6 +7,7 @@ from repro.api.tracker import BlissCamPipeline, ci
 from repro.engine import (
     EventifyStage,
     FrameContext,
+    SensorSpawnFactory,
     SequenceRunner,
     SequenceState,
     Stage,
@@ -123,8 +124,6 @@ class TestFrameContextInvariants:
     ):
         # Run the real tracking graph and check every emitted context.
         template = trained_pipeline._sensor_template(77)
-        from repro.engine import tracking_runner
-
         graph = build_tracking_graph(
             predictor=template.roi_predictor,
             segmenter=trained_pipeline.segmenter,
@@ -132,9 +131,7 @@ class TestFrameContextInvariants:
             height=64,
             width=64,
         )
-        runner = tracking_runner(
-            sensor_template=template, sensor_seed=77, graph=graph
-        )
+        runner = SequenceRunner(graph, SensorSpawnFactory(template, (77,)))
         run, stages = traced_stages(
             lambda: runner.run([(2, trained_pipeline.dataset[2])])
         )

@@ -4,17 +4,21 @@ Every stage has exactly one kernel, ``process_batch``; a sequential run
 is a rank of width 1.  Width invariance (1, 3, full rank) is pinned by
 the equivalence and strategy-graph suites, but a change that moved every
 width the same way would pass them.  These records close that gap for
-the tracking graph and for every registered strategy graph.
+the tracking graph, for every registered strategy graph and for the
+serve scheduler (whose parity suite compares clients with each other,
+so a change that moved every client the same way would pass it too).
 
 Each record has two parts:
 
 * ``digest`` — sha256 over the outputs that do not depend on the BLAS
   build: integer segmentation maps, reuse flags, and the statistics
   computed from pixel counts and integer boxes (compression, sampled and
-  ROI fractions, valid tokens, bytes, RLE ratios, ROI IoU).  Exact on
-  every host.
+  ROI fractions, valid tokens, bytes, RLE ratios, ROI IoU) — for serve,
+  the telemetry counts, drop records, queue depths and per-client
+  completions.  Exact on every host.
 * ``floats`` — the gaze predictions (and, for tracking, the truths they
-  are scored against).  They pass through GEMMs and a least-squares fit,
+  are scored against; for serve, also the virtual-clock latency
+  percentiles).  Gazes pass through GEMMs and a least-squares fit,
   whose last bits belong to the BLAS build and the CPU.  On a host with
   the recording's ``fingerprint`` they must match bit for bit; on any
   other host, within ``FLOAT_TOL`` (relative and absolute).
@@ -34,17 +38,35 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.api import STRATEGIES
+from repro.api import STRATEGIES, ExperimentSpec, Session
 from repro.api.tracker import BlissCamPipeline, ci
-from repro.engine import build_strategy_graph, strategy_runner
+from repro.engine import SequenceRunner, build_strategy_graph
 from repro.gaze.estimation import FittedGazeEstimator
 from repro.sampling.strategies import STRATEGY_NAMES
 from repro.segmentation.vit import ViTConfig, ViTSegmenter
+from repro.serve import ClientSensorFactory, ServeScenario, simulate_serving
 from repro.synth.dataset import DatasetConfig, SyntheticEyeDataset
 
 GOLDEN_PATH = Path(__file__).with_name("golden_outputs.json")
 EVAL_IDX = [0, 1, 2, 3]
 REUSE_WINDOWS = [1, 4]
+#: An uncontended fleet, and an overloaded one that sheds on both the
+#: queue bound and the deadline and ends with a backlog.
+SERVE_SCENARIOS = {
+    "uniform": ServeScenario(num_clients=4, duration_ticks=8),
+    "overload": ServeScenario(
+        num_clients=4, arrival="poisson", duration_ticks=8,
+        max_batch=2, queue_capacity=3, deadline_slack_ticks=0,
+    ),
+}
+#: The serve parity suite's tiny tracker: one epoch leaves it predicting
+#: a gaze on every served frame (the tracking records' longer-trained
+#: pipeline falls back to (0, 0) on every frame).
+SERVE_SPEC = {
+    "workload": "serve",
+    "dataset": {"num_sequences": 3, "frames_per_sequence": 6},
+    "training": {"train_indices": [0, 1], "epochs": 1},
+}
 #: Allowed gaze drift on a host other than the recording's: far above
 #: last-bit BLAS differences carried through training and the fit, far
 #: below what a changed segmentation map or centroid does to a gaze.
@@ -133,7 +155,7 @@ def strategy_record(name: str, dataset, segmenter) -> dict:
         gaze_estimator=estimator,
         rng=np.random.default_rng(7),
     )
-    run = strategy_runner(graph).run([(i, dataset[i]) for i in EVAL_IDX])
+    run = SequenceRunner(graph).run([(i, dataset[i]) for i in EVAL_IDX])
     return {
         "digest": _digest(
             np.stack([ctx.seg_pred for ctx in run.evaluated]).astype(np.int64),
@@ -146,8 +168,52 @@ def strategy_record(name: str, dataset, segmenter) -> dict:
     }
 
 
+def make_serve_pipeline():
+    spec = ExperimentSpec.from_dict(SERVE_SPEC)
+    with Session() as session:
+        return session.pipeline(spec)
+
+
+def serve_record(pipeline, scenario: ServeScenario) -> dict:
+    seed = ExperimentSpec.from_dict(SERVE_SPEC).sensor.sensor_seed
+    graph, template = pipeline.tracking_setup(sensor_seed=seed)
+    run = simulate_serving(
+        graph=graph,
+        state_factory=ClientSensorFactory(template, seed),
+        dataset_cfg=pipeline.config.dataset,
+        scenario=scenario,
+    )
+    summary = run.summary
+    gaze_log = sorted(run.gaze_log)
+    counted = ("arrived", "completed", "dropped", "met_deadline")
+    return {
+        "digest": _digest(
+            summary["frames"],
+            summary["deadline_met"],
+            summary["drops_by_reason"],
+            summary["queue_depth"],
+            sorted(
+                (d.client_id, d.tick, d.reason) for d in run.telemetry.drops
+            ),
+            {
+                cid: {key: client[key] for key in counted}
+                for cid, client in summary["per_client"].items()
+            },
+            [[cid, t] for cid, t, _ in gaze_log],
+        ),
+        "floats": {
+            "predictions": [list(gaze) for _, _, gaze in gaze_log],
+            "latency_ms": [
+                summary["latency_ms"][key]
+                for key in ("p50", "p95", "p99", "mean", "max")
+            ],
+        },
+    }
+
+
 def record_all() -> dict:
     pipeline, dataset, vit = make_pipeline(), make_dataset(), make_vit()
+    serve_pipeline = make_serve_pipeline()
     return {
         "fingerprint": fingerprint(),
         "tracking": {
@@ -155,6 +221,10 @@ def record_all() -> dict:
         },
         "strategy": {
             name: strategy_record(name, dataset, vit) for name in STRATEGY_NAMES
+        },
+        "serve": {
+            name: serve_record(serve_pipeline, scenario)
+            for name, scenario in SERVE_SCENARIOS.items()
         },
     }
 
@@ -167,6 +237,11 @@ def golden():
 @pytest.fixture(scope="module")
 def trained_pipeline():
     return make_pipeline()
+
+
+@pytest.fixture(scope="module")
+def serve_pipeline():
+    return make_serve_pipeline()
 
 
 @pytest.fixture(scope="module")
@@ -207,9 +282,18 @@ class TestGoldenOutputs:
             golden["fingerprint"] == fingerprint(),
         )
 
+    @pytest.mark.parametrize("name", sorted(SERVE_SCENARIOS))
+    def test_serve_scheduler(self, golden, serve_pipeline, name):
+        assert_matches(
+            serve_record(serve_pipeline, SERVE_SCENARIOS[name]),
+            golden["serve"][name],
+            golden["fingerprint"] == fingerprint(),
+        )
+
     def test_every_case_recorded(self, golden):
         assert sorted(golden["tracking"]) == sorted(map(str, REUSE_WINDOWS))
         assert sorted(golden["strategy"]) == sorted(STRATEGY_NAMES)
+        assert sorted(golden["serve"]) == sorted(SERVE_SCENARIOS)
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ import pytest
 
 from repro.api import STRATEGIES
 from repro.api.tracker import evaluate_strategy
-from repro.engine import build_strategy_graph, strategy_runner
+from repro.engine import SequenceRunner, build_strategy_graph
 from repro.engine.stage import Stage
 from repro.engine.stages import (
     EventifyPairStage,
@@ -74,7 +74,7 @@ def _full_and_alone(strategy_name, dataset, segmenter, full_rank_and_alone):
         rng=np.random.default_rng(7),
     )
     return full_rank_and_alone(
-        strategy_runner(graph), [(i, dataset[i]) for i in EVAL_IDX]
+        SequenceRunner(graph), [(i, dataset[i]) for i in EVAL_IDX]
     )
 
 

@@ -285,12 +285,6 @@ class TestBlissCamSensor:
         full_frame_bytes = 32 * 32 * 10 // 8
         assert out.transmitted_bytes < full_frame_bytes
 
-    def test_reset_clears_state(self):
-        sensor = self.make()
-        sensor.capture(np.zeros((32, 32)), None)
-        sensor.reset()
-        assert sensor.capture(np.zeros((32, 32)), None) is None
-
     def test_validation(self):
         with pytest.raises(ValueError):
             BlissCamSensor(32, 32, self._center_predictor, sampling_rate=0.0)

@@ -85,9 +85,7 @@ class TestDense:
 
 
 class TestActivations:
-    @pytest.mark.parametrize(
-        "cls", [nn.ReLU, nn.GELU, nn.Sigmoid, nn.Tanh, nn.Identity, nn.LeakyReLU]
-    )
+    @pytest.mark.parametrize("cls", [nn.ReLU, nn.GELU, nn.Sigmoid])
     def test_input_grad(self, cls):
         layer = cls()
         # Offset away from ReLU kink for numerical stability.
@@ -119,10 +117,6 @@ class TestConv:
         # Perturb to make the max unique so the subgradient is well defined.
         x += np.linspace(0, 0.01, x.size).reshape(x.shape)
         check_input_grad(layer, x)
-
-    def test_avgpool_grad(self):
-        layer = nn.AvgPool2d(2)
-        check_input_grad(layer, RNG.standard_normal((2, 2, 4, 4)))
 
     def test_upsample_grad(self):
         layer = nn.UpsampleNearest2d(2)
@@ -247,20 +241,3 @@ class TestSequentialAndDropout:
         )
         x = RNG.standard_normal((3, 4)) + 0.3
         check_input_grad(model, x)
-
-    def test_dropout_eval_is_identity(self):
-        layer = nn.Dropout(0.5, RNG)
-        layer.eval()
-        x = RNG.standard_normal((4, 4))
-        np.testing.assert_array_equal(layer(x), x)
-
-    def test_dropout_train_scales(self):
-        layer = nn.Dropout(0.5, np.random.default_rng(1))
-        x = np.ones((200, 200))
-        out = layer(x)
-        # Inverted dropout keeps expectation ~1.
-        assert abs(out.mean() - 1.0) < 0.05
-
-    def test_residual_grad(self):
-        block = nn.Residual(nn.Linear(4, 4, RNG))
-        check_input_grad(block, RNG.standard_normal((2, 4)))

@@ -11,11 +11,10 @@ from repro.sampling import (
     box_area,
     box_from_pixels,
     box_iou,
-    box_mask,
     box_to_pixels,
-    expand_box,
     order_box,
 )
+from repro.sampling.roi import boxes_mask
 
 RNG = np.random.default_rng(0)
 
@@ -60,12 +59,9 @@ class TestBoxUtils:
 
     def test_box_mask_and_area_agree(self):
         box = (2, 3, 10, 12)
-        mask = box_mask(box, 16, 16)
+        mask = boxes_mask([box], 16, 16)[0]
         assert mask.sum() == box_area(box)
 
-    def test_expand_box_clips_to_frame(self):
-        assert expand_box((0, 0, 4, 4), 3, 16, 16) == (0, 0, 7, 7)
-        assert expand_box((10, 10, 16, 16), 3, 16, 16) == (7, 7, 16, 16)
 
 
 class TestROIPredictor:

@@ -15,9 +15,7 @@ from repro.sampling import (
     SamplingDecision,
     SamplingStrategy,
     SkipStrategy,
-    apply_mask,
     effective_compression,
-    random_mask,
     random_mask_in_box,
     uniform_grid_mask,
     uniform_mask_in_box,
@@ -28,10 +26,6 @@ SHAPE = (48, 48)
 
 
 class TestMasks:
-    def test_random_mask_rate(self):
-        mask = random_mask((200, 200), 0.2, np.random.default_rng(1))
-        assert abs(mask.mean() - 0.2) < 0.02
-
     def test_uniform_grid_rate(self):
         mask = uniform_grid_mask((100, 100), 0.25)
         assert abs(mask.mean() - 0.25) < 0.05
@@ -52,13 +46,6 @@ class TestMasks:
         assert not outside.any()
         assert mask.any()
 
-    def test_apply_mask_zeroes(self):
-        frame = np.ones(SHAPE)
-        mask = np.zeros(SHAPE, dtype=bool)
-        mask[0, 0] = True
-        sparse = apply_mask(frame, mask)
-        assert sparse.sum() == 1.0
-
     def test_effective_compression(self):
         mask = np.zeros((10, 10), dtype=bool)
         mask[:5, :2] = True  # 10 of 100
@@ -70,7 +57,7 @@ class TestMasks:
     @pytest.mark.parametrize("rate", [0.0, -0.1, 1.5])
     def test_invalid_rates_raise(self, rate):
         with pytest.raises(ValueError):
-            random_mask(SHAPE, rate, RNG)
+            random_mask_in_box(SHAPE, (0, 0, *SHAPE), rate, RNG)
 
 
 def _fixture_frame():
@@ -366,10 +353,8 @@ class _RowLoopStrategy(SamplingStrategy):
     def sample_batch(self, strategies, frames, event_maps, roi_boxes, rngs):
         decisions = []
         for frame, rng in zip(frames, rngs):
-            mask = random_mask(frame.shape, 1.0 / self.compression, rng)
-            decisions.append(
-                SamplingDecision(mask, apply_mask(frame, mask), None)
-            )
+            mask = rng.random(frame.shape) < 1.0 / self.compression
+            decisions.append(SamplingDecision(mask, frame * mask, None))
         return decisions
 
 
@@ -378,7 +363,7 @@ class TestExtensionContract:
 
     def test_row_loop_kernel_runs_at_every_width(self, full_rank_and_alone):
         from repro.api.tracker import evaluate_strategy
-        from repro.engine import build_strategy_graph, strategy_runner
+        from repro.engine import SequenceRunner, build_strategy_graph
         from repro.gaze.estimation import FittedGazeEstimator
         from repro.segmentation import ViTConfig, ViTSegmenter
         from repro.synth import DatasetConfig, SyntheticEyeDataset
@@ -404,7 +389,7 @@ class TestExtensionContract:
             rng=np.random.default_rng(7),
         )
         full, alone = full_rank_and_alone(
-            strategy_runner(graph), [(i, dataset[i]) for i in range(3)]
+            SequenceRunner(graph), [(i, dataset[i]) for i in range(3)]
         )
         assert full == alone
         result = evaluate_strategy(

@@ -287,3 +287,14 @@ class TestCLI:
         not_a_dir = tmp_path / "flat"
         not_a_dir.write_text("x")
         assert store_main(["ls", str(not_a_dir)]) == 2
+
+    @pytest.mark.parametrize(
+        "command", [["ls"], ["rm", "--all"], ["gc"]], ids=lambda c: c[0]
+    )
+    def test_missing_root_is_error_and_not_created(
+        self, tmp_path, capsys, command
+    ):
+        missing = tmp_path / "no-such-store"
+        assert store_main([command[0], str(missing), *command[1:]]) == 2
+        assert str(missing) in capsys.readouterr().err
+        assert not missing.exists()
